@@ -23,16 +23,15 @@ from .fan import (
     ActivationPattern,
     Dataset,
     FanCone,
-    cone_constraints,
+    _tie_row,
     cone_of_graph,
-    complete_pattern,
     enumerate_all_cones,
     fan_index,
     lineality_dim,
     pattern_from_assignment,
 )
 from .geometry import exact_rank, max_slack
-from .rationals import Rat, Vec, dot
+from .rationals import Vec, dot
 from .tropical import TropicalRationalParams, classify as classify_point
 
 Dichotomy = tuple[int, ...]  # entries in {-1, +1}
@@ -144,39 +143,23 @@ def _wall_lp(a: Sequence[int], diffs: Sequence[int], pair: tuple[int, int],
     equality, every other competitor inequality strict.  Gauge-fixed by
     zeroing the last term block."""
     d = data.d
-    dim = (N - 1) * (d + 1)
     i, j = pair
-
-    def reduced_row(p: Vec, hi: int, lo: int) -> Vec:
-        row = [Fraction(0)] * dim
-        if hi < N:
-            base = (hi - 1) * (d + 1)
-            row[base] += 1
-            for jj, x in enumerate(p):
-                row[base + 1 + jj] += x
-        if lo < N:
-            base = (lo - 1) * (d + 1)
-            row[base] -= 1
-            for jj, x in enumerate(p):
-                row[base + 1 + jj] -= x
-        return tuple(row)
-
     diffset = set(diffs)
     equalities = []
     strict = []
     for k in range(data.M):
         p = data.points[k]
         if k in diffset:
-            equalities.append(reduced_row(p, i, j))
+            equalities.append(_tie_row(p, i, j, N - 1, d))
             for l in range(1, N + 1):
                 if l not in (i, j):
-                    strict.append(reduced_row(p, i, l))
+                    strict.append(_tie_row(p, i, l, N - 1, d))
         else:
             t = a[k]
             for l in range(1, N + 1):
                 if l != t:
-                    strict.append(reduced_row(p, t, l))
-    opt, _ = max_slack(dim, (), tuple(strict), tuple(equalities))
+                    strict.append(_tie_row(p, t, l, N - 1, d))
+    opt, _ = max_slack((N - 1) * (d + 1), (), tuple(strict), tuple(equalities))
     return opt > 0
 
 
@@ -205,24 +188,11 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
     for p, nb in zip(data.points, union.neighbors):
         ordered = sorted(nb)
         for hi in ordered[1:]:
-            ties.append(_full_row(p, ordered[0], hi, N, data.d))
+            ties.append(_tie_row(p, ordered[0], hi, N, data.d))
     up = N * (data.d + 1) - exact_rank(ties)
     if up <= lo:
         return lo
     return cone_of_graph(union, data).descriptor.dimension
-
-
-def _full_row(p: Vec, i_star: int, i: int, N: int, d: int) -> Vec:
-    row = [Fraction(0)] * (N * (d + 1))
-    base = (i_star - 1) * (d + 1)
-    row[base] += 1
-    for j, x in enumerate(p):
-        row[base + 1 + j] += x
-    base = (i - 1) * (d + 1)
-    row[base] -= 1
-    for j, x in enumerate(p):
-        row[base + 1 + j] -= x
-    return tuple(row)
 
 
 def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> list[tuple[int, int]]:

@@ -19,14 +19,12 @@ from .classify import (
     covectors_linear,
     format_signs,
     level_set,
-    loss_of_pattern,
     parse_signs,
 )
 from .dual import decision_boundary, render_svg
 from .fan import (
     CapExceededError,
     affine_dim,
-    cone_constraints,
     enumerate_all_cones,
     enumerate_maximal_cones,
     lineality_dim,
@@ -293,7 +291,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(json.dumps({"error": "cap_exceeded", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     return 0

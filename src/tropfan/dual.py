@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import ConstraintSystem, describe_cone, lp_feasible
-from .rationals import Rat, Vec, dot
+from .rationals import Vec, dot
 from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point, eval_signomial
 
 

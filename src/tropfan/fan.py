@@ -23,12 +23,12 @@ from typing import Callable, Iterator, Optional, Sequence
 from .geometry import (
     ConeDescriptor,
     ConstraintSystem,
+    _descriptor_from_implied,
     exact_rank,
-    lp_feasible,
     max_slack,
     relint_point,
 )
-from .rationals import Rat, Vec, dot, vec, zeros
+from .rationals import Vec, dot, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
 
@@ -55,6 +55,8 @@ class Dataset:
 
 def dataset(points, d: int | None = None) -> Dataset:
     pts = tuple(vec(p) for p in points)
+    if not pts:
+        raise ValueError("dataset needs at least one point")
     return Dataset(pts, len(pts[0]) if d is None else d)
 
 
@@ -148,17 +150,23 @@ def theta_from_vector(v: Sequence[Fraction], N: int, d: int) -> SignomialParams:
     return SignomialParams(tuple(terms), d)
 
 
-def _edge_row(N: int, d: int, p: Vec, i_star: int, i: int) -> Vec:
-    """Row of (a_{i*} - a_i) + <s_{i*} - s_i, p> as a vector over R^{N(d+1)}."""
-    row = [Fraction(0)] * (N * (d + 1))
-    base = (i_star - 1) * (d + 1)
-    row[base] += 1
-    for j, x in enumerate(p):
-        row[base + 1 + j] += x
-    base = (i - 1) * (d + 1)
-    row[base] -= 1
-    for j, x in enumerate(p):
-        row[base + 1 + j] -= x
+def _tie_row(p: Vec, hi: int, lo: int, blocks: int, d: int) -> Vec:
+    """Row of (a_hi - a_lo) + <s_hi - s_lo, p> over ``blocks`` term blocks.
+
+    A term index above ``blocks`` is the gauge-fixed zero block and adds
+    nothing, so ``blocks = N - 1`` drops the last term's block.
+    """
+    row = [Fraction(0)] * (blocks * (d + 1))
+    if hi <= blocks:
+        base = (hi - 1) * (d + 1)
+        row[base] += 1
+        for j, x in enumerate(p):
+            row[base + 1 + j] += x
+    if lo <= blocks:
+        base = (lo - 1) * (d + 1)
+        row[base] -= 1
+        for j, x in enumerate(p):
+            row[base + 1 + j] -= x
     return tuple(row)
 
 
@@ -176,7 +184,7 @@ def cone_constraints(G: ActivationPattern, data: Dataset) -> ConstraintSystem:
         for i_star in sorted(nb):
             for i in range(1, N + 1):
                 if i != i_star:
-                    rows.append(_edge_row(N, d, p, i_star, i))
+                    rows.append(_tie_row(p, i_star, i, N, d))
     return ConstraintSystem(tuple(rows), (), N * (d + 1))
 
 
@@ -192,8 +200,7 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
     closure = pattern_of(theta_from_vector(point, H.N, data.d), data)
     csys = cone_constraints(closure, data)
     implied = frozenset(r for r, f in enumerate(csys.nonstrict) if dot(f, point) == 0)
-    dim = csys.ambient_dim - exact_rank([csys.nonstrict[r] for r in sorted(implied)])
-    return FanCone(closure, ConeDescriptor(csys, dim, implied), point)
+    return FanCone(closure, _descriptor_from_implied(csys, implied), point)
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +249,14 @@ def _leaf_system(data: Dataset, parts: Sequence[Sequence[int]]) -> tuple[int, tu
     """Strict system of the canonical labeling, gauge-fixed so the last used
     term's block is zero (the all-ones lineality direction makes this lossless)."""
     r = len(parts)
-    d = data.d
-    dim = (r - 1) * (d + 1)
     rows = []
     for t_star, part in enumerate(parts):
         for k in part:
             p = data.points[k]
             for t in range(r):
-                if t == t_star:
-                    continue
-                row = [Fraction(0)] * dim
-                if t_star < r - 1:
-                    base = t_star * (d + 1)
-                    row[base] += 1
-                    for j, x in enumerate(p):
-                        row[base + 1 + j] += x
-                if t < r - 1:
-                    base = t * (d + 1)
-                    row[base] -= 1
-                    for j, x in enumerate(p):
-                        row[base + 1 + j] -= x
-                rows.append(tuple(row))
-    return dim, tuple(rows)
+                if t != t_star:
+                    rows.append(_tie_row(p, t_star + 1, t + 1, r - 1, data.d))
+    return (r - 1) * (data.d + 1), tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -304,113 +297,106 @@ def _check_leaf(data: Dataset, parts: Sequence[Sequence[int]]) -> Optional[_Cano
 def _dfs_partitions(
     data: Dataset,
     N: int,
-    start_parts: list[list[int]],
-    next_point: int,
+    parts: list[list[int]],
+    k: int,
+    depth: int,
     memo: dict,
-    budget: list[int],
-    out: list[_CanonicalCone],
+    visit: Callable[[list[list[int]]], None],
 ):
-    M = data.M
-    max_parts = min(N, M)
-    stack_parts = start_parts
+    """Hull-pruned depth-first walk extending ``parts`` (points 0..k-1) over
+    points k..depth-1; ``visit`` sees each canonical partition of the first
+    ``depth`` points."""
+    max_parts = min(N, data.M)
 
     def recurse(k: int):
-        if k == M:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceededError("candidate cap exceeded during fan enumeration")
-            cone = _check_leaf(data, stack_parts)
-            if cone is not None:
-                out.append(cone)
-            return
-        for t in range(len(stack_parts)):
-            stack_parts[t].append(k)
-            if _parts_admissible(data, stack_parts, t, memo):
-                recurse(k + 1)
-            stack_parts[t].pop()
-        if len(stack_parts) < max_parts:
-            stack_parts.append([k])
-            recurse(k + 1)
-            stack_parts.pop()
-
-    recurse(next_point)
-
-
-def _canonical_prefixes(data: Dataset, N: int, depth: int, memo: dict) -> list[list[list[int]]]:
-    prefixes: list[list[list[int]]] = []
-
-    def recurse(parts: list[list[int]], k: int):
         if k == depth:
-            prefixes.append([list(p) for p in parts])
+            visit(parts)
             return
         for t in range(len(parts)):
             parts[t].append(k)
             if _parts_admissible(data, parts, t, memo):
-                recurse(parts, k + 1)
+                recurse(k + 1)
             parts[t].pop()
-        if len(parts) < min(N, data.M):
+        if len(parts) < max_parts:
             parts.append([k])
-            recurse(parts, k + 1)
+            recurse(k + 1)
             parts.pop()
 
-    recurse([], 0)
-    return prefixes
+    recurse(k)
 
 
-def _chunk_worker(args) -> list[_CanonicalCone]:
+def _chunk_worker(args) -> tuple[int, list[_CanonicalCone]]:
+    """Leaf count and strictly feasible leaves below one prefix; stops early
+    once the count alone exceeds the cap."""
     data, N, prefix, depth, cap = args
+    leaves = 0
     out: list[_CanonicalCone] = []
-    _dfs_partitions(data, N, prefix, depth, {}, [cap], out)
-    return out
+
+    def leaf(parts):
+        nonlocal leaves
+        leaves += 1
+        if leaves > cap:
+            raise CapExceededError("candidate cap exceeded during fan enumeration")
+        cone = _check_leaf(data, parts)
+        if cone is not None:
+            out.append(cone)
+
+    _dfs_partitions(data, N, prefix, depth, data.M, {}, leaf)
+    return leaves, out
 
 
 def _enumerate_canonical(
     data: Dataset, N: int, cap: Optional[int], workers: int, progress: Optional[Callable[[str], None]]
-) -> list[_CanonicalCone]:
+) -> tuple[int, list[_CanonicalCone]]:
+    """(leaf count, canonical cones); a chunk stops early only when its own
+    leaf count exceeds the cap."""
     budget = cap if cap is not None else sys.maxsize
     if progress:
         progress(f"enumerating canonical partitions of {data.M} points into <= {N} groups")
     if workers <= 1:
-        out: list[_CanonicalCone] = []
-        _dfs_partitions(data, N, [], 0, {}, [budget], out)
-        return out
-    depth = 1
-    memo: dict = {}
-    prefixes = _canonical_prefixes(data, N, depth, memo)
-    while depth < data.M and len(prefixes) < 4 * workers:
-        depth += 1
-        prefixes = _canonical_prefixes(data, N, depth, memo)
-    import multiprocessing as mp
+        chunks = [_chunk_worker((data, N, [], 0, budget))]
+    else:
+        depth, memo, prefixes = 0, {}, [[]]
+        while depth < data.M and len(prefixes) < 4 * workers:
+            depth += 1
+            prefixes = []
+            _dfs_partitions(
+                data, N, [], 0, depth, memo, lambda parts: prefixes.append([list(p) for p in parts])
+            )
+        import multiprocessing as mp
 
-    tasks = [(data, N, prefix, depth, budget) for prefix in prefixes]
-    with mp.Pool(workers) as pool:
-        chunks = pool.map(_chunk_worker, tasks)
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+        tasks = [(data, N, prefix, depth, budget) for prefix in prefixes]
+        with mp.Pool(workers) as pool:
+            chunks = pool.map(_chunk_worker, tasks)
+    return sum(count for count, _ in chunks), [cone for _, cones in chunks for cone in cones]
 
 
 class _FanIndex:
-    """Enumerated maximal cones of (data, N), stored as canonical partitions."""
+    """Enumerated maximal cones of (data, N), stored as canonical partitions,
+    with the number of candidate leaves the enumeration checked (0 when the
+    index was not built by ``fan_index``)."""
 
-    def __init__(self, data: Dataset, N: int, reps: list[_CanonicalCone]):
+    def __init__(self, data: Dataset, N: int, reps: list[_CanonicalCone], leaves: int = 0):
         self.data = data
         self.N = N
         self.reps = reps
+        self.leaves = leaves
 
-    def iter_assignments(self) -> Iterator[tuple[int, ...]]:
-        """All degree-one maximal patterns as 1-based term assignments, one per
-        injective relabeling of each canonical partition."""
+    def _labelings(self) -> Iterator[tuple[_CanonicalCone, tuple[int, ...], tuple[int, ...]]]:
+        """(rep, perm, assignment) for each injective relabeling part t -> term
+        perm[t] of each canonical partition."""
         M = self.data.M
         for rep in self.reps:
-            r = len(rep.parts)
-            for perm in permutations(range(1, self.N + 1), r):
+            for perm in permutations(range(1, self.N + 1), len(rep.parts)):
                 assign = [0] * M
                 for t, part in enumerate(rep.parts):
                     for k in part:
                         assign[k] = perm[t]
-                yield tuple(assign)
+                yield rep, perm, tuple(assign)
+
+    def iter_assignments(self) -> Iterator[tuple[int, ...]]:
+        """All degree-one maximal patterns as 1-based term assignments."""
+        return (assign for _, _, assign in self._labelings())
 
     def witness_for(self, rep: _CanonicalCone, perm: Sequence[int]) -> Vec:
         """Full-space strict witness for the relabeling part t -> term perm[t]."""
@@ -421,15 +407,7 @@ class _FanIndex:
         return tuple(x for b in blocks for x in b)
 
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
-        M = self.data.M
-        for rep in self.reps:
-            r = len(rep.parts)
-            for perm in permutations(range(1, self.N + 1), r):
-                assign = [0] * M
-                for t, part in enumerate(rep.parts):
-                    for k in part:
-                        assign[k] = perm[t]
-                yield tuple(assign), self.witness_for(rep, perm)
+        return ((assign, self.witness_for(rep, perm)) for rep, perm, assign in self._labelings())
 
 
 _FAN_CACHE: dict[tuple[Dataset, int], _FanIndex] = {}
@@ -443,13 +421,18 @@ def fan_index(
     progress: Optional[Callable[[str], None]] = None,
     use_cache: bool = True,
 ) -> _FanIndex:
+    """Enumerated maximal cones of (data, N).  ``cap`` bounds the number of
+    candidate leaves over all chunks, so it does not depend on ``workers``,
+    and it is checked on cached indexes too."""
     key = (data, N)
-    if use_cache and key in _FAN_CACHE:
-        return _FAN_CACHE[key]
-    reps = _enumerate_canonical(data, N, cap, workers, progress)
-    index = _FanIndex(data, N, reps)
-    if use_cache:
-        _FAN_CACHE[key] = index
+    index = _FAN_CACHE.get(key) if use_cache else None
+    if index is None:
+        leaves, reps = _enumerate_canonical(data, N, cap, workers, progress)
+        index = _FanIndex(data, N, reps, leaves)
+        if use_cache:
+            _FAN_CACHE[key] = index
+    if cap is not None and index.leaves > cap:
+        raise CapExceededError("candidate cap exceeded during fan enumeration")
     return index
 
 
@@ -525,25 +508,6 @@ def enumerate_all_cones(
     if K.key() not in cones:
         cones[K.key()] = cone_of_graph(K, data)
     return [cones[k] for k in sorted(cones)]
-
-
-def _leaf_witness_signomial(G: ActivationPattern, data: Dataset) -> SignomialParams:
-    """A strict witness for a maximal pattern, via the canonical-partition LP."""
-    assign = G.assignment()
-    order: list[int] = []
-    for t in assign:
-        if t not in order:
-            order.append(t)
-    parts = [[k for k, tk in enumerate(assign) if tk == t] for t in order]
-    cone = _check_leaf(data, parts)
-    if cone is None:
-        raise ValueError("pattern is not maximal")
-    index = _FanIndex(data, G.N, [cone])
-    return theta_from_vector(index.witness_for(cone, order), G.N, data.d)
-
-
-def _flatten_signomial(sig: SignomialParams) -> Vec:
-    return tuple(x for a, s in sig.terms for x in (a,) + tuple(s))
 
 
 def affine_dim(data: Dataset) -> int:

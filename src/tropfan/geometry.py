@@ -31,9 +31,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .rationals import Rat, Vec, dot, vadd, zeros
+from .rationals import Vec, dot, vadd, zeros
 
 LinearForm = Vec
 
@@ -41,10 +41,6 @@ _CHECK_DIVISION = bool(os.environ.get("TROPFAN_CHECK_PIVOTS"))
 
 # Pivots spent in a degenerate stall before switching from Dantzig to Bland.
 _STALL_LIMIT = 12
-
-
-class InfeasibleSystemError(ValueError):
-    """Raised by operations whose precondition requires a feasible system."""
 
 
 class PivotLimitError(RuntimeError):
@@ -65,9 +61,6 @@ class ConstraintSystem:
                 raise ValueError(
                     f"row of length {len(row)} in system of ambient dimension {self.ambient_dim}"
                 )
-
-    def with_strict(self, rows: Iterable[LinearForm]) -> "ConstraintSystem":
-        return ConstraintSystem(self.nonstrict, self.strict + tuple(rows), self.ambient_dim)
 
 
 @dataclass(frozen=True)

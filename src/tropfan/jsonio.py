@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .classify import LevelSetReport
-from .fan import ActivationPattern, Dataset
+from .fan import ActivationPattern, Dataset, dataset
 from .matroids import AxiomReport
 from .rationals import format_rat, format_vec, rat, vec
 from .relu import ConversionResult, ReluNetwork
@@ -33,8 +33,7 @@ def dataset_to_json(data: Dataset) -> dict:
 
 
 def dataset_from_json(doc: dict) -> Dataset:
-    pts = tuple(vec(p) for p in doc["points"])
-    return Dataset(pts, len(pts[0]))
+    return dataset(doc["points"])
 
 
 def signomial_to_json(sig: SignomialParams) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 
@@ -57,10 +56,6 @@ def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def zeros(n: int) -> Vec:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import ConstraintSystem, lp_feasible
-from .rationals import Rat, Vec, dot, vec, zeros
+from .geometry import ConstraintSystem, _integerize, lp_feasible
+from .rationals import Vec, dot, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams
 
 
@@ -241,27 +241,12 @@ class _IntTerms:
     """Terms scaled to integers for fast exact argmax scans."""
 
     def __init__(self, terms: list[tuple[Fraction, Vec]], d: int):
-        self.d = d
-        den = 1
-        for a, s in terms:
-            for x in (a, *s):
-                den = den * x.denominator // _gcd(den, x.denominator)
-        self.rows = [
-            tuple(int(x * den) for x in (a, *s)) for a, s in terms
-        ]
+        flat, _ = _integerize([x for a, s in terms for x in (a, *s)])
+        self.rows = [flat[i : i + d + 1] for i in range(0, len(flat), d + 1)]
 
     def values_at(self, x: Sequence[Fraction]) -> list[int]:
-        den = 1
-        for xi in x:
-            den = den * xi.denominator // _gcd(den, xi.denominator)
-        xi = [int(v * den) for v in x]
+        xi, den = _integerize(x)
         return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in self.rows]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _uniquely_attains(terms: list[tuple[Fraction, Vec]], fast: _IntTerms, idx: int, d: int) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import Rat, Vec, dot
+from .rationals import Vec, dot
 
 Term = tuple[Fraction, Vec]  # (a, s): the affine form a + <s, x>
 

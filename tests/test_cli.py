@@ -149,6 +149,16 @@ def test_error_is_json_on_stderr(files, capsys):
     assert doc["error"] and doc["message"]
 
 
+@pytest.mark.parametrize("doc", [{"points": []}, {"points": [[None, 1]]}], ids=["empty", "null"])
+def test_malformed_dataset_is_json_error(files, capsys, doc):
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run_cli(["enum-fan", "--data", str(bad), "--n", "1", "--m", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert isinstance(json.loads(err), dict)
+    assert "Traceback" not in err
+
+
 def test_cap_error_code(files, capsys):
     rc, out, err = run_cli(
         [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from tropfan.fan import (
     polytope_vertex_of,
     theta_from_vector,
     fan_index,
+    _tie_row,
 )
 from tropfan.geometry import cone_dim, exact_rank, lp_feasible, ConstraintSystem
 from tropfan.rationals import dot, vsub
@@ -322,3 +324,31 @@ def test_cap_exceeded():
     D = dataset([(0, 7), (7, 0), (3, 5)])
     with pytest.raises(CapExceededError):
         enumerate_maximal_cones(D, 3, cap=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cap_counts_leaves_independently_of_workers(nine_points, workers):
+    from tropfan.fan import CapExceededError
+
+    with pytest.raises(CapExceededError):
+        fan_index(nine_points, 3, cap=198, workers=workers, use_cache=False)
+    index = fan_index(nine_points, 3, cap=399, workers=workers, use_cache=False)
+    assert (index.leaves, len(index.reps)) == (399, 396)
+
+
+def test_cap_applies_to_cached_index(nine_points):
+    from tropfan.fan import CapExceededError
+
+    assert len(fan_index(nine_points, 3).reps) == 396
+    with pytest.raises(CapExceededError):
+        fan_index(nine_points, 3, cap=198)
+
+
+@pytest.mark.parametrize("name", ["diag4", "nine_points"])
+def test_tie_row_gauge_drops_the_last_block(name, request):
+    data = request.getfixturevalue(name)
+    N, d = 4, data.d
+    for p in data.points:
+        for hi, lo in permutations(range(1, N + 1), 2):
+            assert _tie_row(p, hi, lo, N - 1, d) == _tie_row(p, hi, lo, N, d)[: (N - 1) * (d + 1)]
+        assert not any(_tie_row(p, N, N + 1, N - 1, d))
