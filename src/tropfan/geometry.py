@@ -9,14 +9,24 @@ The only LP ever solved here is slack maximization over a homogeneous system:
 
 The origin with t = 0 is always feasible, so a single-phase primal simplex
 suffices.  The tableau is kept as an integer matrix with one common positive
-denominator (the previous pivot entry); each pivot performs the classical
-integer-preserving update
+denominator q (the previous pivot entry), and it is compact: it stores only
+the nonbasic columns and the rhs, with ``nonbasic[j]`` naming the variable of
+column j.  The basic columns of the full tableau are q times unit vectors, so
+they carry no information.  A pivot on M[r][c] performs the classical
+integer-preserving (Edmonds-Bareiss) update on every other row, objective
+included,
 
     M'[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // q ,
 
-so no Fraction arithmetic happens in the inner loop.  Anti-cycling is by
-Bland's rule; Dantzig's rule is used while the objective is moving, switching
-to Bland during degenerate stalls, which preserves the termination guarantee.
+keeps row r, and then swaps columns: the entering variable's column c becomes
+the leaving variable's, which holds -M[i][c] in row i and q in row r, and the
+new denominator is M[r][c].  Every stored entry equals the same entry of the
+full tableau, so each division is exact and no Fraction arithmetic happens in
+the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.
+Anti-cycling is by Bland's rule; Dantzig's rule is used while the objective is
+moving, switching to Bland during degenerate stalls, which preserves the
+termination guarantee.  Both rules break ties by variable id, never by column
+position, so the pivots are those of the full tableau.
 
 Strict feasibility of a mixed system is equivalent to optimum t > 0, and a
 nonstrict row is an implied equality of the cone iff its one-row slack
@@ -81,43 +91,58 @@ def _integerize(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(x.numerator * (den // x.denominator)) for x in row], den
 
 
-def _exact_div(num: int, den: int) -> int:
-    if _CHECK_DIVISION:
-        q, r = divmod(num, den)
-        if r:
+def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int) -> list[int]:
+    """One non-pivot row after pivoting on ``prow[c] = piv`` with old denominator q,
+    every division checked for a zero remainder."""
+    f = row[c]
+    out = []
+    for x, p in zip(row, prow):
+        v, rem = divmod(x * piv - f * p, q)
+        if rem:
             raise ArithmeticError("integer pivoting produced a non-exact division")
-        return q
-    return num // den
+        out.append(v)
+    out[c] = -f
+    return out
 
 
 class _Simplex:
-    """Primal simplex on  max c.x : A x <= b, x >= 0  with b >= 0."""
+    """Primal simplex on  max c.x : A x <= b, x >= 0  with b >= 0.
+
+    Variables are numbered 0..n-1 (structural) and n..n+m-1 (slacks).  The
+    tableau holds the n nonbasic columns and the rhs; ``nonbasic[j]`` is the
+    variable of column j and ``basis[i]`` the variable of row i.  Row m is the
+    objective row, whose rhs slot holds -z.
+    """
 
     def __init__(self, a_rows: list[list[int]], b: list[int], c: list[int]):
         m, n = len(a_rows), len(c)
-        # Tableau rows: structural columns, slack columns, rhs.
-        self.rows = [a_rows[i] + [1 if k == i else 0 for k in range(m)] + [b[i]] for i in range(m)]
-        self.obj = c + [0] * m + [0]  # rhs slot holds -z
+        self.rows = [a_rows[i] + [b[i]] for i in range(m)] + [c + [0]]
         self.den = 1
         self.basis = list(range(n, n + m))
+        self.nonbasic = list(range(n))
         self.m, self.n = m, n
 
     def solve(self, pivot_limit: int = 200_000) -> Fraction:
         m, n = self.m, self.n
-        ncols = n + m
-        rows, obj = self.rows, self.obj
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         stall = 0
-        last_z = Fraction(0)
+        last_num, last_den = 0, 1  # z = -obj[n] / den after the previous pivot
         for _ in range(pivot_limit):
+            obj = rows[m]
+            # Entering column; ties and Bland's rule go by variable id, not position.
+            enter = -1
             if stall >= _STALL_LIMIT:
-                enter = next((j for j in range(ncols) if obj[j] > 0), -1)
+                for j in range(n):
+                    if obj[j] > 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
+                        enter = j
             else:
-                enter, best = -1, 0
-                for j in range(ncols):
-                    if obj[j] > best:
-                        enter, best = j, obj[j]
+                best = 0
+                for j in range(n):
+                    v = obj[j]
+                    if v > best or (v == best > 0 and nonbasic[j] < nonbasic[enter]):
+                        enter, best = j, v
             if enter < 0:
-                return Fraction(-obj[ncols], self.den)
+                return Fraction(-obj[n], self.den)
             # Ratio test: min b_i / a_ie over a_ie > 0, Bland tie-break on basis index.
             leave = -1
             lb = lr = 0
@@ -125,42 +150,46 @@ class _Simplex:
                 a = rows[i][enter]
                 if a <= 0:
                     continue
-                bi = rows[i][ncols]
-                if leave < 0 or bi * lr < lb * a or (bi * lr == lb * a and self.basis[i] < self.basis[leave]):
+                bi = rows[i][n]
+                if leave < 0 or bi * lr < lb * a or (bi * lr == lb * a and basis[i] < basis[leave]):
                     leave, lb, lr = i, bi, a
             if leave < 0:
                 raise PivotLimitError("LP unbounded; slack objective is bounded by construction")
             self._pivot(leave, enter)
-            z = Fraction(-obj[ncols], self.den)
-            stall = 0 if z != last_z else stall + 1
-            last_z = z
+            # den > 0 (pivots are positive), so z moved iff the cross products differ.
+            num, den = -rows[m][n], self.den
+            stall = 0 if num * last_den != last_num * den else stall + 1
+            last_num, last_den = num, den
         raise PivotLimitError("pivot limit exceeded")
 
     def _pivot(self, r: int, c: int):
-        rows, obj, q = self.rows, self.obj, self.den
+        """Integer-preserving pivot on rows[r][c], then the column swap (see the
+        module docstring); the checked or the plain update is chosen once."""
+        rows, q = self.rows, self.den
         prow = rows[r]
         piv = prow[c]
-        for i in range(self.m):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [_exact_div(x * piv - f * p, q) for x, p in zip(row, prow)]
-            else:
-                rows[i] = [_exact_div(x * piv, q) for x in row]
-        f = obj[c]
-        if f:
-            obj[:] = [_exact_div(x * piv - f * p, q) for x, p in zip(obj, prow)]
+        if _CHECK_DIVISION:
+            for i, row in enumerate(rows):
+                if i != r:
+                    rows[i] = _eliminate_checked(row, prow, c, piv, q)
         else:
-            obj[:] = [_exact_div(x * piv, q) for x in obj]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f:
+                    if i != r:
+                        row = [(x * piv - f * p) // q for x, p in zip(row, prow)]
+                        row[c] = -f  # the leaving variable's column
+                        rows[i] = row
+                elif piv != q:
+                    rows[i] = [x * piv // q for x in row]
+        prow[c] = q
         self.den = piv
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def value_of(self, col: int) -> Fraction:
         for i in range(self.m):
             if self.basis[i] == col:
-                return Fraction(self.rows[i][self.n + self.m], self.den)
+                return Fraction(self.rows[i][self.n], self.den)
         return Fraction(0)
 
 

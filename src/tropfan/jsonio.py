@@ -2,8 +2,9 @@
 
 Rationals travel as strings, either "p/q" or decimal literals; incoming JSON
 numbers are parsed exactly (floats are routed through their literal text, so
-"1.5" means 3/2, never a binary float).  Term and point indices are 1-based in
-every document.
+"1.5" means 3/2, never a binary float) by the same parser as string literals,
+with the same bound on decimal exponents.  Term and point indices are 1-based
+in every document.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from typing import Any
 from .classify import LevelSetReport
 from .fan import ActivationPattern, Dataset, dataset
 from .matroids import AxiomReport
-from .rationals import format_rat, format_vec, rat, vec
+from .rationals import format_rat, format_vec, parse_rat, rat, vec
 from .relu import ConversionResult, ReluNetwork
 from .tropical import SignomialParams, TropicalRationalParams
 
 
 def loads(text: str) -> Any:
-    return json.loads(text, parse_float=Fraction, parse_int=int)
+    return json.loads(text, parse_float=parse_rat, parse_int=int)
 
 
 def dumps(obj: Any) -> str:

@@ -3,15 +3,37 @@
 Every geometric quantity in this package is a ``fractions.Fraction`` held in
 lowest terms with a positive denominator (the Fraction class guarantees both).
 Decimal literals such as "1.5" are parsed as exact decimal fractions, never
-through binary floating point.
+through binary floating point.  A decimal exponent above ``MAX_EXPONENT`` in
+magnitude is rejected before any big integer is built: "1e999999999" would
+otherwise ask for a billion-digit power of ten.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+
+# Python's default int-string digit limit (sys.int_info.default_max_str_digits).
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
+
+
+def parse_rat(text: str) -> Fraction:
+    """Parse a "p/q" or decimal literal exactly; the exponent is bounded by MAX_EXPONENT."""
+    text = text.strip()
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        # the length test keeps int() away from an arbitrarily long digit string
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {text[:40]!r} exceeds the limit of {MAX_EXPONENT}"
+            )
+    return Fraction(text)
 
 
 def rat(value) -> Fraction:
@@ -21,7 +43,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return parse_rat(value)
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce a float to an exact rational; pass a string literal instead"

@@ -230,3 +230,28 @@ def test_json_decimal_literals_are_exact():
     doc = jsonio.loads('{"x": 1.5, "y": "3/2"}')
     assert doc["x"] == Fraction(3, 2) == rat(doc["y"])
     assert isinstance(doc["x"], Fraction)  # never a binary float
+
+
+def test_decimal_exponent_is_bounded():
+    """A decimal exponent above the documented 4300 is refused before any big
+    integer is built."""
+    from fractions import Fraction
+
+    from tropfan.rationals import rat
+
+    with pytest.raises(ValueError):
+        rat("1e100000")
+    with pytest.raises(ValueError):
+        rat("1e-4301")
+    with pytest.raises(ValueError):
+        jsonio.loads('{"x": 1e100000}')
+    assert rat("1e-4300") == Fraction(1, 10**4300)
+    assert rat("-2.5E+3") == jsonio.loads("-2.5E+3") == -2500
+
+
+def test_decimal_exponent_is_json_error(files, capsys):
+    bad = files / "huge.json"
+    bad.write_text('{"points": [[1e100000, "0"], ["1", "0"]]}')
+    rc, out, err = run_cli(["enum-fan", "--data", str(bad), "--n", "1", "--m", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"

@@ -74,15 +74,29 @@ def solve_square(mat, n):
     return tuple(m[r][n] for r in range(n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows_strategy(2, 3), rows_strategy(2, 3))
-def test_max_slack_matches_vertex_enumeration(nonstrict, strict):
-    opt, witness = max_slack(2, nonstrict, strict)
-    assert opt == brute_max_slack(2, nonstrict, strict)
+def check_max_slack_against_oracle(dim, nonstrict, strict, equalities):
+    """Equality rows (the wall-LP shape) reach the oracle as two opposite inequalities."""
+    opt, witness = max_slack(dim, nonstrict, strict, equalities)
+    opposite = tuple(tuple(-c for c in g) for g in equalities)
+    assert opt == brute_max_slack(dim, nonstrict + equalities + opposite, strict)
     for f in nonstrict:
         assert dot(f, witness) >= 0
     for f in strict:
         assert dot(f, witness) >= opt
+    for g in equalities:
+        assert dot(g, witness) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_strategy(2, 3), rows_strategy(2, 3), rows_strategy(2, 1))
+def test_max_slack_matches_vertex_enumeration(nonstrict, strict, equalities):
+    check_max_slack_against_oracle(2, nonstrict, strict, equalities)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows_strategy(3, 3), rows_strategy(3, 2), rows_strategy(3, 1))
+def test_max_slack_matches_vertex_enumeration_3d(nonstrict, strict, equalities):
+    check_max_slack_against_oracle(3, nonstrict, strict, equalities)
 
 
 def test_nonneg_halfline_feasible():
@@ -154,10 +168,8 @@ def test_implied_equalities_match_per_row_oracle(rows):
         assert (r in implied) == (oracle_opt == 0)
 
 
-def test_degenerate_cycling_instance_terminates():
-    """Beale's classic degenerate program cycles under naive most-positive
-    pivoting; the stall fallback must terminate it at the true optimum."""
-    from tropfan.geometry import _Simplex
+def beale_program():
+    """Beale's classic degenerate program, rows and objective scaled to integers."""
 
     def row(*fracs):
         scale = 100
@@ -170,37 +182,116 @@ def test_degenerate_cycling_instance_terminates():
     ]
     b = [0, 0, 1]
     c = row("3/4", -150, "1/50", -6)
-    sx = _Simplex(a_rows, b, c)
-    opt = sx.solve()
+    return a_rows, b, c
+
+
+def test_degenerate_cycling_instance_terminates():
+    """Beale's classic degenerate program cycles under naive most-positive
+    pivoting with a textbook ratio-test tie-break; the basis-id tie-break here
+    reaches the true optimum after five degenerate pivots and one improving
+    pivot, before the stall fallback would switch to Bland (the pinned wall LP
+    below does switch)."""
+    from tropfan.geometry import _Simplex
+
+    opt = _Simplex(*beale_program()).solve()
     # row and objective scaling cancel, so the classic optimum is unchanged
     assert opt == F(1, 20)
 
 
-def test_pivot_exactness_guard_runs():
-    """The optional per-division exactness check must accept a normal run."""
+def wall_system(data, a, k, pair, N):
+    """(dim, strict, equalities) as `classify._wall_lp` hands them to
+    max_slack when point k of assignment a moves onto the tie of the pair."""
+    from tropfan.fan import _tie_row
+
+    d = data.d
+    i, j = pair
+    equalities = (_tie_row(data.points[k], i, j, N - 1, d),)
+    strict = []
+    for q, p in enumerate(data.points):
+        if q == k:
+            strict += [_tie_row(p, i, l, N - 1, d) for l in range(1, N + 1) if l not in pair]
+        else:
+            strict += [_tie_row(p, a[q], l, N - 1, d) for l in range(1, N + 1) if l != a[q]]
+    return (N - 1) * (d + 1), tuple(strict), equalities
+
+
+def pinned_solve(name, diag4, nine_points):
+    from tropfan.fan import _leaf_system
+    from tropfan.geometry import _Simplex
+
+    if name == "beale":
+        sx = _Simplex(*beale_program())
+        opt = sx.solve()
+        return opt, tuple(sx.value_of(v) for v in range(sx.n + sx.m))
+    if name == "diag4-leaf":
+        dim, rows = _leaf_system(diag4, ((0,), (1,), (2, 3)))
+        return max_slack(dim, (), rows)
+    if name == "nine-leaf":
+        dim, rows = _leaf_system(nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8)))
+        return max_slack(dim, (), rows)
+    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
+    return max_slack(dim, (), strict, equalities)
+
+
+# (opt, x) exactly as the dense-tableau simplex returned them; for Beale's
+# program x lists every variable, slacks included.  The wall and nine-point
+# leaf answers change when either entering rule breaks ties by column
+# position instead of variable id, and the wall LP reaches the Bland switch.
+PINNED = {
+    "beale": ("1/20", ["1/2500", "0", "1/100", "0", "3/100", "0", "0"]),
+    "diag4-leaf": ("1", ["4", "-4", "0", "3", "-2", "0"]),
+    "nine-leaf": ("1", ["0", "-3", "7", "1", "1", "5", "-16/11", "-39/11", "82/11"]),
+    "diag4-wall": ("1", ["1", "-2", "0", "-1", "1", "0", "-6", "3", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pivot_rule_is_pinned(name, diag4, nine_points):
+    from tropfan.rationals import format_rat, format_vec
+
+    opt, x = pinned_solve(name, diag4, nine_points)
+    assert (format_rat(opt), format_vec(x)) == PINNED[name]
+
+
+def test_pivot_exactness_guard_runs(diag4):
+    """The optional per-division exactness check must accept a normal run,
+    also through multi-pivot solves that swap columns and switch to Bland."""
+    import json
     import os
     import subprocess
     import sys
 
     import tropfan
+    from tropfan.rationals import format_vec
 
     # the child imports the same tropfan as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
+    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
+    wall = [dim, [format_vec(f) for f in strict], [format_vec(g) for g in equalities]]
     code = (
+        "import json, sys\n"
         "from fractions import Fraction as F\n"
         "import tropfan.geometry\n"
-        "from tropfan.geometry import max_slack\n"
+        "from tropfan.geometry import _Simplex, max_slack\n"
+        "from tropfan.rationals import format_rat, format_vec, vec\n"
         "opt, x = max_slack(3, ((F(1),F(2),F(3)),), ((F(1,3),F(-1),F(5)), (F(2),F(0),F(-7))))\n"
         "print(tropfan.geometry._CHECK_DIVISION, opt > 0)\n"
+        "print(format_rat(_Simplex(*json.loads(sys.argv[1])).solve()))\n"
+        "dim, strict, equalities = json.loads(sys.argv[2])\n"
+        "opt, x = max_slack(dim, (), [vec(f) for f in strict], [vec(g) for g in equalities])\n"
+        "print(json.dumps([format_rat(opt), format_vec(x)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, json.dumps(beale_program()), json.dumps(wall)],
         capture_output=True,
         text=True,
         env={"TROPFAN_CHECK_PIVOTS": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True True"
+    guard, beale, wall_answer = proc.stdout.strip().split("\n")
+    assert guard == "True True"
+    assert beale == "1/20"
+    assert json.loads(wall_answer) == list(PINNED["diag4-wall"])
 
 
 def test_cone_dim_empty_system():
