@@ -4,10 +4,11 @@
 The commands are read from the ``sh`` block under the README heading
 "## Command line" and run from the repository root on the checked-in
 ``data/*.json``, with the package taken from ``src/``.  Each command's stdout
-goes to ``OUTDIR/<subcommand>.json``, and an ``--svg`` file goes to
-``OUTDIR/<subcommand>.svg``.  A command with ``--workers`` runs once per count
-in ``WORKERS``, into ``<subcommand>-workers<k>.json``, since artifacts must not
-depend on it.
+goes to ``OUTDIR/<name>.json``, and an ``--svg`` file goes to
+``OUTDIR/<name>.svg``.  The name is the subcommand; its second and later
+commands in the block are named ``<subcommand>-2``, ``<subcommand>-3`` and so
+on.  A command with ``--workers`` runs once per count in ``WORKERS``, into
+``<name>-workers<k>.json``, since artifacts must not depend on it.
 
 Two checkouts are compared byte for byte with
 
@@ -48,9 +49,8 @@ def readme_commands(readme: Path) -> list[list[str]]:
     return commands
 
 
-def variants(args: list[str], outdir: Path) -> list[tuple[str, list[str]]]:
-    """(artifact name, arguments) for one README command."""
-    name = args[0]
+def variants(name: str, args: list[str], outdir: Path) -> list[tuple[str, list[str]]]:
+    """(artifact name, arguments) for one README command named ``name``."""
     if "--workers" in args:
         at = args.index("--workers") + 1
         return [(f"{name}-workers{k}", args[:at] + [str(k)] + args[at + 1 :]) for k in WORKERS]
@@ -68,9 +68,11 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    failed = 0
+    failed, seen = 0, {}
     for args in readme_commands(ROOT / "README.md"):
-        for name, argv in variants(args, outdir):
+        count = seen[args[0]] = seen.get(args[0], 0) + 1
+        base = args[0] if count == 1 else f"{args[0]}-{count}"
+        for name, argv in variants(base, args, outdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "tropfan.cli", *argv],
                 cwd=ROOT, env=env, capture_output=True, text=True,

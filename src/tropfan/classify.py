@@ -285,8 +285,10 @@ def perfect_fan(
     workers: int = 1,
     progress=None,
 ) -> LevelSetReport:
-    """The loss-0 level set; with ``include_faces`` the weakly compatible
-    closures of pairwise intersections are attached as well."""
+    """The loss-0 level set; with ``include_faces`` the closures of pairwise
+    intersections of its cones are attached as well.  A closure contains both
+    loss-0 patterns, so each face keeps every point's term of the target's
+    block: the faces are weakly compatible without a filter."""
     report = level_set(data, n, m, target, 0, cap=cap, workers=workers, progress=progress)
     if not include_faces:
         return report
@@ -295,8 +297,7 @@ def perfect_fan(
     for x in range(len(pats)):
         for y in range(x + 1, len(pats)):
             cone = cone_of_graph(pats[x].union(pats[y]), data)
-            if _weakly_compatible(cone.pattern, target, n):
-                faces.setdefault(cone.pattern.key(), cone)
+            faces.setdefault(cone.pattern.key(), cone)
     return LevelSetReport(
         k=0,
         patterns=report.patterns,
@@ -304,15 +305,6 @@ def perfect_fan(
         adjacency=report.adjacency,
         faces=tuple(faces[kk] for kk in sorted(faces)),
     )
-
-
-def _weakly_compatible(G: ActivationPattern, target: Sequence[int], n: int) -> bool:
-    for nb, c in zip(G.neighbors, target):
-        if c > 0 and not any(i <= n for i in nb):
-            return False
-        if c < 0 and not any(i > n for i in nb):
-            return False
-    return True
 
 
 def connected_components(

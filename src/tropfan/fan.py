@@ -475,38 +475,40 @@ def enumerate_all_cones(
     cap: Optional[int] = None,
     workers: int = 1,
 ) -> list[FanCone]:
-    """Every cone of the fan: maximal cones closed under pairwise intersection
-    (iterated to a fixpoint), plus the lineality cone of the complete pattern."""
+    """Every cone of the fan, sorted by pattern key, found by face descent.
+
+    The walk starts from the maximal cones.  A facet of the cone of a closure
+    pattern G is its intersection with the hyperplane of one row (k, i*, i),
+    i not in G's neighbors of point k, and that intersection is the cone of G
+    plus the edge (k, i).  So each popped cone tries every single added edge,
+    and every face, the lineality cone included, is reached through a chain of
+    facets.  ``cap`` bounds the maximal-cone leaves and then the cone count.
+    """
     index = fan_index(data, N, cap=cap, workers=workers)
     cones: dict[tuple, FanCone] = {}
     for assign, witness in index.iter_patterns_with_witness():
         G = pattern_from_assignment(assign, N)
         csys = cone_constraints(G, data)
         cones[G.key()] = FanCone(G, ConeDescriptor(csys, csys.ambient_dim, frozenset()), witness)
-    seen_pairs: set[tuple] = set()
-    while True:
-        items = list(cones.values())
-        grew = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                pk = (items[i].pattern.key(), items[j].pattern.key())
-                if pk in seen_pairs:
+    tried = set(cones)
+    todo = list(cones.values())
+    while todo:
+        nbrs = todo.pop().pattern.neighbors
+        for k, nb in enumerate(nbrs):
+            for i in range(1, N + 1):
+                if i in nb:
                     continue
-                seen_pairs.add(pk)
-                union = items[i].pattern.union(items[j].pattern)
-                if union.key() in cones:
+                H = ActivationPattern(data.M, N, nbrs[:k] + (nb | {i},) + nbrs[k + 1 :])
+                if H.key() in tried:
                     continue
-                cone = cone_of_graph(union, data)
+                tried.add(H.key())
+                cone = cone_of_graph(H, data)
                 if cone.pattern.key() not in cones:
                     cones[cone.pattern.key()] = cone
-                    grew = True
-                if cap is not None and len(cones) > cap:
-                    raise CapExceededError("cone cap exceeded")
-        if not grew:
-            break
-    K = complete_pattern(data.M, N)
-    if K.key() not in cones:
-        cones[K.key()] = cone_of_graph(K, data)
+                    tried.add(cone.pattern.key())
+                    todo.append(cone)
+                    if cap is not None and len(cones) > cap:
+                        raise CapExceededError("cone cap exceeded")
     return [cones[k] for k in sorted(cones)]
 
 

@@ -9,10 +9,23 @@ line's normal); a genuine vertex of the complex fails that test, while a
 degenerate lift with several terms agreeing along one line certifies every
 pair among them.  Certified pairs therefore have a (d-1)-dimensional cell
 through the crossing; no cone machinery is involved.
+
+The pairwise-union oracle is the former fixpoint behind
+``enumerate_all_cones``: it closes the maximal cones under pairwise
+intersection until no new cone appears, then adds the lineality cone.
 """
 
 from fractions import Fraction as F
 
+from tropfan.fan import (
+    FanCone,
+    complete_pattern,
+    cone_constraints,
+    cone_of_graph,
+    fan_index,
+    pattern_from_assignment,
+)
+from tropfan.geometry import ConeDescriptor
 from tropfan.rationals import dot
 from tropfan.tropical import eval_signomial
 
@@ -74,3 +87,35 @@ def certify_crossing(sig, p, q, i, j):
 
 def grid_pairs_only(sig, window, steps):
     return {pair for pair, _ in grid_boundary_pairs(sig, window, steps)}
+
+
+def all_cones_by_pairwise_union(data, N):
+    """Every cone of the fan, sorted by pattern key: the maximal cones closed
+    under pairwise intersection, plus the cone of the complete pattern."""
+    cones = {}
+    for assign, witness in fan_index(data, N).iter_patterns_with_witness():
+        G = pattern_from_assignment(assign, N)
+        csys = cone_constraints(G, data)
+        cones[G.key()] = FanCone(G, ConeDescriptor(csys, csys.ambient_dim, frozenset()), witness)
+    seen_pairs = set()
+    grew = True
+    while grew:
+        items = list(cones.values())
+        grew = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                pk = (items[i].pattern.key(), items[j].pattern.key())
+                if pk in seen_pairs:
+                    continue
+                seen_pairs.add(pk)
+                union = items[i].pattern.union(items[j].pattern)
+                if union.key() in cones:
+                    continue
+                cone = cone_of_graph(union, data)
+                if cone.pattern.key() not in cones:
+                    cones[cone.pattern.key()] = cone
+                    grew = True
+    K = complete_pattern(data.M, N)
+    if K.key() not in cones:
+        cones[K.key()] = cone_of_graph(K, data)
+    return [cones[k] for k in sorted(cones)]

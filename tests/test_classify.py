@@ -120,6 +120,8 @@ def test_perfect_fan_diag4(diag4):
 
 
 def test_perfect_fan_faces_weakly_compatible(diag4):
+    """A face is the closure of two loss-0 patterns, so it contains both and
+    every point keeps a term of its own block; nothing filters the faces."""
     target = parse_signs("+,-,-,+")
     rep = perfect_fan(diag4, 2, 2, target, include_faces=True)
     assert rep.faces

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from oracles import all_cones_by_pairwise_union
 from tropfan.fan import (
     ActivationPattern,
     affine_dim,
@@ -162,6 +163,44 @@ def test_all_cones_two_points_on_line():
     assert len(cones) == 9
     dims = sorted(c.descriptor.dimension for c in cones)
     assert dims == [2, 3, 3, 3, 3, 4, 4, 4, 4]
+
+
+@pytest.mark.parametrize(
+    "pts, N",
+    [
+        ([(0, 0), (3, 0), (3, 2), (0, 2)], 2),
+        ([(0, 0), (4, 0), (0, 4), (1, 1)], 2),
+        ([(1,), (2,), (3,)], 2),
+        ([(0, 0), (1, 0)], 3),
+        ([(0, 0), (1, 0), (0, 1)], 3),
+        ([(0, 0), (1, 0), (1, 0), (0, 2)], 2),
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], 2),
+    ],
+    ids=["convex4", "inner4", "line3", "two_points", "triangle-N3", "coincident4", "diag4"],
+)
+def test_face_descent_matches_pairwise_union(pts, N):
+    D = dataset(pts)
+    cones = enumerate_all_cones(D, N)
+    reference = all_cones_by_pairwise_union(D, N)
+    assert [(c.pattern.key(), c.descriptor.dimension) for c in cones] == [
+        (c.pattern.key(), c.descriptor.dimension) for c in reference
+    ]
+    for cone in cones:
+        assert pattern_of(theta_from_vector(cone.relint, N, D.d), D) == cone.pattern
+
+
+def test_all_cones_cap(diag4):
+    from tropfan.fan import CapExceededError
+
+    with pytest.raises(CapExceededError):
+        enumerate_all_cones(diag4, 2, cap=16)
+    assert len(enumerate_all_cones(diag4, 2, cap=17)) == 17
+
+
+def test_all_cones_diag4_three_terms(diag4):
+    cones = enumerate_all_cones(diag4, 3)
+    assert len(cones) == 217
+    assert sum(c.pattern.is_degree_one() for c in cones) == 39
 
 
 def test_fan_complete_at_random_parameters(two_points):
