@@ -37,14 +37,15 @@ def main() -> int:
     print(f"\nenumeration: {sum(counts.values())} maximal cones in {time.time()-t0:.1f}s")
     print("loss profile:", [counts.get(k, 0) for k in range(10)])
 
+    reports = {}
     for k in (0, 1):
         t1 = time.time()
-        rep = level_set(data, 2, 2, target, k)
+        rep = reports[k] = level_set(data, 2, 2, target, k)
         sizes = sorted((len(c) for c in rep.components), reverse=True)
         print(f"\nlevel {k}: {rep.count} maximal cones, {len(rep.components)} wall components "
               f"(sizes {sizes}) in {time.time()-t1:.1f}s")
         if k == 1:
-            s0 = level_set(data, 2, 2, target, 0)
+            s0 = reports[0]
             for comp in rep.components:
                 if len(comp) != 20:
                     continue

@@ -10,7 +10,11 @@ Wall adjacency between two maximal cones is decided by one strict LP: the
 shared facet exists iff the tie hyperplane of the differing points can be made
 the only binding constraint.  Two maximal cones can share a facet only when
 all their differing data points are the same vector and swap the same two
-terms; any other difference forces codimension >= 2.
+terms; any other difference forces codimension >= 2.  Coincident points share
+a term in every maximal cone, so the candidates of a list of maximal cones are
+its single-group flips: move every copy of one point vector to another term
+and look the result up.  Within one such lookup the wall LPs are memoised up
+to a relabeling of the terms, which does not change whether a wall exists.
 """
 
 from __future__ import annotations
@@ -196,17 +200,55 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
 
 
 def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> list[tuple[int, int]]:
-    """All wall-adjacent index pairs within one list of maximal assignments."""
+    """All wall-adjacent index pairs (x < y), sorted, within one list of
+    maximal assignments; a repeated assignment gets the edges of each copy.
+
+    Candidates are single-group flips looked up in a dict, O(K*M*N) instead
+    of all K^2 pairs.  A wall LP is solved once per ``_flip_key`` and call: a
+    relabeling of the terms maps one candidate's wall system onto the other's
+    (gauge-fixing any block is lossless under the all-blocks lineality), and
+    on the tie hyperplane the rows tie(i, l) and tie(j, l) coincide, so both
+    sides of a wall pose the same LP.
+    """
+    where: dict[tuple[int, ...], list[int]] = {}
+    for x, a in enumerate(assigns):
+        where.setdefault(a, []).append(x)
+    by_point: dict[Vec, list[int]] = {}
+    for k, p in enumerate(data.points):
+        by_point.setdefault(p, []).append(k)
+    groups = list(by_point.values())
+    memo: dict[tuple, bool] = {}
     edges = []
-    for x in range(len(assigns)):
-        for y in range(x + 1, len(assigns)):
-            shape = _wall_shape(assigns[x], assigns[y], data)
-            if shape is None:
-                continue
-            diffs, pair = shape
-            if _wall_lp(assigns[x], diffs, pair, data, N):
-                edges.append((x, y))
+    for x, a in enumerate(assigns):
+        for g, group in enumerate(groups):
+            flipped = list(a)
+            i = a[group[0]]
+            for j in range(1, N + 1):
+                if j == i:
+                    continue
+                for k in group:
+                    flipped[k] = j
+                b = tuple(flipped)
+                ys = [y for y in where.get(b, ()) if y > x]
+                if not ys:
+                    continue
+                key = min(_flip_key(a, g, j), _flip_key(b, g, i))
+                wall = memo.get(key)
+                if wall is None:
+                    wall = memo[key] = _wall_lp(a, group, (min(i, j), max(i, j)), data, N)
+                if wall:
+                    edges.extend((x, y) for y in ys)
+    edges.sort()
     return edges
+
+
+def _flip_key(a: Sequence[int], g: int, j: int) -> tuple:
+    """Flip of group ``g`` of ``a`` to term ``j``, up to term relabeling: the
+    partition of ``a`` labeled by first occurrence, the group, and the label
+    of ``j`` (-1 when ``j`` is unused)."""
+    labels: dict[int, int] = {}
+    canon = tuple(labels.setdefault(t, len(labels)) for t in a)
+    return canon, g, labels.get(j, -1)
 
 
 def _union_find_components(count: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -341,10 +383,12 @@ def covector_of(theta: Sequence[Fraction], data: Dataset) -> Covector:
     return tuple(out)
 
 
-def covectors_linear(data: Dataset) -> list[Covector]:
+def covectors_linear(data: Dataset, cones: Optional[Sequence[FanCone]] = None) -> list[Covector]:
     """Covectors of every cone of the N = 2 activation fan, via the
-    translation {1} -> +, {2} -> -, {1, 2} -> 0."""
-    cones = enumerate_all_cones(data, 2)
+    translation {1} -> +, {2} -> -, {1, 2} -> 0.  A caller that already has
+    that fan's cones passes them as ``cones``."""
+    if cones is None:
+        cones = enumerate_all_cones(data, 2)
     covs = set()
     for cone in cones:
         cov = []

@@ -172,7 +172,7 @@ def cmd_check_axioms(args):
     N = args.n + args.m
     cones = enumerate_all_cones(data, N, cap=args.cap)
     pat_report = pattern_axioms_check([c.pattern for c in cones])
-    cov_report = om_axioms_check(covectors_linear(data)) if N == 2 else None
+    cov_report = om_axioms_check(covectors_linear(data, cones)) if N == 2 else None
     doc = {"patterns": jsonio.axiom_report_to_json(pat_report)}
     if cov_report is not None:
         doc["covectors"] = jsonio.axiom_report_to_json(cov_report)

@@ -15,6 +15,7 @@ convex hulls before any LP runs.
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -150,23 +151,22 @@ def theta_from_vector(v: Sequence[Fraction], N: int, d: int) -> SignomialParams:
     return SignomialParams(tuple(terms), d)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _tie_row(p: Vec, hi: int, lo: int, blocks: int, d: int) -> Vec:
     """Row of (a_hi - a_lo) + <s_hi - s_lo, p> over ``blocks`` term blocks.
 
     A term index above ``blocks`` is the gauge-fixed zero block and adds
     nothing, so ``blocks = N - 1`` drops the last term's block.
     """
-    row = [Fraction(0)] * (blocks * (d + 1))
-    if hi <= blocks:
-        base = (hi - 1) * (d + 1)
-        row[base] += 1
-        for j, x in enumerate(p):
-            row[base + 1 + j] += x
-    if lo <= blocks:
-        base = (lo - 1) * (d + 1)
-        row[base] -= 1
-        for j, x in enumerate(p):
-            row[base + 1 + j] -= x
+    width = d + 1
+    row = [_ZERO] * (blocks * width)
+    if hi != lo:
+        if hi <= blocks:
+            row[(hi - 1) * width : hi * width] = (_ONE, *p)
+        if lo <= blocks:
+            row[(lo - 1) * width : lo * width] = [-x for x in (_ONE, *p)]
     return tuple(row)
 
 
@@ -410,7 +410,8 @@ class _FanIndex:
         return ((assign, self.witness_for(rep, perm)) for rep, perm, assign in self._labelings())
 
 
-_FAN_CACHE: dict[tuple[Dataset, int], _FanIndex] = {}
+_FAN_CACHE_SIZE = 8
+_FAN_CACHE: OrderedDict[tuple[Dataset, int], _FanIndex] = OrderedDict()  # least recent first
 
 
 def fan_index(
@@ -423,14 +424,19 @@ def fan_index(
 ) -> _FanIndex:
     """Enumerated maximal cones of (data, N).  ``cap`` bounds the number of
     candidate leaves over all chunks, so it does not depend on ``workers``,
-    and it is checked on cached indexes too."""
+    and it is checked on cached indexes too.  The cache keeps the
+    ``_FAN_CACHE_SIZE`` most recently used indexes."""
     key = (data, N)
     index = _FAN_CACHE.get(key) if use_cache else None
-    if index is None:
+    if index is not None:
+        _FAN_CACHE.move_to_end(key)
+    else:
         leaves, reps = _enumerate_canonical(data, N, cap, workers, progress)
         index = _FanIndex(data, N, reps, leaves)
         if use_cache:
             _FAN_CACHE[key] = index
+            if len(_FAN_CACHE) > _FAN_CACHE_SIZE:
+                _FAN_CACHE.popitem(last=False)
     if cap is not None and index.leaves > cap:
         raise CapExceededError("candidate cap exceeded during fan enumeration")
     return index

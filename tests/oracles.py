@@ -13,10 +13,15 @@ through the crossing; no cone machinery is involved.
 The pairwise-union oracle is the former fixpoint behind
 ``enumerate_all_cones``: it closes the maximal cones under pairwise
 intersection until no new cone appears, then adds the lineality cone.
+
+The pairwise wall oracle is the former quadratic filter behind
+``classify._adjacency_edges``: every pair of assignments goes through
+``_wall_shape``, and each survivor gets its own wall LP, with no memo.
 """
 
 from fractions import Fraction as F
 
+from tropfan.classify import _wall_lp, _wall_shape
 from tropfan.fan import (
     FanCone,
     complete_pattern,
@@ -119,3 +124,18 @@ def all_cones_by_pairwise_union(data, N):
     if K.key() not in cones:
         cones[K.key()] = cone_of_graph(K, data)
     return [cones[k] for k in sorted(cones)]
+
+
+def adjacency_edges_by_pairs(assigns, data, N):
+    """All wall-adjacent index pairs (x < y) of the assignment list, in
+    lexicographic order, by one shape check and one LP per pair."""
+    edges = []
+    for x in range(len(assigns)):
+        for y in range(x + 1, len(assigns)):
+            shape = _wall_shape(assigns[x], assigns[y], data)
+            if shape is None:
+                continue
+            diffs, pair = shape
+            if _wall_lp(assigns[x], diffs, pair, data, N):
+                edges.append((x, y))
+    return edges

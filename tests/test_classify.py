@@ -1,9 +1,15 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import adjacency_edges_by_pairs
 from tropfan.classify import (
+    _adjacency_edges,
+    _assignment_loss,
+    _union_find_components,
     chamber_path,
     compose,
     connected_components,
@@ -353,3 +359,115 @@ def test_level_symmetry_diag4(diag4):
         counts[k] = counts.get(k, 0) + 1
     for k in range(0, 5):
         assert counts.get(k, 0) == counts.get(4 - k, 0)
+
+
+# ---------------------------------------------------------------------------
+# Wall graph by flip lookup
+
+COINCIDENT = [(0, 0), (1, 0), (1, 0), (0, 2)]
+SPATIAL = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+NINE_TARGET = "+,+,-,-,+,-,-,+,+"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["five_line-3", "five_line-4", "diag4-3", "diag4-4", "nine-level0", "nine-level1",
+     "coincident-3", "spatial-3"],
+)
+def test_adjacency_edges_match_pairwise_oracle(case, request):
+    name, arg = case.split("-")
+    if name == "nine":
+        data, N, n = request.getfixturevalue("nine_points"), 4, 2
+        target, k = parse_signs(NINE_TARGET), int(arg[-1])
+        assigns = sorted(
+            a for a in fan_index(data, N).iter_assignments() if _assignment_loss(a, target, n) == k
+        )
+    else:
+        fixtures = {"coincident": dataset(COINCIDENT), "spatial": dataset(SPATIAL)}
+        data = fixtures[name] if name in fixtures else request.getfixturevalue(name)
+        N = int(arg)
+        assigns = sorted(fan_index(data, N).iter_assignments())
+    edges = _adjacency_edges(assigns, data, N)
+    assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
+
+
+def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):
+    maximal = enumerate_maximal_cones(diag4, 3)
+    patterns = maximal + [maximal[0], maximal[5]]
+    assigns = [g.assignment() for g in patterns]
+    K = len(maximal)
+    edges = _adjacency_edges(assigns, diag4, 3)
+    assert edges == adjacency_edges_by_pairs(assigns, diag4, 3)
+    assert (0, K) not in edges and (5, K + 1) not in edges
+    neighbours = Counter(x for x, y in edges if y == K) + Counter(y for x, y in edges if x == K)
+    assert neighbours == Counter(x for x, y in edges if y == 0) + Counter(y for x, y in edges if x == 0)
+    assert connected_components(patterns, diag4, 1, 2) == _union_find_components(len(assigns), edges)
+    G = maximal[0]
+    assert connected_components([G, G], diag4, 1, 2) == [(0,), (1,)]
+
+
+def _count_wall_lps(monkeypatch):
+    module = importlib.import_module("tropfan.classify")
+    calls = []
+    original = module.max_slack
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, "max_slack", counting)
+    return calls
+
+
+def test_wall_lp_memo_is_scoped_to_one_call(nine_points, monkeypatch):
+    target = parse_signs(NINE_TARGET)
+    fan_index(nine_points, 4)
+    calls = _count_wall_lps(monkeypatch)
+    first = level_set(nine_points, 2, 2, target, 1)
+    lps = len(calls)
+    calls.clear()
+    second = level_set(nine_points, 2, 2, target, 1)
+    assert second == first
+    assert len(calls) == lps > 0
+    assert lps < len(first.adjacency)
+
+
+def test_coincident_walls_need_fewer_lps_than_edges(monkeypatch):
+    data = dataset(COINCIDENT)
+    maximal = enumerate_maximal_cones(data, 3)
+    calls = _count_wall_lps(monkeypatch)
+    assigns = [g.assignment() for g in maximal]
+    edges = _adjacency_edges(assigns, data, 3)
+    assert 0 < len(calls) < len(edges)
+    lps = len(calls)
+    calls.clear()
+    assert _adjacency_edges(assigns, data, 3) == edges and len(calls) == lps
+
+
+@pytest.mark.parametrize(
+    "name, N", [("diag4", 2), ("diag4", 3), ("five_line", 2), ("coincident", 3)]
+)
+def test_wall_graph_of_the_whole_fan_is_connected(name, N, request):
+    """Maximal cones are the vertices of the activation polytope and walls are
+    its edges, and the graph of a polytope is connected (Balinski 1961)."""
+    data = dataset(COINCIDENT) if name == "coincident" else request.getfixturevalue(name)
+    maximal = enumerate_maximal_cones(data, N)
+    assert len(maximal) > 1
+    assert len(connected_components(maximal, data, 1, N - 1)) == 1
+
+
+def test_block_swap_maps_level_k_to_level_M_minus_k():
+    """With n = m, swapping the numerator and denominator terms is a term
+    relabeling that flips every point's sign, so it maps the level-k wall graph
+    onto the level-(M - k) one."""
+    data = dataset([(0, 0), (4, 1), (1, 5), (-3, 2), (2, -4), (-1, -2)])
+    target = parse_signs("+,-,+,-,+,-")
+    M = data.M
+    sizes = {}
+    for k in range(M + 1):
+        rep = level_set(data, 2, 2, target, k)
+        sizes[k] = sorted(len(c) for c in rep.components)
+    assert sum(sum(s) for s in sizes.values()) == len(list(fan_index(data, 4).iter_assignments()))
+    for k in range(M + 1):
+        assert sizes[k] == sizes[M - k]
+    assert any(len(s) > 1 for s in sizes.values())

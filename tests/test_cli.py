@@ -126,6 +126,30 @@ def test_check_axioms_command(files, capsys):
     assert doc["covectors"]["all_passed"]
 
 
+def test_check_axioms_builds_the_fan_once(files, capsys, monkeypatch):
+    """The covector check reuses the cones of the pattern check, so the
+    command makes as many ``cone_of_graph`` calls as one face walk."""
+    import importlib
+
+    fan = importlib.import_module("tropfan.fan")
+    calls = []
+    original = fan.cone_of_graph
+
+    def counting(H, data):
+        calls.append(H)
+        return original(H, data)
+
+    monkeypatch.setattr(fan, "cone_of_graph", counting)
+    fan.enumerate_all_cones(dataset([(0, 0), (1, 1), (2, 2), (3, 3)]), 2)
+    one_walk = len(calls)
+    calls.clear()
+    rc, out, _ = run_cli(
+        ["check-axioms", "--data", str(files / "diag.json"), "--n", "1", "--m", "1"], capsys
+    )
+    assert rc == 0 and json.loads(out)["covectors"]["all_passed"]
+    assert one_walk > 0 and len(calls) == one_walk
+
+
 def test_path_command(files, capsys, tmp_path):
     line = tmp_path / "line.json"
     line.write_text(json.dumps({"points": [["1"], ["2"], ["3"], ["4"], ["5"]]}))

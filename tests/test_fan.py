@@ -383,6 +383,20 @@ def test_cap_applies_to_cached_index(nine_points):
         fan_index(nine_points, 3, cap=198)
 
 
+def test_fan_cache_is_bounded():
+    from tropfan import fan
+
+    keys = [(dataset([(q,)]), 2) for q in range(3 * fan._FAN_CACHE_SIZE)]
+    for data, N in keys:
+        fan_index(data, N)
+        assert len(fan._FAN_CACHE) <= fan._FAN_CACHE_SIZE
+    fan_index(*keys[-fan._FAN_CACHE_SIZE])  # a hit makes the oldest entry the newest
+    fan_index(dataset([(-1,)]), 2)
+    assert keys[-fan._FAN_CACHE_SIZE] in fan._FAN_CACHE
+    assert keys[-fan._FAN_CACHE_SIZE + 1] not in fan._FAN_CACHE
+    assert keys[0] not in fan._FAN_CACHE
+
+
 @pytest.mark.parametrize("name", ["diag4", "nine_points"])
 def test_tie_row_gauge_drops_the_last_block(name, request):
     data = request.getfixturevalue(name)
