@@ -170,7 +170,7 @@ def cmd_relu_convert(args):
 def cmd_check_axioms(args):
     data = _load_data(args)
     N = args.n + args.m
-    cones = enumerate_all_cones(data, N, cap=args.cap)
+    cones = enumerate_all_cones(data, N, cap=args.cap, workers=args.workers)
     pat_report = pattern_axioms_check([c.pattern for c in cones])
     cov_report = om_axioms_check(covectors_linear(data, cones)) if N == 2 else None
     doc = {"patterns": jsonio.axiom_report_to_json(pat_report)}
@@ -203,20 +203,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, theta=False, net=False, split=False, target=False):
+    def common(p, data=False, theta=False, net=False, fan=False, target=False):
         if data:
             p.add_argument("--data", required=True, help="dataset JSON file")
         if theta:
             p.add_argument("--theta", required=True, help="tropical rational parameter JSON file")
         if net:
             p.add_argument("--net", required=True, help="ReLU network JSON file")
-        if split:
+        if fan:  # the command enumerates the fan of n + m terms
             p.add_argument("--n", type=int, required=True, help="numerator term count")
             p.add_argument("--m", type=int, required=True, help="denominator term count")
+            p.add_argument("--cap", type=int, default=None, help="candidate cap")
+            p.add_argument("--workers", type=int, default=1, help="parallel workers for enumeration")
         if target:
             p.add_argument("--target", required=True, help="target dichotomy, e.g. +,-,+")
-        p.add_argument("--cap", type=int, default=None, help="candidate / term cap")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for enumeration")
         p.add_argument("--out", default=None, help="write the JSON artifact here instead of stdout")
         return p
 
@@ -226,19 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("pattern", help="activation pattern of parameters on data"), data=True, theta=True)
     p.set_defaults(func=cmd_pattern)
 
-    p = common(sub.add_parser("enum-fan", help="enumerate the activation fan"), data=True, split=True)
+    p = common(sub.add_parser("enum-fan", help="enumerate the activation fan"), data=True, fan=True)
     p.add_argument("--all-cones", action="store_true", help="include non-maximal cones")
     p.set_defaults(func=cmd_enum_fan)
 
-    p = common(sub.add_parser("levels", help="0/1-loss level sets"), data=True, split=True, target=True)
+    p = common(sub.add_parser("levels", help="0/1-loss level sets"), data=True, fan=True, target=True)
     p.add_argument("--k", required=True, help="comma-separated loss levels")
     p.set_defaults(func=cmd_levels)
 
-    p = common(sub.add_parser("components", help="wall components of one level set"), data=True, split=True, target=True)
+    p = common(sub.add_parser("components", help="wall components of one level set"), data=True, fan=True, target=True)
     p.add_argument("--k", required=True, help="loss level")
     p.set_defaults(func=cmd_components)
 
-    p = common(sub.add_parser("dichotomies", help="count realizable dichotomies"), data=True, split=True)
+    p = common(sub.add_parser("dichotomies", help="count realizable dichotomies"), data=True, fan=True)
     p.set_defaults(func=cmd_dichotomies)
 
     p = common(sub.add_parser("boundary", help="decision boundary and optional SVG"), theta=True)
@@ -248,10 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boundary)
 
     p = common(sub.add_parser("relu-convert", help="convert a ReLU network to tropical form"), net=True)
+    p.add_argument("--cap", type=int, default=None, help="stored term cap")
     p.add_argument("--prune", action="store_true", help="include the pruned parameters")
     p.set_defaults(func=cmd_relu_convert)
 
-    p = common(sub.add_parser("check-axioms", help="verify pattern / covector axioms"), data=True, split=True)
+    p = common(sub.add_parser("check-axioms", help="verify pattern / covector axioms"), data=True, fan=True)
     p.set_defaults(func=cmd_check_axioms)
 
     p = common(sub.add_parser("path", help="monotone chamber path for linear classifiers"), data=True, target=True)

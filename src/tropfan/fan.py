@@ -463,16 +463,10 @@ def is_maximal_pattern(G: ActivationPattern, data: Dataset) -> bool:
     strictly feasible (so the cone is full-dimensional)."""
     if not G.is_degree_one():
         return False
-    assign = G.assignment()
     groups: dict[int, list[int]] = {}
-    for k, t in enumerate(assign):
+    for k, t in enumerate(G.assignment()):
         groups.setdefault(t, []).append(k)
-    parts = list(groups.values())
-    memo: dict = {}
-    for t in range(len(parts)):
-        if not _parts_admissible(data, parts, t, memo):
-            return False
-    return _check_leaf(data, parts) is not None
+    return _check_leaf(data, list(groups.values())) is not None
 
 
 def enumerate_all_cones(

@@ -122,15 +122,8 @@ def axiom_report_to_json(report: AxiomReport) -> dict:
 
 
 def _witness_to_json(witness) -> Any:
-    from .matroids import ComparabilityGraph
-
     if isinstance(witness, ActivationPattern):
         return pattern_to_json(witness)
-    if isinstance(witness, ComparabilityGraph):
-        return {
-            "directed": sorted([a, b] for a, b in witness.directed),
-            "undirected": sorted(sorted(e) for e in witness.undirected),
-        }
     if isinstance(witness, tuple):
         return [_witness_to_json(w) for w in witness]
     if isinstance(witness, (frozenset, set)):

@@ -6,20 +6,20 @@ the six properties realized by activation fans: complete graph, relabeling
 symmetry, composition, per-point elimination, boundary patterns, and
 acyclicity of comparability graphs.  Failures carry a witness that reproduces
 the violation.
+
+Every verdict is exact and nothing is sampled; ``pattern_axioms_check`` says
+why adjacent transpositions suffice for symmetry and why comparability, which
+holds for any two patterns, needs no graph.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 from .classify import Covector, compose, separation
 from .fan import ActivationPattern, complete_pattern
-
-# Full symmetric-group check is factorial; above this N a seeded sample is used.
-_FULL_SYMMETRY_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -172,13 +172,31 @@ def is_acyclic(cg: ComparabilityGraph) -> bool:
 def pattern_axioms_check(
     patterns: Iterable[ActivationPattern],
     maximal_only: bool = False,
-    rng_seed: int = 0,
 ) -> AxiomReport:
     """Check the six activation-pattern properties on an enumerated set.
 
     With ``maximal_only`` the checks requiring non-maximal members (complete
     graph, boundary, elimination) are skipped; composition, symmetry and
     comparability remain meaningful on the degree-one patterns alone.
+
+    Each property is decided exactly, once:
+
+    * Symmetry is checked on the N-1 adjacent transpositions only.  They
+      generate the symmetric group, and a relabeling maps the finite set
+      injectively into itself, hence onto itself; so the set is closed under
+      every term permutation iff it is closed under each generator.  A
+      failing witness is ``(pattern, permutation)`` with a transposition.
+    * Elimination looks ``p[k] | q[k]`` up among point k's neighbor sets.
+    * Comparability holds for every pair of patterns at every point, so it
+      is reported as passed without building a graph.  Lemma: in
+      ``comparability_graph(G, H, p)`` every arc j -> k has j in G(p) and
+      k in H(p), and undirected edges join only terms common to both.  So
+      after contracting the undirected edges each class is one term or a
+      set of common terms, and a class on a cycle, having an arc out and
+      an arc in, holds a common term either way.  All common terms form
+      one class, so a cycle could only be an arc inside it; but every edge
+      between two common terms is undirected.  Hence ``is_acyclic`` is
+      always true.
     """
     pats = list(patterns)
     if not pats:
@@ -194,25 +212,11 @@ def pattern_axioms_check(
         K = complete_pattern(M, N)
         results.append(AxiomResult("complete_graph", have(K), None if have(K) else K))
 
-    # Relabeling symmetry: every term permutation maps the set onto itself.
-    if N <= _FULL_SYMMETRY_LIMIT:
-        perms = list(permutations(range(1, N + 1)))
-    else:
-        rng = random.Random(rng_seed)
-        base = list(range(1, N + 1))
-        perms = [tuple(base)]
-        for _ in range(24):
-            sample = base[:]
-            rng.shuffle(sample)
-            perms.append(tuple(sample))
     bad = None
-    for perm in perms:
-        mapping = {i + 1: perm[i] for i in range(N)}
-        for p in pats:
-            q = p.relabel(mapping)
-            if not have(q):
-                bad = (p, perm)
-                break
+    for i in range(1, N):
+        perm = tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, N + 1))
+        mapping = {t + 1: perm[t] for t in range(N)}
+        bad = next(((p, perm) for p in pats if not have(p.relabel(mapping))), None)
         if bad:
             break
     results.append(AxiomResult("symmetry", bad is None, bad))
@@ -229,18 +233,17 @@ def pattern_axioms_check(
     results.append(AxiomResult("composition", bad is None, bad))
 
     if not maximal_only:
-        bad = None
-        for p in pats:
-            for q in pats:
-                for k in range(M):
-                    want = p.neighbors[k] | q.neighbors[k]
-                    if not any(f.neighbors[k] == want for f in pats):
-                        bad = (p, q, k)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        at_point = [{f.neighbors[k] for f in pats} for k in range(M)]
+        bad = next(
+            (
+                (p, q, k)
+                for p in pats
+                for q in pats
+                for k in range(M)
+                if p.neighbors[k] | q.neighbors[k] not in at_point[k]
+            ),
+            None,
+        )
         results.append(AxiomResult("elimination", bad is None, bad))
 
         bad = None
@@ -254,18 +257,6 @@ def pattern_axioms_check(
                 break
         results.append(AxiomResult("boundary", bad is None, bad))
 
-    bad = None
-    for p in pats:
-        for q in pats:
-            for k in range(M):
-                cg = comparability_graph(p, q, k)
-                if not is_acyclic(cg):
-                    bad = (p, q, k, cg)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(AxiomResult("comparability", bad is None, bad))
+    results.append(AxiomResult("comparability", True))
 
     return AxiomReport(tuple(results))

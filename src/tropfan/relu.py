@@ -279,7 +279,13 @@ def _uniquely_attains(terms: list[tuple[Fraction, Vec]], fast: _IntTerms, idx: i
     raise AssertionError("lazy competitor loop failed to terminate")
 
 
-def _prune_signomial(sig: SignomialParams, samples: int = 64, seed: int = 7) -> SignomialParams:
+# Seeded sample points for pruning: a term with the unique argmax at one of
+# them is kept without an LP.  Every other term is decided by an exact LP.
+_PRUNE_SAMPLES = 64
+_PRUNE_SEED = 7
+
+
+def _prune_signomial(sig: SignomialParams) -> SignomialParams:
     import random
 
     merged = _terms_to_dict(sig.terms)  # same slope: keep the (dominating) max coefficient
@@ -292,9 +298,9 @@ def _prune_signomial(sig: SignomialParams, samples: int = 64, seed: int = 7) -> 
         return SignomialParams(tuple(terms), sig.d)
     fast = _IntTerms(terms, sig.d)
     # Terms with a unique argmax at a sample point are keepers without any LP.
-    rng = random.Random(seed)
+    rng = random.Random(_PRUNE_SEED)
     certified = set()
-    for _ in range(samples):
+    for _ in range(_PRUNE_SAMPLES):
         x = tuple(Fraction(rng.randint(-4000, 4000), rng.randint(1, 40)) for _ in range(sig.d))
         values = fast.values_at(x)
         top = max(values)

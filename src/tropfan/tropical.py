@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import Vec, dot
+from .rationals import Vec, dot, rat, vec
 
 Term = tuple[Fraction, Vec]  # (a, s): the affine form a + <s, x>
 
@@ -68,8 +68,6 @@ class TropicalRationalParams:
 
 def signomial(terms, d: int | None = None) -> SignomialParams:
     """Convenience constructor accepting any rational-coercible entries."""
-    from .rationals import rat, vec
-
     built = tuple((rat(a), vec(s)) for a, s in terms)
     if d is None:
         d = len(built[0][1])

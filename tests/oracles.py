@@ -17,12 +17,20 @@ intersection until no new cone appears, then adds the lineality cone.
 The pairwise wall oracle is the former quadratic filter behind
 ``classify._adjacency_edges``: every pair of assignments goes through
 ``_wall_shape``, and each survivor gets its own wall LP, with no memo.
+
+The scanning pattern-axiom oracle decides as the former body of
+``matroids.pattern_axioms_check`` did: symmetry over every term permutation,
+elimination by scanning every pattern, and a comparability graph built and
+tested for every pair of patterns at every point.  The former sampled branch
+for N > 5 is left out; the oracle always takes the whole symmetric group.
 """
 
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 from tropfan.classify import _wall_lp, _wall_shape
 from tropfan.fan import (
+    ActivationPattern,
     FanCone,
     complete_pattern,
     cone_constraints,
@@ -31,6 +39,13 @@ from tropfan.fan import (
     pattern_from_assignment,
 )
 from tropfan.geometry import ConeDescriptor
+from tropfan.matroids import (
+    AxiomReport,
+    AxiomResult,
+    comparability_graph,
+    is_acyclic,
+    pattern_compose,
+)
 from tropfan.rationals import dot
 from tropfan.tropical import eval_signomial
 
@@ -139,3 +154,59 @@ def adjacency_edges_by_pairs(assigns, data, N):
             if _wall_lp(assigns[x], diffs, pair, data, N):
                 edges.append((x, y))
     return edges
+
+
+def pattern_axioms_by_scan(patterns, maximal_only=False):
+    """The six pattern properties, each decided by the exhaustive scan."""
+    pats = list(patterns)
+    M, N = pats[0].M, pats[0].N
+    keys = {p.key() for p in pats}
+
+    def have(p):
+        return p.key() in keys
+
+    results = []
+    if not maximal_only:
+        K = complete_pattern(M, N)
+        results.append(AxiomResult("complete_graph", have(K), None if have(K) else K))
+    symmetry = (
+        (p, perm)
+        for perm in permutations(range(1, N + 1))
+        for p in pats
+        if not have(p.relabel({i + 1: perm[i] for i in range(N)}))
+    )
+    bad = next(symmetry, None)
+    results.append(AxiomResult("symmetry", bad is None, bad))
+    composition = (
+        (p, q, pattern_compose(p, q)) for p in pats for q in pats if not have(pattern_compose(p, q))
+    )
+    bad = next(composition, None)
+    results.append(AxiomResult("composition", bad is None, bad))
+    if not maximal_only:
+        elimination = (
+            (p, q, k)
+            for p in pats
+            for q in pats
+            for k in range(M)
+            if not any(f.neighbors[k] == p.neighbors[k] | q.neighbors[k] for f in pats)
+        )
+        bad = next(elimination, None)
+        results.append(AxiomResult("elimination", bad is None, bad))
+        boundary = (
+            S
+            for size in range(1, N + 1)
+            for S in combinations(range(1, N + 1), size)
+            if not have(ActivationPattern(M, N, (frozenset(S),) * M))
+        )
+        bad = next(boundary, None)
+        results.append(AxiomResult("boundary", bad is None, bad))
+    comparability = (
+        (p, q, k, comparability_graph(p, q, k))
+        for p in pats
+        for q in pats
+        for k in range(M)
+        if not is_acyclic(comparability_graph(p, q, k))
+    )
+    bad = next(comparability, None)
+    results.append(AxiomResult("comparability", bad is None, bad))
+    return AxiomReport(tuple(results))

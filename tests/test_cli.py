@@ -150,6 +150,54 @@ def test_check_axioms_builds_the_fan_once(files, capsys, monkeypatch):
     assert one_walk > 0 and len(calls) == one_walk
 
 
+def test_check_axioms_passes_workers_to_the_face_walk(files, capsys, monkeypatch):
+    from tropfan import cli
+
+    seen = []
+    original = cli.enumerate_all_cones
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_all_cones", recording)
+    outs = []
+    for workers in ("1", "2"):
+        rc, out, _ = run_cli(
+            [
+                "check-axioms", "--data", str(files / "diag.json"), "--n", "1", "--m", "1",
+                "--workers", workers,
+            ],
+            capsys,
+        )
+        assert rc == 0
+        outs.append(out)
+    assert seen == [1, 2] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("eval", "--cap"), ("pattern", "--cap"), ("boundary", "--cap"), ("path", "--cap"),
+        ("eval", "--workers"), ("pattern", "--workers"), ("boundary", "--workers"),
+        ("relu-convert", "--workers"), ("path", "--workers"),
+    ],
+)
+def test_flag_is_refused_where_it_would_be_ignored(files, capsys, command, flag):
+    args = {
+        "eval": ["--theta", str(files / "theta.json"), "--data", str(files / "data.json")],
+        "pattern": ["--theta", str(files / "theta.json"), "--data", str(files / "data.json")],
+        "boundary": ["--theta", str(files / "theta.json")],
+        "path": ["--data", str(files / "data.json"), "--target", "+,+", "--start", "-,-"],
+        "relu-convert": ["--net", str(files / "net.json")],
+    }[command]
+    assert run_cli([command] + args, capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command] + args + [flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_path_command(files, capsys, tmp_path):
     line = tmp_path / "line.json"
     line.write_text(json.dumps({"points": [["1"], ["2"], ["3"], ["4"], ["5"]]}))

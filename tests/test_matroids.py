@@ -1,5 +1,10 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
+from oracles import pattern_axioms_by_scan
+from tropfan import matroids
 from tropfan.classify import covectors_linear, parse_signs
 from tropfan.fan import (
     ActivationPattern,
@@ -86,6 +91,102 @@ def test_comparability_fabricated_cycle_flagged():
 def test_comparability_directed_edge_inside_contraction():
     cg = ComparabilityGraph(2, frozenset({(1, 2)}), frozenset({frozenset({1, 2})}))
     assert not is_acyclic(cg)
+
+
+def _term_sets(N):
+    return [frozenset(S) for r in range(1, N + 1) for S in combinations(range(1, N + 1), r)]
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_comparability_lemma_holds_for_every_pair_of_term_sets(N):
+    """The lemma behind the unconditional comparability verdict: at one
+    point, the comparability graph of any two nonempty term sets is acyclic."""
+    sets = _term_sets(N)
+    for a in sets:
+        G = ActivationPattern(1, N, (a,))
+        for b in sets:
+            assert is_acyclic(comparability_graph(G, ActivationPattern(1, N, (b,)), 0)), (a, b)
+
+
+def _random_pattern_sets(count, seed):
+    """Small pattern sets, some closed under term permutations and some
+    holding every boundary pattern, so that each property both passes and
+    fails among them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        M, N = rng.randint(1, 3), rng.randint(1, 4)
+        terms = range(1, N + 1)
+        subsets = _term_sets(N)
+        pats = {
+            ActivationPattern(M, N, tuple(rng.choice(subsets) for _ in range(M)))
+            for _ in range(rng.randint(1, 5))
+        }
+        if rng.random() < 0.5:
+            pats |= {p.relabel(dict(zip(terms, perm))) for p in pats for perm in permutations(terms)}
+        if rng.random() < 0.5:
+            pats |= {ActivationPattern(M, N, (S,) * M) for S in subsets}
+        yield sorted(pats, key=ActivationPattern.key), rng.random() < 0.2
+
+
+def test_pattern_axioms_match_the_scanning_oracle():
+    """Same verdicts as the exhaustive scan, and the same witnesses except
+    for symmetry, whose witness is now a violated adjacent transposition."""
+    failed = set()
+    for pats, maximal_only in _random_pattern_sets(150, seed=2024):
+        got = pattern_axioms_check(pats, maximal_only=maximal_only)
+        want = pattern_axioms_by_scan(pats, maximal_only=maximal_only)
+        assert [r.name for r in got.results] == [r.name for r in want.results]
+        for g, w in zip(got.results, want.results):
+            assert g.passed == w.passed, (g, w)
+            if not w.passed:
+                failed.add(w.name)
+            if g.name != "symmetry":
+                assert g.witness == w.witness, (g, w)
+            elif not g.passed:
+                p, perm = g.witness
+                moved = [t for t in range(1, p.N + 1) if perm[t - 1] != t]
+                assert len(moved) == 2 and moved[1] == moved[0] + 1
+                assert p in pats and p.relabel(dict(zip(range(1, p.N + 1), perm))) not in pats
+    # every property that can fail did fail on some set
+    assert failed == {"complete_graph", "symmetry", "composition", "elimination", "boundary"}
+
+
+def test_pattern_axioms_build_no_comparability_graph(two_points, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("comparability graph built")
+
+    monkeypatch.setattr(matroids, "comparability_graph", refuse)
+    monkeypatch.setattr(matroids, "is_acyclic", refuse)
+    cones = enumerate_all_cones(two_points, 3)
+    report = pattern_axioms_check([c.pattern for c in cones])
+    assert report.all_passed and report.result("comparability").witness is None
+
+
+def test_pattern_axioms_negative_control_symmetry(two_points):
+    """Keep one maximal pattern with two distinct terms and drop its
+    relabelings: the witness is that pattern with the first adjacent
+    transposition that maps it out of the set."""
+    G = pattern_from_assignment((1, 2), 3)
+
+    def two_terms(p):
+        return p.is_degree_one() and len(set(p.assignment())) == 2
+
+    pats = [c.pattern for c in enumerate_all_cones(two_points, 3)]
+    broken = [p for p in pats if p == G or not two_terms(p)]
+    report = pattern_axioms_check(broken)
+    assert not report.result("symmetry").passed
+    assert report.result("symmetry").witness == (G, (2, 1, 3))
+
+
+def test_pattern_axioms_negative_control_elimination():
+    """Without the pattern {1, 2}, the union of {1} and {2} at the point has
+    no pattern; composition and symmetry still hold."""
+    P1 = ActivationPattern(1, 2, (frozenset({1}),))
+    P2 = ActivationPattern(1, 2, (frozenset({2}),))
+    report = pattern_axioms_check([P1, P2])
+    assert report.result("symmetry").passed and report.result("composition").passed
+    assert not report.result("elimination").passed
+    assert report.result("elimination").witness == (P1, P2, 0)
 
 
 def test_pattern_axioms_single_point():
