@@ -288,6 +288,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(list(argv)))
     try:
+        if min(getattr(args, "n", 1), getattr(args, "m", 1)) < 1:  # fan commands
+            raise ValueError("--n and --m must be at least 1")
         args.func(args)
     except CapExceededError as exc:
         print(json.dumps({"error": "cap_exceeded", "message": str(exc)}), file=sys.stderr)

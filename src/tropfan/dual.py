@@ -6,14 +6,21 @@ Affine cells in input space are handled through one homogenizing coordinate:
 the cell {x : rows(x) >= 0} becomes the cone {(w, x) : w >= 0, rows >= 0} and
 the cell has dimension one less than the cone whenever some point with w > 0
 exists.  The pair (i, j) is a dual edge exactly when the set where terms i and
-j jointly attain the maximum has dimension d - 1.
+j jointly attain the maximum has dimension d - 1; the decision boundary checks
+only the sign-mixed pairs i <= n < j of the merged terms of g (+) h.
+
+The SVG clip (d = 2) needs no LP: a sign-mixed cell with distinct slopes lies
+on the line term_i = term_j, where the other terms and the window sides bound
+the line parameter, so the cell meets the window in positive length exactly
+when those bounds leave an open interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import ConstraintSystem, describe_cone, lp_feasible
 from .rationals import Vec, dot
@@ -56,43 +63,41 @@ def _pair_cell_dim(sig: SignomialParams, i: int, j: int) -> Optional[int]:
     d = sig.d
     eq = _homog_term_row(sig, i, j)
     rows = tuple(_homog_term_row(sig, i, k) for k in range(1, sig.n + 1) if k not in (i, j))
-    feasible = lp_feasible(
-        ConstraintSystem(rows + (eq, tuple(-x for x in eq)), (_w_row(d),), d + 1)
-    )
-    if feasible is None:
+    rows += (eq, tuple(-x for x in eq))
+    if lp_feasible(ConstraintSystem(rows, (_w_row(d),), d + 1)) is None:
         return None
-    cone = describe_cone(
-        ConstraintSystem(rows + (eq, tuple(-x for x in eq), _w_row(d)), (), d + 1)
-    )
-    return cone.dimension - 1
+    return describe_cone(ConstraintSystem(rows + (_w_row(d),), (), d + 1)).dimension - 1
+
+
+def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:
+    """The given pairs, in order, whose cell has dimension d - 1; a pair with
+    a term that never attains the maximum is skipped without a cell LP."""
+    alive = {i for i in range(1, sig.n + 1) if region_nonempty(sig, i)}
+    edges = []
+    for i, j in pairs:
+        if i in alive and j in alive:
+            dim = _pair_cell_dim(sig, i, j)
+            if dim == sig.d - 1:
+                edges.append(DualEdge(i, j, sign_mixed, dim))
+    return edges
+
+
+def _mixed_pairs(theta: TropicalRationalParams) -> Iterator[tuple[int, int]]:
+    """Pairs i <= n < j of merged term indices, in lexicographic order."""
+    return product(range(1, theta.n + 1), range(theta.n + 1, theta.n + theta.m + 1))
 
 
 def dual_edges(sig: SignomialParams) -> list[DualEdge]:
     """Pairs of terms whose regions meet in dimension d - 1, i.e. the edges of
     the dual regular subdivision of the Newton polytope."""
-    alive = [i for i in range(1, sig.n + 1) if region_nonempty(sig, i)]
-    edges = []
-    for ai in range(len(alive)):
-        for aj in range(ai + 1, len(alive)):
-            i, j = alive[ai], alive[aj]
-            dim = _pair_cell_dim(sig, i, j)
-            if dim == sig.d - 1:
-                edges.append(DualEdge(i, j, False, dim))
-    return edges
+    return _edges(sig, combinations(range(1, sig.n + 1), 2), False)
 
 
 def decision_boundary(theta: TropicalRationalParams) -> list[DualEdge]:
     """Sign-mixed dual edges of g (+) h: one endpoint a numerator term, the
     other a denominator term; these are dual to the (d-1)-cells where the
     classifier is exactly zero."""
-    merged = theta.merged()
-    n = theta.n
-    out = []
-    for e in dual_edges(merged):
-        mixed = (e.i <= n) != (e.j <= n)
-        if mixed:
-            out.append(DualEdge(e.i, e.j, True, e.cell_dim))
-    return out
+    return _edges(theta.merged(), _mixed_pairs(theta), True)
 
 
 def tropical_type(apices: Sequence[Vec], point: Vec) -> tuple[frozenset[int], ...]:
@@ -142,54 +147,46 @@ def _sig_digits(x: Fraction, digits: int = 9) -> str:
 
 
 def _boundary_segments(theta: TropicalRationalParams, window) -> list[tuple[Vec, Vec, int, int]]:
-    """Exact decision-boundary pieces clipped to the closed window box."""
+    """Exact decision-boundary pieces clipped to the closed window box, one
+    per sign-mixed pair whose cell meets the window in positive length."""
     xmin, xmax, ymin, ymax = window
-    merged = theta.merged()
+    terms = theta.merged().terms
     segments = []
-    for e in decision_boundary(theta):
-        a_i, s_i = merged.terms[e.i - 1]
-        a_j, s_j = merged.terms[e.j - 1]
-        normal = tuple(u - v for u, v in zip(s_i, s_j))
-        const = a_i - a_j
-        # Line const + <normal, x> = 0; direction perpendicular to the normal.
+    for i, j in _mixed_pairs(theta):
+        a_i, s_i = terms[i - 1]
+        a_j, s_j = terms[j - 1]
+        normal = (s_i[0] - s_j[0], s_i[1] - s_j[1])
+        # Equal slopes: the cell is empty (a_i != a_j) or the region of term i,
+        # drawn by the sign-mixed pair of a term tied on it with another slope.
+        if normal == (0, 0):
+            continue
+        # Line a_i - a_j + <normal, x> = 0; direction perpendicular to the normal.
         direction = (-normal[1], normal[0])
         if normal[0] != 0:
-            base = (-const / normal[0], Fraction(0))
+            base = ((a_j - a_i) / normal[0], Fraction(0))
         else:
-            base = (Fraction(0), -const / normal[1])
-        lo, hi = None, None  # parameter interval, None = unbounded
-
-        def clamp(alpha, beta, lo, hi):
-            # constraint alpha + beta * t >= 0
-            if beta == 0:
-                return (lo, hi) if alpha >= 0 else (Fraction(1), Fraction(0))
-            bound = -alpha / beta
-            if beta > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-            return lo, hi
-
-        for k in range(1, merged.n + 1):
-            if k in (e.i, e.j):
-                continue
-            a_k, s_k = merged.terms[k - 1]
-            alpha = (a_i - a_k) + dot(s_i, base) - dot(s_k, base)
-            beta = dot(s_i, direction) - dot(s_k, direction)
-            lo, hi = clamp(alpha, beta, lo, hi)
-        for alpha, beta in (
+            base = (Fraction(0), (a_j - a_i) / normal[1])
+        # Each constraint reads alpha + beta * t >= 0.
+        constraints = [
             (base[0] - xmin, direction[0]),
             (xmax - base[0], -direction[0]),
             (base[1] - ymin, direction[1]),
             (ymax - base[1], -direction[1]),
-        ):
-            lo, hi = clamp(alpha, beta, lo, hi)
-        if lo is None or hi is None or lo > hi:
+        ]
+        constraints += [
+            (a_i - a_k + dot(s_i, base) - dot(s_k, base), dot(s_i, direction) - dot(s_k, direction))
+            for k, (a_k, s_k) in enumerate(terms, start=1)
+            if k not in (i, j)
+        ]
+        if any(alpha < 0 for alpha, beta in constraints if beta == 0):
             continue
-        p0 = (base[0] + lo * direction[0], base[1] + lo * direction[1])
-        p1 = (base[0] + hi * direction[0], base[1] + hi * direction[1])
-        if p0 != p1:
-            segments.append((p0, p1, e.i, e.j))
+        # the window bounds t on both sides, since the direction is nonzero
+        lo = max(-alpha / beta for alpha, beta in constraints if beta > 0)
+        hi = min(-alpha / beta for alpha, beta in constraints if beta < 0)
+        if lo < hi:
+            p0 = (base[0] + lo * direction[0], base[1] + lo * direction[1])
+            p1 = (base[0] + hi * direction[0], base[1] + hi * direction[1])
+            segments.append((p0, p1, i, j))
     return segments
 
 
@@ -240,7 +237,7 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
         lines.append(
             f'<text x="{px}" y="{py}" font-size="16" fill="#777777" text-anchor="middle">{kind}{idx}</text>'
         )
-    for p0, p1, i, j in sorted(_boundary_segments(theta, window), key=lambda s: (s[2], s[3], s[0], s[1])):
+    for p0, p1, i, j in _boundary_segments(theta, window):
         x1, y1 = to_px(p0)
         x2, y2 = to_px(p1)
         lines.append(

@@ -43,7 +43,9 @@ def signomial_to_json(sig: SignomialParams) -> dict:
 
 def signomial_from_json(doc: dict, d: int | None = None) -> SignomialParams:
     terms = tuple((rat(t["a"]), vec(t["s"])) for t in doc["terms"])
-    return SignomialParams(terms, len(terms[0][1]) if d is None else d)
+    if d is None:
+        d = len(terms[0][1]) if terms else 0  # SignomialParams refuses an empty list
+    return SignomialParams(terms, d)
 
 
 def rational_to_json(theta: TropicalRationalParams) -> dict:

@@ -41,7 +41,7 @@ class ReluNetwork:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        prev = self.d_in
+        prev = self.d_in if self.layers[0][0] else 0  # an empty W is refused below
         for W, c in self.layers:
             if len(W) != len(c) or not W:
                 raise ValueError("weight row count must match bias length")
@@ -156,52 +156,41 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> Convers
     sketch in the module docstring and do not depend on the weights.
     """
     d = net.d_in
-    # Neuron state: (g terms, h terms) as slope -> coefficient dicts.
-    g_list: list[dict] = []
-    h_list: list[dict] = []
+    # Neuron state: (g terms, h terms) as slope -> coefficient dicts; the
+    # inputs are x_k = g_k - h_k with g_k = {e_k: 0} and h_k = {0: 0}.
+    g_list: list[dict] = [{vec(int(i == k) for i in range(d)): Fraction(0)} for k in range(d)]
+    h_list: list[dict] = [{zeros(d): Fraction(0)} for _ in range(d)]
     formal_n, formal_m = 1, 1  # per-neuron counts, identical across a layer
     trace = []
     for layer_index, (W, c) in enumerate(net.layers, start=1):
         new_g: list[dict] = []
         new_h: list[dict] = []
-        if layer_index == 1:
-            for row, ci in zip(W, c):
-                plus, minus = _split_row(row)
-                h_terms = {minus: Fraction(0)}
-                g_terms = _max_terms({plus: ci}, h_terms)
-                new_g.append(g_terms)
-                new_h.append(h_terms)
-            formal_n, formal_m = 2, 1
-        else:
-            prev_n, prev_m = formal_n, formal_m
-            for row, ci in zip(W, c):
-                y_convex: dict = {zeros(d): Fraction(0)}
-                y_concave: dict = {zeros(d): Fraction(0)}
-                for k, wk in enumerate(row):
-                    plus = wk if wk > 0 else Fraction(0)
-                    minus = -wk if wk < 0 else Fraction(0)
-                    y_convex = _prod_terms(
-                        y_convex,
-                        _prod_terms(
-                            _scale_terms(plus, g_list[k], d),
-                            _scale_terms(minus, h_list[k], d),
-                            term_cap,
-                        ),
+        for row, ci in zip(W, c):
+            y_convex: dict = {zeros(d): Fraction(0)}
+            y_concave: dict = {zeros(d): Fraction(0)}
+            for k, (plus, minus) in enumerate(zip(*_split_row(row))):
+                y_convex = _prod_terms(
+                    y_convex,
+                    _prod_terms(
+                        _scale_terms(plus, g_list[k], d),
+                        _scale_terms(minus, h_list[k], d),
                         term_cap,
-                    )
-                    y_concave = _prod_terms(
-                        y_concave,
-                        _prod_terms(
-                            _scale_terms(minus, g_list[k], d),
-                            _scale_terms(plus, h_list[k], d),
-                            term_cap,
-                        ),
+                    ),
+                    term_cap,
+                )
+                y_concave = _prod_terms(
+                    y_concave,
+                    _prod_terms(
+                        _scale_terms(minus, g_list[k], d),
+                        _scale_terms(plus, h_list[k], d),
                         term_cap,
-                    )
-                new_h.append(y_concave)
-                new_g.append(_max_terms(_shift_terms(y_convex, ci), y_concave))
-            formal_m = (prev_n * prev_m) ** len(g_list)
-            formal_n = 2 * formal_m
+                    ),
+                    term_cap,
+                )
+            new_h.append(y_concave)
+            new_g.append(_max_terms(_shift_terms(y_convex, ci), y_concave))
+        formal_m = (formal_n * formal_m) ** len(g_list)
+        formal_n = 2 * formal_m
         g_list, h_list = new_g, new_h
         trace.append(
             (

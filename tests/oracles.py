@@ -23,12 +23,17 @@ The scanning pattern-axiom oracle decides as the former body of
 elimination by scanning every pattern, and a comparability graph built and
 tested for every pair of patterns at every point.  The former sampled branch
 for N > 5 is left out; the oracle always takes the whole symmetric group.
+
+The all-pairs boundary oracle is the former body of
+``dual.decision_boundary``: every dual edge of the merged signomial g (+) h,
+then the sign-mixed ones kept.
 """
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
 from tropfan.classify import _wall_lp, _wall_shape
+from tropfan.dual import DualEdge, dual_edges
 from tropfan.fan import (
     ActivationPattern,
     FanCone,
@@ -210,3 +215,13 @@ def pattern_axioms_by_scan(patterns, maximal_only=False):
     bad = next(comparability, None)
     results.append(AxiomResult("comparability", bad is None, bad))
     return AxiomReport(tuple(results))
+
+
+def decision_boundary_by_all_pairs(theta):
+    """Dual edges of every pair of live merged terms, then the sign-mixed ones."""
+    n = theta.n
+    return [
+        DualEdge(e.i, e.j, True, e.cell_dim)
+        for e in dual_edges(theta.merged())
+        if (e.i <= n) != (e.j <= n)
+    ]

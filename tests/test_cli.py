@@ -104,6 +104,21 @@ def test_boundary_svg_deterministic(files, capsys, tmp_path):
     assert svg1.read_bytes() == svg2.read_bytes()
 
 
+def test_boundary_svg_equal_slopes(files, capsys, tmp_path):
+    theta = files / "equal.json"
+    theta.write_text(json.dumps({
+        "num": {"terms": [{"a": "0", "s": ["0", "0"]}, {"a": "0", "s": ["0", "1"]},
+                          {"a": "0", "s": ["0", "-1"]}]},
+        "den": {"terms": [{"a": "0", "s": ["0", "0"]}]},
+    }))
+    svg = tmp_path / "equal.svg"
+    rc, out, err = run_cli(
+        ["boundary", "--theta", str(theta), "--svg", str(svg), "--window", "-4,4,-4,4"], capsys
+    )
+    assert rc == 0 and err == ""
+    assert 'y1="320"' in svg.read_text() and 'y2="320"' in svg.read_text()
+
+
 def test_relu_convert_command(files, capsys):
     rc, out, _ = run_cli(
         ["relu-convert", "--net", str(files / "net.json"), "--prune"], capsys
@@ -229,6 +244,40 @@ def test_malformed_dataset_is_json_error(files, capsys, doc):
     assert rc == 2 and out == ""
     assert isinstance(json.loads(err), dict)
     assert "Traceback" not in err
+
+
+TERM = {"a": "0", "s": ["1", "0"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [
+        ("boundary", "--theta", {"num": {"terms": []}, "den": {"terms": [TERM]}}),
+        ("boundary", "--theta", {"num": {"terms": [TERM]}, "den": {"terms": []}}),
+        ("relu-convert", "--net", {"layers": [{"W": [], "c": []}]}),
+    ],
+    ids=["no-num-terms", "no-den-terms", "no-weight-rows"],
+)
+def test_malformed_parameters_are_json_error(files, capsys, command, flag, doc):
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run_cli([command, flag, str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dichotomies", "--n", "-1", "--m", "1"],
+        ["levels", "--n", "1", "--m", "0", "--target", "+,-", "--k", "0"],
+    ],
+    ids=["dichotomies", "levels"],
+)
+def test_term_counts_below_one_are_json_error(files, capsys, args):
+    rc, out, err = run_cli(args + ["--data", str(files / "data.json")], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_cap_error_code(files, capsys):

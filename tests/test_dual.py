@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import grid_pairs_only
+from oracles import decision_boundary_by_all_pairs, grid_pairs_only
+from tropfan import geometry
 from tropfan.dual import (
     DualEdge,
+    _boundary_segments,
     _sig_digits,
     decision_boundary,
     dual_edges,
@@ -15,7 +17,13 @@ from tropfan.dual import (
 from tropfan.fan import dataset, pattern_of
 from tropfan.geometry import ConstraintSystem, lp_feasible
 from tropfan.rationals import dot
-from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_rational, signomial
+from tropfan.tropical import (
+    SignomialParams,
+    TropicalRationalParams,
+    eval_rational,
+    eval_signomial,
+    signomial,
+)
 
 WINDOW = (F(-4), F(4), F(-4), F(4))
 
@@ -222,3 +230,84 @@ def test_render_svg_rejects_other_dimensions():
     theta = TropicalRationalParams(signomial([(0, (1,))]), signomial([(0, (0,))]))
     with pytest.raises(ValueError):
         render_svg(theta, None, (F(-1), F(1), F(-1), F(1)))
+
+
+def tied_theta(rng, d):
+    """Coefficients and slope entries in {-1, 0, 1}, and about a third of the
+    denominator terms copied from the numerator: many equal slopes, identical
+    terms and concurrent cells."""
+
+    def term():
+        return (F(rng.randint(-1, 1)), tuple(F(rng.randint(-1, 1)) for _ in range(d)))
+
+    num = tuple(term() for _ in range(rng.randint(1, 4)))
+    den = tuple(rng.choice(num) if rng.random() < 0.3 else term() for _ in range(rng.randint(1, 3)))
+    return TropicalRationalParams(SignomialParams(num, d), SignomialParams(den, d))
+
+
+EQUAL_SLOPES = TropicalRationalParams(
+    signomial([(0, (0, 0)), (0, (0, 1)), (0, (0, -1))]), signomial([(0, (0, 0))])
+)
+
+SPECIAL_THETAS = [
+    EQUAL_SLOPES,
+    # equal slopes with different coefficients: their cell is empty
+    TropicalRationalParams(signomial([(1, (1, 0)), (0, (0, 1))]), signomial([(0, (1, 0))])),
+    # identical numerator and denominator
+    TropicalRationalParams(
+        signomial([(0, (1, 0)), (0, (0, 1))]), signomial([(0, (1, 0)), (0, (0, 1))])
+    ),
+    # three terms with collinear slopes, all tied on the line x = 0
+    TropicalRationalParams(signomial([(0, (0, 0)), (0, (2, 0))]), signomial([(0, (1, 0))])),
+]
+
+
+def test_decision_boundary_matches_the_all_pairs_oracle():
+    rng = random.Random(8)
+    thetas = SPECIAL_THETAS + [tied_theta(rng, d) for d in (1, 2, 2, 3) for _ in range(15)]
+    for theta in thetas:
+        assert decision_boundary(theta) == decision_boundary_by_all_pairs(theta)
+
+
+# Sides in sevenths: no cell line of a tied theta (intercepts in halves) runs
+# along them, so the closed-window clip and the open-window LP agree.
+OFF_WINDOW = (F(-27, 7), F(29, 7), F(-26, 7), F(30, 7))
+
+
+def test_boundary_segments_are_the_window_restricted_boundary():
+    rng = random.Random(11)
+    for theta in SPECIAL_THETAS + [tied_theta(rng, 2) for _ in range(40)]:
+        merged = theta.merged()
+        segments = _boundary_segments(theta, OFF_WINDOW)
+        restricted = window_restricted(theta, decision_boundary(theta), OFF_WINDOW)
+        distinct = {(i, j) for i, j in restricted if merged.terms[i - 1][1] != merged.terms[j - 1][1]}
+        assert [(i, j) for _, _, i, j in segments] == sorted(distinct)
+        for i, j in restricted - distinct:
+            # an identical pair's cell is term i's region, drawn by another pair
+            assert any(
+                {i, j} <= eval_signomial(merged, p0)[1] and {i, j} <= eval_signomial(merged, p1)[1]
+                for p0, p1, _, _ in segments
+            )
+
+
+def test_render_svg_solves_no_lp(monkeypatch, running_theta_split, two_points):
+    calls = []
+    max_slack = geometry.max_slack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return max_slack(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "max_slack", counted)
+    render_svg(running_theta_split, two_points, WINDOW)
+    assert calls == []
+    decision_boundary(running_theta_split)  # positive control: the cell LPs are counted
+    assert calls
+
+
+def test_render_svg_equal_slopes():
+    assert (1, 4) in {(e.i, e.j) for e in decision_boundary(EQUAL_SLOPES)}
+    svg = render_svg(EQUAL_SLOPES, None, WINDOW)
+    # the boundary y = 0 maps to the pixel-space horizontal midline
+    assert 'y1="320"' in svg and 'y2="320"' in svg
+    assert all('y1="320"' in line and 'y2="320"' in line for line in svg.splitlines() if "<line" in line)
