@@ -32,7 +32,7 @@ from .fan import (
 )
 from .matroids import om_axioms_check, pattern_axioms_check
 from .rationals import format_rat, rat
-from .relu import bound_m, net_to_tropical, prune_terms
+from .relu import TermCapExceededError, bound_m, net_to_tropical, prune_terms
 from .tropical import classify, eval_rational
 
 
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(json.dumps({"error": "cap_exceeded", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, TermCapExceededError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     return 0

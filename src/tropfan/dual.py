@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import ConstraintSystem, describe_cone, lp_feasible
+from .geometry import ConstraintSystem, _integerize, describe_cone, lp_feasible
 from .rationals import Vec, dot
 from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point, eval_signomial
 
@@ -217,21 +217,30 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
         f'<rect x="{_sig_digits(margin)}" y="{_sig_digits(margin)}" width="{_sig_digits(size)}" '
         f'height="{_sig_digits(size)}" fill="none" stroke="#cccccc"/>',
     ]
-    merged = theta.merged()
-    # Region labels: majority location of each uniquely-attained term on a grid.
+    # Region labels: mean location of each uniquely-attained term on a grid.
+    # Grid point (gx, gy) is (X, Y) / scale with integers X, Y; the merged
+    # terms are scaled to integers too, so every argmax is over integers.
     steps = 16
-    label_pos: dict[int, list[Vec]] = {}
+    flat, _ = _integerize([v for a, s in theta.merged().terms for v in (a, *s)])
+    (x0, x1, y0, y1), wden = _integerize(window)
+    scale = steps * wden
+    scaled = SignomialParams(
+        tuple((flat[k] * scale, tuple(flat[k + 1 : k + 3])) for k in range(0, len(flat), 3)), 2
+    )
+    label_sums: dict[int, list[int]] = {}  # term -> [sum of X, sum of Y, count]
     for gx in range(1, steps):
+        X = steps * x0 + gx * (x1 - x0)
         for gy in range(1, steps):
-            x = (xmin + Fraction(gx, steps) * (xmax - xmin), ymin + Fraction(gy, steps) * (ymax - ymin))
-            _, arg = eval_signomial(merged, x)
+            Y = steps * y0 + gy * (y1 - y0)
+            _, arg = eval_signomial(scaled, (X, Y))
             if len(arg) == 1:
-                label_pos.setdefault(next(iter(arg)), []).append(x)
-    for i in sorted(label_pos):
-        pts = label_pos[i]
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-        px, py = to_px((cx, cy))
+                acc = label_sums.setdefault(next(iter(arg)), [0, 0, 0])
+                acc[0] += X
+                acc[1] += Y
+                acc[2] += 1
+    for i in sorted(label_sums):
+        sum_x, sum_y, count = label_sums[i]
+        px, py = to_px((Fraction(sum_x, count * scale), Fraction(sum_y, count * scale)))
         kind = "g" if i <= theta.n else "h"
         idx = i if i <= theta.n else i - theta.n
         lines.append(

@@ -8,7 +8,17 @@ The only LP ever solved here is slack maximization over a homogeneous system:
                               0 <= t <= 1
 
 The origin with t = 0 is always feasible, so a single-phase primal simplex
-suffices.  The tableau is kept as an integer matrix with one common positive
+suffices.  x is free, and every row with an x entry has rhs 0, so each x_j is
+pivoted into the basis before the simplex starts, with no ratio test and
+equality rows first (see ``max_slack``).  The slack of a pivoted equality
+row is fixed at 0 and its column dropped, so an equality is one row, not a
+pair of opposite inequalities.  The rows that define x are set aside, the
+simplex runs on the inequality rows over the columns t and the slacks made
+nonbasic, and x is read back from the set-aside rows at the end.
+Elimination pivots go through the same integer pivot as the simplex, so the
+exactness check below covers them too.
+
+The tableau is kept as an integer matrix with one common positive
 denominator q (the previous pivot entry), and it is compact: it stores only
 the nonbasic columns and the rhs, with ``nonbasic[j]`` naming the variable of
 column j.  The basic columns of the full tableau are q times unit vectors, so
@@ -41,6 +51,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .rationals import Vec, dot, vadd, zeros
@@ -186,6 +197,14 @@ class _Simplex:
         self.den = piv
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
+    def restrict(self, rows: list[int], cols: list[int]):
+        """Keep only the given rows (the objective row stays) and columns."""
+        n = self.n
+        self.rows = [[self.rows[i][j] for j in cols] + [self.rows[i][n]] for i in rows + [self.m]]
+        self.basis = [self.basis[i] for i in rows]
+        self.nonbasic = [self.nonbasic[j] for j in cols]
+        self.m, self.n = len(rows), len(cols)
+
     def value_of(self, col: int) -> Fraction:
         for i in range(self.m):
             if self.basis[i] == col:
@@ -201,35 +220,76 @@ def max_slack(
 ) -> tuple[Fraction, Vec]:
     """Maximize the common slack t of the strict rows; returns (t*, x*).
 
-    x is free (encoded as a difference of nonnegatives), t is clamped to [0, 1]
-    so the LP is always bounded and (0, 0) is always feasible.
+    x is free and t is clamped to [0, 1], so the LP is bounded and (0, 0) is
+    feasible.  The rows are the equalities, the nonstrict rows, the strict
+    rows and t <= 1, in that order.  Before the simplex, elimination walks the
+    rows in that order, t <= 1 excepted, and pivots x_j into the basis on the
+    row's nonzero entry in the free column of lowest index j; a negative
+    entry first has its column negated, which substitutes -x_j for the free
+    x_j, so the denominator stays positive.  Every row with an x entry has
+    rhs 0, so these pivots need no ratio test: they leave the basic solution
+    at the origin.  After elimination
+
+    * the slack of a pivoted equality row is nonbasic and fixed at 0, so its
+      column is dropped, and an equality row with no free entry left reads
+      0 = 0 and is dropped;
+    * an x column with no entry left in any inequality row stays at 0 and is
+      dropped;
+    * the rows where some x_j is basic are set aside, since a free basic
+      variable never bounds a ratio test.
+
+    The simplex then runs on the inequality rows with columns t and the
+    inequality slacks that elimination made nonbasic.  Each set-aside row
+    has rhs 0 and gives q * x_j (q the denominator after elimination) as
+    minus an integer combination of those columns, so x is read back with
+    one integer dot product over their final values, one Fraction per
+    coordinate.
     """
-    a_rows: list[list[int]] = []
-    b: list[int] = []
-
-    def add(frow: Sequence[int], tcoef: int, rhs: int):
-        # f.x - tcoef*t >= 0  becomes  -f.u + f.v + tcoef*t <= 0   (x = u - v)
-        a_rows.append([-x for x in frow] + list(frow) + [tcoef])
-        b.append(rhs)
-
+    rows: list[list[int]] = []
+    for g in equalities:
+        rows.append([-v for v in _integerize(g)[0]] + [0])
     for f in nonstrict:
-        add(_integerize(f)[0], 0, 0)
+        rows.append([-v for v in _integerize(f)[0]] + [0])
     for f in strict:
-        # Scaling the row scales its slack too, so t keeps the original scale.
+        # f.x - t >= 0 scaled to integers; the scale multiplies t too, so t
+        # keeps the original scale.
         fi, den = _integerize(f)
-        add(fi, den, 0)
-    for f in equalities:
-        fi, _ = _integerize(f)
-        add(fi, 0, 0)
-        add([-x for x in fi], 0, 0)
-    a_rows.append([0] * (2 * dim) + [1])  # t <= 1
-    b.append(1)
+        rows.append([-v for v in fi] + [den])
+    rows.append([0] * dim + [1])  # t <= 1
+    sx = _Simplex(rows, [0] * (len(rows) - 1) + [1], [0] * dim + [1])
 
-    c = [0] * (2 * dim) + [1]
-    sx = _Simplex(a_rows, b, c)
+    free = list(range(dim))  # the column of a free x_j is column j
+    sign = [1] * dim
+    for r in range(sx.m - 1):
+        row = sx.rows[r]
+        c = next((j for j in free if row[j]), -1)
+        if c < 0:
+            continue
+        if row[c] < 0:
+            for other in sx.rows:
+                other[c] = -other[c]
+            sign[c] = -1
+        sx._pivot(r, c)
+        free.remove(c)
+
+    # Variable ids: x is 0..dim-1, t is dim, then the slacks in row order, so
+    # the ids above last_eq are the inequality slacks.
+    last_eq = dim + len(equalities)
+    cols = [j for j, v in enumerate(sx.nonbasic) if v == dim or v > last_eq]
+    q = sx.den
+    aside = [(v, [sx.rows[i][j] for j in cols]) for i, v in enumerate(sx.basis) if v < dim]
+    sx.restrict([i for i, v in enumerate(sx.basis) if v > last_eq], cols)
+    elim_vars = list(sx.nonbasic)
     opt = sx.solve()
-    x = tuple(sx.value_of(j) - sx.value_of(dim + j) for j in range(dim))
-    return opt, x
+
+    # A set-aside row reads q * x_j + sum_k a_k * y_k = 0 over the variables
+    # y_k nonbasic after elimination, whose final values are values[k] / sx.den.
+    final = {v: sx.rows[i][sx.n] for i, v in enumerate(sx.basis)}
+    values = [final.get(v, 0) for v in elim_vars]
+    x = [Fraction(0)] * dim
+    for j, coefs in aside:
+        x[j] = Fraction(-sign[j] * sum(map(mul, coefs, values)), q * sx.den)
+    return opt, tuple(x)
 
 
 def lp_feasible(system: ConstraintSystem) -> Optional[Vec]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .rationals import Vec, dot, rat, vec
+from .rationals import Vec, rat, vec
 
 Term = tuple[Fraction, Vec]  # (a, s): the affine form a + <s, x>
 
@@ -75,13 +76,16 @@ def signomial(terms, d: int | None = None) -> SignomialParams:
 
 
 def eval_signomial(params: SignomialParams, x: Sequence[Fraction]) -> tuple[Fraction, frozenset[int]]:
-    """Value max_i (a_i + <s_i, x>) together with the 1-based argmax set."""
+    """Value max_i (a_i + <s_i, x>) together with the 1-based argmax set.
+
+    Integer terms at an integer point are evaluated in integers, with no
+    Fraction arithmetic."""
     if len(x) != params.d:
         raise ValueError(f"point of length {len(x)} in dimension {params.d}")
     best: Fraction | None = None
     arg: list[int] = []
     for i, (a, s) in enumerate(params.terms, start=1):
-        v = a + dot(s, x)
+        v = a + sum(map(mul, s, x))
         if best is None or v > best:
             best, arg = v, [i]
         elif v == best:

@@ -27,6 +27,14 @@ for N > 5 is left out; the oracle always takes the whole symmetric group.
 The all-pairs boundary oracle is the former body of
 ``dual.decision_boundary``: every dual edge of the merged signomial g (+) h,
 then the sign-mixed ones kept.
+
+The split-column slack LP is the former body of ``geometry.max_slack``: x is
+written as u - v with u, v >= 0 and each equality as two opposite rows, all
+on the compact integer simplex.  The dense-tableau slack LP solves the same
+LP as ``geometry.max_slack`` does today, with the same elimination and pivot
+rule, on a dense tableau of Fractions that holds every column, basic or not.
+The set-aside rows stay in that tableau and are updated by every simplex
+pivot, so x is read off their rhs at the end instead of being reconstructed.
 """
 
 from fractions import Fraction as F
@@ -43,7 +51,7 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import ConeDescriptor
+from tropfan.geometry import _STALL_LIMIT, ConeDescriptor, _integerize, _Simplex
 from tropfan.matroids import (
     AxiomReport,
     AxiomResult,
@@ -225,3 +233,96 @@ def decision_boundary_by_all_pairs(theta):
         for e in dual_edges(theta.merged())
         if (e.i <= n) != (e.j <= n)
     ]
+
+
+def max_slack_by_split_columns(dim, nonstrict=(), strict=(), equalities=()):
+    """(t*, x*) of the slack LP with x = u - v and each equality as a row pair."""
+    a_rows = []
+    b = []
+
+    def add(frow, tcoef, rhs):
+        # f.x - tcoef*t >= 0  becomes  -f.u + f.v + tcoef*t <= 0   (x = u - v)
+        a_rows.append([-x for x in frow] + list(frow) + [tcoef])
+        b.append(rhs)
+
+    for f in nonstrict:
+        add(_integerize(f)[0], 0, 0)
+    for f in strict:
+        fi, den = _integerize(f)
+        add(fi, den, 0)
+    for f in equalities:
+        fi, _ = _integerize(f)
+        add(fi, 0, 0)
+        add([-x for x in fi], 0, 0)
+    a_rows.append([0] * (2 * dim) + [1])  # t <= 1
+    b.append(1)
+    sx = _Simplex(a_rows, b, [0] * (2 * dim) + [1])
+    opt = sx.solve()
+    return opt, tuple(sx.value_of(j) - sx.value_of(dim + j) for j in range(dim))
+
+
+def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
+    """(t*, x*) of the slack LP with x free, on a dense Fraction tableau.
+
+    Variables: x_0..x_{dim-1}, then t, then one slack per row (equalities,
+    nonstrict, strict, t <= 1).  Rows are scaled to integers as in
+    ``max_slack``, since that scale is the scale of their slacks, which
+    Dantzig's rule sees.  Elimination pivots each row but the last, in
+    order, on its first nonzero free x column; the simplex then enters by
+    Dantzig (Bland after a stall), ties and Bland by variable id, and leaves
+    by the ratio test over the rows where no x is basic and no equality slack
+    is, ties by basis variable id.  Equality slacks and x never enter.
+    """
+    forms = [(_integerize(g)[0], 0) for g in (*equalities, *nonstrict)]
+    forms += [_integerize(f) for f in strict]
+    m = len(forms) + 1
+    width = dim + 1 + m + 1  # x, t, slacks, rhs
+    tab = []
+    for r, (f, tcoef) in enumerate(forms + [([0] * dim, 1)]):
+        row = [F(-v) for v in f] + [F(tcoef)] + [F(0)] * (m + 1)
+        row[dim + 1 + r] = F(1)
+        tab.append(row)
+    tab[-1][-1] = F(1)  # t <= 1
+    obj = [F(0)] * width
+    obj[dim] = F(1)
+    basis = [dim + 1 + r for r in range(m)]
+
+    def pivot(r, c):
+        prow = [v / tab[r][c] for v in tab[r]]
+        tab[r] = prow
+        for row in tab + [obj]:
+            f = row[c]
+            if f and row is not prow:
+                row[:] = [a - f * p for a, p in zip(row, prow)]
+        basis[r] = c
+
+    free = list(range(dim))
+    for r in range(m - 1):
+        c = next((j for j in free if tab[r][j]), None)
+        if c is not None:
+            pivot(r, c)
+            free.remove(c)
+
+    first_inequality = dim + 1 + len(equalities)
+    kept = [i for i in range(m) if basis[i] >= first_inequality]
+    enterable = [dim] + list(range(first_inequality, dim + 1 + m))
+    stall, last = 0, F(0)
+    while True:
+        nonbasic = [j for j in enterable if j not in basis and obj[j] > 0]
+        if not nonbasic:
+            break
+        if stall >= _STALL_LIMIT:
+            enter = min(nonbasic)
+        else:
+            enter = min(nonbasic, key=lambda j: (-obj[j], j))
+        rows = [i for i in kept if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        pivot(leave, enter)
+        z = -obj[-1]
+        stall = 0 if z != last else stall + 1
+        last = z
+    x = [F(0)] * dim
+    for i, v in enumerate(basis):
+        if v < dim:
+            x[v] = tab[i][-1]
+    return -obj[-1], tuple(x)

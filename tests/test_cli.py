@@ -292,6 +292,23 @@ def test_cap_error_code(files, capsys):
     assert json.loads(err)["error"] == "cap_exceeded"
 
 
+def test_relu_convert_cap_is_json_error(files, capsys):
+    net = files / "two_layer.json"
+    net.write_text(
+        json.dumps(
+            {
+                "layers": [
+                    {"W": [["1", "2"], ["1", "-1"]], "c": ["0", "1"]},
+                    {"W": [["1", "-1"]], "c": ["0"]},
+                ]
+            }
+        )
+    )
+    rc, out, err = run_cli(["relu-convert", "--net", str(net), "--cap", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "TermCapExceededError"
+
+
 def test_out_flag_writes_file(files, capsys, tmp_path):
     out_file = tmp_path / "report.json"
     rc, out, _ = run_cli(

@@ -215,33 +215,51 @@ def wall_system(data, a, k, pair, N):
     return (N - 1) * (d + 1), tuple(strict), equalities
 
 
-def pinned_solve(name, diag4, nine_points):
+def pinned_system(name, diag4, nine_points):
+    """(dim, nonstrict, strict, equalities) of a pinned slack LP."""
     from tropfan.fan import _leaf_system
+
+    if name == "diag4-leaf":
+        dim, rows = _leaf_system(diag4, ((0,), (1,), (2, 3)))
+        return dim, (), rows, ()
+    if name == "nine-leaf":
+        dim, rows = _leaf_system(nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8)))
+        return dim, (), rows, ()
+    if name == "nine-leaf-stall":
+        dim, rows = _leaf_system(nine_points, ((0, 2, 7), (1, 4, 5, 6, 8), (3,)))
+        return dim, (), rows, ()
+    if name == "nine-wall":
+        dim, strict, equalities = wall_system(nine_points, (1, 1, 1, 1, 1, 3, 2, 2, 4), 6, (2, 4), 4)
+        return dim, (), strict, equalities
+    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
+    return dim, (), strict, equalities
+
+
+def pinned_solve(name, diag4, nine_points):
     from tropfan.geometry import _Simplex
 
     if name == "beale":
         sx = _Simplex(*beale_program())
         opt = sx.solve()
         return opt, tuple(sx.value_of(v) for v in range(sx.n + sx.m))
-    if name == "diag4-leaf":
-        dim, rows = _leaf_system(diag4, ((0,), (1,), (2, 3)))
-        return max_slack(dim, (), rows)
-    if name == "nine-leaf":
-        dim, rows = _leaf_system(nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8)))
-        return max_slack(dim, (), rows)
-    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
-    return max_slack(dim, (), strict, equalities)
+    return max_slack(*pinned_system(name, diag4, nine_points))
 
 
-# (opt, x) exactly as the dense-tableau simplex returned them; for Beale's
-# program x lists every variable, slacks included.  The wall and nine-point
-# leaf answers change when either entering rule breaks ties by column
-# position instead of variable id, and the wall LP reaches the Bland switch.
+# (opt, x) exactly as the solver returns them.  For Beale's program, solved by
+# the nonnegative simplex alone, x lists every variable, slacks included.  The
+# slack LPs' answers come from ``oracles.max_slack_by_dense_tableau`` (x free,
+# elimination first, the same pivot rule on a dense Fraction tableau).  The
+# nine-point wall answer changes when either entering rule breaks ties by
+# column position instead of variable id, and when the Bland switch is
+# removed; without the switch the stalling nine-point leaf cycles until the
+# pivot limit.
 PINNED = {
     "beale": ("1/20", ["1/2500", "0", "1/100", "0", "3/100", "0", "0"]),
     "diag4-leaf": ("1", ["4", "-4", "0", "3", "-2", "0"]),
-    "nine-leaf": ("1", ["0", "-3", "7", "1", "1", "5", "-16/11", "-39/11", "82/11"]),
+    "nine-leaf": ("1", ["-5/11", "-23/11", "52/11", "1", "26/11", "25/11", "-21/11", "-29/11", "57/11"]),
+    "nine-leaf-stall": ("1", ["-15/2", "-4", "13/2", "4", "4", "-5"]),
     "diag4-wall": ("1", ["1", "-2", "0", "-1", "1", "0", "-6", "3", "0"]),
+    "nine-wall": ("1", ["1", "-10", "10", "-23/11", "-53/11", "-38/11", "0", "-5", "-2"]),
 }
 
 
@@ -253,9 +271,87 @@ def test_pivot_rule_is_pinned(name, diag4, nine_points):
     assert (format_rat(opt), format_vec(x)) == PINNED[name]
 
 
-def test_pivot_exactness_guard_runs(diag4):
+@pytest.mark.parametrize("name", sorted(set(PINNED) - {"beale"}))
+def test_dense_tableau_oracle_gives_the_pins(name, diag4, nine_points):
+    from oracles import max_slack_by_dense_tableau
+
+    from tropfan.rationals import format_rat, format_vec
+
+    opt, x = max_slack_by_dense_tableau(*pinned_system(name, diag4, nine_points))
+    assert (format_rat(opt), format_vec(x)) == PINNED[name]
+
+
+def seeded_slack_systems(count=300, seed=20240917):
+    """(dim, nonstrict, strict, equalities) of small homogeneous systems.
+
+    The kinds cycle: dim = 1; zero columns; rank below dim (every row a
+    combination of fewer than dim random forms); duplicated and dependent
+    equalities; equalities only; no strict row.
+    """
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        kind = case % 6
+        dim = 1 if kind == 0 else rng.randint(2, 5)
+        zero_cols = set(rng.sample(range(dim), rng.randint(1, dim - 1))) if kind == 1 else set()
+        basis = [
+            tuple(F(0) if j in zero_cols else F(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(dim))
+            for _ in range(rng.randint(1, dim - 1) if kind == 2 else dim)
+        ]
+
+        def form():
+            coefs = [rng.randint(-2, 2) for _ in basis]
+            return tuple(sum((c * b[j] for c, b in zip(coefs, basis)), F(0)) for j in range(dim))
+
+        def forms(lo, hi):
+            return tuple(form() for _ in range(rng.randint(lo, hi)))
+
+        equalities = forms(0, 2)
+        nonstrict, strict = forms(0, 4), forms(1, 4)
+        if kind == 3:
+            g, h = forms(2, 2)
+            equalities = (g, g, h, tuple(2 * a - F(1, 3) * b for a, b in zip(g, h)), h)
+        elif kind == 4:
+            equalities, nonstrict, strict = forms(1, 3), (), ()
+        elif kind == 5:
+            strict = ()
+        out.append((dim, nonstrict, strict, equalities))
+    return out
+
+
+def test_max_slack_agrees_with_split_columns_on_seeded_systems():
+    """Free x columns keep the split-column LP's optimum, and the witness read
+    back from the set-aside rows meets every row."""
+    from oracles import max_slack_by_split_columns
+
+    optima = set()
+    for dim, nonstrict, strict, equalities in seeded_slack_systems():
+        opt, x = max_slack(dim, nonstrict, strict, equalities)
+        assert opt in (0, 1)
+        assert opt == max_slack_by_split_columns(dim, nonstrict, strict, equalities)[0]
+        assert len(x) == dim
+        assert all(dot(f, x) >= 0 for f in nonstrict)
+        assert all(dot(g, x) == 0 for g in equalities)
+        if opt == 1:
+            assert all(dot(f, x) >= 1 for f in strict)
+        optima.add(opt)
+    assert optima == {0, 1}
+
+
+def test_max_slack_agrees_with_dense_tableau_on_seeded_systems():
+    from oracles import max_slack_by_dense_tableau
+
+    for system in seeded_slack_systems():
+        assert max_slack(*system) == max_slack_by_dense_tableau(*system)
+
+
+def test_pivot_exactness_guard_runs(diag4, nine_points):
     """The optional per-division exactness check must accept a normal run,
-    also through multi-pivot solves that swap columns and switch to Bland."""
+    also through the elimination pivots of wall LPs with an equality and
+    through multi-pivot solves that swap columns and switch to Bland (the
+    nine-point wall does)."""
     import json
     import os
     import subprocess
@@ -266,8 +362,11 @@ def test_pivot_exactness_guard_runs(diag4):
 
     # the child imports the same tropfan as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
-    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
-    wall = [dim, [format_vec(f) for f in strict], [format_vec(g) for g in equalities]]
+    names = ("diag4-wall", "nine-wall")
+    walls = []
+    for name in names:
+        dim, _, strict, equalities = pinned_system(name, diag4, nine_points)
+        walls.append([dim, [format_vec(f) for f in strict], [format_vec(g) for g in equalities]])
     code = (
         "import json, sys\n"
         "from fractions import Fraction as F\n"
@@ -277,21 +376,21 @@ def test_pivot_exactness_guard_runs(diag4):
         "opt, x = max_slack(3, ((F(1),F(2),F(3)),), ((F(1,3),F(-1),F(5)), (F(2),F(0),F(-7))))\n"
         "print(tropfan.geometry._CHECK_DIVISION, opt > 0)\n"
         "print(format_rat(_Simplex(*json.loads(sys.argv[1])).solve()))\n"
-        "dim, strict, equalities = json.loads(sys.argv[2])\n"
-        "opt, x = max_slack(dim, (), [vec(f) for f in strict], [vec(g) for g in equalities])\n"
-        "print(json.dumps([format_rat(opt), format_vec(x)]))\n"
+        "for dim, strict, equalities in json.loads(sys.argv[2]):\n"
+        "    opt, x = max_slack(dim, (), [vec(f) for f in strict], [vec(g) for g in equalities])\n"
+        "    print(json.dumps([format_rat(opt), format_vec(x)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(beale_program()), json.dumps(wall)],
+        [sys.executable, "-c", code, json.dumps(beale_program()), json.dumps(walls)],
         capture_output=True,
         text=True,
         env={"TROPFAN_CHECK_PIVOTS": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0, proc.stderr
-    guard, beale, wall_answer = proc.stdout.strip().split("\n")
+    guard, beale, *wall_answers = proc.stdout.strip().split("\n")
     assert guard == "True True"
     assert beale == "1/20"
-    assert json.loads(wall_answer) == list(PINNED["diag4-wall"])
+    assert [json.loads(answer) for answer in wall_answers] == [list(PINNED[n]) for n in names]
 
 
 def test_cone_dim_empty_system():
