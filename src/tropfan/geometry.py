@@ -38,11 +38,15 @@ moving, switching to Bland during degenerate stalls, which preserves the
 termination guarantee.  Both rules break ties by variable id, never by column
 position, so the pivots are those of the full tableau.
 
-Strict feasibility of a mixed system is equivalent to optimum t > 0, and a
-nonstrict row is an implied equality of the cone iff its one-row slack
-maximization has optimum 0.  Cone dimension is the ambient dimension minus the
-rank of the implied-equality normals, computed by fraction-free (Bareiss)
-elimination.
+Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
+optimum of 0 the final objective row holds a Farkas certificate: dual
+multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0 and y > 0
+on some strict row.  ``relint_point`` reads the implied equalities of a cone
+off such certificates, several rows per LP (Freund, Roundy and Todd 1985),
+and checks each certificate exactly before it uses it; rows in the linear
+span of the rows found implied are implied too.  Cone dimension is the
+ambient dimension minus the rank of the implied-equality normals, computed by
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .rationals import Vec, dot, vadd, zeros
+from .rationals import Vec, dot, zeros
 
 LinearForm = Vec
 
@@ -217,6 +221,7 @@ def max_slack(
     nonstrict: Sequence[LinearForm] = (),
     strict: Sequence[LinearForm] = (),
     equalities: Sequence[LinearForm] = (),
+    duals: Optional[list[Fraction]] = None,
 ) -> tuple[Fraction, Vec]:
     """Maximize the common slack t of the strict rows; returns (t*, x*).
 
@@ -244,17 +249,31 @@ def max_slack(
     minus an integer combination of those columns, so x is read back with
     one integer dot product over their final values, one Fraction per
     coordinate.
+
+    If a list ``duals`` is passed (and there are no equality rows), it is
+    filled with one optimal dual multiplier y_i >= 0 per nonstrict row, then
+    per strict row, in the scale of the rows as given.  The LP's dual reads
+    sum_i y_i f_i = 0 and sum over the strict rows of y_i >= 1 when the
+    optimum is 0, which is a Farkas certificate that no x is positive on
+    every strict row (see ``relint_point``).  y_i is minus the final
+    objective-row entry of row i's slack column, 0 when that slack is basic.
     """
+    if duals is not None and equalities:
+        raise ValueError("dual multipliers are read for inequality rows only")
     rows: list[list[int]] = []
     for g in equalities:
         rows.append([-v for v in _integerize(g)[0]] + [0])
+    scales = []
     for f in nonstrict:
-        rows.append([-v for v in _integerize(f)[0]] + [0])
+        fi, den = _integerize(f)
+        rows.append([-v for v in fi] + [0])
+        scales.append(den)
     for f in strict:
         # f.x - t >= 0 scaled to integers; the scale multiplies t too, so t
         # keeps the original scale.
         fi, den = _integerize(f)
         rows.append([-v for v in fi] + [den])
+        scales.append(den)
     rows.append([0] * dim + [1])  # t <= 1
     sx = _Simplex(rows, [0] * (len(rows) - 1) + [1], [0] * dim + [1])
 
@@ -289,6 +308,13 @@ def max_slack(
     x = [Fraction(0)] * dim
     for j, coefs in aside:
         x[j] = Fraction(-sign[j] * sum(map(mul, coefs, values)), q * sx.den)
+    if duals is not None:
+        # Row i's slack is variable dim + 1 + i; its integer row is scales[i] f_i.
+        obj = sx.rows[sx.m]
+        reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
+        duals.extend(
+            Fraction(-reduced.get(dim + 1 + i, 0) * s, sx.den) for i, s in enumerate(scales)
+        )
     return opt, tuple(x)
 
 
@@ -315,28 +341,73 @@ def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:
     """A point in the relative interior of {x : nonstrict rows >= 0}, plus the implied rows.
 
     Strict rows are ignored: the cone geometry of this package lives entirely
-    in the closed systems.  Builds the point by accumulating one positive-slack
-    witness per row; rows whose slack maximization tops out at 0 are exactly
-    the implied equalities, and the accumulated point is positive on every
-    other row, which places it in the relative interior.
+    in the closed systems.  The undecided rows U are those not yet known to
+    be implied.  Each round solves one slack maximization with U strict and
+    the known implied rows nonstrict.  A positive optimum's witness is
+    positive on U and, lying in the cone, zero on the implied rows, so it is
+    a relative-interior point.  A zero optimum comes with dual multipliers
+    y >= 0 with sum_i y_i f_i = 0 and y_i > 0 on some row of U; on the cone
+    each term y_i f_i.x of that zero sum is >= 0, so every row with y_i > 0
+    is implied.  Those rows join the implied set, and so does every undecided
+    row in the linear span of the implied rows, since it vanishes wherever
+    they do; then the next round starts.  The multipliers are checked exactly
+    before they are used, and a failed check raises.  Each zero round decides
+    at least one row, so at most one round per implied row plus one is
+    needed.
     """
     rows = system.nonstrict
     dim = system.ambient_dim
-    if not rows:
-        return zeros(dim), frozenset()
-    opt, acc = max_slack(dim, (), rows)
-    if opt > 0:
-        return acc, frozenset()
-    implied = set()
-    for r, f in enumerate(rows):
-        if dot(f, acc) > 0:
-            continue
-        opt_r, x = max_slack(dim, rows[:r] + rows[r + 1 :], (f,))
-        if opt_r == 0:
-            implied.add(r)
-        else:
-            acc = vadd(acc, x)
-    return acc, frozenset(implied)
+    implied: list[int] = []
+    span: list[tuple[int, list[int]]] = []  # echelon basis of the implied rows
+    undecided = list(range(len(rows)))
+    while undecided:
+        y: list[Fraction] = []
+        opt, x = max_slack(dim, [rows[r] for r in implied], [rows[r] for r in undecided], duals=y)
+        if opt > 0:
+            return x, frozenset(implied)
+        if any(v < 0 for v in y):
+            raise AssertionError("implied-equality certificate has a negative multiplier")
+        support = [(v, rows[r]) for v, r in zip(y, implied + undecided) if v]
+        if any(sum(v * f[j] for v, f in support) for j in range(dim)):
+            raise AssertionError("implied-equality certificate does not sum to zero")
+        tail = list(zip(y[len(implied) :], undecided))
+        found = [r for v, r in tail if v]
+        if not found:
+            raise AssertionError("implied-equality certificate has no undecided row")
+        implied += found
+        for r in found:
+            _extend_span(span, _integerize(rows[r])[0])
+        undecided = []
+        for v, r in tail:
+            if v:
+                continue
+            if any(_reduce(span, _integerize(rows[r])[0])):
+                undecided.append(r)
+            else:
+                implied.append(r)  # a combination of implied rows vanishes on the cone too
+    return zeros(dim), frozenset(implied)
+
+
+def _reduce(span: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
+    """A nonzero multiple of row minus a combination of the echelon rows in
+    ``span`` (each a pivot column and an integer row), zero on their pivots;
+    it is all zero iff row lies in their span."""
+    for p, b in span:
+        f = row[p]
+        if f:
+            row = [x * b[p] - f * y for x, y in zip(row, b)]
+    return row
+
+
+def _extend_span(span: list[tuple[int, list[int]]], row: list[int]):
+    """Add row's part outside the span to the echelon rows, content removed."""
+    row = _reduce(span, row)
+    p = next((j for j, v in enumerate(row) if v), -1)
+    if p >= 0:
+        g = 0
+        for v in row:
+            g = gcd(g, v)
+        span.append((p, [v // g for v in row]))
 
 
 def implied_equalities(system: ConstraintSystem) -> frozenset[int]:

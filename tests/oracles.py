@@ -35,6 +35,12 @@ LP as ``geometry.max_slack`` does today, with the same elimination and pivot
 rule, on a dense tableau of Fractions that holds every column, basic or not.
 The set-aside rows stay in that tableau and are updated by every simplex
 pivot, so x is read off their rhs at the end instead of being reconstructed.
+
+The per-row relative-interior oracle is the former body of
+``geometry.relint_point``: after one slack LP with every row strict, each
+row not yet positive at the accumulated point gets its own LP with that row
+strict and the rest nonstrict; a zero optimum marks the row implied, and a
+positive one adds its witness to the point.
 """
 
 from fractions import Fraction as F
@@ -51,7 +57,7 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import _STALL_LIMIT, ConeDescriptor, _integerize, _Simplex
+from tropfan.geometry import _STALL_LIMIT, ConeDescriptor, _integerize, _Simplex, max_slack
 from tropfan.matroids import (
     AxiomReport,
     AxiomResult,
@@ -59,7 +65,7 @@ from tropfan.matroids import (
     is_acyclic,
     pattern_compose,
 )
-from tropfan.rationals import dot
+from tropfan.rationals import dot, vadd, zeros
 from tropfan.tropical import eval_signomial
 
 
@@ -326,3 +332,24 @@ def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
         if v < dim:
             x[v] = tab[i][-1]
     return -obj[-1], tuple(x)
+
+
+def relint_point_by_rows(system):
+    """(point, implied rows) of {x : nonstrict rows >= 0}, one slack LP per row."""
+    rows = system.nonstrict
+    dim = system.ambient_dim
+    if not rows:
+        return zeros(dim), frozenset()
+    opt, acc = max_slack(dim, (), rows)
+    if opt > 0:
+        return acc, frozenset()
+    implied = set()
+    for r, f in enumerate(rows):
+        if dot(f, acc) > 0:
+            continue
+        opt_r, x = max_slack(dim, rows[:r] + rows[r + 1 :], (f,))
+        if opt_r == 0:
+            implied.add(r)
+        else:
+            acc = vadd(acc, x)
+    return acc, frozenset(implied)

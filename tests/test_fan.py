@@ -189,6 +189,33 @@ def test_face_descent_matches_pairwise_union(pts, N):
         assert pattern_of(theta_from_vector(cone.relint, N, D.d), D) == cone.pattern
 
 
+def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
+    """The relint LPs of the face walk on four planar points, N = 2.  The
+    per-row method needs one LP per ``cone_of_graph`` call plus one per
+    implied row; certificate rounds stay below even cones plus implied rows
+    (the per-row method solved 388 here)."""
+    from tropfan import fan, geometry
+
+    D = dataset([(0, 0), (2, 1), (1, 3), (-1, 1)])
+    lps, implied = [], []
+    solve, relint = geometry.max_slack, fan.relint_point
+
+    def solve_counted(*args, **kwargs):
+        lps.append(args)
+        return solve(*args, **kwargs)
+
+    def relint_counted(system):
+        point, rows = relint(system)
+        implied.append(len(rows))
+        return point, rows
+
+    monkeypatch.setattr(geometry, "max_slack", solve_counted)
+    monkeypatch.setattr(fan, "relint_point", relint_counted)
+    cones = enumerate_all_cones(D, 2)
+    assert (len(cones), len(implied), sum(implied), len(lps)) == (51, 64, 264, 152)
+    assert len(lps) < sum(implied) + len(cones)
+
+
 def test_all_cones_cap(diag4):
     from tropfan.fan import CapExceededError
 

@@ -168,6 +168,133 @@ def test_implied_equalities_match_per_row_oracle(rows):
         assert (r in implied) == (oracle_opt == 0)
 
 
+def seeded_relint_systems(seed=20261018, count=360):
+    """Closed systems in dimension 1-4, six shapes in turn: an opposite pair,
+    a rescaled duplicate plus a zero row, a positive combination of rows that
+    sums to zero, a single row, an all-implied subspace (each generator with
+    its opposite), and plain random rows.  A single row is zero half the time."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        kind, dim = case % 6, 1 + case // 6 % 4
+
+        def row():
+            return tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+
+        def combination(forms, coefs):
+            return tuple(sum((c * f[j] for c, f in zip(coefs, forms)), F(0)) for j in range(dim))
+
+        rows = [row() for _ in range(rng.randint(1, 4))]
+        if kind == 0:
+            rows.append(tuple(-v for v in rng.choice(rows)))
+        elif kind == 1:
+            rows.append(tuple(F(rng.randint(1, 3), rng.randint(1, 2)) * v for v in rng.choice(rows)))
+            rows.append((F(0),) * dim)
+        elif kind == 2:
+            picked = rng.sample(rows, min(len(rows), 2))
+            rows.append(combination(picked, [-rng.randint(1, 3) for _ in picked]))
+        elif kind == 3:
+            rows = [rng.choice((rows[0], (F(0),) * dim))]
+        elif kind == 4:
+            gens = rows[: rng.randint(1, dim)]
+            rows = [f for g in gens for f in (g, tuple(-v for v in g))]
+            rows.append(combination(gens, [rng.randint(-2, 2) for _ in gens]))
+        rng.shuffle(rows)
+        out.append(ConstraintSystem(tuple(rows), (), dim))
+    return out
+
+
+def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
+    """Certificate rounds find the implied set of the per-row method, with a
+    point positive on every other row and zero on the implied ones, and never
+    solve more LPs."""
+    import oracles
+    from tropfan import geometry
+
+    lps = {"rounds": 0, "rows": 0}
+
+    def counted(name, solve):
+        def wrapper(*args, **kwargs):
+            lps[name] += 1
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "max_slack", counted("rounds", geometry.max_slack))
+    monkeypatch.setattr(oracles, "max_slack", counted("rows", oracles.max_slack))
+    shapes = set()
+    for system in seeded_relint_systems():
+        rows = system.nonstrict
+        before = dict(lps)
+        point, implied = relint_point(system)
+        assert implied == oracles.relint_point_by_rows(system)[1]
+        assert lps["rounds"] - before["rounds"] <= lps["rows"] - before["rows"]
+        for r, f in enumerate(rows):
+            assert dot(f, point) == 0 if r in implied else dot(f, point) > 0
+        shapes.add((system.ambient_dim, len(rows) == 1, min(len(implied), 1) + (len(implied) == len(rows))))
+    # every dimension has systems with no, some and all rows implied, single rows included
+    assert shapes == {
+        (d, single, k) for d in (1, 2, 3, 4) for single in (False, True) for k in (0, 1, 2) if not single or k != 1
+    }
+    assert lps["rounds"] < lps["rows"]
+
+
+CERTIFIED_SYSTEMS = {
+    "cycle": ((F(1), F(1)), (F(-1), F(0)), (F(0), F(-1))),  # f1 + f2 + f3 = 0: all implied
+    "pair": ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1))),  # an opposite pair and a free row
+    "pair-3d": ((F(0), F(2), F(-1)), (F(1), F(0), F(0)), (F(0), F(-4), F(2)), (F(-1), F(1), F(1))),
+}
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [(name, c) for name in CERTIFIED_SYSTEMS for c in ("flip", "zero")]
+    + [("pair", "move"), ("pair-3d", "move")],
+)
+def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt):
+    """A multiplier with its sign flipped, set to zero, or moved onto a row
+    that is not implied fails the exact check, so no wrong implied set comes
+    back."""
+    from tropfan import geometry
+
+    rows = CERTIFIED_SYSTEMS[name]
+    system = ConstraintSystem(rows, (), len(rows[0]))
+    assert relint_point(system)[1]  # positive control: a certificate is read
+    solve = geometry.max_slack
+
+    def corrupted(*args, duals=None, **kwargs):
+        result = solve(*args, duals=duals, **kwargs)
+        if result[0] > 0:
+            return result
+        r = next(i for i, v in enumerate(duals) if v)
+        if corrupt == "flip":
+            duals[r] = -duals[r]
+        elif corrupt == "zero":
+            duals[r] = F(0)
+        else:
+            duals[duals.index(F(0))] = duals[r]
+        return result
+
+    monkeypatch.setattr(geometry, "max_slack", corrupted)
+    with pytest.raises(AssertionError, match="certificate"):
+        relint_point(system)
+
+
+def test_max_slack_duals_certify_a_zero_optimum():
+    """On x >= 0, y >= 0, x + y > 0 strict with -x - y >= 0 the optimum is 0,
+    and the multipliers are a Farkas certificate in the rows' own scale."""
+    nonstrict = ((F(1), F(0)), (F(0), F(1)), (F(-1, 2), F(-1, 2)))
+    strict = ((F(3), F(3)),)
+    y = []
+    opt, _ = max_slack(2, nonstrict, strict, duals=y)
+    assert opt == 0 and len(y) == 4 and min(y) >= 0 and y[3] >= 1
+    assert all(sum(v * f[j] for v, f in zip(y, nonstrict + strict)) == 0 for j in range(2))
+    with pytest.raises(ValueError):
+        max_slack(2, nonstrict, strict, (nonstrict[0],), duals=[])
+
+
 def beale_program():
     """Beale's classic degenerate program, rows and objective scaled to integers."""
 
