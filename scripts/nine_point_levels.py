@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 
-from tropfan.classify import _assignment_loss, level_set, parse_signs, wall_adjacent
+from tropfan.classify import level_set, parse_signs, wall_adjacent
 from tropfan.fan import dataset, fan_index, lineality_dim
 
 POINTS = [(-2, 3), (3, 3), (1, 2), (0, 1), (0, 0), (-2, -1), (1, -2), (-7, -3), (3, -4)]
@@ -33,7 +33,7 @@ def main() -> int:
 
     t0 = time.time()
     index = fan_index(data, 4, workers=args.workers, progress=lambda s: print(f"# {s}", file=sys.stderr))
-    counts = Counter(_assignment_loss(a, target, 2) for a in index.iter_assignments())
+    counts = Counter(sum((c > 0) != (t <= 2) for t, c in zip(a, target)) for a in index.iter_assignments())
     print(f"\nenumeration: {sum(counts.values())} maximal cones in {time.time()-t0:.1f}s")
     print("loss profile:", [counts.get(k, 0) for k in range(10)])
 

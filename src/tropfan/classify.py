@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .fan import (
@@ -108,14 +110,6 @@ def loss(obj, target: Sequence[int], n: int | None = None, m: int | None = None,
 
 def dichotomy_of_assignment(assign: Sequence[int], n: int) -> Dichotomy:
     return tuple(1 if t <= n else -1 for t in assign)
-
-
-def _assignment_loss(assign: Sequence[int], target: Sequence[int], n: int) -> int:
-    wrong = 0
-    for t, c in zip(assign, target):
-        if (c > 0) != (t <= n):
-            wrong += 1
-    return wrong
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,20 @@ def level_set(
         raise ValueError("target length differs from dataset size")
     N = n + m
     index = fan_index(data, N, cap=cap, workers=workers, progress=progress)
-    assigns = sorted(a for a in index.iter_assignments() if _assignment_loss(a, target, n) == k)
+
+    def relabelings(rep):
+        # A part costs its negatives on a numerator term, its positives on a denominator
+        # term (side 1); each split of the parts is scored once, and expanded at loss k.
+        costs = [(sum(target[p] <= 0 for p in part), sum(target[p] > 0 for p in part)) for part in rep.parts]
+        for side in product((0, 1), repeat=len(costs)):
+            r = side.count(0)
+            if r <= n and len(side) - r <= m and sum(map(getitem, costs, side)) == k:
+                nums, dens = permutations(range(1, n + 1), r), permutations(range(n + 1, N + 1), len(side) - r)
+                for num, den in product(nums, dens):
+                    terms = (iter(num), iter(den))
+                    yield tuple(next(terms[s]) for s in side)
+
+    assigns = sorted(index.iter_assignments(relabelings))
     if progress:
         progress(f"level {k}: {len(assigns)} maximal cones; computing wall adjacency")
     edges = _adjacency_edges(assigns, data, N)

@@ -7,12 +7,23 @@ the cell {x : rows(x) >= 0} becomes the cone {(w, x) : w >= 0, rows >= 0} and
 the cell has dimension one less than the cone whenever some point with w > 0
 exists.  The pair (i, j) is a dual edge exactly when the set where terms i and
 j jointly attain the maximum has dimension d - 1; the decision boundary checks
-only the sign-mixed pairs i <= n < j of the merged terms of g (+) h.
+only the sign-mixed pairs i <= n < j of the merged terms of g (+) h.  The
+terms are scaled to integers once per call, so every row is an integer tuple.
+
+One strict LP decides a pair with distinct slopes: its cell lies in the
+hyperplane H where eq = term_i - term_j vanishes, competitor rows that are
+multiples of eq vanish on H and are dropped, and the LP asks for a point of H
+with w > 0 and every other competitor row positive.  Such a point has a
+neighborhood in H inside the cell; conversely, a row that is zero at a
+relative-interior point of a (d-1)-dimensional cell is zero on aff(cell) = H.
+Equal slopes with a_i != a_j give an empty cell without an LP; only identical
+terms, whose cell is term i's region of any dimension, use ``describe_cone``.
 
 The SVG clip (d = 2) needs no LP: a sign-mixed cell with distinct slopes lies
 on the line term_i = term_j, where the other terms and the window sides bound
 the line parameter, so the cell meets the window in positive length exactly
-when those bounds leave an open interval.
+when those bounds leave an open interval.  On the integer terms and window
+the bounds are integer pairs compared by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -23,8 +34,9 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import ConstraintSystem, _integerize, describe_cone, lp_feasible
-from .rationals import Vec, dot
-from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point, eval_signomial
+from .rationals import Vec
+from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point
+from .tropical import eval_signomial, integer_terms
 
 
 @dataclass(frozen=True)
@@ -39,52 +51,54 @@ class DualEdge:
             raise ValueError("a dual edge joins distinct terms")
 
 
-def _homog_term_row(sig: SignomialParams, hi: int, lo: int) -> Vec:
+def _homog_term_row(terms: Sequence[tuple[int, ...]], hi: int, lo: int) -> tuple[int, ...]:
     """Coefficients of term_hi(x) - term_lo(x) over (w, x)."""
-    a_hi, s_hi = sig.terms[hi - 1]
-    a_lo, s_lo = sig.terms[lo - 1]
-    return (a_hi - a_lo,) + tuple(u - v for u, v in zip(s_hi, s_lo))
+    return tuple(u - v for u, v in zip(terms[hi - 1], terms[lo - 1]))
 
 
-def _w_row(d: int) -> Vec:
-    return (Fraction(1),) + (Fraction(0),) * d
+def region_nonempty(terms: Sequence[tuple[int, ...]], i: int) -> bool:
+    """Whether term i of the integer terms attains the maximum anywhere (the
+    region may still be lower-dimensional)."""
+    d = len(terms[0]) - 1
+    rows = tuple(_homog_term_row(terms, i, k) for k in range(1, len(terms) + 1) if k != i)
+    return lp_feasible(ConstraintSystem(rows, ((1,) + (0,) * d,), d + 1)) is not None
 
 
-def region_nonempty(sig: SignomialParams, i: int) -> bool:
-    """Whether term i attains the maximum anywhere (the region may still be
-    lower-dimensional)."""
-    rows = tuple(_homog_term_row(sig, i, k) for k in range(1, sig.n + 1) if k != i)
-    system = ConstraintSystem(rows, (_w_row(sig.d),), sig.d + 1)
-    return lp_feasible(system) is not None
-
-
-def _pair_cell_dim(sig: SignomialParams, i: int, j: int) -> Optional[int]:
-    """Dimension of {x : term_i = term_j = max}, or None when empty."""
-    d = sig.d
-    eq = _homog_term_row(sig, i, j)
-    rows = tuple(_homog_term_row(sig, i, k) for k in range(1, sig.n + 1) if k not in (i, j))
-    rows += (eq, tuple(-x for x in eq))
-    if lp_feasible(ConstraintSystem(rows, (_w_row(d),), d + 1)) is None:
-        return None
-    return describe_cone(ConstraintSystem(rows + (_w_row(d),), (), d + 1)).dimension - 1
+def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional[int]:
+    """Dimension of {x : term_i = term_j = max} over the integer terms, or
+    None when it is empty or, for distinct slopes, below d - 1."""
+    d = len(terms[0]) - 1
+    w = (1,) + (0,) * d
+    eq = _homog_term_row(terms, i, j)
+    others = tuple(_homog_term_row(terms, i, k) for k in range(1, len(terms) + 1) if k not in (i, j))
+    p = next((q for q in range(1, d + 1) if eq[q]), 0)
+    if not p:  # equal slopes: the cell is empty unless the terms are identical
+        if eq[0] or lp_feasible(ConstraintSystem(others, (w,), d + 1)) is None:
+            return None
+        return describe_cone(ConstraintSystem(others + (w,), (), d + 1)).dimension - 1
+    # A row is a multiple of eq iff row[q] * eq[p] == eq[q] * row[p] for every q.
+    strict = (w,) + tuple(r for r in others if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)))
+    system = ConstraintSystem((eq, tuple(-x for x in eq)), strict, d + 1)
+    return d - 1 if lp_feasible(system) is not None else None
 
 
 def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:
     """The given pairs, in order, whose cell has dimension d - 1; a pair with
     a term that never attains the maximum is skipped without a cell LP."""
-    alive = {i for i in range(1, sig.n + 1) if region_nonempty(sig, i)}
+    terms = integer_terms(sig.terms)
+    alive = {i for i in range(1, sig.n + 1) if region_nonempty(terms, i)}
     edges = []
     for i, j in pairs:
         if i in alive and j in alive:
-            dim = _pair_cell_dim(sig, i, j)
+            dim = _pair_cell_dim(terms, i, j)
             if dim == sig.d - 1:
                 edges.append(DualEdge(i, j, sign_mixed, dim))
     return edges
 
 
-def _mixed_pairs(theta: TropicalRationalParams) -> Iterator[tuple[int, int]]:
-    """Pairs i <= n < j of merged term indices, in lexicographic order."""
-    return product(range(1, theta.n + 1), range(theta.n + 1, theta.n + theta.m + 1))
+def _mixed_pairs(n: int, count: int) -> Iterator[tuple[int, int]]:
+    """Pairs i <= n < j of ``count`` merged term indices, in lexicographic order."""
+    return product(range(1, n + 1), range(n + 1, count + 1))
 
 
 def dual_edges(sig: SignomialParams) -> list[DualEdge]:
@@ -97,7 +111,7 @@ def decision_boundary(theta: TropicalRationalParams) -> list[DualEdge]:
     """Sign-mixed dual edges of g (+) h: one endpoint a numerator term, the
     other a denominator term; these are dual to the (d-1)-cells where the
     classifier is exactly zero."""
-    return _edges(theta.merged(), _mixed_pairs(theta), True)
+    return _edges(theta.merged(), _mixed_pairs(theta.n, theta.n + theta.m), True)
 
 
 def tropical_type(apices: Sequence[Vec], point: Vec) -> tuple[frozenset[int], ...]:
@@ -146,47 +160,48 @@ def _sig_digits(x: Fraction, digits: int = 9) -> str:
     return sign + (f"{whole}.{frac}" if frac else whole)
 
 
-def _boundary_segments(theta: TropicalRationalParams, window) -> list[tuple[Vec, Vec, int, int]]:
-    """Exact decision-boundary pieces clipped to the closed window box, one
-    per sign-mixed pair whose cell meets the window in positive length."""
-    xmin, xmax, ymin, ymax = window
-    terms = theta.merged().terms
+def _boundary_segments(
+    terms: Sequence[tuple[int, ...]], n: int, box: Sequence[int], wden: int
+) -> list[tuple[Vec, Vec, int, int]]:
+    """Exact decision-boundary pieces clipped to the closed window box / wden,
+    one per sign-mixed pair i <= n < j of the integer merged terms whose cell
+    meets the window in positive length."""
+    xmin, xmax, ymin, ymax = box
     segments = []
-    for i, j in _mixed_pairs(theta):
-        a_i, s_i = terms[i - 1]
-        a_j, s_j = terms[j - 1]
-        normal = (s_i[0] - s_j[0], s_i[1] - s_j[1])
+    for i, j in _mixed_pairs(n, len(terms)):
+        c, n0, n1 = _homog_term_row(terms, i, j)
         # Equal slopes: the cell is empty (a_i != a_j) or the region of term i,
         # drawn by the sign-mixed pair of a term tied on it with another slope.
-        if normal == (0, 0):
+        if n0 == n1 == 0:
             continue
-        # Line a_i - a_j + <normal, x> = 0; direction perpendicular to the normal.
-        direction = (-normal[1], normal[0])
-        if normal[0] != 0:
-            base = ((a_j - a_i) / normal[0], Fraction(0))
+        # The line c + <(n0, n1), x> = 0 is x(t) = (-c (n0, n1) + t (u0, u1)) / q.
+        u0, u1, q = -n1, n0, n0 * n0 + n1 * n1
+        b0, b1 = -c * n0 * wden, -c * n1 * wden
+        # Each constraint reads alpha + beta * t >= 0: a window side times
+        # q * wden, another term's row term_i - term_k times q.
+        constraints = [(b0 - q * xmin, wden * u0), (q * xmax - b0, -wden * u0)]
+        constraints += [(b1 - q * ymin, wden * u1), (q * ymax - b1, -wden * u1)]
+        for k in range(1, len(terms) + 1):
+            if k != i and k != j:
+                e, f0, f1 = _homog_term_row(terms, i, k)
+                constraints.append((q * e - c * (f0 * n0 + f1 * n1), f0 * u0 + f1 * u1))
+        # Bounds on t as (numerator, denominator >= 0), compared by
+        # cross-multiplication; the window replaces -inf and +inf on both sides.
+        lo, hi = (-1, 0), (1, 0)
+        for alpha, beta in constraints:
+            if beta > 0 and -alpha * lo[1] > lo[0] * beta:
+                lo = (-alpha, beta)
+            elif beta < 0 and alpha * hi[1] < hi[0] * -beta:
+                hi = (alpha, -beta)
+            elif beta == 0 and alpha < 0:
+                break
         else:
-            base = (Fraction(0), (a_j - a_i) / normal[1])
-        # Each constraint reads alpha + beta * t >= 0.
-        constraints = [
-            (base[0] - xmin, direction[0]),
-            (xmax - base[0], -direction[0]),
-            (base[1] - ymin, direction[1]),
-            (ymax - base[1], -direction[1]),
-        ]
-        constraints += [
-            (a_i - a_k + dot(s_i, base) - dot(s_k, base), dot(s_i, direction) - dot(s_k, direction))
-            for k, (a_k, s_k) in enumerate(terms, start=1)
-            if k not in (i, j)
-        ]
-        if any(alpha < 0 for alpha, beta in constraints if beta == 0):
-            continue
-        # the window bounds t on both sides, since the direction is nonzero
-        lo = max(-alpha / beta for alpha, beta in constraints if beta > 0)
-        hi = min(-alpha / beta for alpha, beta in constraints if beta < 0)
-        if lo < hi:
-            p0 = (base[0] + lo * direction[0], base[1] + lo * direction[1])
-            p1 = (base[0] + hi * direction[0], base[1] + hi * direction[1])
-            segments.append((p0, p1, i, j))
+            if lo[0] * hi[1] < hi[0] * lo[1]:
+                p0, p1 = (
+                    (Fraction(t * u0 - c * n0 * s, q * s), Fraction(t * u1 - c * n1 * s, q * s))
+                    for t, s in (lo, hi)
+                )
+                segments.append((p0, p1, i, j))
     return segments
 
 
@@ -221,12 +236,11 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
     # Grid point (gx, gy) is (X, Y) / scale with integers X, Y; the merged
     # terms are scaled to integers too, so every argmax is over integers.
     steps = 16
-    flat, _ = _integerize([v for a, s in theta.merged().terms for v in (a, *s)])
-    (x0, x1, y0, y1), wden = _integerize(window)
+    terms = integer_terms(theta.merged().terms)
+    box, wden = _integerize(window)
+    x0, x1, y0, y1 = box
     scale = steps * wden
-    scaled = SignomialParams(
-        tuple((flat[k] * scale, tuple(flat[k + 1 : k + 3])) for k in range(0, len(flat), 3)), 2
-    )
+    scaled = SignomialParams(tuple((t[0] * scale, t[1:]) for t in terms), 2)
     label_sums: dict[int, list[int]] = {}  # term -> [sum of X, sum of Y, count]
     for gx in range(1, steps):
         X = steps * x0 + gx * (x1 - x0)
@@ -246,7 +260,7 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
         lines.append(
             f'<text x="{px}" y="{py}" font-size="16" fill="#777777" text-anchor="middle">{kind}{idx}</text>'
         )
-    for p0, p1, i, j in _boundary_segments(theta, window):
+    for p0, p1, i, j in _boundary_segments(terms, theta.n, box, wden):
         x1, y1 = to_px(p0)
         x2, y2 = to_px(p1)
         lines.append(

@@ -198,8 +198,12 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
     system = cone_constraints(H, data)
     point, _ = relint_point(system)
     closure = pattern_of(theta_from_vector(point, H.N, data.d), data)
+    # Row (k, i*, i) vanishes at the point exactly when term i ties i* on point k.
+    ties = (
+        i in nb for nb in closure.neighbors for i_star in sorted(nb) for i in range(1, H.N + 1) if i != i_star
+    )
+    implied = frozenset(r for r, tied in enumerate(ties) if tied)
     csys = cone_constraints(closure, data)
-    implied = frozenset(r for r, f in enumerate(csys.nonstrict) if dot(f, point) == 0)
     return FanCone(closure, _descriptor_from_implied(csys, implied), point)
 
 
@@ -382,21 +386,22 @@ class _FanIndex:
         self.reps = reps
         self.leaves = leaves
 
-    def _labelings(self) -> Iterator[tuple[_CanonicalCone, tuple[int, ...], tuple[int, ...]]]:
+    def _labelings(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, tuple[int, ...], tuple[int, ...]]]:
         """(rep, perm, assignment) for each injective relabeling part t -> term
-        perm[t] of each canonical partition."""
+        perm[t] of each canonical partition, or for those ``relabelings(rep)`` yields."""
         M = self.data.M
         for rep in self.reps:
-            for perm in permutations(range(1, self.N + 1), len(rep.parts)):
+            perms = relabelings(rep) if relabelings else permutations(range(1, self.N + 1), len(rep.parts))
+            for perm in perms:
                 assign = [0] * M
                 for t, part in enumerate(rep.parts):
                     for k in part:
                         assign[k] = perm[t]
                 yield rep, perm, tuple(assign)
 
-    def iter_assignments(self) -> Iterator[tuple[int, ...]]:
-        """All degree-one maximal patterns as 1-based term assignments."""
-        return (assign for _, _, assign in self._labelings())
+    def iter_assignments(self, relabelings=None) -> Iterator[tuple[int, ...]]:
+        """All degree-one maximal patterns as 1-based term assignments (see ``_labelings``)."""
+        return (assign for _, _, assign in self._labelings(relabelings))
 
     def witness_for(self, rep: _CanonicalCone, perm: Sequence[int]) -> Vec:
         """Full-space strict witness for the relabeling part t -> term perm[t]."""

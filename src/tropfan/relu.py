@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .geometry import ConstraintSystem, _integerize, lp_feasible
 from .rationals import Vec, dot, vec, zeros
-from .tropical import SignomialParams, TropicalRationalParams
+from .tropical import SignomialParams, TropicalRationalParams, integer_terms
 
 
 class TermCapExceededError(RuntimeError):
@@ -226,35 +226,26 @@ def bound_m(hidden_dims: Sequence[int]) -> int:
 # Term pruning
 
 
-class _IntTerms:
-    """Terms scaled to integers for fast exact argmax scans."""
-
-    def __init__(self, terms: list[tuple[Fraction, Vec]], d: int):
-        flat, _ = _integerize([x for a, s in terms for x in (a, *s)])
-        self.rows = [flat[i : i + d + 1] for i in range(0, len(flat), d + 1)]
-
-    def values_at(self, x: Sequence[Fraction]) -> list[int]:
-        xi, den = _integerize(x)
-        return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in self.rows]
+def _values_at(rows: list[tuple[int, ...]], x: Sequence[Fraction]) -> list[int]:
+    """Values at x of the integer term rows, all scaled by one positive integer."""
+    xi, den = _integerize(x)
+    return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in rows]
 
 
-def _uniquely_attains(terms: list[tuple[Fraction, Vec]], fast: _IntTerms, idx: int, d: int) -> bool:
+def _uniquely_attains(rows: list[tuple[int, ...]], idx: int, d: int) -> bool:
     """Whether term idx strictly beats all others somewhere, decided by a
-    strict-feasibility LP with lazily added competitors."""
-    if len(terms) == 1:
+    strict-feasibility LP over integer rows with lazily added competitors."""
+    if len(rows) == 1:
         return True
-    a_i, s_i = terms[idx]
     active: list[int] = []
-    for _ in range(len(terms)):
-        strict_rows = [(Fraction(1),) + (Fraction(0),) * d]  # w > 0
-        for t in active:
-            a_t, s_t = terms[t]
-            strict_rows.append((a_i - a_t,) + tuple(u - v for u, v in zip(s_i, s_t)))
+    for _ in range(len(rows)):
+        strict_rows = [(1,) + (0,) * d]  # w > 0
+        strict_rows += [tuple(u - v for u, v in zip(rows[idx], rows[t])) for t in active]
         witness = lp_feasible(ConstraintSystem((), tuple(strict_rows), d + 1))
         if witness is None:
             return False
         x = tuple(xi / witness[0] for xi in witness[1:])
-        values = fast.values_at(x)
+        values = _values_at(rows, x)
         vi = values[idx]
         best = -1
         for t, v in enumerate(values):
@@ -285,13 +276,13 @@ def _prune_signomial(sig: SignomialParams) -> SignomialParams:
             del merged[s]
     if len(terms) == 1:
         return SignomialParams(tuple(terms), sig.d)
-    fast = _IntTerms(terms, sig.d)
+    rows = integer_terms(terms)
     # Terms with a unique argmax at a sample point are keepers without any LP.
     rng = random.Random(_PRUNE_SEED)
     certified = set()
     for _ in range(_PRUNE_SAMPLES):
         x = tuple(Fraction(rng.randint(-4000, 4000), rng.randint(1, 40)) for _ in range(sig.d))
-        values = fast.values_at(x)
+        values = _values_at(rows, x)
         top = max(values)
         arg = [t for t, v in enumerate(values) if v == top]
         if len(arg) == 1:
@@ -299,7 +290,7 @@ def _prune_signomial(sig: SignomialParams) -> SignomialParams:
     keep = [
         t
         for i, t in enumerate(terms)
-        if i in certified or _uniquely_attains(terms, fast, i, sig.d)
+        if i in certified or _uniquely_attains(rows, i, sig.d)
     ]
     if not keep:
         raise AssertionError("upper envelope lost all terms")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -73,6 +74,12 @@ def signomial(terms, d: int | None = None) -> SignomialParams:
     if d is None:
         d = len(built[0][1])
     return SignomialParams(built, d)
+
+
+def integer_terms(terms: Sequence[Term]) -> list[tuple[int, ...]]:
+    """Rows (a_i, *s_i) of the terms scaled by one positive integer to integers."""
+    den = lcm(*(v.denominator for a, s in terms for v in (a, *s)))
+    return [tuple(v.numerator * (den // v.denominator) for v in (a, *s)) for a, s in terms]
 
 
 def eval_signomial(params: SignomialParams, x: Sequence[Fraction]) -> tuple[Fraction, frozenset[int]]:

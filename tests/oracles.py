@@ -24,9 +24,16 @@ elimination by scanning every pattern, and a comparability graph built and
 tested for every pair of patterns at every point.  The former sampled branch
 for N > 5 is left out; the oracle always takes the whole symmetric group.
 
-The all-pairs boundary oracle is the former body of
-``dual.decision_boundary``: every dual edge of the merged signomial g (+) h,
-then the sign-mixed ones kept.
+The relative-interior pair oracle is the former body of
+``dual._pair_cell_dim``: one feasibility LP with every competitor and the
+tie pair nonstrict and w > 0 strict, then the cell's dimension from the
+relative-interior rounds of ``describe_cone``, for every pair alike.  The
+all-pairs boundary oracle applies it to every pair of merged terms g (+) h,
+with no region test first, and keeps the sign-mixed edges.
+
+The Fraction clip oracle is the former body of ``dual._boundary_segments``:
+each sign-mixed line is parametrized from a Fraction base point, and each
+window side and other term bounds the parameter by a pair of Fractions.
 
 The split-column slack LP is the former body of ``geometry.max_slack``: x is
 written as u - v with u, v >= 0 and each equality as two opposite rows, all
@@ -44,10 +51,10 @@ positive one adds its witness to the point.
 """
 
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tropfan.classify import _wall_lp, _wall_shape
-from tropfan.dual import DualEdge, dual_edges
+from tropfan.dual import DualEdge
 from tropfan.fan import (
     ActivationPattern,
     FanCone,
@@ -57,7 +64,16 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import _STALL_LIMIT, ConeDescriptor, _integerize, _Simplex, max_slack
+from tropfan.geometry import (
+    _STALL_LIMIT,
+    ConeDescriptor,
+    ConstraintSystem,
+    _integerize,
+    _Simplex,
+    describe_cone,
+    lp_feasible,
+    max_slack,
+)
 from tropfan.matroids import (
     AxiomReport,
     AxiomResult,
@@ -67,6 +83,11 @@ from tropfan.matroids import (
 )
 from tropfan.rationals import dot, vadd, zeros
 from tropfan.tropical import eval_signomial
+
+
+def assignment_loss(assign, target, n):
+    """0/1-loss of a term assignment: points whose term is in the wrong block."""
+    return sum((c > 0) != (t <= n) for t, c in zip(assign, target))
 
 
 def grid_boundary_pairs(sig, window, steps):
@@ -231,14 +252,82 @@ def pattern_axioms_by_scan(patterns, maximal_only=False):
     return AxiomReport(tuple(results))
 
 
+def pair_cell_dim_by_relint(sig, i, j):
+    """Dimension of {x : term_i = term_j = max}, or None when empty: one
+    feasibility LP with w > 0, then the relative-interior rounds of the cone."""
+    d = sig.d
+
+    def row(hi, lo):
+        (a_hi, s_hi), (a_lo, s_lo) = sig.terms[hi - 1], sig.terms[lo - 1]
+        return (a_hi - a_lo,) + tuple(u - v for u, v in zip(s_hi, s_lo))
+
+    w = (F(1),) + (F(0),) * d
+    eq = row(i, j)
+    rows = tuple(row(i, k) for k in range(1, sig.n + 1) if k not in (i, j))
+    rows += (eq, tuple(-x for x in eq))
+    if lp_feasible(ConstraintSystem(rows, (w,), d + 1)) is None:
+        return None
+    return describe_cone(ConstraintSystem(rows + (w,), (), d + 1)).dimension - 1
+
+
+def dual_edges_by_relint(sig):
+    """Pairs of terms whose cell has dimension d - 1, each decided by
+    ``pair_cell_dim_by_relint`` with no region test first."""
+    return [
+        DualEdge(i, j, False, sig.d - 1)
+        for i, j in combinations(range(1, sig.n + 1), 2)
+        if pair_cell_dim_by_relint(sig, i, j) == sig.d - 1
+    ]
+
+
 def decision_boundary_by_all_pairs(theta):
-    """Dual edges of every pair of live merged terms, then the sign-mixed ones."""
+    """Dual edges of every pair of merged terms, then the sign-mixed ones."""
     n = theta.n
     return [
         DualEdge(e.i, e.j, True, e.cell_dim)
-        for e in dual_edges(theta.merged())
+        for e in dual_edges_by_relint(theta.merged())
         if (e.i <= n) != (e.j <= n)
     ]
+
+
+def boundary_segments_by_fractions(theta, window):
+    """Decision-boundary pieces of the sign-mixed pairs clipped to the closed
+    window, each constraint of the line parameter a pair of Fractions."""
+    xmin, xmax, ymin, ymax = window
+    terms = theta.merged().terms
+    segments = []
+    for i, j in product(range(1, theta.n + 1), range(theta.n + 1, theta.n + theta.m + 1)):
+        a_i, s_i = terms[i - 1]
+        a_j, s_j = terms[j - 1]
+        normal = (s_i[0] - s_j[0], s_i[1] - s_j[1])
+        if normal == (0, 0):
+            continue
+        direction = (-normal[1], normal[0])
+        if normal[0] != 0:
+            base = ((a_j - a_i) / normal[0], F(0))
+        else:
+            base = (F(0), (a_j - a_i) / normal[1])
+        # Each constraint reads alpha + beta * t >= 0.
+        constraints = [
+            (base[0] - xmin, direction[0]),
+            (xmax - base[0], -direction[0]),
+            (base[1] - ymin, direction[1]),
+            (ymax - base[1], -direction[1]),
+        ]
+        constraints += [
+            (a_i - a_k + dot(s_i, base) - dot(s_k, base), dot(s_i, direction) - dot(s_k, direction))
+            for k, (a_k, s_k) in enumerate(terms, start=1)
+            if k not in (i, j)
+        ]
+        if any(alpha < 0 for alpha, beta in constraints if beta == 0):
+            continue
+        lo = max(-alpha / beta for alpha, beta in constraints if beta > 0)
+        hi = min(-alpha / beta for alpha, beta in constraints if beta < 0)
+        if lo < hi:
+            p0 = (base[0] + lo * direction[0], base[1] + lo * direction[1])
+            p1 = (base[0] + hi * direction[0], base[1] + hi * direction[1])
+            segments.append((p0, p1, i, j))
+    return segments
 
 
 def max_slack_by_split_columns(dim, nonstrict=(), strict=(), equalities=()):

@@ -15,9 +15,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import grid_boundary_pairs, grid_pairs_only
+from oracles import assignment_loss, grid_boundary_pairs, grid_pairs_only
 from tropfan.classify import (
-    _assignment_loss,
     chamber_path,
     connected_components,
     covectors_linear,
@@ -393,7 +392,7 @@ def test_criterion_06_level_symmetry(nine_points):
     index = fan_index(nine_points, 4)
     counts = {}
     for assign in index.iter_assignments():
-        k = _assignment_loss(assign, NINE_TARGET, 2)
+        k = assignment_loss(assign, NINE_TARGET, 2)
         counts[k] = counts.get(k, 0) + 1
     symmetric = all(counts.get(k, 0) == counts.get(9 - k, 0) for k in range(10))
     ok = symmetric and counts.get(9) == 16 and counts.get(8) == 304

@@ -5,10 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import adjacency_edges_by_pairs
+from oracles import adjacency_edges_by_pairs, assignment_loss
 from tropfan.classify import (
     _adjacency_edges,
-    _assignment_loss,
     _union_find_components,
     chamber_path,
     compose,
@@ -351,11 +350,9 @@ def test_count_dichotomies_contains_target(diag4):
 def test_level_symmetry_diag4(diag4):
     target = parse_signs("+,-,-,+")
     index = fan_index(diag4, 4)
-    from tropfan.classify import _assignment_loss
-
     counts = {}
     for assign in index.iter_assignments():
-        k = _assignment_loss(assign, target, 2)
+        k = assignment_loss(assign, target, 2)
         counts[k] = counts.get(k, 0) + 1
     for k in range(0, 5):
         assert counts.get(k, 0) == counts.get(4 - k, 0)
@@ -380,7 +377,7 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
         data, N, n = request.getfixturevalue("nine_points"), 4, 2
         target, k = parse_signs(NINE_TARGET), int(arg[-1])
         assigns = sorted(
-            a for a in fan_index(data, N).iter_assignments() if _assignment_loss(a, target, n) == k
+            a for a in fan_index(data, N).iter_assignments() if assignment_loss(a, target, n) == k
         )
     else:
         fixtures = {"coincident": dataset(COINCIDENT), "spatial": dataset(SPATIAL)}
@@ -471,3 +468,25 @@ def test_block_swap_maps_level_k_to_level_M_minus_k():
     for k in range(M + 1):
         assert sizes[k] == sizes[M - k]
     assert any(len(s) > 1 for s in sizes.values())
+
+
+def test_level_set_scores_each_partition_once(nine_points):
+    """The split-scored level sets equal the scan of every maximal
+    assignment, in the same sorted order, for every k."""
+    rng = random.Random(21)
+    cases = [(nine_points, 2, 2, parse_signs(NINE_TARGET), (0, 1))]
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        points = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        points.append(rng.choice(points))  # a coincident pair
+        target = [rng.choice((1, -1)) for _ in points]
+        cases.append((dataset(points), rng.randint(1, 2), rng.randint(1, 2), target, range(len(points) + 1)))
+    sizes = []
+    for data, n, m, target, levels in cases:
+        index = fan_index(data, n + m)
+        for k in levels:
+            want = sorted(a for a in index.iter_assignments() if assignment_loss(a, target, n) == k)
+            got = [G.assignment() for G in level_set(data, n, m, target, k).patterns]
+            assert got == want
+            sizes.append(len(got))
+    assert sizes[:2] == [16, 304] and sum(sizes) > 100

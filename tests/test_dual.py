@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from oracles import decision_boundary_by_all_pairs, grid_pairs_only
-from tropfan import geometry
+from oracles import (
+    boundary_segments_by_fractions,
+    decision_boundary_by_all_pairs,
+    dual_edges_by_relint,
+    grid_pairs_only,
+)
+from tropfan import dual, geometry
 from tropfan.dual import (
     DualEdge,
     _boundary_segments,
@@ -15,17 +21,25 @@ from tropfan.dual import (
     tropical_type,
 )
 from tropfan.fan import dataset, pattern_of
-from tropfan.geometry import ConstraintSystem, lp_feasible
+from tropfan.geometry import ConstraintSystem, _integerize, lp_feasible
+from tropfan.jsonio import loads, rational_from_json
 from tropfan.rationals import dot
 from tropfan.tropical import (
     SignomialParams,
     TropicalRationalParams,
     eval_rational,
     eval_signomial,
+    integer_terms,
     signomial,
 )
 
 WINDOW = (F(-4), F(4), F(-4), F(4))
+
+
+def clip(theta, window):
+    """The integer SVG clip of theta's sign-mixed pairs to the window."""
+    box, wden = _integerize(window)
+    return _boundary_segments(integer_terms(theta.merged().terms), theta.n, box, wden)
 
 
 def window_restricted(theta, edges, window):
@@ -278,7 +292,7 @@ def test_boundary_segments_are_the_window_restricted_boundary():
     rng = random.Random(11)
     for theta in SPECIAL_THETAS + [tied_theta(rng, 2) for _ in range(40)]:
         merged = theta.merged()
-        segments = _boundary_segments(theta, OFF_WINDOW)
+        segments = clip(theta, OFF_WINDOW)
         restricted = window_restricted(theta, decision_boundary(theta), OFF_WINDOW)
         distinct = {(i, j) for i, j in restricted if merged.terms[i - 1][1] != merged.terms[j - 1][1]}
         assert [(i, j) for _, _, i, j in segments] == sorted(distinct)
@@ -311,3 +325,122 @@ def test_render_svg_equal_slopes():
     # the boundary y = 0 maps to the pixel-space horizontal midline
     assert 'y1="320"' in svg and 'y2="320"' in svg
     assert all('y1="320"' in line and 'y2="320"' in line for line in svg.splitlines() if "<line" in line)
+
+
+def tied_line_theta(rng, d, c):
+    """Terms i and j with distinct slopes, a term k with
+    term_i - term_k = c (term_i - term_j), which ties i and j on their whole
+    tie hyperplane, and one free term, shuffled over both blocks."""
+
+    def term():
+        return (F(rng.randint(-2, 2)), tuple(F(rng.randint(-2, 2)) for _ in range(d)))
+
+    (a_i, s_i), (a_j, s_j) = term(), term()
+    while s_i == s_j:
+        a_j, s_j = term()
+    k = (a_i - c * (a_i - a_j), tuple(u - c * (u - v) for u, v in zip(s_i, s_j)))
+    terms = [(a_i, s_i), (a_j, s_j), k, term()]
+    rng.shuffle(terms)
+    split = rng.randint(1, 3)
+    return TropicalRationalParams(
+        SignomialParams(tuple(terms[:split]), d), SignomialParams(tuple(terms[split:]), d)
+    )
+
+
+EDGE_CASES = [
+    # d = 1: equal slopes with different heights, and an identical g/h pair
+    TropicalRationalParams(signomial([(1, (1,)), (0, (-1,))]), signomial([(0, (1,))])),
+    TropicalRationalParams(signomial([(0, (1,)), (0, (-1,))]), signomial([(0, (-1,)), (2, (0,))])),
+    # d = 3: the same two cases
+    TropicalRationalParams(
+        signomial([(1, (1, 0, 0)), (0, (0, 1, 0))]), signomial([(0, (1, 0, 0)), (0, (0, 0, 1))])
+    ),
+    TropicalRationalParams(
+        signomial([(0, (1, 0, 0)), (0, (0, 1, 0))]), signomial([(0, (0, 1, 0)), (0, (0, 0, 1))])
+    ),
+]
+
+
+def test_edges_match_the_relint_oracle():
+    """The one strict LP per pair decides as the per-pair relative-interior
+    dimension does, on ties along whole lines of either sign of the multiple."""
+    rng = random.Random(12)
+    multiples = (F(1, 2), F(2), F(-1), F(-1, 3))
+    thetas = SPECIAL_THETAS + EDGE_CASES
+    thetas += [tied_line_theta(rng, d, c) for d in (1, 2, 3) for c in multiples for _ in range(3)]
+    thetas += [tied_theta(rng, d) for d in (1, 3) for _ in range(10)]
+    edges = 0
+    for theta in thetas:
+        got = decision_boundary(theta)
+        assert got == decision_boundary_by_all_pairs(theta)
+        assert dual_edges(theta.merged()) == dual_edges_by_relint(theta.merged())
+        edges += len(got)
+    assert edges > len(thetas)
+
+
+# A window whose sides have four different denominators.
+MIXED_WINDOW = (F(-7, 2), F(11, 3), F(-13, 5), F(25, 7))
+
+AXIS_THETAS = [
+    # horizontal line y = -1/2 (n0 = 0) and vertical line x = 1/3 (n1 = 0)
+    TropicalRationalParams(signomial([(1, (0, 2))]), signomial([(0, (0, 0))])),
+    TropicalRationalParams(signomial([(-1, (3, 0)), (0, (-1, -1))]), signomial([(0, (0, 0))])),
+]
+
+
+def test_integer_clip_matches_the_fraction_clip():
+    rng = random.Random(13)
+    thetas = SPECIAL_THETAS + AXIS_THETAS + [tied_theta(rng, 2) for _ in range(40)]
+    thetas += [random_theta(rng) for _ in range(20)]
+    segments = 0
+    for window in (WINDOW, OFF_WINDOW, MIXED_WINDOW):
+        for theta in thetas:
+            got = clip(theta, window)
+            assert got == boundary_segments_by_fractions(theta, window)
+            segments += len(got)
+    assert segments > len(thetas)
+    assert [(p0, p1) for p0, p1, _, _ in clip(AXIS_THETAS[0], WINDOW)] == [
+        ((F(4), F(-1, 2)), (F(-4), F(-1, 2)))
+    ]
+
+
+README_THETA = Path(__file__).resolve().parent.parent / "data" / "running_theta.json"
+
+
+def test_boundary_lp_counts_are_pinned(monkeypatch):
+    """At most one LP per term and one per alive pair; the relative-interior
+    rounds of ``describe_cone`` run for identical-term pairs only."""
+    log = []
+
+    def wrap(name):
+        inner = getattr(dual, name)
+
+        def counted(*args):
+            log.append((name, args))
+            return inner(*args)
+
+        monkeypatch.setattr(dual, name, counted)
+
+    for name in ("lp_feasible", "describe_cone", "_pair_cell_dim"):
+        wrap(name)
+    readme = rational_from_json(loads(README_THETA.read_text()))
+    for theta, lps, relints in ((readme, 8, 0), (SPECIAL_THETAS[2], 8, 2)):
+        log.clear()
+        decision_boundary(theta)
+        terms = theta.merged().terms
+        pair = None
+        alive_pairs = 0
+        for name, args in log:
+            if name == "_pair_cell_dim":
+                pair = args[1:]
+                alive_pairs += 1
+            elif name == "describe_cone":
+                assert terms[pair[0] - 1] == terms[pair[1] - 1]
+        counts = {name: sum(1 for n, _ in log if n == name) for name in ("lp_feasible", "describe_cone")}
+        assert counts["lp_feasible"] <= theta.n + theta.m + alive_pairs
+        assert counts == {"lp_feasible": lps, "describe_cone": relints}
+    # Equal slopes, different heights: one term is dead, so only a direct call
+    # reaches the pair, and it needs no LP.
+    log.clear()
+    assert dual._pair_cell_dim(integer_terms(SPECIAL_THETAS[1].merged().terms), 1, 3) is None
+    assert [name for name, _ in log] == ["_pair_cell_dim"]
