@@ -292,9 +292,12 @@ def level_set(
     progress=None,
 ) -> LevelSetReport:
     """All maximal patterns of loss exactly k, with wall adjacency restricted
-    to the level set itself and its strongly connected components."""
+    to the level set itself and its strongly connected components.  Every
+    target entry is -1 or +1."""
     if len(target) != data.M:
         raise ValueError("target length differs from dataset size")
+    if any(c not in (-1, 1) for c in target):
+        raise ValueError("target entries must be -1 or +1")
     N = n + m
     index = fan_index(data, N, cap=cap, workers=workers, progress=progress)
 

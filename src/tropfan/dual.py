@@ -56,14 +56,6 @@ def _homog_term_row(terms: Sequence[tuple[int, ...]], hi: int, lo: int) -> tuple
     return tuple(u - v for u, v in zip(terms[hi - 1], terms[lo - 1]))
 
 
-def region_nonempty(terms: Sequence[tuple[int, ...]], i: int) -> bool:
-    """Whether term i of the integer terms attains the maximum anywhere (the
-    region may still be lower-dimensional)."""
-    d = len(terms[0]) - 1
-    rows = tuple(_homog_term_row(terms, i, k) for k in range(1, len(terms) + 1) if k != i)
-    return lp_feasible(ConstraintSystem(rows, ((1,) + (0,) * d,), d + 1)) is not None
-
-
 def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional[int]:
     """Dimension of {x : term_i = term_j = max} over the integer terms, or
     None when it is empty or, for distinct slopes, below d - 1."""
@@ -83,16 +75,13 @@ def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional
 
 
 def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:
-    """The given pairs, in order, whose cell has dimension d - 1; a pair with
-    a term that never attains the maximum is skipped without a cell LP."""
+    """The given pairs, in order, whose cell has dimension d - 1."""
     terms = integer_terms(sig.terms)
-    alive = {i for i in range(1, sig.n + 1) if region_nonempty(terms, i)}
     edges = []
     for i, j in pairs:
-        if i in alive and j in alive:
-            dim = _pair_cell_dim(terms, i, j)
-            if dim == sig.d - 1:
-                edges.append(DualEdge(i, j, sign_mixed, dim))
+        dim = _pair_cell_dim(terms, i, j)
+        if dim == sig.d - 1:
+            edges.append(DualEdge(i, j, sign_mixed, dim))
     return edges
 
 

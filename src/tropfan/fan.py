@@ -82,9 +82,6 @@ class ActivationPattern:
         """Canonical sort key: per-point neighbor sets in ascending order."""
         return tuple(tuple(sorted(nb)) for nb in self.neighbors)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.neighbors)
-
     def is_degree_one(self) -> bool:
         return all(len(nb) == 1 for nb in self.neighbors)
 
@@ -225,14 +222,12 @@ def _hulls_disjoint(data: Dataset, A: Sequence[int], B: Sequence[int], memo: dic
     hit = memo.get(key)
     if hit is not None:
         return hit
-    pts = data.points
-    if _bbox_disjoint(pts, A, B, data.d):
+    if _bbox_disjoint(data.points, A, B, data.d):
         memo[key] = True
         return True
-    # Strict separation u.a - c > 0 > u.b - c as a homogeneous strict system in (u, c).
-    rows = [pts[a] + (Fraction(-1),) for a in A]
-    rows += [tuple(-x for x in pts[b]) + (Fraction(1),) for b in B]
-    opt, _ = max_slack(data.d + 1, (), tuple(rows))
+    # Strict separation is the strict system of the two-part partition (A, B).
+    dim, rows = _leaf_system(data, (A, B))
+    opt, _ = max_slack(dim, (), rows)
     memo[key] = opt > 0
     return opt > 0
 

@@ -23,7 +23,8 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a "p/q" or decimal literal exactly; the exponent is bounded by MAX_EXPONENT."""
+    """Parse a "p/q" or decimal literal exactly; the exponent is bounded by
+    MAX_EXPONENT, and a zero denominator is a ValueError."""
     text = text.strip()
     match = _EXPONENT.search(text)
     if match:
@@ -33,13 +34,18 @@ def parse_rat(text: str) -> Fraction:
             raise ValueError(
                 f"decimal exponent of {text[:40]!r} exceeds the limit of {MAX_EXPONENT}"
             )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text[:40]!r}") from None
 
 
 def rat(value) -> Fraction:
     """Coerce ints, "p/q" strings and decimal-literal strings to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"refusing to read the boolean {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

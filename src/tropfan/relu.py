@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import ConstraintSystem, _integerize, lp_feasible
+from .geometry import ConstraintSystem, lp_feasible
 from .rationals import Vec, dot, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, integer_terms
 
@@ -226,72 +226,24 @@ def bound_m(hidden_dims: Sequence[int]) -> int:
 # Term pruning
 
 
-def _values_at(rows: list[tuple[int, ...]], x: Sequence[Fraction]) -> list[int]:
-    """Values at x of the integer term rows, all scaled by one positive integer."""
-    xi, den = _integerize(x)
-    return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in rows]
-
-
-def _uniquely_attains(rows: list[tuple[int, ...]], idx: int, d: int) -> bool:
-    """Whether term idx strictly beats all others somewhere, decided by a
-    strict-feasibility LP over integer rows with lazily added competitors."""
-    if len(rows) == 1:
-        return True
-    active: list[int] = []
-    for _ in range(len(rows)):
-        strict_rows = [(1,) + (0,) * d]  # w > 0
-        strict_rows += [tuple(u - v for u, v in zip(rows[idx], rows[t])) for t in active]
-        witness = lp_feasible(ConstraintSystem((), tuple(strict_rows), d + 1))
-        if witness is None:
-            return False
-        x = tuple(xi / witness[0] for xi in witness[1:])
-        values = _values_at(rows, x)
-        vi = values[idx]
-        best = -1
-        for t, v in enumerate(values):
-            if t == idx or v < vi:
-                continue
-            if best < 0 or v > values[best]:
-                best = t
-        if best < 0:
-            return True
-        active.append(best)
-    raise AssertionError("lazy competitor loop failed to terminate")
-
-
-# Seeded sample points for pruning: a term with the unique argmax at one of
-# them is kept without an LP.  Every other term is decided by an exact LP.
-_PRUNE_SAMPLES = 64
-_PRUNE_SEED = 7
-
-
 def _prune_signomial(sig: SignomialParams) -> SignomialParams:
-    import random
-
+    """Keep term i exactly when one strict LP finds (w, x) with w > 0 and
+    term_i - term_k > 0 for every other k: scaled by 1/w, x is a point where
+    term i alone attains the maximum, and the strict rows define an open set,
+    so the LP decides the question exactly."""
     merged = _terms_to_dict(sig.terms)  # same slope: keep the (dominating) max coefficient
     terms = []
     for a, s in sig.terms:  # original order, first winning occurrence per slope
         if merged.get(s) == a:
             terms.append((a, s))
             del merged[s]
-    if len(terms) == 1:
-        return SignomialParams(tuple(terms), sig.d)
     rows = integer_terms(terms)
-    # Terms with a unique argmax at a sample point are keepers without any LP.
-    rng = random.Random(_PRUNE_SEED)
-    certified = set()
-    for _ in range(_PRUNE_SAMPLES):
-        x = tuple(Fraction(rng.randint(-4000, 4000), rng.randint(1, 40)) for _ in range(sig.d))
-        values = _values_at(rows, x)
-        top = max(values)
-        arg = [t for t, v in enumerate(values) if v == top]
-        if len(arg) == 1:
-            certified.add(arg[0])
-    keep = [
-        t
-        for i, t in enumerate(terms)
-        if i in certified or _uniquely_attains(rows, i, sig.d)
-    ]
+    w = (1,) + (0,) * sig.d
+    keep = []
+    for i, (term, row) in enumerate(zip(terms, rows)):
+        strict = (w,) + tuple(tuple(u - v for u, v in zip(row, other)) for k, other in enumerate(rows) if k != i)
+        if lp_feasible(ConstraintSystem((), strict, sig.d + 1)) is not None:
+            keep.append(term)
     if not keep:
         raise AssertionError("upper envelope lost all terms")
     return SignomialParams(tuple(keep), sig.d)

@@ -43,6 +43,12 @@ rule, on a dense tableau of Fractions that holds every column, basic or not.
 The set-aside rows stay in that tableau and are updated by every simplex
 pivot, so x is read off their rhs at the end instead of being reconstructed.
 
+The sampled prune oracle is the former body of ``relu._prune_signomial``:
+after merging equal slopes, a term with the unique maximum at one of 64
+seeded sample points is kept without an LP, and every other term is decided
+by strict LPs that add, one at a time, the competitor that beats or ties it
+at the last witness.
+
 The per-row relative-interior oracle is the former body of
 ``geometry.relint_point``: after one slack LP with every row strict, each
 row not yet positive at the accumulated point gets its own LP with that row
@@ -50,6 +56,7 @@ strict and the rest nonstrict; a zero optimum marks the row implied, and a
 positive one adds its witness to the point.
 """
 
+import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
@@ -82,7 +89,8 @@ from tropfan.matroids import (
     pattern_compose,
 )
 from tropfan.rationals import dot, vadd, zeros
-from tropfan.tropical import eval_signomial
+from tropfan.relu import _terms_to_dict
+from tropfan.tropical import SignomialParams, eval_signomial, integer_terms
 
 
 def assignment_loss(assign, target, n):
@@ -442,3 +450,61 @@ def relint_point_by_rows(system):
         else:
             acc = vadd(acc, x)
     return acc, frozenset(implied)
+
+
+def _values_at(rows, x):
+    """Values at x of the integer term rows, all scaled by one positive integer."""
+    xi, den = _integerize(x)
+    return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in rows]
+
+
+def _uniquely_attains(rows, idx, d):
+    """Whether term idx strictly beats all others somewhere, decided by a
+    strict-feasibility LP over integer rows with lazily added competitors."""
+    if len(rows) == 1:
+        return True
+    active = []
+    for _ in range(len(rows)):
+        strict_rows = [(1,) + (0,) * d]  # w > 0
+        strict_rows += [tuple(u - v for u, v in zip(rows[idx], rows[t])) for t in active]
+        witness = lp_feasible(ConstraintSystem((), tuple(strict_rows), d + 1))
+        if witness is None:
+            return False
+        x = tuple(xi / witness[0] for xi in witness[1:])
+        values = _values_at(rows, x)
+        vi = values[idx]
+        best = -1
+        for t, v in enumerate(values):
+            if t == idx or v < vi:
+                continue
+            if best < 0 or v > values[best]:
+                best = t
+        if best < 0:
+            return True
+        active.append(best)
+    raise AssertionError("lazy competitor loop failed to terminate")
+
+
+def prune_by_samples_and_lazy_lps(sig):
+    """Terms of sig that uniquely attain the maximum somewhere, after merging
+    equal slopes: seeded sample points first, lazy competitor LPs for the rest."""
+    merged = _terms_to_dict(sig.terms)
+    terms = []
+    for a, s in sig.terms:
+        if merged.get(s) == a:
+            terms.append((a, s))
+            del merged[s]
+    if len(terms) == 1:
+        return SignomialParams(tuple(terms), sig.d)
+    rows = integer_terms(terms)
+    rng = random.Random(7)
+    certified = set()
+    for _ in range(64):
+        x = tuple(F(rng.randint(-4000, 4000), rng.randint(1, 40)) for _ in range(sig.d))
+        values = _values_at(rows, x)
+        top = max(values)
+        arg = [t for t, v in enumerate(values) if v == top]
+        if len(arg) == 1:
+            certified.add(arg[0])
+    keep = [t for i, t in enumerate(terms) if i in certified or _uniquely_attains(rows, i, sig.d)]
+    return SignomialParams(tuple(keep), sig.d)

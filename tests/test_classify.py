@@ -104,6 +104,16 @@ def test_level_set_small_line(five_line):
     assert empty.count == 0
 
 
+def test_level_set_refuses_a_zero_target_entry():
+    """``loss_of_pattern`` never counts a 0 entry, so a level of such a target
+    would mix losses; every level query refuses it."""
+    D = dataset([(0, 0), (1, 1), (2, 0)])
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        level_set(D, 1, 1, (1, 0, -1), 1)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        perfect_fan(D, 1, 1, (1, 0, -1))
+
+
 def test_perfect_fan_single_point():
     D = dataset([(0, 0)])
     rep = perfect_fan(D, 1, 1, (1,))

@@ -249,6 +249,26 @@ def test_malformed_dataset_is_json_error(files, capsys, doc):
 TERM = {"a": "0", "s": ["1", "0"]}
 
 
+@pytest.mark.parametrize("literal, error", [("1/0", "ValueError"), (True, "TypeError")], ids=["zero-den", "bool"])
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["enum-fan", "--n", "1", "--m", "1", "--data"], lambda x: {"points": [[x, "0"]]}),
+        (["boundary", "--theta"], lambda x: {"num": {"terms": [{"a": x, "s": ["1", "0"]}]}, "den": {"terms": [TERM]}}),
+        (["relu-convert", "--net"], lambda x: {"layers": [{"W": [["1", x]], "c": ["0"]}]}),
+    ],
+    ids=["dataset", "theta", "net"],
+)
+def test_bad_rational_literal_is_json_error(files, capsys, literal, error, args, doc):
+    """A zero denominator or a JSON boolean where a rational belongs ends in
+    the JSON error, not a traceback, and is never read as a number."""
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(doc(literal)))
+    rc, out, err = run_cli(args + [str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 @pytest.mark.parametrize(
     "command, flag, doc",
     [
@@ -276,6 +296,16 @@ def test_malformed_parameters_are_json_error(files, capsys, command, flag, doc):
 )
 def test_term_counts_below_one_are_json_error(files, capsys, args):
     rc, out, err = run_cli(args + ["--data", str(files / "data.json")], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["levels", "components"])
+def test_zero_target_entry_is_json_error(files, capsys, command):
+    rc, out, err = run_cli(
+        [command, "--data", str(files / "diag.json"), "--target", "+,0,-,+", "--n", "1", "--m", "1", "--k", "1"],
+        capsys,
+    )
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "ValueError"
 

@@ -408,8 +408,14 @@ README_THETA = Path(__file__).resolve().parent.parent / "data" / "running_theta.
 
 
 def test_boundary_lp_counts_are_pinned(monkeypatch):
-    """At most one LP per term and one per alive pair; the relative-interior
-    rounds of ``describe_cone`` run for identical-term pairs only."""
+    """One LP per sign-mixed pair, none for equal slopes with different
+    heights; the relative-interior rounds of ``describe_cone`` run for
+    identical-term pairs only.  The README theta has 2 + 2 terms with four
+    distinct slopes: 4 pairs, 4 LPs.  Identical g and h of two terms: the
+    pairs (1, 3) and (2, 4) are identical terms (one LP and one
+    ``describe_cone`` each), and (1, 4), (2, 3) one LP each.  Equal slopes
+    with different heights, (1, 3) of the second special theta, take no LP;
+    its other pair (2, 3) takes one."""
     log = []
 
     def wrap(name):
@@ -424,23 +430,18 @@ def test_boundary_lp_counts_are_pinned(monkeypatch):
     for name in ("lp_feasible", "describe_cone", "_pair_cell_dim"):
         wrap(name)
     readme = rational_from_json(loads(README_THETA.read_text()))
-    for theta, lps, relints in ((readme, 8, 0), (SPECIAL_THETAS[2], 8, 2)):
+    for theta, lps, relints in ((readme, 4, 0), (SPECIAL_THETAS[2], 4, 2), (SPECIAL_THETAS[1], 1, 0)):
         log.clear()
         decision_boundary(theta)
         terms = theta.merged().terms
         pair = None
-        alive_pairs = 0
+        pairs = 0
         for name, args in log:
             if name == "_pair_cell_dim":
                 pair = args[1:]
-                alive_pairs += 1
+                pairs += 1
             elif name == "describe_cone":
                 assert terms[pair[0] - 1] == terms[pair[1] - 1]
+        assert pairs == theta.n * theta.m
         counts = {name: sum(1 for n, _ in log if n == name) for name in ("lp_feasible", "describe_cone")}
-        assert counts["lp_feasible"] <= theta.n + theta.m + alive_pairs
         assert counts == {"lp_feasible": lps, "describe_cone": relints}
-    # Equal slopes, different heights: one term is dead, so only a direct call
-    # reaches the pair, and it needs no LP.
-    log.clear()
-    assert dual._pair_cell_dim(integer_terms(SPECIAL_THETAS[1].merged().terms), 1, 3) is None
-    assert [name for name, _ in log] == ["_pair_cell_dim"]

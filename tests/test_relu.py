@@ -13,7 +13,10 @@ from tropfan.relu import (
     network,
     prune_terms,
 )
+from tropfan import relu
 from tropfan.tropical import TropicalRationalParams, eval_rational, signomial
+
+from oracles import prune_by_samples_and_lazy_lps
 
 
 def rnd_fraction(rng, span=8):
@@ -138,6 +141,65 @@ def test_prune_preserves_and_idempotent():
         x = rnd_point(rng, 2)
         assert eval_rational(result.theta, x) == eval_rational(pruned, x)
     assert prune_terms(pruned) == pruned
+
+
+# Hand-made signomials: a single term; duplicate slopes; a term that ties the
+# maximum only on a line or a point; collinear slopes with the middle term
+# below, touching or above the chord of its neighbours.
+PRUNE_CASES = [
+    signomial([(3, (1,))]),
+    signomial([(0, (1,)), (2, (1,)), (1, (1,)), (0, (-1,))]),
+    signomial([(0, (1,)), (0, (0,)), (0, (-1,))]),
+    signomial([(0, (1, 0)), (0, (0, 0)), (0, (-1, 0)), (0, (0, 1))]),
+    signomial([(0, (1, 0)), (0, (0, 1)), (0, (-1, -1)), (0, (0, 0))]),
+    signomial([(0, (0, 0)), (-1, (1, 1)), (0, (2, 2))]),
+    signomial([(0, (0, 0)), (0, (1, 1)), (0, (2, 2))]),
+    signomial([(0, (0, 0)), (1, (1, 1)), (0, (2, 2))]),
+    signomial([(0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1)), (0, (0, 0, 0)), (-1, (1, 0, 0))]),
+]
+
+
+def random_signomial(rng, d):
+    """Few small integer slopes and half-integer heights, so duplicate slopes
+    and ties along lower-dimensional sets are common."""
+    terms = [
+        (F(rng.randint(-4, 4), 2), tuple(rng.randint(-2, 2) for _ in range(d)))
+        for _ in range(rng.randint(1, 7))
+    ]
+    return signomial(terms)
+
+
+def test_prune_matches_the_sampled_oracle():
+    rng = random.Random(31)
+    sigs = PRUNE_CASES + [random_signomial(rng, d) for d in (1, 2, 3) for _ in range(40)]
+    for sig in sigs:
+        assert relu._prune_signomial(sig) == prune_by_samples_and_lazy_lps(sig)
+    for _ in range(6):
+        net = random_network(rng, rng.randint(1, 3), [rng.randint(1, 2) for _ in range(rng.randint(0, 2))])
+        theta = net_to_tropical(net).theta
+        want = TropicalRationalParams(
+            prune_by_samples_and_lazy_lps(theta.num), prune_by_samples_and_lazy_lps(theta.den)
+        )
+        assert prune_terms(theta) == want
+
+
+def test_prune_solves_one_lp_per_distinct_slope(monkeypatch):
+    calls = []
+    inner = relu.lp_feasible
+
+    def counted(system):
+        calls.append(system)
+        return inner(system)
+
+    monkeypatch.setattr(relu, "lp_feasible", counted)
+    rng = random.Random(5)
+    for sig in PRUNE_CASES + [random_signomial(rng, d) for d in (1, 2, 3) for _ in range(10)]:
+        calls.clear()
+        relu._prune_signomial(sig)
+        assert len(calls) == len({s for _, s in sig.terms})
+    calls.clear()
+    prune_terms(TropicalRationalParams(PRUNE_CASES[1], PRUNE_CASES[2]))
+    assert len(calls) == 2 + 3
 
 
 def test_term_cap():
