@@ -15,12 +15,16 @@ a term in every maximal cone, so the candidates of a list of maximal cones are
 its single-group flips: move every copy of one point vector to another term
 and look the result up.  Within one such lookup the wall LPs are memoised up
 to a relabeling of the terms, which does not change whether a wall exists.
+
+For N = 2 the fan is the arrangement of the hyperplanes of the lifted points
+(1, p), a maximal covector is the assignment + -> term 1, - -> term 2, and a
+monotone chamber path crosses one wall per step with the same single-group
+flip and wall LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from operator import getitem
 from typing import Iterable, Optional, Sequence
@@ -33,11 +37,12 @@ from .fan import (
     cone_of_graph,
     enumerate_all_cones,
     fan_index,
+    is_maximal_pattern,
     lineality_dim,
     pattern_from_assignment,
 )
 from .geometry import exact_rank, max_slack
-from .rationals import Vec, dot
+from .rationals import Vec
 from .tropical import TropicalRationalParams, classify as classify_point
 
 Dichotomy = tuple[int, ...]  # entries in {-1, +1}
@@ -116,25 +121,6 @@ def dichotomy_of_assignment(assign: Sequence[int], n: int) -> Dichotomy:
 # Wall adjacency
 
 
-def _wall_shape(a: Sequence[int], b: Sequence[int], data: Dataset):
-    """Candidate wall data (diff positions, term pair) or None.
-
-    A shared facet requires every differing position to carry the same point
-    vector and to swap the same unordered pair of terms; otherwise the tie
-    normals already have rank >= 2.
-    """
-    diffs = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
-    if not diffs:
-        return None
-    k0 = diffs[0]
-    pair = frozenset((a[k0], b[k0]))
-    pvec = data.points[k0]
-    for k in diffs[1:]:
-        if frozenset((a[k], b[k])) != pair or data.points[k] != pvec:
-            return None
-    return diffs, tuple(sorted(pair))
-
-
 def _wall_lp(a: Sequence[int], diffs: Sequence[int], pair: tuple[int, int],
              data: Dataset, N: int) -> bool:
     """Strict feasibility of: tie (i, j) at the differing points as an
@@ -164,17 +150,16 @@ def _wall_lp(a: Sequence[int], diffs: Sequence[int], pair: tuple[int, int],
 def wall_adjacent(
     G: ActivationPattern, H: ActivationPattern, data: Dataset, n: int, m: int
 ) -> tuple[bool, int]:
-    """(adjacent, dimension of the intersection cone) for two maximal patterns."""
+    """(adjacent, dimension of the intersection cone) for two maximal patterns.
+    A degree-one pattern that splits coincident points is not maximal: no wall."""
     N = n + m
     ambient = N * (data.d + 1)
     a, b = G.assignment(), H.assignment()
     if a == b:
         return False, ambient
-    shape = _wall_shape(a, b, data)
-    if shape is not None:
-        diffs, pair = shape
-        if _wall_lp(a, diffs, pair, data, N):
-            return True, ambient - 1
+    whole = all(len(set(zip(data.points, x))) == len(set(data.points)) for x in (a, b))
+    if whole and _adjacency_edges([a, b], data, N):
+        return True, ambient - 1
     return False, _intersection_dim(G, H, data, N)
 
 
@@ -384,15 +369,6 @@ def count_dichotomies(data: Dataset, n: int, m: int, cap: Optional[int] = None,
 # Linear case: N = 2 covectors and chamber walking
 
 
-def covector_of(theta: Sequence[Fraction], data: Dataset) -> Covector:
-    """Signs of <theta, (1, p)> over the dataset, theta in R^{d+1}."""
-    out = []
-    for p in data.points:
-        v = theta[0] + dot(theta[1:], p)
-        out.append((v > 0) - (v < 0))
-    return tuple(out)
-
-
 def covectors_linear(data: Dataset, cones: Optional[Sequence[FanCone]] = None) -> list[Covector]:
     """Covectors of every cone of the N = 2 activation fan, via the
     translation {1} -> +, {2} -> -, {1, 2} -> 0.  A caller that already has
@@ -408,91 +384,39 @@ def covectors_linear(data: Dataset, cones: Optional[Sequence[FanCone]] = None) -
     return sorted(covs)
 
 
-def _lifted(p: Vec) -> Vec:
-    return (Fraction(1),) + tuple(p)
-
-
-def _signed_rows(data: Dataset, signs: dict[int, int]) -> tuple[Vec, ...]:
-    return tuple(
-        tuple(s * x for x in _lifted(data.points[k])) for k, s in sorted(signs.items())
-    )
-
-
-def is_realizable_covector(cov: Sequence[int], data: Dataset) -> bool:
-    strict = _signed_rows(data, {k: c for k, c in enumerate(cov) if c != 0})
-    eq = _signed_rows(data, {k: 1 for k, c in enumerate(cov) if c == 0})
-    opt, _ = max_slack(data.d + 1, (), strict, eq)
-    return opt > 0 if strict else True
-
-
-def _wall_relint_theta(D_cov: Covector, S: frozenset[int], i: int, data: Dataset) -> Vec:
-    """Point on the wall used by the elimination step: zero on p_i (and its
-    coincident copies), strictly signed like D off the separation set, and
-    nonzero on as many separation coordinates as the wall allows."""
-    M = data.M
-    p_i = data.points[i]
-    A = frozenset(k for k in range(M) if data.points[k] == p_i)
-    if not A <= S | {i}:
-        bad = sorted(A - (S | {i}))
-        raise ValueError(f"coincident points {bad} contradict the requested wall")
-    eqs = _signed_rows(data, {k: 1 for k in sorted(A)})
-    fixed = {k: D_cov[k] for k in range(M) if k not in S and k not in A}
-    strict = _signed_rows(data, fixed)
-    opt, theta = max_slack(data.d + 1, (), strict, eqs)
-    if opt <= 0 and strict:
-        raise ValueError("wall is not realizable; is the start covector maximal?")
-
-    def val(th, k):
-        return th[0] + dot(th[1:], data.points[k])
-
-    pending = [k for k in sorted(S - A) if val(theta, k) == 0]
-    for k in pending:
-        if val(theta, k) != 0:
-            continue
-        fixed_rows = list(strict)
-        direction = None
-        for sign in (1, -1):
-            probe = tuple(sign * x for x in _lifted(data.points[k]))
-            opt2, th2 = max_slack(data.d + 1, (), tuple(fixed_rows) + (probe,), eqs)
-            if opt2 > 0:
-                direction = th2
-                break
-        if direction is None:
-            continue  # forced zero on the whole wall
-        # Blend in a step small enough to keep every currently nonzero value's sign.
-        eps = Fraction(1)
-        for kk in range(M):
-            cur, step = val(theta, kk), val(direction, kk)
-            if cur != 0 and step != 0:
-                bound = abs(cur) / (2 * abs(step))
-                eps = min(eps, bound)
-        theta = tuple(x + eps * y for x, y in zip(theta, direction))
-    return theta
-
-
 def chamber_path(start: Covector, target: Dichotomy, data: Dataset) -> list[Covector]:
     """Wall-connected sequence of maximal covectors from start to target whose
-    separation from the target strictly shrinks at every step."""
+    separation from the target strictly shrinks at every step.
+
+    Each step flips the first group of coincident separating points, by
+    decreasing highest index, whose tie is a wall of the current cone.  Some
+    group passes: a generic segment into the target leaves the current cone
+    through a facet on the first hyperplane it crosses, which separates the
+    two cones, and distinct points have distinct hyperplanes (1, p)."""
     if len(start) != data.M or len(target) != data.M:
         raise ValueError("covector length differs from dataset size")
     if any(s == 0 for s in start):
         raise ValueError("start must be a maximal covector")
     if any(s == 0 for s in target):
         raise ValueError("target must be a dichotomy")
-    if not is_realizable_covector(target, data):
+
+    def assignment(cov: Sequence[int]) -> tuple[int, ...]:
+        return tuple(1 if c > 0 else 2 for c in cov)
+
+    if not is_maximal_pattern(pattern_from_assignment(assignment(target), 2), data):
         raise ValueError("target dichotomy is not realizable on this data")
-    if not is_realizable_covector(start, data):
+    if not is_maximal_pattern(pattern_from_assignment(assignment(start), 2), data):
         raise ValueError("start covector is not realizable on this data")
-
-    def walk(D_cov: Covector, C_cov: Covector) -> list[Covector]:
-        S = separation(C_cov, D_cov)
-        if not S:
-            return [D_cov]
-        i = min(S)
-        theta_z = _wall_relint_theta(D_cov, S, i, data)
-        Z = covector_of(theta_z, data)
-        ZD = compose(Z, D_cov)
-        ZC = compose(Z, C_cov)
-        return walk(D_cov, ZD) + walk(ZC, C_cov)
-
-    return walk(tuple(start), tuple(target))
+    path = [tuple(start)]
+    while separating := separation(path[-1], target):
+        by_point: dict[Vec, list[int]] = {}
+        for k in sorted(separating):
+            by_point.setdefault(data.points[k], []).append(k)
+        current = assignment(path[-1])
+        for group in sorted(by_point.values(), key=lambda g: -g[-1]):
+            if _wall_lp(current, group, (1, 2), data, 2):
+                break
+        else:
+            raise AssertionError("no wall of the current cone separates it from the target")
+        path.append(tuple(target[k] if k in group else c for k, c in enumerate(path[-1])))
+    return path

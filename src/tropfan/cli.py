@@ -144,12 +144,14 @@ def cmd_dichotomies(args):
 
 
 def cmd_boundary(args):
+    if args.svg and not args.window:
+        raise ValueError("--svg requires --window")
+    if not args.svg and (args.data or args.window):
+        raise ValueError("--data and --window require --svg")
     theta = _load_theta(args)
     edges = decision_boundary(theta)
     doc = {"edges": [{"i": e.i, "j": e.j, "sign_mixed": e.sign_mixed} for e in edges]}
     if args.svg:
-        if not args.window:
-            raise ValueError("--svg requires --window")
         data = _load_data(args) if args.data else None
         svg = render_svg(theta, data, _parse_window(args.window))
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -22,7 +22,10 @@ from .tropical import SignomialParams, TropicalRationalParams
 
 
 def loads(text: str) -> Any:
-    return json.loads(text, parse_float=parse_rat, parse_int=int)
+    try:
+        return json.loads(text, parse_float=parse_rat, parse_int=int)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
 
 
 def dumps(obj: Any) -> str:

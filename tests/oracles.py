@@ -17,6 +17,13 @@ intersection until no new cone appears, then adds the lineality cone.
 The pairwise wall oracle is the former quadratic filter behind
 ``classify._adjacency_edges``: every pair of assignments goes through
 ``_wall_shape``, and each survivor gets its own wall LP, with no memo.
+``_wall_shape`` is the former wall-candidate rule of ``wall_adjacent``.
+
+The composition chamber-path oracle is the former body of
+``classify.chamber_path``: covectors are signs of <theta, (1, p)>, and the
+walk from D toward C picks the lowest separating point i, finds a point Z on
+the wall of p_i by sign-probe LPs and blending, and recurses on the
+compositions Z o D and Z o C.
 
 The scanning pattern-axiom oracle decides as the former body of
 ``matroids.pattern_axioms_check`` did: symmetry over every term permutation,
@@ -60,7 +67,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
-from tropfan.classify import _wall_lp, _wall_shape
+from tropfan.classify import _wall_lp, compose, separation
 from tropfan.dual import DualEdge
 from tropfan.fan import (
     ActivationPattern,
@@ -187,6 +194,25 @@ def all_cones_by_pairwise_union(data, N):
     if K.key() not in cones:
         cones[K.key()] = cone_of_graph(K, data)
     return [cones[k] for k in sorted(cones)]
+
+
+def _wall_shape(a, b, data):
+    """Candidate wall data (diff positions, term pair) or None.
+
+    A shared facet requires every differing position to carry the same point
+    vector and to swap the same unordered pair of terms; otherwise the tie
+    normals already have rank >= 2.
+    """
+    diffs = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
+    if not diffs:
+        return None
+    k0 = diffs[0]
+    pair = frozenset((a[k0], b[k0]))
+    pvec = data.points[k0]
+    for k in diffs[1:]:
+        if frozenset((a[k], b[k])) != pair or data.points[k] != pvec:
+            return None
+    return diffs, tuple(sorted(pair))
 
 
 def adjacency_edges_by_pairs(assigns, data, N):
@@ -508,3 +534,102 @@ def prune_by_samples_and_lazy_lps(sig):
             certified.add(arg[0])
     keep = [t for i, t in enumerate(terms) if i in certified or _uniquely_attains(rows, i, sig.d)]
     return SignomialParams(tuple(keep), sig.d)
+
+
+def covector_of(theta, data):
+    """Signs of <theta, (1, p)> over the dataset, theta in R^{d+1}."""
+    out = []
+    for p in data.points:
+        v = theta[0] + dot(theta[1:], p)
+        out.append((v > 0) - (v < 0))
+    return tuple(out)
+
+
+def _lifted(p):
+    return (F(1),) + tuple(p)
+
+
+def _signed_rows(data, signs):
+    return tuple(
+        tuple(s * x for x in _lifted(data.points[k])) for k, s in sorted(signs.items())
+    )
+
+
+def is_realizable_covector(cov, data):
+    strict = _signed_rows(data, {k: c for k, c in enumerate(cov) if c != 0})
+    eq = _signed_rows(data, {k: 1 for k, c in enumerate(cov) if c == 0})
+    opt, _ = max_slack(data.d + 1, (), strict, eq)
+    return opt > 0 if strict else True
+
+
+def _wall_relint_theta(D_cov, S, i, data):
+    """Point on the wall used by the elimination step: zero on p_i (and its
+    coincident copies), strictly signed like D off the separation set, and
+    nonzero on as many separation coordinates as the wall allows."""
+    M = data.M
+    p_i = data.points[i]
+    A = frozenset(k for k in range(M) if data.points[k] == p_i)
+    if not A <= S | {i}:
+        bad = sorted(A - (S | {i}))
+        raise ValueError(f"coincident points {bad} contradict the requested wall")
+    eqs = _signed_rows(data, {k: 1 for k in sorted(A)})
+    fixed = {k: D_cov[k] for k in range(M) if k not in S and k not in A}
+    strict = _signed_rows(data, fixed)
+    opt, theta = max_slack(data.d + 1, (), strict, eqs)
+    if opt <= 0 and strict:
+        raise ValueError("wall is not realizable; is the start covector maximal?")
+
+    def val(th, k):
+        return th[0] + dot(th[1:], data.points[k])
+
+    pending = [k for k in sorted(S - A) if val(theta, k) == 0]
+    for k in pending:
+        if val(theta, k) != 0:
+            continue
+        fixed_rows = list(strict)
+        direction = None
+        for sign in (1, -1):
+            probe = tuple(sign * x for x in _lifted(data.points[k]))
+            opt2, th2 = max_slack(data.d + 1, (), tuple(fixed_rows) + (probe,), eqs)
+            if opt2 > 0:
+                direction = th2
+                break
+        if direction is None:
+            continue  # forced zero on the whole wall
+        # Blend in a step small enough to keep every currently nonzero value's sign.
+        eps = F(1)
+        for kk in range(M):
+            cur, step = val(theta, kk), val(direction, kk)
+            if cur != 0 and step != 0:
+                bound = abs(cur) / (2 * abs(step))
+                eps = min(eps, bound)
+        theta = tuple(x + eps * y for x, y in zip(theta, direction))
+    return theta
+
+
+def chamber_path_by_composition(start, target, data):
+    """Monotone chamber path from start to target by recursive composition
+    with wall points, each found by slack LPs over the lifted points."""
+    if len(start) != data.M or len(target) != data.M:
+        raise ValueError("covector length differs from dataset size")
+    if any(s == 0 for s in start):
+        raise ValueError("start must be a maximal covector")
+    if any(s == 0 for s in target):
+        raise ValueError("target must be a dichotomy")
+    if not is_realizable_covector(target, data):
+        raise ValueError("target dichotomy is not realizable on this data")
+    if not is_realizable_covector(start, data):
+        raise ValueError("start covector is not realizable on this data")
+
+    def walk(D_cov, C_cov):
+        S = separation(C_cov, D_cov)
+        if not S:
+            return [D_cov]
+        i = min(S)
+        theta_z = _wall_relint_theta(D_cov, S, i, data)
+        Z = covector_of(theta_z, data)
+        ZD = compose(Z, D_cov)
+        ZC = compose(Z, C_cov)
+        return walk(D_cov, ZD) + walk(ZC, C_cov)
+
+    return walk(tuple(start), tuple(target))

@@ -257,7 +257,8 @@ def nine_reports(nine_points):
 
 
 def _component_wall_free_of_s0(comp, s1, s0, data):
-    from tropfan.classify import _wall_shape, _wall_lp
+    from oracles import _wall_shape
+    from tropfan.classify import _wall_lp
 
     for i in comp:
         a = s1.patterns[i].assignment()

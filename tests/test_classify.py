@@ -5,18 +5,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import adjacency_edges_by_pairs, assignment_loss
+from oracles import (
+    _wall_shape,
+    adjacency_edges_by_pairs,
+    assignment_loss,
+    chamber_path_by_composition,
+)
 from tropfan.classify import (
     _adjacency_edges,
+    _wall_lp,
     _union_find_components,
     chamber_path,
     compose,
     connected_components,
     count_dichotomies,
-    covector_of,
     covectors_linear,
     format_signs,
-    is_realizable_covector,
     level_set,
     loss,
     loss_of_pattern,
@@ -335,6 +339,103 @@ def test_chamber_path_planar_random():
         for a, b in zip(path, path[1:]):
             adjacent, _ = wall_adjacent(cov_to_pattern(a), cov_to_pattern(b), D, 1, 1)
             assert adjacent
+
+
+def _path_datasets():
+    """Seeded N = 2 datasets, d = 1..3, half with a coincident pair and some
+    with three collinear points."""
+    rng = random.Random(13)
+    out = []
+    for d in (1, 2, 3):
+        for M in range(2, 7):
+            for variant in range(4):
+                pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(M)]
+                if variant % 2 and M > 2:
+                    pts[rng.randrange(M)] = pts[rng.randrange(M)]
+                if variant >= 2 and M > 3:
+                    p, q = pts[0], pts[1]
+                    pts[2] = tuple(2 * y - x for x, y in zip(p, q))
+                out.append(dataset(pts))
+    return out
+
+
+def _path_or_error(walk, start, target, data):
+    try:
+        return walk(start, target, data)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_chamber_path_matches_composition_walk():
+    """Same endpoints, length and errors as the former recursive walk, and
+    every step a wall of the N = 2 fan."""
+    rng = random.Random(5)
+    for D in _path_datasets():
+        tops = [tuple(1 if t == 1 else -1 for t in g.assignment())
+                for g in enumerate_maximal_cones(D, 2)]
+        pairs = [tuple(rng.sample(tops, 2)) for _ in range(3)]
+        pairs.append((tops[0], tuple(-c for c in tops[0])))
+        anything = [tuple(rng.choice((-1, 1)) for _ in range(D.M)) for _ in range(2)]
+        pairs += [(tops[0], anything[0]), (anything[1], tops[-1])]
+        for start, target in pairs:
+            got = _path_or_error(chamber_path, start, target, D)
+            want = _path_or_error(chamber_path_by_composition, start, target, D)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert (got[0], got[-1], len(got)) == (want[0], want[-1], len(want))
+            seps = [len(separation(target, c)) for c in got]
+            assert all(a > b for a, b in zip(seps, seps[1:]))
+            for a, b in zip(got, got[1:]):
+                a2, b2 = (tuple(1 if c > 0 else 2 for c in x) for x in (a, b))
+                shape = _wall_shape(a2, b2, D)
+                assert shape is not None and _wall_lp(a2, *shape, D, 2)
+
+
+def test_chamber_path_errors_match_composition_walk(five_line):
+    cases = [
+        ((1, 1), (1, 1, 1, 1, 1)),
+        ((1, 0, 1, 1, 1), (1, 1, 1, 1, 1)),
+        ((1, 1, 1, 1, 1), (1, 1, 0, 1, 1)),
+        ((1, 1, 1, 1, 1), (1, -1, 1, -1, 1)),
+        ((1, -1, 1, -1, 1), (1, 1, 1, 1, 1)),
+    ]
+    for start, target in cases:
+        with pytest.raises(ValueError) as got:
+            chamber_path(start, target, five_line)
+        with pytest.raises(ValueError) as want:
+            chamber_path_by_composition(start, target, five_line)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("points, n, m", [
+    ([(0, 0), (2, 1), (1, 3)], 2, 1),
+    ([(1,), (1,), (3,), (4,)], 1, 2),
+    ([(0, 0), (1, 1), (2, 2), (1, 1)], 1, 1),
+    ([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)], 1, 1),
+])
+def test_wall_adjacent_matches_wall_shape_oracle(points, n, m):
+    D = dataset(points)
+    N = n + m
+    maximal = enumerate_maximal_cones(D, N)
+    for G in maximal:
+        for H in maximal:
+            a, b = G.assignment(), H.assignment()
+            shape = _wall_shape(a, b, D)
+            want = shape is not None and _wall_lp(a, *shape, D, N)
+            adjacent, dim = wall_adjacent(G, H, D, n, m)
+            assert adjacent == want
+            if adjacent:
+                assert dim == N * (D.d + 1) - 1
+
+
+def test_wall_adjacent_refuses_a_split_coincident_pair():
+    """A degree-one pattern that puts two copies of one point on different
+    terms is not maximal; it gets no wall, in either order."""
+    D = dataset([(1,), (1,), (3,)])
+    G = pattern_from_assignment((1, 2, 1), 2)
+    H = pattern_from_assignment((2, 2, 1), 2)
+    assert wall_adjacent(G, H, D, 1, 1) == wall_adjacent(H, G, D, 1, 1) == (False, 3)
 
 
 def test_count_dichotomies_line(five_line):

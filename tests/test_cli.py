@@ -270,6 +270,45 @@ def test_bad_rational_literal_is_json_error(files, capsys, literal, error, args,
 
 
 @pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["enum-fan", "--n", "1", "--m", "1", "--data"], lambda deep: '{"points": ' + deep + "}"),
+        (["boundary", "--theta"], lambda deep: '{"num": ' + deep + ', "den": {"terms": []}}'),
+        (["relu-convert", "--net"], lambda deep: '{"layers": ' + deep + "}"),
+    ],
+    ids=["dataset", "theta", "net"],
+)
+def test_deeply_nested_json_is_json_error(files, capsys, args, doc):
+    """JSON nested beyond the decoder's recursion limit ends in the JSON
+    error, not a RecursionError traceback."""
+    bad = files / "deep.json"
+    bad.write_text(doc("[" * 200_000 + "]" * 200_000))
+    rc, out, err = run_cli(args + [str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "JSON document is nested too deeply"}
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--window=-3,3,-3,3"], "--data and --window require --svg"),
+        (["--data", "missing.json"], "--data and --window require --svg"),
+        (["--data", "data.json", "--window=-3,3,-3,3"], "--data and --window require --svg"),
+        (["--svg", "out.svg"], "--svg requires --window"),
+    ],
+    ids=["window", "missing-data", "data-and-window", "svg"],
+)
+def test_boundary_svg_flags_are_refused_alone(files, capsys, extra, message):
+    """--data and --window only shape the SVG, so without --svg they are
+    refused rather than ignored."""
+    extra = [str(files / tok) if tok.endswith((".json", ".svg")) else tok for tok in extra]
+    rc, out, err = run_cli(["boundary", "--theta", str(files / "theta.json")] + extra, capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+    assert not (files / "out.svg").exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, doc",
     [
         ("boundary", "--theta", {"num": {"terms": []}, "den": {"terms": [TERM]}}),
