@@ -126,24 +126,22 @@ def _wall_lp(a: Sequence[int], diffs: Sequence[int], pair: tuple[int, int],
     """Strict feasibility of: tie (i, j) at the differing points as an
     equality, every other competitor inequality strict.  Gauge-fixed by
     zeroing the last term block."""
-    d = data.d
     i, j = pair
     diffset = set(diffs)
     equalities = []
     strict = []
-    for k in range(data.M):
-        p = data.points[k]
+    for k, lift in enumerate(data.lifts):
         if k in diffset:
-            equalities.append(_tie_row(p, i, j, N - 1, d))
+            equalities.append(_tie_row(lift, i, j, N - 1))
             for l in range(1, N + 1):
                 if l not in (i, j):
-                    strict.append(_tie_row(p, i, l, N - 1, d))
+                    strict.append(_tie_row(lift, i, l, N - 1))
         else:
             t = a[k]
             for l in range(1, N + 1):
                 if l != t:
-                    strict.append(_tie_row(p, t, l, N - 1, d))
-    opt, _ = max_slack((N - 1) * (d + 1), (), tuple(strict), tuple(equalities))
+                    strict.append(_tie_row(lift, t, l, N - 1))
+    opt, _ = max_slack((N - 1) * (data.d + 1), (), tuple(strict), tuple(equalities))
     return opt > 0
 
 
@@ -168,10 +166,10 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
     union = G.union(H)
     lo = lineality_dim(data, N)
     ties = []
-    for p, nb in zip(data.points, union.neighbors):
+    for lift, nb in zip(data.lifts, union.neighbors):
         ordered = sorted(nb)
         for hi in ordered[1:]:
-            ties.append(_tie_row(p, ordered[0], hi, N, data.d))
+            ties.append(_tie_row(lift, ordered[0], hi, N))
     up = N * (data.d + 1) - exact_rank(ties)
     if up <= lo:
         return lo

@@ -33,8 +33,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import ConstraintSystem, _integerize, describe_cone, lp_feasible
-from .rationals import Vec
+from .geometry import ConstraintSystem, describe_cone, lp_feasible
+from .rationals import Vec, integerize
 from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point
 from .tropical import eval_signomial, integer_terms
 
@@ -226,7 +226,7 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
     # terms are scaled to integers too, so every argmax is over integers.
     steps = 16
     terms = integer_terms(theta.merged().terms)
-    box, wden = _integerize(window)
+    box, wden = integerize(window)
     x0, x1, y0, y1 = box
     scale = steps * wden
     scaled = SignomialParams(tuple((t[0] * scale, t[1:]) for t in terms), 2)

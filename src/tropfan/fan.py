@@ -14,9 +14,10 @@ convex hulls before any LP runs.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
@@ -29,7 +30,7 @@ from .geometry import (
     max_slack,
     relint_point,
 )
-from .rationals import Vec, dot, vec, zeros
+from .rationals import Vec, dot, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
 
@@ -39,8 +40,12 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
+    """Points in R^d; ``lifts[k]`` is (1, p_k) times the least positive
+    integer making it integral, the row every tie row is cut from."""
+
     points: tuple[Vec, ...]
     d: int
+    lifts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -48,6 +53,7 @@ class Dataset:
         for p in self.points:
             if len(p) != self.d:
                 raise ValueError(f"point of length {len(p)} in dimension {self.d}")
+        object.__setattr__(self, "lifts", tuple(integerize((1, *p))[0] for p in self.points))
 
     @property
     def M(self) -> int:
@@ -56,9 +62,7 @@ class Dataset:
 
 def dataset(points, d: int | None = None) -> Dataset:
     pts = tuple(vec(p) for p in points)
-    if not pts:
-        raise ValueError("dataset needs at least one point")
-    return Dataset(pts, len(pts[0]) if d is None else d)
+    return Dataset(pts, len(pts[0]) if d is None and pts else d)
 
 
 @dataclass(frozen=True)
@@ -148,22 +152,20 @@ def theta_from_vector(v: Sequence[Fraction], N: int, d: int) -> SignomialParams:
     return SignomialParams(tuple(terms), d)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _tie_row(p: Vec, hi: int, lo: int, blocks: int, d: int) -> Vec:
-    """Row of (a_hi - a_lo) + <s_hi - s_lo, p> over ``blocks`` term blocks.
+def _tie_row(lift: tuple[int, ...], hi: int, lo: int, blocks: int) -> tuple[int, ...]:
+    """Integer row of (a_hi - a_lo) + <s_hi - s_lo, p> over ``blocks`` term
+    blocks, scaled by the positive integer of p's lift.
 
     A term index above ``blocks`` is the gauge-fixed zero block and adds
     nothing, so ``blocks = N - 1`` drops the last term's block.
     """
-    width = d + 1
-    row = [_ZERO] * (blocks * width)
+    width = len(lift)
+    row = [0] * (blocks * width)
     if hi != lo:
         if hi <= blocks:
-            row[(hi - 1) * width : hi * width] = (_ONE, *p)
+            row[(hi - 1) * width : hi * width] = lift
         if lo <= blocks:
-            row[(lo - 1) * width : lo * width] = [-x for x in (_ONE, *p)]
+            row[(lo - 1) * width : lo * width] = [-x for x in lift]
     return tuple(row)
 
 
@@ -175,14 +177,14 @@ def cone_constraints(G: ActivationPattern, data: Dataset) -> ConstraintSystem:
     """
     if G.M != data.M:
         raise ValueError("pattern and dataset sizes differ")
-    N, d = G.N, data.d
+    N = G.N
     rows = []
-    for p, nb in zip(data.points, G.neighbors):
+    for lift, nb in zip(data.lifts, G.neighbors):
         for i_star in sorted(nb):
             for i in range(1, N + 1):
                 if i != i_star:
-                    rows.append(_tie_row(p, i_star, i, N, d))
-    return ConstraintSystem(tuple(rows), (), N * (d + 1))
+                    rows.append(_tie_row(lift, i_star, i, N))
+    return ConstraintSystem(tuple(rows), (), N * (data.d + 1))
 
 
 def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
@@ -244,17 +246,16 @@ def _parts_admissible(data: Dataset, parts: Sequence[Sequence[int]], changed: in
 # Enumeration of maximal cones
 
 
-def _leaf_system(data: Dataset, parts: Sequence[Sequence[int]]) -> tuple[int, tuple[Vec, ...]]:
+def _leaf_system(data: Dataset, parts: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Strict system of the canonical labeling, gauge-fixed so the last used
     term's block is zero (the all-ones lineality direction makes this lossless)."""
     r = len(parts)
     rows = []
     for t_star, part in enumerate(parts):
         for k in part:
-            p = data.points[k]
             for t in range(r):
                 if t != t_star:
-                    rows.append(_tie_row(p, t_star + 1, t + 1, r - 1, data.d))
+                    rows.append(_tie_row(data.lifts[k], t_star + 1, t + 1, r - 1))
     return (r - 1) * (data.d + 1), tuple(rows)
 
 
@@ -350,6 +351,7 @@ def _enumerate_canonical(
     """(leaf count, canonical cones); a chunk stops early only when its own
     leaf count exceeds the cap."""
     budget = cap if cap is not None else sys.maxsize
+    workers = min(workers, os.cpu_count() or 1)
     if progress:
         progress(f"enumerating canonical partitions of {data.M} points into <= {N} groups")
     if workers <= 1:
@@ -513,9 +515,7 @@ def enumerate_all_cones(
 
 
 def affine_dim(data: Dataset) -> int:
-    p0 = data.points[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in data.points[1:]]
-    return exact_rank(diffs)
+    return exact_rank(data.lifts) - 1
 
 
 def lineality_dim(data: Dataset, N: int) -> int:

@@ -1,6 +1,7 @@
 """Exact rational linear algebra and linear programming for homogeneous cones.
 
-The only LP ever solved here is slack maximization over a homogeneous system:
+The only LP ever solved here is slack maximization over a homogeneous system
+of integer rows:
 
     maximize t   subject to   f.x >= 0  (nonstrict rows)
                               f.x >= t  (strict rows)
@@ -38,6 +39,12 @@ moving, switching to Bland during degenerate stalls, which preserves the
 termination guarantee.  Both rules break ties by variable id, never by column
 position, so the pivots are those of the full tableau.
 
+Every row is an integer tuple.  Tie rows are built from the integer lifts of
+the data points, and a ``ConstraintSystem`` multiplies each row it is given
+by the least positive integer that clears its denominators, which keeps its
+half-space, its implied rows and its strict feasibility.  So the pivot,
+which needs integer input, takes the rows as they are.
+
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
 optimum of 0 the final objective row holds a Farkas certificate: dual
 multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0 and y > 0
@@ -45,8 +52,8 @@ on some strict row.  ``relint_point`` reads the implied equalities of a cone
 off such certificates, several rows per LP (Freund, Roundy and Todd 1985),
 and checks each certificate exactly before it uses it; rows in the linear
 span of the rows found implied are implied too.  Cone dimension is the
-ambient dimension minus the rank of the implied-equality normals, computed by
-fraction-free (Bareiss) elimination.
+ambient dimension minus the rank of the implied-equality normals, the size
+of an integer echelon basis of them, built as that span is.
 """
 
 from __future__ import annotations
@@ -58,9 +65,9 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .rationals import Vec, dot, zeros
+from .rationals import Vec, dot, integerize, zeros
 
-LinearForm = Vec
+LinearForm = tuple[int, ...]
 
 _CHECK_DIVISION = bool(os.environ.get("TROPFAN_CHECK_PIVOTS"))
 
@@ -74,18 +81,19 @@ class PivotLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Homogeneous inequalities f.x >= 0 (nonstrict) and f.x > 0 (strict)."""
+    """Homogeneous inequalities f.x >= 0 (nonstrict) and f.x > 0 (strict);
+    rational rows are stored scaled to integers, one row at a time."""
 
     nonstrict: tuple[LinearForm, ...]
     strict: tuple[LinearForm, ...]
     ambient_dim: int
 
     def __post_init__(self):
-        for row in self.nonstrict + self.strict:
-            if len(row) != self.ambient_dim:
-                raise ValueError(
-                    f"row of length {len(row)} in system of ambient dimension {self.ambient_dim}"
-                )
+        for name in ("nonstrict", "strict"):
+            rows = tuple(integerize(row)[0] for row in getattr(self, name))
+            if any(len(row) != self.ambient_dim for row in rows):
+                raise ValueError(f"a row's length differs from the ambient dimension {self.ambient_dim}")
+            object.__setattr__(self, name, rows)
 
 
 @dataclass(frozen=True)
@@ -95,15 +103,6 @@ class ConeDescriptor:
     system: ConstraintSystem
     dimension: int
     implied_equalities: frozenset[int]
-
-
-def _integerize(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators; returns the scaled row and the scale factor."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // gcd(den, d)
-    return [int(x.numerator * (den // x.denominator)) for x in row], den
 
 
 def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int) -> list[int]:
@@ -223,9 +222,10 @@ def max_slack(
     equalities: Sequence[LinearForm] = (),
     duals: Optional[list[Fraction]] = None,
 ) -> tuple[Fraction, Vec]:
-    """Maximize the common slack t of the strict rows; returns (t*, x*).
+    """Maximize the common slack t of the integer strict rows; returns (t*, x*).
 
-    x is free and t is clamped to [0, 1], so the LP is bounded and (0, 0) is
+    Every row is a sequence of ints; the pivot would floor a Fraction.  x is
+    free and t is clamped to [0, 1], so the LP is bounded and (0, 0) is
     feasible.  The rows are the equalities, the nonstrict rows, the strict
     rows and t <= 1, in that order.  Before the simplex, elimination walks the
     rows in that order, t <= 1 excepted, and pivots x_j into the basis on the
@@ -252,7 +252,7 @@ def max_slack(
 
     If a list ``duals`` is passed (and there are no equality rows), it is
     filled with one optimal dual multiplier y_i >= 0 per nonstrict row, then
-    per strict row, in the scale of the rows as given.  The LP's dual reads
+    per strict row, in the scale of the integer rows.  The LP's dual reads
     sum_i y_i f_i = 0 and sum over the strict rows of y_i >= 1 when the
     optimum is 0, which is a Farkas certificate that no x is positive on
     every strict row (see ``relint_point``).  y_i is minus the final
@@ -260,20 +260,8 @@ def max_slack(
     """
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
-    rows: list[list[int]] = []
-    for g in equalities:
-        rows.append([-v for v in _integerize(g)[0]] + [0])
-    scales = []
-    for f in nonstrict:
-        fi, den = _integerize(f)
-        rows.append([-v for v in fi] + [0])
-        scales.append(den)
-    for f in strict:
-        # f.x - t >= 0 scaled to integers; the scale multiplies t too, so t
-        # keeps the original scale.
-        fi, den = _integerize(f)
-        rows.append([-v for v in fi] + [den])
-        scales.append(den)
+    rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
+    rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
     rows.append([0] * dim + [1])  # t <= 1
     sx = _Simplex(rows, [0] * (len(rows) - 1) + [1], [0] * dim + [1])
 
@@ -309,11 +297,11 @@ def max_slack(
     for j, coefs in aside:
         x[j] = Fraction(-sign[j] * sum(map(mul, coefs, values)), q * sx.den)
     if duals is not None:
-        # Row i's slack is variable dim + 1 + i; its integer row is scales[i] f_i.
+        # Row i's slack is variable dim + 1 + i.
         obj = sx.rows[sx.m]
         reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
         duals.extend(
-            Fraction(-reduced.get(dim + 1 + i, 0) * s, sx.den) for i, s in enumerate(scales)
+            Fraction(-reduced.get(dim + 1 + i, 0), sx.den) for i in range(len(nonstrict) + len(strict))
         )
     return opt, tuple(x)
 
@@ -328,12 +316,8 @@ def lp_feasible(system: ConstraintSystem) -> Optional[Vec]:
     opt, x = max_slack(system.ambient_dim, system.nonstrict, system.strict)
     if opt <= 0:
         return None
-    for f in system.nonstrict:
-        if dot(f, x) < 0:
-            raise AssertionError("LP witness violates a nonstrict row")
-    for f in system.strict:
-        if dot(f, x) <= 0:
-            raise AssertionError("LP witness violates a strict row")
+    if any(dot(f, x) < 0 for f in system.nonstrict) or any(dot(f, x) <= 0 for f in system.strict):
+        raise AssertionError("LP witness violates a row of the system")
     return x
 
 
@@ -376,19 +360,19 @@ def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:
             raise AssertionError("implied-equality certificate has no undecided row")
         implied += found
         for r in found:
-            _extend_span(span, _integerize(rows[r])[0])
+            _extend_span(span, rows[r])
         undecided = []
         for v, r in tail:
             if v:
                 continue
-            if any(_reduce(span, _integerize(rows[r])[0])):
+            if any(_reduce(span, rows[r])):
                 undecided.append(r)
             else:
                 implied.append(r)  # a combination of implied rows vanishes on the cone too
     return zeros(dim), frozenset(implied)
 
 
-def _reduce(span: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
+def _reduce(span: list[tuple[int, list[int]]], row: Sequence[int]) -> Sequence[int]:
     """A nonzero multiple of row minus a combination of the echelon rows in
     ``span`` (each a pivot column and an integer row), zero on their pivots;
     it is all zero iff row lies in their span."""
@@ -399,7 +383,7 @@ def _reduce(span: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
     return row
 
 
-def _extend_span(span: list[tuple[int, list[int]]], row: list[int]):
+def _extend_span(span: list[tuple[int, list[int]]], row: Sequence[int]):
     """Add row's part outside the span to the echelon rows, content removed."""
     row = _reduce(span, row)
     p = next((j for j, v in enumerate(row) if v), -1)
@@ -416,29 +400,11 @@ def implied_equalities(system: ConstraintSystem) -> frozenset[int]:
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    mat = [_integerize(r)[0] for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        p = next((i for i in range(row, len(mat)) if mat[i][col]), -1)
-        if p < 0:
-            continue
-        mat[row], mat[p] = mat[p], mat[row]
-        pivot = mat[row][col]
-        for i in range(row + 1, len(mat)):
-            f = mat[i][col]
-            mat[i] = [(pivot * x - f * y) // prev for x, y in zip(mat[i], mat[row])]
-        prev = pivot
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+    """Rank over Q of rational rows: the size of an integer echelon basis."""
+    span: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _extend_span(span, integerize(row)[0])
+    return len(span)
 
 
 def describe_cone(system: ConstraintSystem) -> ConeDescriptor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -38,6 +39,8 @@ def parse_rat(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text[:40]!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid rational literal {text[:40]!r}") from None
 
 
 def rat(value) -> Fraction:
@@ -54,11 +57,19 @@ def rat(value) -> Fraction:
         raise TypeError(
             "refusing to coerce a float to an exact rational; pass a string literal instead"
         )
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    raise TypeError(f"cannot interpret a {type(value).__name__} as a rational")
 
 
 def vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
+
+
+def integerize(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """(den * values, den) for the least positive integer den making every
+    entry an integer; ints and Fractions alike."""
+    values = tuple(values)
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def format_rat(x: Fraction) -> str:

@@ -50,6 +50,10 @@ rule, on a dense tableau of Fractions that holds every column, basic or not.
 The set-aside rows stay in that tableau and are updated by every simplex
 pivot, so x is read off their rhs at the end instead of being reconstructed.
 
+The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
+of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
+rather than from its integer lift.
+
 The sampled prune oracle is the former body of ``relu._prune_signomial``:
 after merging equal slopes, a term with the unique maximum at one of 64
 seeded sample points is kept without an LP, and every other term is decided
@@ -82,7 +86,6 @@ from tropfan.geometry import (
     _STALL_LIMIT,
     ConeDescriptor,
     ConstraintSystem,
-    _integerize,
     _Simplex,
     describe_cone,
     lp_feasible,
@@ -95,9 +98,21 @@ from tropfan.matroids import (
     is_acyclic,
     pattern_compose,
 )
-from tropfan.rationals import dot, vadd, zeros
+from tropfan.rationals import dot, integerize, vadd, zeros
 from tropfan.relu import _terms_to_dict
 from tropfan.tropical import SignomialParams, eval_signomial, integer_terms
+
+
+def tie_row_by_fractions(p, hi, lo, blocks, d):
+    """Row of (a_hi - a_lo) + <s_hi - s_lo, p> over ``blocks`` term blocks, in Fractions."""
+    width = d + 1
+    row = [F(0)] * (blocks * width)
+    if hi != lo:
+        if hi <= blocks:
+            row[(hi - 1) * width : hi * width] = (F(1), *p)
+        if lo <= blocks:
+            row[(lo - 1) * width : lo * width] = [-x for x in (F(1), *p)]
+    return tuple(row)
 
 
 def assignment_loss(assign, target, n):
@@ -375,12 +390,12 @@ def max_slack_by_split_columns(dim, nonstrict=(), strict=(), equalities=()):
         b.append(rhs)
 
     for f in nonstrict:
-        add(_integerize(f)[0], 0, 0)
+        add(integerize(f)[0], 0, 0)
     for f in strict:
-        fi, den = _integerize(f)
+        fi, den = integerize(f)
         add(fi, den, 0)
     for f in equalities:
-        fi, _ = _integerize(f)
+        fi, _ = integerize(f)
         add(fi, 0, 0)
         add([-x for x in fi], 0, 0)
     a_rows.append([0] * (2 * dim) + [1])  # t <= 1
@@ -394,16 +409,15 @@ def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
     """(t*, x*) of the slack LP with x free, on a dense Fraction tableau.
 
     Variables: x_0..x_{dim-1}, then t, then one slack per row (equalities,
-    nonstrict, strict, t <= 1).  Rows are scaled to integers as in
-    ``max_slack``, since that scale is the scale of their slacks, which
+    nonstrict, strict, t <= 1).  The rows are integer rows, as ``max_slack``
+    takes them, since their scale is the scale of their slacks, which
     Dantzig's rule sees.  Elimination pivots each row but the last, in
     order, on its first nonzero free x column; the simplex then enters by
     Dantzig (Bland after a stall), ties and Bland by variable id, and leaves
     by the ratio test over the rows where no x is basic and no equality slack
     is, ties by basis variable id.  Equality slacks and x never enter.
     """
-    forms = [(_integerize(g)[0], 0) for g in (*equalities, *nonstrict)]
-    forms += [_integerize(f) for f in strict]
+    forms = [(g, 0) for g in (*equalities, *nonstrict)] + [(f, 1) for f in strict]
     m = len(forms) + 1
     width = dim + 1 + m + 1  # x, t, slacks, rhs
     tab = []
@@ -480,7 +494,7 @@ def relint_point_by_rows(system):
 
 def _values_at(rows, x):
     """Values at x of the integer term rows, all scaled by one positive integer."""
-    xi, den = _integerize(x)
+    xi, den = integerize(x)
     return [row[0] * den + sum(r * v for r, v in zip(row[1:], xi)) for row in rows]
 
 
@@ -546,7 +560,7 @@ def covector_of(theta, data):
 
 
 def _lifted(p):
-    return (F(1),) + tuple(p)
+    return integerize((1, *p))[0]
 
 
 def _signed_rows(data, signs):

@@ -270,6 +270,22 @@ def test_bad_rational_literal_is_json_error(files, capsys, literal, error, args,
 
 
 @pytest.mark.parametrize(
+    "text",
+    ['{"points": [["' + "x" * 100_000 + '", "0"]]}', '{"points": [' + "[" * 900 + "]" * 900 + "]}"],
+    ids=["long-string", "nested-900"],
+)
+def test_bad_coordinate_error_does_not_echo_its_value(files, capsys, text):
+    """The JSON error names a bad coordinate's type or cuts its literal short,
+    so its size does not grow with the size of the bad value."""
+    bad = files / "bad.json"
+    bad.write_text(text)
+    rc, out, err = run_cli(["enum-fan", "--n", "1", "--m", "1", "--data", str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] in ("TypeError", "ValueError")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
     "args, doc",
     [
         (["enum-fan", "--n", "1", "--m", "1", "--data"], lambda deep: '{"points": ' + deep + "}"),

@@ -21,9 +21,9 @@ from tropfan.dual import (
     tropical_type,
 )
 from tropfan.fan import dataset, pattern_of
-from tropfan.geometry import ConstraintSystem, _integerize, lp_feasible
+from tropfan.geometry import ConstraintSystem, lp_feasible
 from tropfan.jsonio import loads, rational_from_json
-from tropfan.rationals import dot
+from tropfan.rationals import dot, integerize
 from tropfan.tropical import (
     SignomialParams,
     TropicalRationalParams,
@@ -38,7 +38,7 @@ WINDOW = (F(-4), F(4), F(-4), F(4))
 
 def clip(theta, window):
     """The integer SVG clip of theta's sign-mixed pairs to the window."""
-    box, wden = _integerize(window)
+    box, wden = integerize(window)
     return _boundary_segments(integer_terms(theta.merged().terms), theta.n, box, wden)
 
 

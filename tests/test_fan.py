@@ -1,10 +1,12 @@
+import os
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
+from math import lcm
 
 import pytest
 
-from oracles import all_cones_by_pairwise_union
+from oracles import all_cones_by_pairwise_union, tie_row_by_fractions
 from tropfan.fan import (
     ActivationPattern,
     affine_dim,
@@ -23,6 +25,7 @@ from tropfan.fan import (
     fan_index,
     _tie_row,
 )
+from tropfan.classify import level_set
 from tropfan.geometry import cone_dim, exact_rank, lp_feasible, ConstraintSystem
 from tropfan.rationals import dot, vsub
 from tropfan.tropical import SignomialParams, signomial
@@ -428,7 +431,99 @@ def test_fan_cache_is_bounded():
 def test_tie_row_gauge_drops_the_last_block(name, request):
     data = request.getfixturevalue(name)
     N, d = 4, data.d
-    for p in data.points:
+    for lift in data.lifts:
         for hi, lo in permutations(range(1, N + 1), 2):
-            assert _tie_row(p, hi, lo, N - 1, d) == _tie_row(p, hi, lo, N, d)[: (N - 1) * (d + 1)]
-        assert not any(_tie_row(p, N, N + 1, N - 1, d))
+            assert _tie_row(lift, hi, lo, N - 1) == _tie_row(lift, hi, lo, N)[: (N - 1) * (d + 1)]
+        assert not any(_tie_row(lift, N, N + 1, N - 1))
+
+
+RATIONAL_POINTS = [("1/2", "-2/3"), ("3/7", "1"), ("1/2", "-2/3"), ("-5/3", "2/7"), ("0", "3/2")]
+
+
+@pytest.mark.parametrize("name", ["diag4", "nine_points", "rational"])
+def test_tie_row_is_the_lift_times_the_fraction_row(name, request):
+    data = dataset(RATIONAL_POINTS) if name == "rational" else request.getfixturevalue(name)
+    N = 3
+    for p, lift in zip(data.points, data.lifts):
+        den = lcm(*(x.denominator for x in p))
+        assert lift[0] == den
+        for hi, lo, blocks in product(range(1, N + 2), range(1, N + 2), (N - 1, N)):
+            row = _tie_row(lift, hi, lo, blocks)
+            assert all(type(v) is int for v in row)
+            assert row == tuple(den * v for v in tie_row_by_fractions(p, hi, lo, blocks, data.d))
+
+
+def test_lifts_stay_out_of_equality_hash_and_repr():
+    data = dataset(RATIONAL_POINTS)
+    again = dataset(RATIONAL_POINTS)
+    assert data == again and hash(data) == hash(again) and data.lifts == again.lifts
+    assert "lifts" not in repr(data)
+
+
+def rational_datasets(seed=20261019, count=6):
+    """Points with denominators 2, 3 and 7 in d = 1..3, each set holding a
+    coincident pair, and the same points times the lcm of their denominators."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        d, M = 1 + case % 3, 4 + case % 2
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in range(d)) for _ in range(M)]
+        pts[rng.randrange(1, M)] = pts[0]
+        scale = lcm(*(x.denominator for p in pts for x in p))
+        out.append((dataset(pts), dataset([tuple(scale * x for x in p) for p in pts])))
+    return out
+
+
+def fan_summary(data, target):
+    """Everything the fan computations report that a rescaling of the points keeps."""
+    n, m = 2, 1
+    assigns = sorted(fan_index(data, n + m, use_cache=False).iter_assignments())
+    levels = []
+    for k in range(data.M + 1):
+        report = level_set(data, n, m, target, k)
+        levels.append(([g.key() for g in report.patterns], report.components, report.adjacency))
+    cones = [
+        (c.pattern.key(), c.descriptor.dimension, c.descriptor.implied_equalities)
+        for c in enumerate_all_cones(data, 2)
+    ]
+    return assigns, levels, cones, affine_dim(data), lineality_dim(data, n + m)
+
+
+def test_rational_data_matches_its_integer_multiple():
+    """Tie rows come from each point's own integer lift, so rational points
+    and the same points scaled to integers must give the same fans."""
+    rng = random.Random(7)
+    denominators = set()
+    for data, scaled in rational_datasets():
+        denominators |= {x.denominator for p in data.points for x in p}
+        assert any(scaled.lifts[k] != data.lifts[k] for k in range(data.M))
+        target = tuple(rng.choice((-1, 1)) for _ in range(data.M))
+        assert fan_summary(data, target) == fan_summary(scaled, target)
+    assert {2, 3, 7} <= denominators
+
+
+def test_workers_are_clamped_to_the_cpu_count(monkeypatch, nine_points):
+    """A huge --workers asks for no more processes than there are CPUs, and the
+    enumeration does not depend on it.  The pool is a fake that maps serially."""
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    want = sorted(fan_index(nine_points, 3, use_cache=False).iter_assignments())
+    got = sorted(fan_index(nine_points, 3, workers=10**6, use_cache=False).iter_assignments())
+    assert got == want
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)

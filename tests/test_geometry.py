@@ -14,7 +14,7 @@ from tropfan.geometry import (
     max_slack,
     relint_point,
 )
-from tropfan.rationals import dot
+from tropfan.rationals import dot, integerize
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -74,11 +74,20 @@ def solve_square(mat, n):
     return tuple(m[r][n] for r in range(n))
 
 
+def integer_rows(rows):
+    """Each rational row times the least positive integer that makes it integral."""
+    return tuple(integerize(f)[0] for f in rows)
+
+
 def check_max_slack_against_oracle(dim, nonstrict, strict, equalities):
-    """Equality rows (the wall-LP shape) reach the oracle as two opposite inequalities."""
-    opt, witness = max_slack(dim, nonstrict, strict, equalities)
+    """Equality rows (the wall-LP shape) reach the oracle as two opposite
+    inequalities.  The oracle divides, so it keeps the Fraction rows, while
+    ``max_slack`` gets them scaled to integers; the optimum is 0 or 1 either way."""
     opposite = tuple(tuple(-c for c in g) for g in equalities)
-    assert opt == brute_max_slack(dim, nonstrict + equalities + opposite, strict)
+    want = brute_max_slack(dim, nonstrict + equalities + opposite, strict)
+    nonstrict, strict, equalities = map(integer_rows, (nonstrict, strict, equalities))
+    opt, witness = max_slack(dim, nonstrict, strict, equalities)
+    assert opt == want
     for f in nonstrict:
         assert dot(f, witness) >= 0
     for f in strict:
@@ -284,9 +293,9 @@ def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt
 
 def test_max_slack_duals_certify_a_zero_optimum():
     """On x >= 0, y >= 0, x + y > 0 strict with -x - y >= 0 the optimum is 0,
-    and the multipliers are a Farkas certificate in the rows' own scale."""
-    nonstrict = ((F(1), F(0)), (F(0), F(1)), (F(-1, 2), F(-1, 2)))
-    strict = ((F(3), F(3)),)
+    and the multipliers are a Farkas certificate in the scale of the integer rows."""
+    nonstrict = ((1, 0), (0, 1), (-1, -1))
+    strict = ((3, 3),)
     y = []
     opt, _ = max_slack(2, nonstrict, strict, duals=y)
     assert opt == 0 and len(y) == 4 and min(y) >= 0 and y[3] >= 1
@@ -330,16 +339,15 @@ def wall_system(data, a, k, pair, N):
     max_slack when point k of assignment a moves onto the tie of the pair."""
     from tropfan.fan import _tie_row
 
-    d = data.d
     i, j = pair
-    equalities = (_tie_row(data.points[k], i, j, N - 1, d),)
+    equalities = (_tie_row(data.lifts[k], i, j, N - 1),)
     strict = []
-    for q, p in enumerate(data.points):
+    for q, lift in enumerate(data.lifts):
         if q == k:
-            strict += [_tie_row(p, i, l, N - 1, d) for l in range(1, N + 1) if l not in pair]
+            strict += [_tie_row(lift, i, l, N - 1) for l in range(1, N + 1) if l not in pair]
         else:
-            strict += [_tie_row(p, a[q], l, N - 1, d) for l in range(1, N + 1) if l != a[q]]
-    return (N - 1) * (d + 1), tuple(strict), equalities
+            strict += [_tie_row(lift, a[q], l, N - 1) for l in range(1, N + 1) if l != a[q]]
+    return (N - 1) * (data.d + 1), tuple(strict), equalities
 
 
 def pinned_system(name, diag4, nine_points):
@@ -409,7 +417,8 @@ def test_dense_tableau_oracle_gives_the_pins(name, diag4, nine_points):
 
 
 def seeded_slack_systems(count=300, seed=20240917):
-    """(dim, nonstrict, strict, equalities) of small homogeneous systems.
+    """(dim, nonstrict, strict, equalities) of small homogeneous systems,
+    each row drawn rational and scaled to integers.
 
     The kinds cycle: dim = 1; zero columns; rank below dim (every row a
     combination of fewer than dim random forms); duplicated and dependent
@@ -444,7 +453,7 @@ def seeded_slack_systems(count=300, seed=20240917):
             equalities, nonstrict, strict = forms(1, 3), (), ()
         elif kind == 5:
             strict = ()
-        out.append((dim, nonstrict, strict, equalities))
+        out.append((dim, *map(integer_rows, (nonstrict, strict, equalities))))
     return out
 
 
@@ -485,7 +494,6 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
     import sys
 
     import tropfan
-    from tropfan.rationals import format_vec
 
     # the child imports the same tropfan as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
@@ -493,18 +501,17 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
     walls = []
     for name in names:
         dim, _, strict, equalities = pinned_system(name, diag4, nine_points)
-        walls.append([dim, [format_vec(f) for f in strict], [format_vec(g) for g in equalities]])
+        walls.append([dim, strict, equalities])
     code = (
         "import json, sys\n"
-        "from fractions import Fraction as F\n"
         "import tropfan.geometry\n"
         "from tropfan.geometry import _Simplex, max_slack\n"
-        "from tropfan.rationals import format_rat, format_vec, vec\n"
-        "opt, x = max_slack(3, ((F(1),F(2),F(3)),), ((F(1,3),F(-1),F(5)), (F(2),F(0),F(-7))))\n"
+        "from tropfan.rationals import format_rat, format_vec\n"
+        "opt, x = max_slack(3, ((1, 2, 3),), ((1, -3, 15), (2, 0, -7)))\n"
         "print(tropfan.geometry._CHECK_DIVISION, opt > 0)\n"
         "print(format_rat(_Simplex(*json.loads(sys.argv[1])).solve()))\n"
         "for dim, strict, equalities in json.loads(sys.argv[2]):\n"
-        "    opt, x = max_slack(dim, (), [vec(f) for f in strict], [vec(g) for g in equalities])\n"
+        "    opt, x = max_slack(dim, (), strict, equalities)\n"
         "    print(json.dumps([format_rat(opt), format_vec(x)]))\n"
     )
     proc = subprocess.run(
@@ -563,3 +570,37 @@ def test_rank_agrees_with_fraction_elimination(rows):
         row += 1
         rank += 1
     assert exact_rank(rows) == rank
+
+
+def test_every_lp_row_is_integer(monkeypatch, running_theta_split):
+    """``max_slack`` floors a Fraction entry instead of rejecting it, so every
+    row that reaches it from the fan, classify, dual and relu entry points
+    must already be a tuple of ints, on rational data and parameters too."""
+    import importlib
+
+    from tropfan.dual import decision_boundary
+    from tropfan.relu import prune_terms
+
+    geometry, fan, classify = (importlib.import_module(f"tropfan.{m}") for m in ("geometry", "fan", "classify"))
+    calls = {}
+
+    def guarded(name, solve):
+        def wrapper(dim, nonstrict=(), strict=(), equalities=(), duals=None):
+            calls[name] = calls.get(name, 0) + 1
+            for row in (*nonstrict, *strict, *equalities):
+                assert all(type(v) is int for v in row), (name, row)
+            return solve(dim, nonstrict, strict, equalities, duals)
+
+        return wrapper
+
+    for module in (geometry, fan, classify):
+        monkeypatch.setattr(module, "max_slack", guarded(module.__name__, module.max_slack))
+    plane = fan.dataset([("1/2", "1/3"), ("2/7", "-1"), ("1/2", "1/3"), ("-3/2", "2")])
+    line = fan.dataset([("1/2",), ("2/3",), ("3/7",)])
+    fan.fan_index(plane, 3, use_cache=False)
+    classify.level_set(plane, 2, 1, (1, -1, 1, -1), 1)
+    classify.chamber_path((1, 1, 1), (-1, -1, -1), line)
+    fan.enumerate_all_cones(plane, 2)
+    decision_boundary(running_theta_split)
+    prune_terms(running_theta_split)
+    assert set(calls) == {"tropfan.geometry", "tropfan.fan", "tropfan.classify"}
