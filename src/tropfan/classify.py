@@ -7,14 +7,15 @@ mistake; mixed activation sets are ties and count as correct, which is what
 makes every level set a subfan.
 
 Wall adjacency between two maximal cones is decided by one strict LP: the
-shared facet exists iff the tie hyperplane of the differing points can be made
-the only binding constraint.  Two maximal cones can share a facet only when
-all their differing data points are the same vector and swap the same two
-terms; any other difference forces codimension >= 2.  Coincident points share
-a term in every maximal cone, so the candidates of a list of maximal cones are
-its single-group flips: move every copy of one point vector to another term
-and look the result up.  Within one such lookup the wall LPs are memoised up
-to a relabeling of the terms, which does not change whether a wall exists.
+shared facet exists iff the bipartite graph that ties the differing points
+and keeps every other point on its term is realizable.  Two maximal cones
+can share a facet only when all their differing data points are the same
+vector and swap the same two terms; any other difference forces
+codimension >= 2.  Coincident points share a term in every maximal cone, so
+the candidates of a list of maximal cones are its single-group flips: move
+every copy of one point vector to another term and look the result up.
+Within one such lookup the wall LPs are memoised up to a relabeling of the
+terms, which does not change whether a wall exists.
 
 For N = 2 the fan is the arrangement of the hyperplanes of the lifted points
 (1, p), a maximal covector is the assignment + -> term 1, - -> term 2, and a
@@ -33,7 +34,7 @@ from .fan import (
     ActivationPattern,
     Dataset,
     FanCone,
-    _tie_row,
+    _pattern_system,
     cone_of_graph,
     enumerate_all_cones,
     fan_index,
@@ -121,28 +122,14 @@ def dichotomy_of_assignment(assign: Sequence[int], n: int) -> Dichotomy:
 # Wall adjacency
 
 
-def _wall_lp(a: Sequence[int], diffs: Sequence[int], pair: tuple[int, int],
-             data: Dataset, N: int) -> bool:
-    """Strict feasibility of: tie (i, j) at the differing points as an
-    equality, every other competitor inequality strict.  Gauge-fixed by
-    zeroing the last term block."""
-    i, j = pair
-    diffset = set(diffs)
-    equalities = []
-    strict = []
-    for k, lift in enumerate(data.lifts):
-        if k in diffset:
-            equalities.append(_tie_row(lift, i, j, N - 1))
-            for l in range(1, N + 1):
-                if l not in (i, j):
-                    strict.append(_tie_row(lift, i, l, N - 1))
-        else:
-            t = a[k]
-            for l in range(1, N + 1):
-                if l != t:
-                    strict.append(_tie_row(lift, t, l, N - 1))
-    opt, _ = max_slack((N - 1) * (data.d + 1), (), tuple(strict), tuple(equalities))
-    return opt > 0
+def _wall_lp(a: Sequence[int], group: Sequence[int], j: int, data: Dataset) -> bool:
+    """Whether the cone of assignment ``a`` has the wall on which every point
+    of ``group`` ties its term to term ``j``: the graph of ``a`` with those
+    points tied is realizable."""
+    tied = tuple(sorted((a[group[0]], j)))
+    graph = [(k, tied if k in group else (t,)) for k, t in enumerate(a)]
+    dim, strict, equalities = _pattern_system(data, graph)
+    return max_slack(dim, (), strict, equalities)[0] > 0
 
 
 def wall_adjacent(
@@ -165,12 +152,8 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
     """Dimension of C(G) n C(H), with a rank sandwich before the LP route."""
     union = G.union(H)
     lo = lineality_dim(data, N)
-    ties = []
-    for lift, nb in zip(data.lifts, union.neighbors):
-        ordered = sorted(nb)
-        for hi in ordered[1:]:
-            ties.append(_tie_row(lift, ordered[0], hi, N))
-    up = N * (data.d + 1) - exact_rank(ties)
+    # Dropping the gauge block is injective on tie rows, whose blocks sum to zero.
+    up = N * (data.d + 1) - exact_rank(_pattern_system(data, list(enumerate(union.key())))[2])
     if up <= lo:
         return lo
     return cone_of_graph(union, data).descriptor.dimension
@@ -181,11 +164,10 @@ def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> l
     maximal assignments; a repeated assignment gets the edges of each copy.
 
     Candidates are single-group flips looked up in a dict, O(K*M*N) instead
-    of all K^2 pairs.  A wall LP is solved once per ``_flip_key`` and call: a
-    relabeling of the terms maps one candidate's wall system onto the other's
-    (gauge-fixing any block is lossless under the all-blocks lineality), and
-    on the tie hyperplane the rows tie(i, l) and tie(j, l) coincide, so both
-    sides of a wall pose the same LP.
+    of all K^2 pairs.  A wall LP is solved once per ``_flip_key`` and call:
+    the key fixes the tied union graph up to a relabeling of the terms, and
+    both sides of a wall tie the same graph.  Whether a graph is realizable
+    does not change under a relabeling of the terms.
     """
     where: dict[tuple[int, ...], list[int]] = {}
     for x, a in enumerate(assigns):
@@ -212,7 +194,7 @@ def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> l
                 key = min(_flip_key(a, g, j), _flip_key(b, g, i))
                 wall = memo.get(key)
                 if wall is None:
-                    wall = memo[key] = _wall_lp(a, group, (min(i, j), max(i, j)), data, N)
+                    wall = memo[key] = _wall_lp(a, group, j, data)
                 if wall:
                     edges.extend((x, y) for y in ys)
     edges.sort()
@@ -412,7 +394,7 @@ def chamber_path(start: Covector, target: Dichotomy, data: Dataset) -> list[Cove
             by_point.setdefault(data.points[k], []).append(k)
         current = assignment(path[-1])
         for group in sorted(by_point.values(), key=lambda g: -g[-1]):
-            if _wall_lp(current, group, (1, 2), data, 2):
+            if _wall_lp(current, group, 3 - current[group[0]], data):
                 break
         else:
             raise AssertionError("no wall of the current cone separates it from the target")

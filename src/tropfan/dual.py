@@ -203,6 +203,8 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
     """
     if theta.d != 2:
         raise ValueError("rendering is only available for two-dimensional inputs")
+    if data is not None and data.d != theta.d:
+        raise ValueError(f"parameters in dimension {theta.d}, data in dimension {data.d}")
     xmin, xmax, ymin, ymax = window
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("degenerate window")

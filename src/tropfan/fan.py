@@ -169,6 +169,33 @@ def _tie_row(lift: tuple[int, ...], hi: int, lo: int, blocks: int) -> tuple[int,
     return tuple(row)
 
 
+def _pattern_system(
+    data: Dataset, active: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(dim, strict, equalities) of the bipartite graph ``active``: one
+    (point k, sorted tuple of tied terms) per point, in row order.
+
+    The graph's cone is realizable (some parameter has exactly this pattern
+    on these points) iff the system is strictly feasible.  The used terms are
+    renumbered 1..r in increasing order and block r is gauge-fixed to zero,
+    which the all-blocks lineality makes lossless.  Point k ties its first
+    term to each other tied term (equalities) and beats every other used
+    term (strict).  A term the graph never uses is left out: its block can
+    be set low enough that it never wins.
+    """
+    used = sorted({t for _, tied in active for t in tied})
+    label = {t: r for r, t in enumerate(used, start=1)}
+    blocks = len(used) - 1
+    strict: list[tuple[int, ...]] = []
+    equalities: list[tuple[int, ...]] = []
+    for k, tied in active:
+        lift, ties = data.lifts[k], [label[t] for t in tied]
+        for l in label.values():
+            if l != ties[0]:
+                (equalities if l in ties else strict).append(_tie_row(lift, ties[0], l, blocks))
+    return blocks * (data.d + 1), tuple(strict), tuple(equalities)
+
+
 def cone_constraints(G: ActivationPattern, data: Dataset) -> ConstraintSystem:
     """Nonstrict H-description of the activation cone of G (no strict rows).
 
@@ -228,7 +255,7 @@ def _hulls_disjoint(data: Dataset, A: Sequence[int], B: Sequence[int], memo: dic
         memo[key] = True
         return True
     # Strict separation is the strict system of the two-part partition (A, B).
-    dim, rows = _leaf_system(data, (A, B))
+    dim, rows, _ = _pattern_system(data, [(k, (1,)) for k in A] + [(k, (2,)) for k in B])
     opt, _ = max_slack(dim, (), rows)
     memo[key] = opt > 0
     return opt > 0
@@ -244,19 +271,6 @@ def _parts_admissible(data: Dataset, parts: Sequence[Sequence[int]], changed: in
 
 # ---------------------------------------------------------------------------
 # Enumeration of maximal cones
-
-
-def _leaf_system(data: Dataset, parts: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Strict system of the canonical labeling, gauge-fixed so the last used
-    term's block is zero (the all-ones lineality direction makes this lossless)."""
-    r = len(parts)
-    rows = []
-    for t_star, part in enumerate(parts):
-        for k in part:
-            for t in range(r):
-                if t != t_star:
-                    rows.append(_tie_row(data.lifts[k], t_star + 1, t + 1, r - 1))
-    return (r - 1) * (data.d + 1), tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -275,7 +289,7 @@ class _CanonicalCone:
 
 def _check_leaf(data: Dataset, parts: Sequence[Sequence[int]]) -> Optional[_CanonicalCone]:
     r = len(parts)
-    dim, rows = _leaf_system(data, parts)
+    dim, rows, _ = _pattern_system(data, [(k, (t,)) for t, part in enumerate(parts, start=1) for k in part])
     if rows:
         opt, x = max_slack(dim, (), rows)
         if opt <= 0:
@@ -465,10 +479,8 @@ def is_maximal_pattern(G: ActivationPattern, data: Dataset) -> bool:
     strictly feasible (so the cone is full-dimensional)."""
     if not G.is_degree_one():
         return False
-    groups: dict[int, list[int]] = {}
-    for k, t in enumerate(G.assignment()):
-        groups.setdefault(t, []).append(k)
-    return _check_leaf(data, list(groups.values())) is not None
+    dim, rows, _ = _pattern_system(data, list(enumerate(G.key())))
+    return not rows or max_slack(dim, (), rows)[0] > 0
 
 
 def enumerate_all_cones(

@@ -89,13 +89,5 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def zeros(n: int) -> Vec:
     return (Fraction(0),) * n

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
-from .rationals import Vec, rat, vec
+from .rationals import Vec, integerize, rat, vec
 
 Term = tuple[Fraction, Vec]  # (a, s): the affine form a + <s, x>
 
@@ -78,8 +78,8 @@ def signomial(terms, d: int | None = None) -> SignomialParams:
 
 def integer_terms(terms: Sequence[Term]) -> list[tuple[int, ...]]:
     """Rows (a_i, *s_i) of the terms scaled by one positive integer to integers."""
-    den = lcm(*(v.denominator for a, s in terms for v in (a, *s)))
-    return [tuple(v.numerator * (den // v.denominator) for v in (a, *s)) for a, s in terms]
+    flat = iter(integerize(v for a, s in terms for v in (a, *s))[0])
+    return [tuple(islice(flat, 1 + len(s))) for _, s in terms]
 
 
 def eval_signomial(params: SignomialParams, x: Sequence[Fraction]) -> tuple[Fraction, frozenset[int]]:

@@ -18,6 +18,8 @@ The pairwise wall oracle is the former quadratic filter behind
 ``classify._adjacency_edges``: every pair of assignments goes through
 ``_wall_shape``, and each survivor gets its own wall LP, with no memo.
 ``_wall_shape`` is the former wall-candidate rule of ``wall_adjacent``.
+The all-terms wall LP is the former body of ``classify._wall_lp``: it builds
+its rows over every term's block, a term that no point uses included.
 
 The composition chamber-path oracle is the former body of
 ``classify.chamber_path``: covectors are signs of <theta, (1, p)>, and the
@@ -71,11 +73,12 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
-from tropfan.classify import _wall_lp, compose, separation
+from tropfan.classify import compose, separation
 from tropfan.dual import DualEdge
 from tropfan.fan import (
     ActivationPattern,
     FanCone,
+    _tie_row,
     complete_pattern,
     cone_constraints,
     cone_of_graph,
@@ -98,7 +101,7 @@ from tropfan.matroids import (
     is_acyclic,
     pattern_compose,
 )
-from tropfan.rationals import dot, integerize, vadd, zeros
+from tropfan.rationals import dot, integerize, zeros
 from tropfan.relu import _terms_to_dict
 from tropfan.tropical import SignomialParams, eval_signomial, integer_terms
 
@@ -230,6 +233,29 @@ def _wall_shape(a, b, data):
     return diffs, tuple(sorted(pair))
 
 
+def wall_lp_over_all_terms(a, diffs, pair, data, N):
+    """Strict feasibility of: tie (i, j) at the differing points as an
+    equality, every other competitor inequality strict, over every term's
+    block.  Gauge-fixed by zeroing the last term block."""
+    i, j = pair
+    diffset = set(diffs)
+    equalities = []
+    strict = []
+    for k, lift in enumerate(data.lifts):
+        if k in diffset:
+            equalities.append(_tie_row(lift, i, j, N - 1))
+            for l in range(1, N + 1):
+                if l not in (i, j):
+                    strict.append(_tie_row(lift, i, l, N - 1))
+        else:
+            t = a[k]
+            for l in range(1, N + 1):
+                if l != t:
+                    strict.append(_tie_row(lift, t, l, N - 1))
+    opt, _ = max_slack((N - 1) * (data.d + 1), (), tuple(strict), tuple(equalities))
+    return opt > 0
+
+
 def adjacency_edges_by_pairs(assigns, data, N):
     """All wall-adjacent index pairs (x < y) of the assignment list, in
     lexicographic order, by one shape check and one LP per pair."""
@@ -240,7 +266,7 @@ def adjacency_edges_by_pairs(assigns, data, N):
             if shape is None:
                 continue
             diffs, pair = shape
-            if _wall_lp(assigns[x], diffs, pair, data, N):
+            if wall_lp_over_all_terms(assigns[x], diffs, pair, data, N):
                 edges.append((x, y))
     return edges
 
@@ -488,7 +514,7 @@ def relint_point_by_rows(system):
         if opt_r == 0:
             implied.add(r)
         else:
-            acc = vadd(acc, x)
+            acc = tuple(u + v for u, v in zip(acc, x))
     return acc, frozenset(implied)
 
 

@@ -257,15 +257,14 @@ def nine_reports(nine_points):
 
 
 def _component_wall_free_of_s0(comp, s1, s0, data):
-    from oracles import _wall_shape
-    from tropfan.classify import _wall_lp
+    from oracles import _wall_shape, wall_lp_over_all_terms
 
     for i in comp:
         a = s1.patterns[i].assignment()
         for j in range(s0.count):
             b = s0.patterns[j].assignment()
             shape = _wall_shape(a, b, data)
-            if shape is not None and _wall_lp(a, shape[0], shape[1], data, 4):
+            if shape is not None and wall_lp_over_all_terms(a, shape[0], shape[1], data, 4):
                 return False
     return True
 

@@ -2,6 +2,7 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -10,10 +11,10 @@ from oracles import (
     adjacency_edges_by_pairs,
     assignment_loss,
     chamber_path_by_composition,
+    wall_lp_over_all_terms,
 )
 from tropfan.classify import (
     _adjacency_edges,
-    _wall_lp,
     _union_find_components,
     chamber_path,
     compose,
@@ -389,7 +390,7 @@ def test_chamber_path_matches_composition_walk():
             for a, b in zip(got, got[1:]):
                 a2, b2 = (tuple(1 if c > 0 else 2 for c in x) for x in (a, b))
                 shape = _wall_shape(a2, b2, D)
-                assert shape is not None and _wall_lp(a2, *shape, D, 2)
+                assert shape is not None and wall_lp_over_all_terms(a2, *shape, D, 2)
 
 
 def test_chamber_path_errors_match_composition_walk(five_line):
@@ -422,7 +423,7 @@ def test_wall_adjacent_matches_wall_shape_oracle(points, n, m):
         for H in maximal:
             a, b = G.assignment(), H.assignment()
             shape = _wall_shape(a, b, D)
-            want = shape is not None and _wall_lp(a, *shape, D, N)
+            want = shape is not None and wall_lp_over_all_terms(a, *shape, D, N)
             adjacent, dim = wall_adjacent(G, H, D, n, m)
             assert adjacent == want
             if adjacent:
@@ -477,12 +478,28 @@ SPATIAL = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 NINE_TARGET = "+,+,-,-,+,-,-,+,+"
 
 
+def _seeded_coincident(d):
+    """Four distinct seeded integer points in R^d plus a copy of one of them."""
+    rng = random.Random(d)
+    points = []
+    while len(points) < 4:
+        p = tuple(rng.randint(-2, 2) for _ in range(d))
+        if p not in points:
+            points.append(p)
+    points.insert(rng.randrange(5), points[rng.randrange(4)])
+    return dataset(points)
+
+
 @pytest.mark.parametrize(
     "case",
     ["five_line-3", "five_line-4", "diag4-3", "diag4-4", "nine-level0", "nine-level1",
-     "coincident-3", "spatial-3"],
+     "coincident-3", "spatial-3", "seeded1-3", "seeded1-4", "seeded2-3", "seeded2-4",
+     "seeded3-3", "seeded3-4"],
 )
 def test_adjacency_edges_match_pairwise_oracle(case, request):
+    """The pairwise oracle builds every wall LP over all N term blocks, so the
+    seeded cases, whose flips leave terms unused, also check that dropping an
+    unused term keeps every verdict."""
     name, arg = case.split("-")
     if name == "nine":
         data, N, n = request.getfixturevalue("nine_points"), 4, 2
@@ -492,11 +509,19 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
         )
     else:
         fixtures = {"coincident": dataset(COINCIDENT), "spatial": dataset(SPATIAL)}
-        data = fixtures[name] if name in fixtures else request.getfixturevalue(name)
+        if name.startswith("seeded"):
+            data = _seeded_coincident(int(name[-1]))
+        else:
+            data = fixtures[name] if name in fixtures else request.getfixturevalue(name)
         N = int(arg)
         assigns = sorted(fan_index(data, N).iter_assignments())
     edges = _adjacency_edges(assigns, data, N)
     assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
+    if name.startswith("seeded"):
+        assert len(set(data.points)) == data.M - 1
+        assert any(
+            _wall_shape(a, b, data) and len(set(a) | set(b)) < N for a, b in combinations(assigns, 2)
+        )
 
 
 def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):

@@ -119,6 +119,29 @@ def test_boundary_svg_equal_slopes(files, capsys, tmp_path):
     assert 'y1="320"' in svg.read_text() and 'y2="320"' in svg.read_text()
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([["0"], ["1"]], "parameters in dimension 2, data in dimension 1"),
+        ([["0", "0", "0"], ["1", "1", "1"]], "parameters in dimension 2, data in dimension 3"),
+        ([["9", "9", "9"]], "parameters in dimension 2, data in dimension 3"),
+    ],
+    ids=["1d", "3d-inside-window", "3d-outside-window"],
+)
+def test_boundary_svg_refuses_data_in_another_dimension(files, capsys, points, message):
+    bad = files / "bad.json"
+    bad.write_text(json.dumps({"points": points}))
+    svg = files / "out.svg"
+    rc, out, err = run_cli(
+        ["boundary", "--theta", str(files / "theta.json"), "--svg", str(svg),
+         "--window", "-3,3,-3,3", "--data", str(bad)],
+        capsys,
+    )
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+    assert not svg.exists()
+
+
 def test_relu_convert_command(files, capsys):
     rc, out, _ = run_cli(
         ["relu-convert", "--net", str(files / "net.json"), "--prune"], capsys

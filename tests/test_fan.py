@@ -27,7 +27,7 @@ from tropfan.fan import (
 )
 from tropfan.classify import level_set
 from tropfan.geometry import cone_dim, exact_rank, lp_feasible, ConstraintSystem
-from tropfan.rationals import dot, vsub
+from tropfan.rationals import dot
 from tropfan.tropical import SignomialParams, signomial
 
 
@@ -314,7 +314,7 @@ def test_polytope_dimension_identity(five_line, two_points):
     for data, N in ((five_line, 2), (two_points, 3)):
         patterns = enumerate_maximal_cones(data, N)
         vertices = [polytope_vertex_of(g, data, check=False) for g in patterns]
-        diffs = [vsub(v, vertices[0]) for v in vertices[1:]]
+        diffs = [tuple(x - y for x, y in zip(v, vertices[0])) for v in vertices[1:]]
         rank = exact_rank(diffs)
         assert rank == (N - 1) * (affine_dim(data) + 1)
         assert rank + lineality_dim(data, N) == N * (data.d + 1)

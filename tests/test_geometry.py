@@ -334,39 +334,28 @@ def test_degenerate_cycling_instance_terminates():
     assert opt == F(1, 20)
 
 
-def wall_system(data, a, k, pair, N):
-    """(dim, strict, equalities) as `classify._wall_lp` hands them to
-    max_slack when point k of assignment a moves onto the tie of the pair."""
-    from tropfan.fan import _tie_row
-
-    i, j = pair
-    equalities = (_tie_row(data.lifts[k], i, j, N - 1),)
-    strict = []
-    for q, lift in enumerate(data.lifts):
-        if q == k:
-            strict += [_tie_row(lift, i, l, N - 1) for l in range(1, N + 1) if l not in pair]
-        else:
-            strict += [_tie_row(lift, a[q], l, N - 1) for l in range(1, N + 1) if l != a[q]]
-    return (N - 1) * (data.d + 1), tuple(strict), equalities
-
-
 def pinned_system(name, diag4, nine_points):
-    """(dim, nonstrict, strict, equalities) of a pinned slack LP."""
-    from tropfan.fan import _leaf_system
+    """(dim, nonstrict, strict, equalities) of a pinned slack LP: a leaf lists
+    its parts (part t on term t + 1), a wall its assignment, the point that
+    moves onto the tie and the tied pair."""
+    from tropfan.fan import _pattern_system
 
-    if name == "diag4-leaf":
-        dim, rows = _leaf_system(diag4, ((0,), (1,), (2, 3)))
-        return dim, (), rows, ()
-    if name == "nine-leaf":
-        dim, rows = _leaf_system(nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8)))
-        return dim, (), rows, ()
-    if name == "nine-leaf-stall":
-        dim, rows = _leaf_system(nine_points, ((0, 2, 7), (1, 4, 5, 6, 8), (3,)))
-        return dim, (), rows, ()
-    if name == "nine-wall":
-        dim, strict, equalities = wall_system(nine_points, (1, 1, 1, 1, 1, 3, 2, 2, 4), 6, (2, 4), 4)
-        return dim, (), strict, equalities
-    dim, strict, equalities = wall_system(diag4, (1, 2, 2, 3), 1, (2, 4), 4)
+    leaves = {
+        "diag4-leaf": (diag4, ((0,), (1,), (2, 3))),
+        "nine-leaf": (nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8))),
+        "nine-leaf-stall": (nine_points, ((0, 2, 7), (1, 4, 5, 6, 8), (3,))),
+    }
+    walls = {
+        "nine-wall": (nine_points, (1, 1, 1, 1, 1, 3, 2, 2, 4), 6, (2, 4)),
+        "diag4-wall": (diag4, (1, 2, 2, 3), 1, (2, 4)),
+    }
+    if name in leaves:
+        data, parts = leaves[name]
+        graph = [(k, (t,)) for t, part in enumerate(parts, start=1) for k in part]
+    else:
+        data, a, moved, pair = walls[name]
+        graph = [(k, pair if k == moved else (t,)) for k, t in enumerate(a)]
+    dim, strict, equalities = _pattern_system(data, graph)
     return dim, (), strict, equalities
 
 
