@@ -42,8 +42,6 @@ from .geometry import (
 )
 from .matroids import (
     AxiomReport,
-    comparability_graph,
-    is_acyclic,
     om_axioms_check,
     pattern_axioms_check,
     pattern_compose,

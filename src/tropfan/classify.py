@@ -156,7 +156,7 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
     up = N * (data.d + 1) - exact_rank(_pattern_system(data, list(enumerate(union.key())))[2])
     if up <= lo:
         return lo
-    return cone_of_graph(union, data).descriptor.dimension
+    return cone_of_graph(union, data).dimension
 
 
 def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> list[tuple[int, int]]:

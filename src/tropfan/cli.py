@@ -105,7 +105,7 @@ def cmd_enum_fan(args):
     if args.all_cones:
         cones = enumerate_all_cones(data, N, cap=args.cap, workers=args.workers)
         doc["cones"] = [
-            {"pattern": jsonio.pattern_to_json(c.pattern), "dim": c.descriptor.dimension}
+            {"pattern": jsonio.pattern_to_json(c.pattern), "dim": c.dimension}
             for c in cones
         ]
     _emit(doc, args.out)

@@ -22,14 +22,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .geometry import (
-    ConeDescriptor,
-    ConstraintSystem,
-    _descriptor_from_implied,
-    exact_rank,
-    max_slack,
-    relint_point,
-)
+from .geometry import ConstraintSystem, exact_rank, max_slack, relint_point
 from .rationals import Vec, dot, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
@@ -118,8 +111,11 @@ def complete_pattern(M: int, N: int) -> ActivationPattern:
 
 @dataclass(frozen=True)
 class FanCone:
+    """A cone of the fan: its closure pattern, which fixes its H-description
+    (``cone_constraints``), its dimension and a relative-interior point."""
+
     pattern: ActivationPattern
-    descriptor: ConeDescriptor
+    dimension: int
     relint: Vec
 
 
@@ -196,41 +192,51 @@ def _pattern_system(
     return blocks * (data.d + 1), tuple(strict), tuple(equalities)
 
 
+def _check_sizes(G: ActivationPattern, data: Dataset):
+    if G.M != data.M:
+        raise ValueError("pattern and dataset sizes differ")
+
+
+def _cone_rows(G: ActivationPattern) -> Iterator[tuple[int, int, int]]:
+    """(point k, edge term i*, competitor i) for each row of G's cone, in
+    ``cone_constraints`` row order."""
+    for k, nb in enumerate(G.neighbors):
+        for i_star in sorted(nb):
+            for i in range(1, G.N + 1):
+                if i != i_star:
+                    yield k, i_star, i
+
+
 def cone_constraints(G: ActivationPattern, data: Dataset) -> ConstraintSystem:
     """Nonstrict H-description of the activation cone of G (no strict rows).
 
     Row order is (point, edge term ascending, competitor ascending); the count
     is sum_p deg(p) * (N - 1).
     """
-    if G.M != data.M:
-        raise ValueError("pattern and dataset sizes differ")
+    _check_sizes(G, data)
     N = G.N
-    rows = []
-    for lift, nb in zip(data.lifts, G.neighbors):
-        for i_star in sorted(nb):
-            for i in range(1, N + 1):
-                if i != i_star:
-                    rows.append(_tie_row(lift, i_star, i, N))
-    return ConstraintSystem(tuple(rows), (), N * (data.d + 1))
+    rows = tuple(_tie_row(data.lifts[k], i_star, i, N) for k, i_star, i in _cone_rows(G))
+    return ConstraintSystem(rows, (), N * (data.d + 1))
 
 
 def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
     """The fan cone cut out by H's inequalities, labeled by its closure pattern.
 
-    The closure pattern is read off at a relative-interior point, where the
-    activation pattern of the cone is attained exactly; the per-row slack LPs
-    behind the relative-interior construction are what decides edge validity.
+    A row that is >= 0 on the cone vanishes on all of it exactly when it
+    vanishes at a relative-interior point, so the implied rows that
+    ``relint_point`` certifies are the ties there: the closure adds term i
+    to point k for each implied row (k, i*, i).  The dimension is the
+    ambient dimension minus the rank of the implied rows.
     """
     system = cone_constraints(H, data)
-    point, _ = relint_point(system)
-    closure = pattern_of(theta_from_vector(point, H.N, data.d), data)
-    # Row (k, i*, i) vanishes at the point exactly when term i ties i* on point k.
-    ties = (
-        i in nb for nb in closure.neighbors for i_star in sorted(nb) for i in range(1, H.N + 1) if i != i_star
-    )
-    implied = frozenset(r for r, tied in enumerate(ties) if tied)
-    csys = cone_constraints(closure, data)
-    return FanCone(closure, _descriptor_from_implied(csys, implied), point)
+    point, implied = relint_point(system)
+    nbrs = [set(nb) for nb in H.neighbors]
+    for r, (k, _, i) in enumerate(_cone_rows(H)):
+        if r in implied:
+            nbrs[k].add(i)
+    closure = ActivationPattern(H.M, H.N, tuple(frozenset(nb) for nb in nbrs))
+    dimension = system.ambient_dim - exact_rank([system.nonstrict[r] for r in implied])
+    return FanCone(closure, dimension, point)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +483,7 @@ def enumerate_maximal_cones(
 def is_maximal_pattern(G: ActivationPattern, data: Dataset) -> bool:
     """True iff every degree is 1 and the all-strict competitor system is
     strictly feasible (so the cone is full-dimensional)."""
+    _check_sizes(G, data)
     if not G.is_degree_one():
         return False
     dim, rows, _ = _pattern_system(data, list(enumerate(G.key())))
@@ -502,8 +509,7 @@ def enumerate_all_cones(
     cones: dict[tuple, FanCone] = {}
     for assign, witness in index.iter_patterns_with_witness():
         G = pattern_from_assignment(assign, N)
-        csys = cone_constraints(G, data)
-        cones[G.key()] = FanCone(G, ConeDescriptor(csys, csys.ambient_dim, frozenset()), witness)
+        cones[G.key()] = FanCone(G, N * (data.d + 1), witness)
     tried = set(cones)
     todo = list(cones.values())
     while todo:
@@ -538,6 +544,7 @@ def lineality_dim(data: Dataset, N: int) -> int:
 def polytope_vertex_of(G: ActivationPattern, data: Dataset, check: bool = True) -> Vec:
     """Vertex of the activation polytope dual to a maximal cone: the sum over
     points p of the block vector placing (1, p) in the slot of p's term."""
+    _check_sizes(G, data)
     if check and not is_maximal_pattern(G, data):
         raise ValueError("pattern is not maximal")
     N, d = G.N, data.d

@@ -46,14 +46,15 @@ half-space, its implied rows and its strict feasibility.  So the pivot,
 which needs integer input, takes the rows as they are.
 
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
-optimum of 0 the final objective row holds a Farkas certificate: dual
-multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0 and y > 0
-on some strict row.  ``relint_point`` reads the implied equalities of a cone
-off such certificates, several rows per LP (Freund, Roundy and Todd 1985),
-and checks each certificate exactly before it uses it; rows in the linear
-span of the rows found implied are implied too.  Cone dimension is the
-ambient dimension minus the rank of the implied-equality normals, the size
-of an integer echelon basis of them, built as that span is.
+optimum of 0 the final objective row holds a Farkas certificate: integer
+dual multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0
+and y > 0 on some strict row.  ``relint_point`` reads the implied
+equalities of a cone off such certificates, several rows per LP (Freund,
+Roundy and Todd 1985), and checks each certificate exactly before it uses
+it; rows in the linear span of the rows found implied are implied too.
+Cone dimension is the ambient dimension minus the rank of the
+implied-equality normals, the size of an integer echelon basis of them,
+built as that span is.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def max_slack(
     nonstrict: Sequence[LinearForm] = (),
     strict: Sequence[LinearForm] = (),
     equalities: Sequence[LinearForm] = (),
-    duals: Optional[list[Fraction]] = None,
+    duals: Optional[list[int]] = None,
 ) -> tuple[Fraction, Vec]:
     """Maximize the common slack t of the integer strict rows; returns (t*, x*).
 
@@ -251,12 +252,14 @@ def max_slack(
     coordinate.
 
     If a list ``duals`` is passed (and there are no equality rows), it is
-    filled with one optimal dual multiplier y_i >= 0 per nonstrict row, then
-    per strict row, in the scale of the integer rows.  The LP's dual reads
-    sum_i y_i f_i = 0 and sum over the strict rows of y_i >= 1 when the
-    optimum is 0, which is a Farkas certificate that no x is positive on
-    every strict row (see ``relint_point``).  y_i is minus the final
+    filled with one integer dual multiplier y_i >= 0 per nonstrict row, then
+    per strict row, in the scale of the integer rows: minus the final
     objective-row entry of row i's slack column, 0 when that slack is basic.
+    That is the optimal dual times the final denominator, which is positive,
+    so the signs and the support are the dual's.  When the optimum is 0 the
+    dual reads sum_i y_i f_i = 0 with y_i > 0 on some strict row, a Farkas
+    certificate that no x is positive on every strict row (see
+    ``relint_point``).
     """
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
@@ -300,9 +303,7 @@ def max_slack(
         # Row i's slack is variable dim + 1 + i.
         obj = sx.rows[sx.m]
         reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
-        duals.extend(
-            Fraction(-reduced.get(dim + 1 + i, 0), sx.den) for i in range(len(nonstrict) + len(strict))
-        )
+        duals.extend(-reduced.get(dim + 1 + i, 0) for i in range(len(nonstrict) + len(strict)))
     return opt, tuple(x)
 
 
@@ -334,7 +335,7 @@ def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:
     each term y_i f_i.x of that zero sum is >= 0, so every row with y_i > 0
     is implied.  Those rows join the implied set, and so does every undecided
     row in the linear span of the implied rows, since it vanishes wherever
-    they do; then the next round starts.  The multipliers are checked exactly
+    they do; then the next round starts.  The integer multipliers are checked
     before they are used, and a failed check raises.  Each zero round decides
     at least one row, so at most one round per implied row plus one is
     needed.
@@ -345,7 +346,7 @@ def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:
     span: list[tuple[int, list[int]]] = []  # echelon basis of the implied rows
     undecided = list(range(len(rows)))
     while undecided:
-        y: list[Fraction] = []
+        y: list[int] = []
         opt, x = max_slack(dim, [rows[r] for r in implied], [rows[r] for r in undecided], duals=y)
         if opt > 0:
             return x, frozenset(implied)
@@ -410,12 +411,7 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def describe_cone(system: ConstraintSystem) -> ConeDescriptor:
     """Dimension and implied equalities of the closed cone {nonstrict rows >= 0}."""
     _, implied = relint_point(system)
-    return _descriptor_from_implied(system, implied)
-
-
-def _descriptor_from_implied(system: ConstraintSystem, implied: frozenset[int]) -> ConeDescriptor:
-    normals = [system.nonstrict[r] for r in sorted(implied)]
-    dim = system.ambient_dim - exact_rank(normals)
+    dim = system.ambient_dim - exact_rank([system.nonstrict[r] for r in sorted(implied)])
     return ConeDescriptor(system=system, dimension=dim, implied_equalities=implied)
 
 

@@ -103,72 +103,6 @@ def pattern_compose(G: ActivationPattern, H: ActivationPattern) -> ActivationPat
     return ActivationPattern(G.M, G.N, tuple(nbrs))
 
 
-@dataclass(frozen=True)
-class ComparabilityGraph:
-    n_terms: int
-    directed: frozenset[tuple[int, int]]
-    undirected: frozenset[frozenset[int]]
-
-
-def comparability_graph(G: ActivationPattern, H: ActivationPattern, p_index: int) -> ComparabilityGraph:
-    """Edges j -> k for j active in G and k active in H at the point;
-    undirected when both j and k are active in both patterns."""
-    a, b = G.neighbors[p_index], H.neighbors[p_index]
-    both = a & b
-    directed = set()
-    undirected = set()
-    for j in a:
-        for k in b:
-            if j == k:
-                continue
-            if j in both and k in both:
-                undirected.add(frozenset((j, k)))
-            else:
-                directed.add((j, k))
-    return ComparabilityGraph(G.N, frozenset(directed), frozenset(undirected))
-
-
-def is_acyclic(cg: ComparabilityGraph) -> bool:
-    """Acyclicity after contracting undirected edges; a directed edge inside a
-    contracted class is itself a cycle."""
-    parent = list(range(cg.n_terms + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in cg.undirected:
-        x, y = sorted(e)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    arcs = set()
-    for j, k in cg.directed:
-        a, b = find(j), find(k)
-        if a == b:
-            return False
-        arcs.add((a, b))
-    # Kahn's algorithm on the contracted digraph.
-    nodes = {x for arc in arcs for x in arc}
-    indeg = {x: 0 for x in nodes}
-    out: dict[int, list[int]] = {x: [] for x in nodes}
-    for a, b in arcs:
-        indeg[b] += 1
-        out[a].append(b)
-    queue = [x for x in nodes if indeg[x] == 0]
-    seen = 0
-    while queue:
-        x = queue.pop()
-        seen += 1
-        for y in out[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    return seen == len(nodes)
-
-
 def pattern_axioms_check(
     patterns: Iterable[ActivationPattern],
     maximal_only: bool = False,
@@ -188,15 +122,15 @@ def pattern_axioms_check(
       failing witness is ``(pattern, permutation)`` with a transposition.
     * Elimination looks ``p[k] | q[k]`` up among point k's neighbor sets.
     * Comparability holds for every pair of patterns at every point, so it
-      is reported as passed without building a graph.  Lemma: in
-      ``comparability_graph(G, H, p)`` every arc j -> k has j in G(p) and
-      k in H(p), and undirected edges join only terms common to both.  So
-      after contracting the undirected edges each class is one term or a
-      set of common terms, and a class on a cycle, having an arc out and
-      an arc in, holds a common term either way.  All common terms form
-      one class, so a cycle could only be an arc inside it; but every edge
-      between two common terms is undirected.  Hence ``is_acyclic`` is
-      always true.
+      is reported as passed without building a graph.  Lemma: in the
+      comparability graph of G and H at point p every arc j -> k has j in
+      G(p) and k in H(p), and undirected edges join only terms common to
+      both.  So after contracting the undirected edges each class is one
+      term or a set of common terms, and a class on a cycle, having an arc
+      out and an arc in, holds a common term either way.  All common terms
+      form one class, so a cycle could only be an arc inside it; but every
+      edge between two common terms is undirected.  Hence the graph is
+      always acyclic.
     """
     pats = list(patterns)
     if not pats:

@@ -32,6 +32,10 @@ The scanning pattern-axiom oracle decides as the former body of
 elimination by scanning every pattern, and a comparability graph built and
 tested for every pair of patterns at every point.  The former sampled branch
 for N > 5 is left out; the oracle always takes the whole symmetric group.
+The comparability graph and its acyclicity test are the former
+``matroids.comparability_graph`` and ``matroids.is_acyclic``; the runtime
+check needs neither, since the graph is always acyclic (see
+``matroids.pattern_axioms_check``).
 
 The relative-interior pair oracle is the former body of
 ``dual._pair_cell_dim``: one feasibility LP with every competitor and the
@@ -70,6 +74,7 @@ positive one adds its witness to the point.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
@@ -80,30 +85,88 @@ from tropfan.fan import (
     FanCone,
     _tie_row,
     complete_pattern,
-    cone_constraints,
     cone_of_graph,
     fan_index,
     pattern_from_assignment,
 )
 from tropfan.geometry import (
     _STALL_LIMIT,
-    ConeDescriptor,
     ConstraintSystem,
     _Simplex,
     describe_cone,
     lp_feasible,
     max_slack,
 )
-from tropfan.matroids import (
-    AxiomReport,
-    AxiomResult,
-    comparability_graph,
-    is_acyclic,
-    pattern_compose,
-)
+from tropfan.matroids import AxiomReport, AxiomResult, pattern_compose
 from tropfan.rationals import dot, integerize, zeros
 from tropfan.relu import _terms_to_dict
 from tropfan.tropical import SignomialParams, eval_signomial, integer_terms
+
+
+@dataclass(frozen=True)
+class ComparabilityGraph:
+    n_terms: int
+    directed: frozenset[tuple[int, int]]
+    undirected: frozenset[frozenset[int]]
+
+
+def comparability_graph(G: ActivationPattern, H: ActivationPattern, p_index: int) -> ComparabilityGraph:
+    """Edges j -> k for j active in G and k active in H at the point;
+    undirected when both j and k are active in both patterns."""
+    a, b = G.neighbors[p_index], H.neighbors[p_index]
+    both = a & b
+    directed = set()
+    undirected = set()
+    for j in a:
+        for k in b:
+            if j == k:
+                continue
+            if j in both and k in both:
+                undirected.add(frozenset((j, k)))
+            else:
+                directed.add((j, k))
+    return ComparabilityGraph(G.N, frozenset(directed), frozenset(undirected))
+
+
+def is_acyclic(cg: ComparabilityGraph) -> bool:
+    """Acyclicity after contracting undirected edges; a directed edge inside a
+    contracted class is itself a cycle."""
+    parent = list(range(cg.n_terms + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in cg.undirected:
+        x, y = sorted(e)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    arcs = set()
+    for j, k in cg.directed:
+        a, b = find(j), find(k)
+        if a == b:
+            return False
+        arcs.add((a, b))
+    # Kahn's algorithm on the contracted digraph.
+    nodes = {x for arc in arcs for x in arc}
+    indeg = {x: 0 for x in nodes}
+    out: dict[int, list[int]] = {x: [] for x in nodes}
+    for a, b in arcs:
+        indeg[b] += 1
+        out[a].append(b)
+    queue = [x for x in nodes if indeg[x] == 0]
+    seen = 0
+    while queue:
+        x = queue.pop()
+        seen += 1
+        for y in out[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    return seen == len(nodes)
 
 
 def tie_row_by_fractions(p, hi, lo, blocks, d):
@@ -188,8 +251,7 @@ def all_cones_by_pairwise_union(data, N):
     cones = {}
     for assign, witness in fan_index(data, N).iter_patterns_with_witness():
         G = pattern_from_assignment(assign, N)
-        csys = cone_constraints(G, data)
-        cones[G.key()] = FanCone(G, ConeDescriptor(csys, csys.ambient_dim, frozenset()), witness)
+        cones[G.key()] = FanCone(G, N * (data.d + 1), witness)
     seen_pairs = set()
     grew = True
     while grew:

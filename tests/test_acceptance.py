@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import assignment_loss, grid_boundary_pairs, grid_pairs_only
+from oracles import ComparabilityGraph, assignment_loss, grid_boundary_pairs, grid_pairs_only, is_acyclic
 from tropfan.classify import (
     chamber_path,
     connected_components,
@@ -39,12 +39,7 @@ from tropfan.fan import (
     pattern_of,
 )
 from tropfan.geometry import ConstraintSystem, cone_dim, lp_feasible
-from tropfan.matroids import (
-    ComparabilityGraph,
-    is_acyclic,
-    om_axioms_check,
-    pattern_axioms_check,
-)
+from tropfan.matroids import om_axioms_check, pattern_axioms_check
 from tropfan.relu import ReluNetwork, bound_m, net_eval, net_to_tropical, prune_terms
 from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_rational
 
@@ -328,6 +323,14 @@ def test_criterion_04_sigma0_components_as_documented(nine_reports):
         f"documented 8 components, computed {len(s0.components)} of sizes {sizes}",
     )
     assert len(s0.components) == 8
+
+
+def test_criterion_04_sigma0_components_computed_truth(nine_reports):
+    """Exact truth for the perfect fan: its 16 cones form 4 wall components
+    of 4 cones each."""
+    s0, _, _ = nine_reports
+    assert s0.count == 16
+    assert sorted(len(c) for c in s0.components) == [4, 4, 4, 4]
 
 
 def test_criterion_04_designated_dims_as_documented(nine_points, nine_reports):

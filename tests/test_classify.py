@@ -199,8 +199,9 @@ def test_wall_adjacent_full_swap_is_lineality(diag4):
 
 def test_wall_decision_matches_closure_dimension():
     """Dual route: the one-LP wall decision must agree with the independent
-    closure-descriptor dimension on every maximal pair of a small fan."""
-    from tropfan.fan import cone_of_graph
+    dimension of the union's H-description on every maximal pair of a small fan."""
+    from tropfan.fan import cone_constraints
+    from tropfan.geometry import describe_cone
 
     D = dataset([(0, 0), (2, 1), (1, 3)])
     maximal = enumerate_maximal_cones(D, 3)
@@ -208,9 +209,9 @@ def test_wall_decision_matches_closure_dimension():
     for x in range(len(maximal)):
         for y in range(x + 1, len(maximal)):
             adjacent, dim = wall_adjacent(maximal[x], maximal[y], D, 2, 1)
-            cone = cone_of_graph(maximal[x].union(maximal[y]), D)
-            assert dim == cone.descriptor.dimension
-            assert adjacent == (cone.descriptor.dimension == ambient - 1)
+            expected = describe_cone(cone_constraints(maximal[x].union(maximal[y]), D)).dimension
+            assert dim == expected
+            assert adjacent == (expected == ambient - 1)
 
 
 def test_minimizers_disconnected_on_five_line(five_line):

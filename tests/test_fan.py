@@ -26,7 +26,7 @@ from tropfan.fan import (
     _tie_row,
 )
 from tropfan.classify import level_set
-from tropfan.geometry import cone_dim, exact_rank, lp_feasible, ConstraintSystem
+from tropfan.geometry import cone_dim, describe_cone, exact_rank, lp_feasible, ConstraintSystem
 from tropfan.rationals import dot
 from tropfan.tropical import SignomialParams, signomial
 
@@ -78,17 +78,17 @@ def test_cone_of_graph_complete(two_points):
     K = complete_pattern(2, 4)
     cone = cone_of_graph(K, two_points)
     assert cone.pattern == K
-    assert cone.descriptor.dimension == lineality_dim(two_points, 4)
+    assert cone.dimension == lineality_dim(two_points, 4)
 
 
 def test_cone_of_graph_running(two_points):
     H = ActivationPattern(2, 4, (frozenset({1, 2}), frozenset({3})))
     cone = cone_of_graph(H, two_points)
     assert cone.pattern == H  # closure adds no edges
-    assert cone.descriptor.dimension == 11
+    assert cone.dimension == 11
     # independent dimension check: one tie row, rank 1
-    implied = cone.descriptor.implied_equalities
-    normals = [cone.descriptor.system.nonstrict[r] for r in sorted(implied)]
+    desc = describe_cone(cone_constraints(cone.pattern, two_points))
+    normals = [desc.system.nonstrict[r] for r in sorted(desc.implied_equalities)]
     assert 12 - exact_rank(normals) == 11
 
 
@@ -97,7 +97,7 @@ def test_cone_of_graph_collinear_tie_forces_all_ties():
     H = ActivationPattern(3, 2, (frozenset({1}), frozenset({1, 2}), frozenset({1})))
     cone = cone_of_graph(H, D)
     assert cone.pattern.neighbors == (frozenset({1, 2}),) * 3
-    assert cone.descriptor.dimension == lineality_dim(D, 2)
+    assert cone.dimension == lineality_dim(D, 2)
 
 
 def test_is_maximal_degree_two_rejected(two_points):
@@ -164,7 +164,7 @@ def test_all_cones_two_points_on_line():
     D = dataset([(1,), (2,)])
     cones = enumerate_all_cones(D, 2)
     assert len(cones) == 9
-    dims = sorted(c.descriptor.dimension for c in cones)
+    dims = sorted(c.dimension for c in cones)
     assert dims == [2, 3, 3, 3, 3, 4, 4, 4, 4]
 
 
@@ -185,11 +185,32 @@ def test_face_descent_matches_pairwise_union(pts, N):
     D = dataset(pts)
     cones = enumerate_all_cones(D, N)
     reference = all_cones_by_pairwise_union(D, N)
-    assert [(c.pattern.key(), c.descriptor.dimension) for c in cones] == [
-        (c.pattern.key(), c.descriptor.dimension) for c in reference
+    assert [(c.pattern.key(), c.dimension) for c in cones] == [
+        (c.pattern.key(), c.dimension) for c in reference
     ]
     for cone in cones:
         assert pattern_of(theta_from_vector(cone.relint, N, D.d), D) == cone.pattern
+        assert cone.dimension == describe_cone(cone_constraints(cone.pattern, D)).dimension
+
+
+@pytest.mark.parametrize(
+    "pts, N, count",
+    [
+        ([(0, 0), (1, 0), (1, 0), (0, 2)], 2, 27),
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], 3, 217),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 2, 181),
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], 3, 1303),
+    ],
+    ids=["coincident4", "diag4-N3", "spatial5", "square-N3"],
+)
+def test_all_cones_satisfy_euler_relation(pts, N, count):
+    """The fan is complete, so its cones tile R^n with n = N(d+1) and the
+    alternating count of their dimensions is (-1)^n, the Euler
+    characteristic of a complete fan.  No LP is involved in the check."""
+    D = dataset(pts)
+    cones = enumerate_all_cones(D, N)
+    assert len(cones) == count
+    assert sum((-1) ** c.dimension for c in cones) == (-1) ** (N * (D.d + 1))
 
 
 def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
@@ -287,7 +308,7 @@ def test_complete_pattern_rows_all_implied(two_points):
 def test_cone_dims_never_below_lineality(two_points):
     lin = lineality_dim(two_points, 3)
     for cone in enumerate_all_cones(two_points, 3):
-        assert cone.descriptor.dimension >= lin
+        assert cone.dimension >= lin
 
 
 def test_polytope_vertex_simple():
@@ -306,6 +327,19 @@ def test_polytope_vertex_rejects_non_maximal(five_line):
     G = pattern_from_assignment((1, 2, 1, 2, 1), 2)  # not realizable on a line
     with pytest.raises(ValueError):
         polytope_vertex_of(G, five_line)
+
+
+@pytest.mark.parametrize("assign", [(1, 2), (1, 1, 2, 2, 2, 2)], ids=["two-points", "six-points"])
+def test_is_maximal_rejects_a_pattern_of_another_size(five_line, assign):
+    with pytest.raises(ValueError, match="sizes differ"):
+        is_maximal_pattern(pattern_from_assignment(assign, 2), five_line)
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("assign", [(1, 2), (1, 1, 2, 2, 2, 2)], ids=["two-points", "six-points"])
+def test_polytope_vertex_rejects_a_pattern_of_another_size(five_line, assign, check):
+    with pytest.raises(ValueError, match="sizes differ"):
+        polytope_vertex_of(pattern_from_assignment(assign, 2), five_line, check=check)
 
 
 def test_polytope_dimension_identity(five_line, two_points):
@@ -483,7 +517,7 @@ def fan_summary(data, target):
         report = level_set(data, n, m, target, k)
         levels.append(([g.key() for g in report.patterns], report.components, report.adjacency))
     cones = [
-        (c.pattern.key(), c.descriptor.dimension, c.descriptor.implied_equalities)
+        (c.pattern.key(), c.dimension, describe_cone(cone_constraints(c.pattern, data)).implied_equalities)
         for c in enumerate_all_cones(data, 2)
     ]
     return assigns, levels, cones, affine_dim(data), lineality_dim(data, n + m)

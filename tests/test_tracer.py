@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` rebinds module globals of tropfan to timing wrappers,
 so renaming or deleting one of those names breaks ``run.py --trace``.  This
 test installs the tracer, runs a small traced workload through the rebound
-names, uninstalls it and checks that every module global is the original
-object again.  It is skipped in a tree without ``perfbench/``.
+names (a chamber path, a level set and every cone of a small fan, whose
+relative-interior and rank calls must show as spans), uninstalls it and
+checks that every module global is the original object again.  It is skipped in a tree without ``perfbench/``.
 """
 
 import importlib
@@ -44,6 +45,8 @@ def test_perfbench_tracer_installs_and_restores_every_name():
         classify = modules[MODULES.index("classify")]  # the benchmark calls through it
         classify.chamber_path(parse_signs("-,-,-,-"), parse_signs("+,+,+,+"), line)
         classify.level_set(line, 1, 1, parse_signs("+,-,-,+"), 1)
+        fan = modules[MODULES.index("fan")]
+        fan.enumerate_all_cones(dataset([(0, 0), (2, 1), (1, 3)]), 2)
         tracer.active = False
     finally:
         tracer.uninstall()
@@ -52,6 +55,7 @@ def test_perfbench_tracer_installs_and_restores_every_name():
     assert {
         "classify.chamber_path", "classify.level_set", "fan.fan_index",
         "geometry.lp.classify", "geometry.lp.fan",
+        "fan.enumerate_all_cones", "fan.cone_of_graph", "geometry.relint", "geometry.rank",
     } <= spans
     for m, old in zip(modules, before):
         now = vars(m)
