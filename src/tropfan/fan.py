@@ -7,9 +7,12 @@ Its cone in parameter space R^{N(d+1)} is cut out by the homogeneous rows
 Full-dimensional cones correspond exactly to degree-one patterns whose system
 is strictly feasible.  Enumeration walks canonical set partitions of the data
 into at most N groups (term labels are interchangeable, so each unordered
-partition is LP-checked once and then expanded to all injective labelings),
-pruning with the necessary condition that the groups have pairwise disjoint
-convex hulls before any LP runs.
+partition is LP-checked once and then expanded to all injective labelings).
+The walk is exact: a node, a partition of the first k points, is expanded
+only when its own strict LP is feasible.  The part of point 0 is gauge-fixed
+to zero, so every node has the same columns and a child only adds rows; it
+is solved warm from a copy of its parent's optimal tableau by a dual simplex
+(``max_slack(tableau=...)``).
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .geometry import ConstraintSystem, exact_rank, max_slack, relint_point
-from .rationals import Vec, dot, integerize, vec, zeros
+from .rationals import Vec, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
 
@@ -240,42 +244,6 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
 
 
 # ---------------------------------------------------------------------------
-# Convex-hull separation pruning
-
-
-def _bbox_disjoint(pts: Sequence[Vec], A: Sequence[int], B: Sequence[int], d: int) -> bool:
-    for j in range(d):
-        if max(pts[a][j] for a in A) < min(pts[b][j] for b in B):
-            return True
-        if max(pts[b][j] for b in B) < min(pts[a][j] for a in A):
-            return True
-    return False
-
-
-def _hulls_disjoint(data: Dataset, A: Sequence[int], B: Sequence[int], memo: dict) -> bool:
-    key = (frozenset(A), frozenset(B)) if len(A) <= len(B) else (frozenset(B), frozenset(A))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if _bbox_disjoint(data.points, A, B, data.d):
-        memo[key] = True
-        return True
-    # Strict separation is the strict system of the two-part partition (A, B).
-    dim, rows, _ = _pattern_system(data, [(k, (1,)) for k in A] + [(k, (2,)) for k in B])
-    opt, _ = max_slack(dim, (), rows)
-    memo[key] = opt > 0
-    return opt > 0
-
-
-def _parts_admissible(data: Dataset, parts: Sequence[Sequence[int]], changed: int, memo: dict) -> bool:
-    """Pairwise hull-disjointness against the part that just changed."""
-    for t, other in enumerate(parts):
-        if t != changed and not _hulls_disjoint(data, parts[changed], other, memo):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Enumeration of maximal cones
 
 
@@ -293,115 +261,113 @@ class _CanonicalCone:
     pad_a: Fraction
 
 
-def _check_leaf(data: Dataset, parts: Sequence[Sequence[int]]) -> Optional[_CanonicalCone]:
-    r = len(parts)
-    dim, rows, _ = _pattern_system(data, [(k, (t,)) for t, part in enumerate(parts, start=1) for k in part])
-    if rows:
-        opt, x = max_slack(dim, (), rows)
-        if opt <= 0:
-            return None
-    else:
-        x = ()
-    d = data.d
-    blocks = [tuple(x[t * (d + 1) : (t + 1) * (d + 1)]) for t in range(r - 1)]
-    blocks.append(zeros(d + 1))
+def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tuple[Fraction, Vec, list]:
+    """(optimum, witness, tableau) of the node that puts point k = len(owner)
+    into part t of the node ``owner`` (owner[j] is the part of point j, and
+    t = the number of open parts opens a new one), solved warm from the
+    node's tableau.
+
+    Part 0 holds point 0 and its block is gauge-fixed to zero, so x holds
+    the blocks of parts 1..R-1 at every node.  Point k must beat every other
+    open part, and a new part adds the row of each earlier point, whose own
+    part must beat it.  A leaf's rows are then those of its partition.
+    """
+    lift, r = data.lifts[len(owner)], max(owner, default=-1) + 1
+    # Part p is term p, and part 0 is term R, past the R - 1 blocks: the zero block.
+    rows = [_tie_row(lift, t or R, l or R, R - 1) for l in range(r) if l != t]
+    if t == r:
+        rows += [_tie_row(data.lifts[j], p or R, t, R - 1) for j, p in enumerate(owner)]
+    child = list(tableau)
+    opt, x = max_slack((R - 1) * (data.d + 1), (), rows, tableau=child)
+    return opt, x, child
+
+
+def _walk(data: Dataset, R: int, owner: list[int], tableau: list, x: Vec, depth: int, visit: Callable):
+    """Depth-first over the realizable partitions of the first ``depth`` points
+    below a node, children in canonical order (the open parts, then a new
+    part while fewer than R are open); ``visit`` sees each one's (owner,
+    tableau, witness)."""
+    if len(owner) == depth:
+        visit(owner, tableau, x)
+        return
+    for t in range(min(max(owner, default=-1) + 2, R)):
+        opt, y, child = _child(data, R, owner, t, tableau)
+        if opt > 0:
+            _walk(data, R, owner + [t], child, y, depth, visit)
+
+
+def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list, x: Vec) -> _CanonicalCone:
+    """The leaf's canonical cone, once its witness is checked in integers: at
+    each point its part's term must beat every other part's term in the
+    tableau's rhs values, or an ``AssertionError`` is raised."""
+    sx, width, r = tableau[0], data.d + 1, max(owner) + 1
+    nums = [0] * width + sx.numerators((R - 1) * width)  # part 0's block is zero
+    blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
+    parts: list[list[int]] = [[] for _ in range(r)]
     mu = []
-    for t, part in enumerate(parts):
-        a, s = blocks[t][0], blocks[t][1:]
-        for k in part:
-            mu.append(a + dot(s, data.points[k]))
-    pad_a = min(mu) - 1
-    return _CanonicalCone(tuple(tuple(p) for p in parts), tuple(blocks), pad_a)
+    for k, (lift, p) in enumerate(zip(data.lifts, owner)):
+        values = [sum(map(mul, lift, block)) for block in blocks]
+        if max(values) != values[p] or values.count(values[p]) > 1:
+            raise AssertionError("leaf witness violates a strict row")
+        mu.append(Fraction(values[p], sx.den * lift[0]))
+        parts[p].append(k)
+    witness = (zeros(width),) + tuple(tuple(x[(l - 1) * width : l * width]) for l in range(1, r))
+    return _CanonicalCone(tuple(map(tuple, parts)), witness, min(mu) - 1)
 
 
-def _dfs_partitions(
-    data: Dataset,
-    N: int,
-    parts: list[list[int]],
-    k: int,
-    depth: int,
-    memo: dict,
-    visit: Callable[[list[list[int]]], None],
-):
-    """Hull-pruned depth-first walk extending ``parts`` (points 0..k-1) over
-    points k..depth-1; ``visit`` sees each canonical partition of the first
-    ``depth`` points."""
-    max_parts = min(N, data.M)
-
-    def recurse(k: int):
-        if k == depth:
-            visit(parts)
-            return
-        for t in range(len(parts)):
-            parts[t].append(k)
-            if _parts_admissible(data, parts, t, memo):
-                recurse(k + 1)
-            parts[t].pop()
-        if len(parts) < max_parts:
-            parts.append([k])
-            recurse(k + 1)
-            parts.pop()
-
-    recurse(k)
-
-
-def _chunk_worker(args) -> tuple[int, list[_CanonicalCone]]:
-    """Leaf count and strictly feasible leaves below one prefix; stops early
-    once the count alone exceeds the cap."""
-    data, N, prefix, depth, cap = args
-    leaves = 0
+def _chunk_worker(args) -> list[_CanonicalCone]:
+    """Realizable leaves below one prefix node, whose tableau is rebuilt by
+    replaying the prefix from the root; stops once they outnumber the cap."""
+    data, N, prefix, cap = args
+    R = min(N, data.M)
+    tableau: list = []
+    x: Vec = ()
+    for k, t in enumerate(prefix):
+        _, x, tableau = _child(data, R, prefix[:k], t, tableau)
     out: list[_CanonicalCone] = []
 
-    def leaf(parts):
-        nonlocal leaves
-        leaves += 1
-        if leaves > cap:
+    def leaf(owner, tableau, x):
+        out.append(_leaf_cone(data, R, owner, tableau, x))
+        if len(out) > cap:
             raise CapExceededError("candidate cap exceeded during fan enumeration")
-        cone = _check_leaf(data, parts)
-        if cone is not None:
-            out.append(cone)
 
-    _dfs_partitions(data, N, prefix, depth, data.M, {}, leaf)
-    return leaves, out
+    _walk(data, R, prefix, tableau, x, data.M, leaf)
+    return out
 
 
 def _enumerate_canonical(
     data: Dataset, N: int, cap: Optional[int], workers: int, progress: Optional[Callable[[str], None]]
-) -> tuple[int, list[_CanonicalCone]]:
-    """(leaf count, canonical cones); a chunk stops early only when its own
-    leaf count exceeds the cap."""
+) -> list[_CanonicalCone]:
+    """Canonical cones in walk order; a chunk stops early only when its own
+    count exceeds the cap.  Parallel chunks are the nodes of the first depth
+    with at least 4 per worker."""
     budget = cap if cap is not None else sys.maxsize
     workers = min(workers, os.cpu_count() or 1)
     if progress:
         progress(f"enumerating canonical partitions of {data.M} points into <= {N} groups")
     if workers <= 1:
-        chunks = [_chunk_worker((data, N, [], 0, budget))]
-    else:
-        depth, memo, prefixes = 0, {}, [[]]
-        while depth < data.M and len(prefixes) < 4 * workers:
-            depth += 1
-            prefixes = []
-            _dfs_partitions(
-                data, N, [], 0, depth, memo, lambda parts: prefixes.append([list(p) for p in parts])
-            )
-        import multiprocessing as mp
+        return _chunk_worker((data, N, [], budget))
+    depth, prefixes = 0, [[]]
+    while depth < data.M and len(prefixes) < 4 * workers:
+        depth, prefixes = depth + 1, []
+        _walk(data, min(N, data.M), [], [], (), depth, lambda owner, *_: prefixes.append(owner))
+    import multiprocessing as mp
 
-        tasks = [(data, N, prefix, depth, budget) for prefix in prefixes]
-        with mp.Pool(workers) as pool:
-            chunks = pool.map(_chunk_worker, tasks)
-    return sum(count for count, _ in chunks), [cone for _, cones in chunks for cone in cones]
+    tasks = [(data, N, prefix, budget) for prefix in prefixes]
+    with mp.Pool(workers) as pool:
+        chunks = pool.map(_chunk_worker, tasks)
+    return [cone for cones in chunks for cone in cones]
 
 
 class _FanIndex:
-    """Enumerated maximal cones of (data, N), stored as canonical partitions,
-    with the number of candidate leaves the enumeration checked (0 when the
-    index was not built by ``fan_index``)."""
+    """Enumerated maximal cones of (data, N), stored as canonical partitions.
+    The walk reaches only realizable leaves, so ``leaves`` is their count."""
 
-    def __init__(self, data: Dataset, N: int, reps: list[_CanonicalCone], leaves: int = 0):
+    def __init__(self, data: Dataset, N: int, reps: list[_CanonicalCone]):
         self.data = data
         self.N = N
         self.reps = reps
-        self.leaves = leaves
+        self.leaves = len(reps)
 
     def _labelings(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, tuple[int, ...], tuple[int, ...]]]:
         """(rep, perm, assignment) for each injective relabeling part t -> term
@@ -445,7 +411,7 @@ def fan_index(
     use_cache: bool = True,
 ) -> _FanIndex:
     """Enumerated maximal cones of (data, N).  ``cap`` bounds the number of
-    candidate leaves over all chunks, so it does not depend on ``workers``,
+    realizable classes over all chunks, so it does not depend on ``workers``,
     and it is checked on cached indexes too.  The cache keeps the
     ``_FAN_CACHE_SIZE`` most recently used indexes."""
     key = (data, N)
@@ -453,8 +419,7 @@ def fan_index(
     if index is not None:
         _FAN_CACHE.move_to_end(key)
     else:
-        leaves, reps = _enumerate_canonical(data, N, cap, workers, progress)
-        index = _FanIndex(data, N, reps, leaves)
+        index = _FanIndex(data, N, _enumerate_canonical(data, N, cap, workers, progress))
         if use_cache:
             _FAN_CACHE[key] = index
             if len(_FAN_CACHE) > _FAN_CACHE_SIZE:

@@ -8,8 +8,11 @@ of integer rows:
                               g.x  = 0  (equality rows)
                               0 <= t <= 1
 
-The origin with t = 0 is always feasible, so a single-phase primal simplex
-suffices.  x is free, and every row with an x entry has rhs 0, so each x_j is
+The origin with t = 0 is always feasible, so a cold solve is a single-phase
+primal simplex.  A warm solve adds rows to a system already solved: its
+optimal tableau stays dual feasible, and a dual simplex (Lemke 1954) restores
+primal feasibility (see ``max_slack``).  x is free, and every row with an x
+entry has rhs 0, so each x_j is
 pivoted into the basis before the simplex starts, with no ratio test and
 equality rows first (see ``max_slack``).  The slack of a pivoted equality
 row is fixed at 0 and its column dropped, so an equality is one row, not a
@@ -33,11 +36,14 @@ keeps row r, and then swaps columns: the entering variable's column c becomes
 the leaving variable's, which holds -M[i][c] in row i and q in row r, and the
 new denominator is M[r][c].  Every stored entry equals the same entry of the
 full tableau, so each division is exact and no Fraction arithmetic happens in
-the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.
-Anti-cycling is by Bland's rule; Dantzig's rule is used while the objective is
-moving, switching to Bland during degenerate stalls, which preserves the
-termination guarantee.  Both rules break ties by variable id, never by column
-position, so the pivots are those of the full tableau.
+the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.  Primal
+pivots are positive.  A dual pivot is negative, and it negates the updated
+tableau, which keeps every value, so the denominator stays positive.
+Anti-cycling is by Bland's rule; Dantzig's rule (in the dual, the most
+negative rhs) is used while the objective is moving, switching to Bland
+during degenerate stalls, which preserves the termination guarantee.  Both
+rules break ties by variable id, never by column position, so the pivots are
+those of the full tableau.
 
 Every row is an integer tuple.  Tie rows are built from the integer lifts of
 the data points, and a ``ConstraintSystem`` multiplies each row it is given
@@ -60,6 +66,7 @@ built as that span is.
 from __future__ import annotations
 
 import os
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -106,7 +113,7 @@ class ConeDescriptor:
     implied_equalities: frozenset[int]
 
 
-def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int) -> list[int]:
+def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int, lead: int) -> list[int]:
     """One non-pivot row after pivoting on ``prow[c] = piv`` with old denominator q,
     every division checked for a zero remainder."""
     f = row[c]
@@ -116,7 +123,7 @@ def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int
         if rem:
             raise ArithmeticError("integer pivoting produced a non-exact division")
         out.append(v)
-    out[c] = -f
+    out[c] = lead * f
     return out
 
 
@@ -179,27 +186,84 @@ class _Simplex:
 
     def _pivot(self, r: int, c: int):
         """Integer-preserving pivot on rows[r][c], then the column swap (see the
-        module docstring); the checked or the plain update is chosen once."""
+        module docstring); the checked or the plain update is chosen once.  A
+        negative pivot enters its row negated, which negates every updated
+        row.  Rows are replaced, never edited, so tableau copies share them."""
         rows, q = self.rows, self.den
         prow = rows[r]
         piv = prow[c]
+        lead = -1  # the leaving column holds lead * f in a row whose column c held f
+        if piv < 0:
+            prow, piv, lead = [-p for p in prow], -piv, 1
         if _CHECK_DIVISION:
             for i, row in enumerate(rows):
                 if i != r:
-                    rows[i] = _eliminate_checked(row, prow, c, piv, q)
+                    rows[i] = _eliminate_checked(row, prow, c, piv, q, lead)
         else:
             for i, row in enumerate(rows):
                 f = row[c]
                 if f:
                     if i != r:
                         row = [(x * piv - f * p) // q for x, p in zip(row, prow)]
-                        row[c] = -f  # the leaving variable's column
+                        row[c] = lead * f  # the leaving variable's column
                         rows[i] = row
                 elif piv != q:
                     rows[i] = [x * piv // q for x in row]
-        prow[c] = q
+        rows[r] = prow = prow if lead > 0 else list(prow)
+        prow[c] = -lead * q
         self.den = piv
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
+
+    def dual_solve(self, new_rows: list[list[int]], free: int, pivot_limit: int = 200_000) -> Fraction:
+        """Add rows ``a.v <= 0`` over the structural variables to this optimal
+        tableau and re-optimize by a dual simplex (see ``max_slack``); the
+        variables below ``free`` are free, so their basic rows never leave."""
+        q, n, start = self.den, self.n, self.m
+        col = {v: j for j, v in enumerate(self.nonbasic)}
+        at = {v: i for i, v in enumerate(self.basis)}
+        for a in new_rows:  # q*a minus the basic rows' combination: the full Bareiss entry
+            row = [0] * (n + 1)
+            for v, coef in enumerate(a):
+                if coef and v in col:
+                    row[col[v]] += q * coef
+                elif coef:
+                    row = [e - coef * b for e, b in zip(row, self.rows[at[v]])]
+            self.rows.insert(self.m, row)
+            self.basis.append(n + self.m)
+            self.m += 1
+        for r in range(start, self.m):
+            c = next((j for j in range(free) if self.nonbasic[j] == j and self.rows[r][j]), -1)
+            if c >= 0:
+                self._pivot(r, c)
+        m, rows, basis, nonbasic = self.m, self.rows, self.basis, self.nonbasic
+        stall, last_num, last_den = 0, -rows[m][n], self.den
+        for _ in range(pivot_limit):
+            short = [i for i in range(m) if rows[i][n] < 0 and basis[i] >= free]
+            if not short:
+                return Fraction(-rows[m][n], self.den)
+            # Most negative rhs, or Bland's least id after a stall; ties by id.
+            bland = stall >= _STALL_LIMIT
+            leave = min(short, key=lambda i: (0 if bland else rows[i][n], basis[i]))
+            row, obj, enter = rows[leave], rows[m], -1
+            for j in range(n):  # least obj[j] / row[j] over row[j] < 0, ties by id
+                a = row[j]
+                if a < 0 and (enter < 0 or (obj[j] * row[enter], nonbasic[j]) < (obj[enter] * a, nonbasic[enter])):
+                    enter = j
+            if enter < 0:
+                raise PivotLimitError("LP infeasible; the origin is feasible by construction")
+            self._pivot(leave, enter)
+            num, den = -rows[m][n], self.den
+            stall = 0 if num * last_den != last_num * den else stall + 1
+            last_num, last_den = num, den
+        raise PivotLimitError("pivot limit exceeded")
+
+    def numerators(self, count: int) -> list[int]:
+        """den times the value of each variable 0..count-1 (0 when nonbasic)."""
+        out = [0] * count
+        for i, v in enumerate(self.basis):
+            if v < count:
+                out[v] = self.rows[i][self.n]
+        return out
 
     def restrict(self, rows: list[int], cols: list[int]):
         """Keep only the given rows (the objective row stays) and columns."""
@@ -222,6 +286,7 @@ def max_slack(
     strict: Sequence[LinearForm] = (),
     equalities: Sequence[LinearForm] = (),
     duals: Optional[list[int]] = None,
+    tableau: Optional[list] = None,
 ) -> tuple[Fraction, Vec]:
     """Maximize the common slack t of the integer strict rows; returns (t*, x*).
 
@@ -260,7 +325,29 @@ def max_slack(
     dual reads sum_i y_i f_i = 0 with y_i > 0 on some strict row, a Farkas
     certificate that no x is positive on every strict row (see
     ``relint_point``).
+
+    If a list ``tableau`` is passed, the call is warm: the rows are added to
+    the system whose optimal tableau the list holds (the empty system when it
+    is empty), and the list then holds this call's.  A copy of the tableau is
+    kept whole, x rows and untouched x columns included; each new row enters
+    in the current nonbasic columns, an untouched x column is pivoted in on
+    the first new row with an entry in it (its objective entry is 0, so the
+    tableau stays dual feasible), and ``_Simplex.dual_solve`` re-optimizes.
+    A warm call takes no equality rows and reads no duals.
     """
+    if tableau is not None:
+        if equalities or duals is not None:
+            raise ValueError("a warm start takes inequality rows and reads no duals")
+        if tableau:
+            sx = copy(tableau[0])
+            sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
+        else:
+            sx = _Simplex([[0] * dim + [1]], [1], [0] * dim + [1])
+            sx._pivot(0, dim)  # t = 1, the optimum of the empty system
+        rows = [[-v for v in f] + [0] for f in nonstrict] + [[-v for v in f] + [1] for f in strict]
+        opt = sx.dual_solve(rows, dim)
+        tableau[:] = [sx]
+        return opt, tuple(Fraction(v, sx.den) for v in sx.numerators(dim))
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
     rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]

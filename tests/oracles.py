@@ -83,6 +83,8 @@ from tropfan.dual import DualEdge
 from tropfan.fan import (
     ActivationPattern,
     FanCone,
+    _CanonicalCone,
+    _pattern_system,
     _tie_row,
     complete_pattern,
     cone_of_graph,
@@ -274,6 +276,72 @@ def all_cones_by_pairwise_union(data, N):
     if K.key() not in cones:
         cones[K.key()] = cone_of_graph(K, data)
     return [cones[k] for k in sorted(cones)]
+
+
+def _bbox_disjoint(pts, A, B, d):
+    for j in range(d):
+        if max(pts[a][j] for a in A) < min(pts[b][j] for b in B):
+            return True
+        if max(pts[b][j] for b in B) < min(pts[a][j] for a in A):
+            return True
+    return False
+
+
+def _hulls_disjoint(data, A, B, memo):
+    key = (frozenset(A), frozenset(B)) if len(A) <= len(B) else (frozenset(B), frozenset(A))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if _bbox_disjoint(data.points, A, B, data.d):
+        memo[key] = True
+        return True
+    # Strict separation is the strict system of the two-part partition (A, B).
+    dim, rows, _ = _pattern_system(data, [(k, (1,)) for k in A] + [(k, (2,)) for k in B])
+    memo[key] = max_slack(dim, (), rows)[0] > 0
+    return memo[key]
+
+
+def _check_leaf(data, parts):
+    """The partition's canonical cone from one cold strict LP, or None."""
+    dim, rows, _ = _pattern_system(data, [(k, (t,)) for t, part in enumerate(parts, start=1) for k in part])
+    x = ()
+    if rows:
+        opt, x = max_slack(dim, (), rows)
+        if opt <= 0:
+            return None
+    d = data.d
+    blocks = [tuple(x[t * (d + 1) : (t + 1) * (d + 1)]) for t in range(len(parts) - 1)]
+    blocks.append(zeros(d + 1))
+    mu = [blocks[t][0] + dot(blocks[t][1:], data.points[k]) for t, part in enumerate(parts) for k in part]
+    return _CanonicalCone(tuple(tuple(p) for p in parts), tuple(blocks), min(mu) - 1)
+
+
+def canonical_cones_by_hull_pruning(data, N):
+    """The canonical cones of (data, N) in walk order, by the former walk:
+    canonical set partitions into at most N parts, pruned with the necessary
+    condition that the parts have pairwise disjoint convex hulls (a strict
+    LP per pair, memoized), then one cold strict LP per leaf.  Independent of
+    the warm tableau path."""
+    parts, memo, out = [], {}, []
+
+    def recurse(k):
+        if k == data.M:
+            cone = _check_leaf(data, parts)
+            if cone is not None:
+                out.append(cone)
+            return
+        for t in range(len(parts)):
+            parts[t].append(k)
+            if all(_hulls_disjoint(data, parts[t], other, memo) for u, other in enumerate(parts) if u != t):
+                recurse(k + 1)
+            parts[t].pop()
+        if len(parts) < min(N, data.M):
+            parts.append([k])
+            recurse(k + 1)
+            parts.pop()
+
+    recurse(0)
+    return out
 
 
 def _wall_shape(a, b, data):

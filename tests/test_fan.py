@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from oracles import all_cones_by_pairwise_union, tie_row_by_fractions
+from oracles import all_cones_by_pairwise_union, canonical_cones_by_hull_pruning, tie_row_by_fractions
 from tropfan.fan import (
     ActivationPattern,
     affine_dim,
@@ -23,6 +23,7 @@ from tropfan.fan import (
     polytope_vertex_of,
     theta_from_vector,
     fan_index,
+    _FanIndex,
     _tie_row,
 )
 from tropfan.classify import level_set
@@ -420,6 +421,77 @@ def test_patterns_require_positive_degree():
         ActivationPattern(1, 2, (frozenset({3}),))  # term index out of range
 
 
+def walk_datasets(seed=20261019, count=108):
+    """(data, N) for small seeded point sets in d = 1..3 with N = 2..4: general
+    integer points, a coincident pair, a collinear triple, or rational points
+    (with a coincident pair every other time)."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        d, N, kind = 1 + case % 3, 2 + case // 3 % 3, case // 9 % 4
+        M = rng.randint(4, 6)
+
+        def point():
+            if kind == 3:
+                return tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(d))
+            return tuple(F(rng.randint(-5, 5)) for _ in range(d))
+
+        pts = [point() for _ in range(M)]
+        if kind == 1 or (kind == 3 and case % 2):
+            pts[rng.randrange(1, M)] = pts[0]
+        elif kind == 2:
+            p, v, lam = pts[0], point(), F(rng.randint(1, 5), rng.randint(1, 3))
+            pts[1:3] = [tuple(a + b for a, b in zip(p, v)), tuple(a + lam * b for a, b in zip(p, v))]
+            rng.shuffle(pts)
+        out.append((dataset(pts), N))
+    return out
+
+
+def check_walk_against_hull_pruning(data, N, monkeypatch):
+    """``fan_index`` with 1 and 2 workers lists the former walk's classes in its
+    order, and each class's witness, under its canonical labeling with the
+    padding terms, realizes the class."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
+    want = canonical_cones_by_hull_pruning(data, N)
+    oracle = _FanIndex(data, N, want)
+    for workers in (1, 2):
+        index = fan_index(data, N, workers=workers, use_cache=False)
+        assert [rep.parts for rep in index.reps] == [cone.parts for cone in want]
+        assert list(index.iter_assignments()) == list(oracle.iter_assignments())
+        for rep in index.reps:
+            perm = range(1, len(rep.parts) + 1)
+            theta = theta_from_vector(index.witness_for(rep, perm), N, data.d)
+            assign = [t for k in range(data.M) for t in perm if k in rep.parts[t - 1]]
+            assert pattern_of(theta, data).assignment() == tuple(assign)
+
+
+def test_exact_walk_matches_hull_pruning_on_seeded_datasets(monkeypatch):
+    kinds = set()
+    for data, N in walk_datasets():
+        check_walk_against_hull_pruning(data, N, monkeypatch)
+        kinds.add((data.d, N))
+    assert len(kinds) == 9
+
+
+@pytest.mark.parametrize("N, count", [(3, 396), (4, 1755)])
+def test_exact_walk_matches_hull_pruning_on_nine_points(nine_points, monkeypatch, N, count):
+    check_walk_against_hull_pruning(nine_points, N, monkeypatch)
+    assert len(fan_index(nine_points, N).reps) == count
+
+
+def test_corrupted_leaf_witness_raises(monkeypatch):
+    """Each leaf's witness is checked on the leaf's strict rows before it is
+    stored: negated tableau values break them."""
+    from tropfan import geometry
+
+    data = dataset([(0, 0), (1, 0), (0, 1)])
+    fan_index(data, 2, use_cache=False)
+    numerators = geometry._Simplex.numerators
+    monkeypatch.setattr(geometry._Simplex, "numerators", lambda self, count: [-v for v in numerators(self, count)])
+    with pytest.raises(AssertionError, match="leaf witness"):
+        fan_index(data, 2, use_cache=False)
+
+
 def test_cap_exceeded():
     from tropfan.fan import CapExceededError
 
@@ -431,12 +503,14 @@ def test_cap_exceeded():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cap_counts_leaves_independently_of_workers(nine_points, workers):
+    """The walk reaches only realizable leaves, so the cap bounds the classes."""
     from tropfan.fan import CapExceededError
 
-    with pytest.raises(CapExceededError):
-        fan_index(nine_points, 3, cap=198, workers=workers, use_cache=False)
-    index = fan_index(nine_points, 3, cap=399, workers=workers, use_cache=False)
-    assert (index.leaves, len(index.reps)) == (399, 396)
+    for cap in (198, 395):
+        with pytest.raises(CapExceededError):
+            fan_index(nine_points, 3, cap=cap, workers=workers, use_cache=False)
+    index = fan_index(nine_points, 3, cap=396, workers=workers, use_cache=False)
+    assert (index.leaves, len(index.reps)) == (396, 396)
 
 
 def test_cap_applies_to_cached_index(nine_points):

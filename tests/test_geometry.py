@@ -516,6 +516,145 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
     assert [json.loads(answer) for answer in wall_answers] == [list(PINNED[n]) for n in names]
 
 
+def warm_batches(seed=20261019, count=240):
+    """(dim, nonstrict, strict, batches) of seeded homogeneous systems, with the
+    row indices split into 2-4 batches in a random order; every third system
+    has nonstrict rows too, and some rows repeat or are integer combinations
+    of others, which makes the tableaus degenerate."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        dim = rng.randint(1, 6)
+        forms = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(2, 10))]
+        forms += [tuple(a + 2 * b for a, b in zip(*rng.sample(forms, 2))) for _ in range(rng.randint(0, 2))]
+        forms += rng.sample(forms, rng.randint(0, 2))
+        cut = rng.randint(0, len(forms) // 2) if case % 3 == 0 else 0
+        nonstrict, strict = forms[:cut], forms[cut:]
+        order = [("n", i) for i in range(len(nonstrict))] + [("s", i) for i in range(len(strict))]
+        rng.shuffle(order)
+        k = rng.randint(2, 4)
+        out.append((dim, nonstrict, strict, [order[b::k] for b in range(k)]))
+    return out
+
+
+def solve_warm(dim, nonstrict, strict, batches):
+    """Optimum and witness after adding the batches one warm call at a time."""
+    tableau = []
+    for batch in batches:
+        opt, x = max_slack(
+            dim,
+            [nonstrict[i] for kind, i in batch if kind == "n"],
+            [strict[i] for kind, i in batch if kind == "s"],
+            tableau=tableau,
+        )
+    return opt, x
+
+
+def test_warm_batches_match_one_cold_solve():
+    """Rows added in batches through the warm path give the optimum of one
+    cold solve over their union, and a positive optimum's witness is strictly
+    positive on every strict row."""
+    optima = set()
+    for dim, nonstrict, strict, batches in warm_batches():
+        opt, x = solve_warm(dim, nonstrict, strict, batches)
+        assert opt == max_slack(dim, nonstrict, strict)[0]
+        assert len(x) == dim and all(dot(f, x) >= 0 for f in nonstrict)
+        if opt > 0:
+            assert all(dot(f, x) > 0 for f in strict)
+        optima.add(opt)
+    assert optima == {0, 1}
+
+
+def test_warm_start_refuses_equalities_and_duals():
+    with pytest.raises(ValueError):
+        max_slack(2, (), ((1, 0),), ((0, 1),), tableau=[])
+    with pytest.raises(ValueError):
+        max_slack(2, (), ((1, 0),), duals=[], tableau=[])
+
+
+def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_points):
+    """Along this nine-point walk to a leaf (N = 4) the dual simplex stalls
+    long enough to switch to Bland's rule: without the switch the leaf gets
+    another witness.  Both witnesses meet every row, and the optimum is that
+    of one cold solve."""
+    from tropfan import fan, geometry
+
+    path, rows = (0, 0, 0, 1, 1, 2, 3, 2, 1), []
+
+    def recorded(dim, nonstrict, strict, **kwargs):
+        rows.extend(strict)
+        return max_slack(dim, nonstrict, strict, **kwargs)
+
+    monkeypatch.setattr(fan, "max_slack", recorded)
+    answers = []
+    for limit in (geometry._STALL_LIMIT, 10**9):
+        monkeypatch.setattr(geometry, "_STALL_LIMIT", limit)
+        rows.clear()
+        tableau = []
+        for k, t in enumerate(path):
+            opt, x, tableau = fan._child(nine_points, 4, list(path[:k]), t, tableau)
+            assert opt == 1
+        assert all(dot(f, x) > 0 for f in rows)
+        answers.append(x)
+    assert answers[0] != answers[1]
+    assert max_slack(len(x), (), rows)[0] == 1
+
+
+def test_warm_pivots_pass_the_exactness_guard():
+    """``TROPFAN_CHECK_PIVOTS=1`` checks the warm path's pivots too, negative
+    dual pivots included, and the answers do not change."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import tropfan
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
+    systems = warm_batches(count=60)
+    code = (
+        "import json, sys\n"
+        "import tropfan.geometry as g\n"
+        "from test_geometry import solve_warm\n"
+        "from tropfan.rationals import format_rat, format_vec\n"
+        "negative = 0\n"
+        "pivot = g._Simplex._pivot\n"
+        "def counted(self, r, c):\n"
+        "    global negative\n"
+        "    negative += self.rows[r][c] < 0\n"
+        "    pivot(self, r, c)\n"
+        "g._Simplex._pivot = counted\n"
+        "answers = []\n"
+        "for system in json.loads(sys.argv[1]):\n"
+        "    opt, x = solve_warm(*system)\n"
+        "    answers.append([format_rat(opt), format_vec(x)])\n"
+        "print(g._CHECK_DIVISION, negative > 0)\n"
+        "print(json.dumps(answers))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(systems)],
+        capture_output=True,
+        text=True,
+        env={
+            "TROPFAN_CHECK_PIVOTS": "1",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join((package_root, os.path.dirname(os.path.abspath(__file__)))),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    guard, answers = proc.stdout.strip().split("\n")
+    assert guard == "True True"
+    from tropfan.rationals import format_rat, format_vec
+
+    expected = []
+    for dim, nonstrict, strict, batches in systems:
+        opt, x = solve_warm(dim, nonstrict, strict, batches)
+        expected.append([format_rat(opt), format_vec(x)])
+    assert json.loads(answers) == expected
+
+
 def test_cone_dim_empty_system():
     assert cone_dim(ConstraintSystem((), (), 12)) == 12
 
@@ -574,11 +713,11 @@ def test_every_lp_row_is_integer(monkeypatch, running_theta_split):
     calls = {}
 
     def guarded(name, solve):
-        def wrapper(dim, nonstrict=(), strict=(), equalities=(), duals=None):
+        def wrapper(dim, nonstrict=(), strict=(), equalities=(), duals=None, tableau=None):
             calls[name] = calls.get(name, 0) + 1
             for row in (*nonstrict, *strict, *equalities):
                 assert all(type(v) is int for v in row), (name, row)
-            return solve(dim, nonstrict, strict, equalities, duals)
+            return solve(dim, nonstrict, strict, equalities, duals, tableau)
 
         return wrapper
 
