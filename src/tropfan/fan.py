@@ -10,9 +10,11 @@ into at most N groups (term labels are interchangeable, so each unordered
 partition is LP-checked once and then expanded to all injective labelings).
 The walk is exact: a node, a partition of the first k points, is expanded
 only when its own strict LP is feasible.  The part of point 0 is gauge-fixed
-to zero, so every node has the same columns and a child only adds rows; it
-is solved warm from a copy of its parent's optimal tableau by a dual simplex
-(``max_slack(tableau=...)``).
+to zero, so every node has the same columns and a child only adds rows.
+Every LP here runs the one dual simplex of ``geometry.max_slack``; a child
+starts it from a copy of its parent's optimal tableau
+(``max_slack(tableau=...)``) instead of the empty system's, and a leaf's
+witness is read off its tableau in integers.
 """
 
 from __future__ import annotations
@@ -261,8 +263,8 @@ class _CanonicalCone:
     pad_a: Fraction
 
 
-def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tuple[Fraction, Vec, list]:
-    """(optimum, witness, tableau) of the node that puts point k = len(owner)
+def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tuple[Fraction, list]:
+    """(optimum, tableau) of the node that puts point k = len(owner)
     into part t of the node ``owner`` (owner[j] is the part of point j, and
     t = the number of open parts opens a new one), solved warm from the
     node's tableau.
@@ -278,28 +280,29 @@ def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tu
     if t == r:
         rows += [_tie_row(data.lifts[j], p or R, t, R - 1) for j, p in enumerate(owner)]
     child = list(tableau)
-    opt, x = max_slack((R - 1) * (data.d + 1), (), rows, tableau=child)
-    return opt, x, child
+    opt, _ = max_slack((R - 1) * (data.d + 1), (), rows, tableau=child)
+    return opt, child
 
 
-def _walk(data: Dataset, R: int, owner: list[int], tableau: list, x: Vec, depth: int, visit: Callable):
+def _walk(data: Dataset, R: int, owner: list[int], tableau: list, depth: int, visit: Callable):
     """Depth-first over the realizable partitions of the first ``depth`` points
     below a node, children in canonical order (the open parts, then a new
     part while fewer than R are open); ``visit`` sees each one's (owner,
-    tableau, witness)."""
+    tableau)."""
     if len(owner) == depth:
-        visit(owner, tableau, x)
+        visit(owner, tableau)
         return
     for t in range(min(max(owner, default=-1) + 2, R)):
-        opt, y, child = _child(data, R, owner, t, tableau)
+        opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
-            _walk(data, R, owner + [t], child, y, depth, visit)
+            _walk(data, R, owner + [t], child, depth, visit)
 
 
-def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list, x: Vec) -> _CanonicalCone:
+def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _CanonicalCone:
     """The leaf's canonical cone, once its witness is checked in integers: at
     each point its part's term must beat every other part's term in the
-    tableau's rhs values, or an ``AssertionError`` is raised."""
+    tableau's rhs values, or an ``AssertionError`` is raised.  The witness
+    blocks are those values over the tableau's denominator."""
     sx, width, r = tableau[0], data.d + 1, max(owner) + 1
     nums = [0] * width + sx.numerators((R - 1) * width)  # part 0's block is zero
     blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
@@ -311,7 +314,7 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list, x: Vec) -
             raise AssertionError("leaf witness violates a strict row")
         mu.append(Fraction(values[p], sx.den * lift[0]))
         parts[p].append(k)
-    witness = (zeros(width),) + tuple(tuple(x[(l - 1) * width : l * width]) for l in range(1, r))
+    witness = tuple(tuple(Fraction(v, sx.den) for v in block) for block in blocks)
     return _CanonicalCone(tuple(map(tuple, parts)), witness, min(mu) - 1)
 
 
@@ -321,17 +324,16 @@ def _chunk_worker(args) -> list[_CanonicalCone]:
     data, N, prefix, cap = args
     R = min(N, data.M)
     tableau: list = []
-    x: Vec = ()
     for k, t in enumerate(prefix):
-        _, x, tableau = _child(data, R, prefix[:k], t, tableau)
+        _, tableau = _child(data, R, prefix[:k], t, tableau)
     out: list[_CanonicalCone] = []
 
-    def leaf(owner, tableau, x):
-        out.append(_leaf_cone(data, R, owner, tableau, x))
+    def leaf(owner, tableau):
+        out.append(_leaf_cone(data, R, owner, tableau))
         if len(out) > cap:
             raise CapExceededError("candidate cap exceeded during fan enumeration")
 
-    _walk(data, R, prefix, tableau, x, data.M, leaf)
+    _walk(data, R, prefix, tableau, data.M, leaf)
     return out
 
 
@@ -350,7 +352,7 @@ def _enumerate_canonical(
     depth, prefixes = 0, [[]]
     while depth < data.M and len(prefixes) < 4 * workers:
         depth, prefixes = depth + 1, []
-        _walk(data, min(N, data.M), [], [], (), depth, lambda owner, *_: prefixes.append(owner))
+        _walk(data, min(N, data.M), [], [], depth, lambda owner, _: prefixes.append(owner))
     import multiprocessing as mp
 
     tasks = [(data, N, prefix, budget) for prefix in prefixes]

@@ -8,19 +8,17 @@ of integer rows:
                               g.x  = 0  (equality rows)
                               0 <= t <= 1
 
-The origin with t = 0 is always feasible, so a cold solve is a single-phase
-primal simplex.  A warm solve adds rows to a system already solved: its
-optimal tableau stays dual feasible, and a dual simplex (Lemke 1954) restores
-primal feasibility (see ``max_slack``).  x is free, and every row with an x
-entry has rhs 0, so each x_j is
-pivoted into the basis before the simplex starts, with no ratio test and
-equality rows first (see ``max_slack``).  The slack of a pivoted equality
-row is fixed at 0 and its column dropped, so an equality is one row, not a
-pair of opposite inequalities.  The rows that define x are set aside, the
-simplex runs on the inequality rows over the columns t and the slacks made
-nonbasic, and x is read back from the set-aside rows at the end.
-Elimination pivots go through the same integer pivot as the simplex, so the
-exactness check below covers them too.
+The origin with t = 0 is always feasible, and every solve is one dual
+simplex (Lemke 1954) from a dual feasible tableau: the optimum of the empty
+system (t = 1, x = 0), or, in a warm solve, the optimal tableau of a system
+that the new rows extend.  The rows are added in the nonbasic columns, and
+each row in turn, equality rows first, pivots into the basis the free x_j
+of lowest index with an entry in it; x_j has objective entry 0, so no ratio
+test is needed and the tableau stays dual feasible.  The slack of a pivoted
+equality row is then fixed at 0, so an equality is one row, not a pair of
+opposite inequalities.  A solve that will get no further row sets its x
+rows aside, since a free basic variable never leaves, and reads x back from
+them at the end (see ``max_slack``).
 
 The tableau is kept as an integer matrix with one common positive
 denominator q (the previous pivot entry), and it is compact: it stores only
@@ -36,14 +34,13 @@ keeps row r, and then swaps columns: the entering variable's column c becomes
 the leaving variable's, which holds -M[i][c] in row i and q in row r, and the
 new denominator is M[r][c].  Every stored entry equals the same entry of the
 full tableau, so each division is exact and no Fraction arithmetic happens in
-the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.  Primal
-pivots are positive.  A dual pivot is negative, and it negates the updated
-tableau, which keeps every value, so the denominator stays positive.
-Anti-cycling is by Bland's rule; Dantzig's rule (in the dual, the most
-negative rhs) is used while the objective is moving, switching to Bland
-during degenerate stalls, which preserves the termination guarantee.  Both
-rules break ties by variable id, never by column position, so the pivots are
-those of the full tableau.
+the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.  A
+negative pivot negates the updated tableau, which keeps every value, so the
+denominator stays positive.  The leaving row is the most negative rhs while
+the objective is moving, switching to Bland's least id during degenerate
+stalls, which preserves the termination guarantee; the entering column is
+the least ratio.  Both rules break ties by variable id, never by position,
+so the pivots are those of the full tableau.
 
 Every row is an integer tuple.  Tie rows are built from the integer lifts of
 the data points, and a ``ConstraintSystem`` multiplies each row it is given
@@ -73,13 +70,14 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .rationals import Vec, dot, integerize, zeros
+from .rationals import Vec, integerize, zeros
 
 LinearForm = tuple[int, ...]
 
 _CHECK_DIVISION = bool(os.environ.get("TROPFAN_CHECK_PIVOTS"))
 
-# Pivots spent in a degenerate stall before switching from Dantzig to Bland.
+# Pivots spent in a degenerate stall before the leaving row switches from the
+# most negative rhs to Bland's least id.
 _STALL_LIMIT = 12
 
 
@@ -128,61 +126,22 @@ def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int
 
 
 class _Simplex:
-    """Primal simplex on  max c.x : A x <= b, x >= 0  with b >= 0.
+    """Dual simplex on  max t : a.(x, t) <= 0 for each added row a, t <= 1,
+    x free, t >= 0.
 
-    Variables are numbered 0..n-1 (structural) and n..n+m-1 (slacks).  The
-    tableau holds the n nonbasic columns and the rhs; ``nonbasic[j]`` is the
-    variable of column j and ``basis[i]`` the variable of row i.  Row m is the
-    objective row, whose rhs slot holds -z.
+    Variables are numbered 0..dim-1 (x), dim (t) and dim + 1 + i (the slack
+    of row i; row 0 is t <= 1).  The tableau holds the nonbasic columns and
+    the rhs; ``nonbasic[j]`` is the variable of column j and ``basis[i]`` the
+    variable of row i.  Row m is the objective row, whose rhs slot holds -z.
+    A new tableau is the optimum of the empty system: t = 1 basic, x = 0.
     """
 
-    def __init__(self, a_rows: list[list[int]], b: list[int], c: list[int]):
-        m, n = len(a_rows), len(c)
-        self.rows = [a_rows[i] + [b[i]] for i in range(m)] + [c + [0]]
+    def __init__(self, dim: int):
+        self.rows = [[0] * dim + [1, 1], [0] * dim + [-1, -1]]
         self.den = 1
-        self.basis = list(range(n, n + m))
-        self.nonbasic = list(range(n))
-        self.m, self.n = m, n
-
-    def solve(self, pivot_limit: int = 200_000) -> Fraction:
-        m, n = self.m, self.n
-        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
-        stall = 0
-        last_num, last_den = 0, 1  # z = -obj[n] / den after the previous pivot
-        for _ in range(pivot_limit):
-            obj = rows[m]
-            # Entering column; ties and Bland's rule go by variable id, not position.
-            enter = -1
-            if stall >= _STALL_LIMIT:
-                for j in range(n):
-                    if obj[j] > 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
-                        enter = j
-            else:
-                best = 0
-                for j in range(n):
-                    v = obj[j]
-                    if v > best or (v == best > 0 and nonbasic[j] < nonbasic[enter]):
-                        enter, best = j, v
-            if enter < 0:
-                return Fraction(-obj[n], self.den)
-            # Ratio test: min b_i / a_ie over a_ie > 0, Bland tie-break on basis index.
-            leave = -1
-            lb = lr = 0
-            for i in range(m):
-                a = rows[i][enter]
-                if a <= 0:
-                    continue
-                bi = rows[i][n]
-                if leave < 0 or bi * lr < lb * a or (bi * lr == lb * a and basis[i] < basis[leave]):
-                    leave, lb, lr = i, bi, a
-            if leave < 0:
-                raise PivotLimitError("LP unbounded; slack objective is bounded by construction")
-            self._pivot(leave, enter)
-            # den > 0 (pivots are positive), so z moved iff the cross products differ.
-            num, den = -rows[m][n], self.den
-            stall = 0 if num * last_den != last_num * den else stall + 1
-            last_num, last_den = num, den
-        raise PivotLimitError("pivot limit exceeded")
+        self.basis = [dim]
+        self.nonbasic = list(range(dim)) + [dim + 1]
+        self.m, self.n, self.dim = 1, dim + 1, dim
 
     def _pivot(self, r: int, c: int):
         """Integer-preserving pivot on rows[r][c], then the column swap (see the
@@ -214,13 +173,15 @@ class _Simplex:
         self.den = piv
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def dual_solve(self, new_rows: list[list[int]], free: int, pivot_limit: int = 200_000) -> Fraction:
-        """Add rows ``a.v <= 0`` over the structural variables to this optimal
-        tableau and re-optimize by a dual simplex (see ``max_slack``); the
-        variables below ``free`` are free, so their basic rows never leave."""
-        q, n, start = self.den, self.n, self.m
+    def add_rows(self, new_rows: list[list[int]]):
+        """Add rows ``a.(x, t) <= 0``, each in the current nonbasic columns; then
+        each new row in turn pivots in the lowest x never pivoted in that has
+        an entry in it.  That column's objective entry is 0, so the tableau
+        stays dual feasible."""
+        q, n, dim = self.den, self.n, self.dim
         col = {v: j for j, v in enumerate(self.nonbasic)}
         at = {v: i for i, v in enumerate(self.basis)}
+        start = self.m
         for a in new_rows:  # q*a minus the basic rows' combination: the full Bareiss entry
             row = [0] * (n + 1)
             for v, coef in enumerate(a):
@@ -229,16 +190,21 @@ class _Simplex:
                 elif coef:
                     row = [e - coef * b for e, b in zip(row, self.rows[at[v]])]
             self.rows.insert(self.m, row)
-            self.basis.append(n + self.m)
+            self.basis.append(dim + 1 + self.m)
             self.m += 1
         for r in range(start, self.m):
-            c = next((j for j in range(free) if self.nonbasic[j] == j and self.rows[r][j]), -1)
+            c = next((j for j in range(dim) if self.nonbasic[j] == j and self.rows[r][j]), -1)
             if c >= 0:
                 self._pivot(r, c)
-        m, rows, basis, nonbasic = self.m, self.rows, self.basis, self.nonbasic
+
+    def solve(self, pivot_limit: int = 200_000) -> Fraction:
+        """Re-optimize by the dual simplex; rows where some x is basic never
+        leave, since x is free."""
+        m, n, dim = self.m, self.n, self.dim
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         stall, last_num, last_den = 0, -rows[m][n], self.den
         for _ in range(pivot_limit):
-            short = [i for i in range(m) if rows[i][n] < 0 and basis[i] >= free]
+            short = [i for i in range(m) if rows[i][n] < 0 and basis[i] >= dim]
             if not short:
                 return Fraction(-rows[m][n], self.den)
             # Most negative rhs, or Bland's least id after a stall; ties by id.
@@ -273,11 +239,18 @@ class _Simplex:
         self.nonbasic = [self.nonbasic[j] for j in cols]
         self.m, self.n = len(rows), len(cols)
 
-    def value_of(self, col: int) -> Fraction:
-        for i in range(self.m):
-            if self.basis[i] == col:
-                return Fraction(self.rows[i][self.n], self.den)
-        return Fraction(0)
+
+def _read_back(sx: _Simplex, aside: list[tuple[int, int, list[int]]], ys: list[int]) -> list[int]:
+    """q * sx.den times x, q the denominator when the rows were set aside: a
+    set-aside row (j, b, a) reads q * x_j + a.y = b over the variables ys,
+    nonbasic then, whose final values are their rhs over sx.den (0 when
+    nonbasic).  An x_j with no row stays 0."""
+    final = {v: sx.rows[i][sx.n] for i, v in enumerate(sx.basis)}
+    values = [final.get(v, 0) for v in ys]
+    x = [0] * sx.dim
+    for j, b, a in aside:
+        x[j] = b * sx.den - sum(map(mul, a, values))
+    return x
 
 
 def max_slack(
@@ -292,29 +265,30 @@ def max_slack(
 
     Every row is a sequence of ints; the pivot would floor a Fraction.  x is
     free and t is clamped to [0, 1], so the LP is bounded and (0, 0) is
-    feasible.  The rows are the equalities, the nonstrict rows, the strict
-    rows and t <= 1, in that order.  Before the simplex, elimination walks the
-    rows in that order, t <= 1 excepted, and pivots x_j into the basis on the
-    row's nonzero entry in the free column of lowest index j; a negative
-    entry first has its column negated, which substitutes -x_j for the free
-    x_j, so the denominator stays positive.  Every row with an x entry has
-    rhs 0, so these pivots need no ratio test: they leave the basic solution
-    at the origin.  After elimination
+    feasible.  Every call runs the same steps on a ``_Simplex``:
 
-    * the slack of a pivoted equality row is nonbasic and fixed at 0, so its
-      column is dropped, and an equality row with no free entry left reads
-      0 = 0 and is dropped;
-    * an x column with no entry left in any inequality row stays at 0 and is
-      dropped;
-    * the rows where some x_j is basic are set aside, since a free basic
-      variable never bounds a ratio test.
+    * start from the optimal tableau of the empty system (t = 1, x = 0), or
+      from a copy of the one passed in ``tableau``;
+    * add the rows, equalities first, then the nonstrict rows, then the
+      strict rows, each in the current nonbasic columns;
+    * let each row in turn pivot in the free x_j of lowest index with an
+      entry in it.  The column's objective entry is 0, so no ratio test is needed and the
+      tableau stays dual feasible, though not primal feasible: a strict row
+      is violated at t = 1;
+    * re-optimize by the dual simplex, in which a row with a basic x never
+      leaves and an equality's slack, nonbasic from its pivot on, never
+      enters, so it stays 0.  An equality row with no free entry left is a
+      combination of earlier ones and reads 0 = 0.
 
-    The simplex then runs on the inequality rows with columns t and the
-    inequality slacks that elimination made nonbasic.  Each set-aside row
-    has rhs 0 and gives q * x_j (q the denominator after elimination) as
-    minus an integer combination of those columns, so x is read back with
-    one integer dot product over their final values, one Fraction per
-    coordinate.
+    A call without ``tableau`` never gets another row.  Before the dual
+    simplex it sets its x rows aside, since they never leave, and drops the
+    equality slacks' columns, the rows of dependent equalities and every x
+    column no row touched (that x stays 0).  A set-aside row gives
+    q * x_j (q the denominator then) as its rhs minus an integer combination
+    of the columns kept, so x is read back with one integer dot product over
+    their final values.  A positive answer's witness is then substituted
+    into every row in integers, and a nonstrict row below 0, a strict row
+    not above 0 or an equality not at 0 raises ``AssertionError``.
 
     If a list ``duals`` is passed (and there are no equality rows), it is
     filled with one integer dual multiplier y_i >= 0 per nonstrict row, then
@@ -328,85 +302,59 @@ def max_slack(
 
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
-    is empty), and the list then holds this call's.  A copy of the tableau is
-    kept whole, x rows and untouched x columns included; each new row enters
-    in the current nonbasic columns, an untouched x column is pivoted in on
-    the first new row with an entry in it (its objective entry is 0, so the
-    tableau stays dual feasible), and ``_Simplex.dual_solve`` re-optimizes.
+    is empty), and the list then holds this call's, whole, x rows included.
     A warm call takes no equality rows and reads no duals.
     """
-    if tableau is not None:
-        if equalities or duals is not None:
-            raise ValueError("a warm start takes inequality rows and reads no duals")
-        if tableau:
-            sx = copy(tableau[0])
-            sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
-        else:
-            sx = _Simplex([[0] * dim + [1]], [1], [0] * dim + [1])
-            sx._pivot(0, dim)  # t = 1, the optimum of the empty system
-        rows = [[-v for v in f] + [0] for f in nonstrict] + [[-v for v in f] + [1] for f in strict]
-        opt = sx.dual_solve(rows, dim)
-        tableau[:] = [sx]
-        return opt, tuple(Fraction(v, sx.den) for v in sx.numerators(dim))
+    if tableau is not None and (equalities or duals is not None):
+        raise ValueError("a warm start takes inequality rows and reads no duals")
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
+    if tableau:
+        sx = copy(tableau[0])
+        sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
+    else:
+        sx = _Simplex(dim)
     rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
-    rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
-    rows.append([0] * dim + [1])  # t <= 1
-    sx = _Simplex(rows, [0] * (len(rows) - 1) + [1], [0] * dim + [1])
+    sx.add_rows(rows + [[-v for v in f] + [1] for f in strict])  # f.x - t >= 0
+    if tableau is not None:
+        opt = sx.solve()
+        tableau[:] = [sx]
+        return opt, tuple(Fraction(v, sx.den) for v in sx.numerators(dim))
 
-    free = list(range(dim))  # the column of a free x_j is column j
-    sign = [1] * dim
-    for r in range(sx.m - 1):
-        row = sx.rows[r]
-        c = next((j for j in free if row[j]), -1)
-        if c < 0:
-            continue
-        if row[c] < 0:
-            for other in sx.rows:
-                other[c] = -other[c]
-            sign[c] = -1
-        sx._pivot(r, c)
-        free.remove(c)
-
-    # Variable ids: x is 0..dim-1, t is dim, then the slacks in row order, so
-    # the ids above last_eq are the inequality slacks.
-    last_eq = dim + len(equalities)
-    cols = [j for j, v in enumerate(sx.nonbasic) if v == dim or v > last_eq]
+    # The ids dim + 2 .. last_eq are the equality slacks; t is basic and the
+    # slack of t <= 1 nonbasic until the dual simplex starts.
+    last_eq = dim + 1 + len(equalities)
+    cols = [j for j, v in enumerate(sx.nonbasic) if v == dim + 1 or v > last_eq]
     q = sx.den
-    aside = [(v, [sx.rows[i][j] for j in cols]) for i, v in enumerate(sx.basis) if v < dim]
-    sx.restrict([i for i, v in enumerate(sx.basis) if v > last_eq], cols)
-    elim_vars = list(sx.nonbasic)
+    aside = [(v, row[sx.n], [row[j] for j in cols]) for v, row in zip(sx.basis, sx.rows) if v < dim]
+    sx.restrict([i for i, v in enumerate(sx.basis) if v == dim or v > last_eq], cols)
+    ys = list(sx.nonbasic)
     opt = sx.solve()
-
-    # A set-aside row reads q * x_j + sum_k a_k * y_k = 0 over the variables
-    # y_k nonbasic after elimination, whose final values are values[k] / sx.den.
-    final = {v: sx.rows[i][sx.n] for i, v in enumerate(sx.basis)}
-    values = [final.get(v, 0) for v in elim_vars]
-    x = [Fraction(0)] * dim
-    for j, coefs in aside:
-        x[j] = Fraction(-sign[j] * sum(map(mul, coefs, values)), q * sx.den)
+    x = _read_back(sx, aside, ys)
+    if opt > 0 and (
+        any(sum(map(mul, g, x)) for g in equalities)
+        or any(sum(map(mul, f, x)) < 0 for f in nonstrict)
+        or any(sum(map(mul, f, x)) <= 0 for f in strict)
+    ):
+        raise AssertionError("LP witness violates a row of the system")
     if duals is not None:
-        # Row i's slack is variable dim + 1 + i.
+        # Row i's slack is variable dim + 2 + i, after t <= 1.
         obj = sx.rows[sx.m]
         reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
-        duals.extend(-reduced.get(dim + 1 + i, 0) for i in range(len(nonstrict) + len(strict)))
-    return opt, tuple(x)
+        duals.extend(-reduced.get(dim + 2 + i, 0) for i in range(len(nonstrict) + len(strict)))
+    den = q * sx.den
+    return opt, tuple(Fraction(v, den) for v in x)
 
 
 def lp_feasible(system: ConstraintSystem) -> Optional[Vec]:
     """Exact witness of the mixed system, or None when no point meets every strict row.
 
     A homogeneous nonstrict system always contains the origin, so infeasibility
-    can only come from the strict rows.  The returned witness is re-substituted
-    into every row as a guard against any arithmetic defect.
+    can only come from the strict rows.  ``max_slack`` has substituted the
+    returned witness into every row as a guard against any arithmetic defect.
     """
     opt, x = max_slack(system.ambient_dim, system.nonstrict, system.strict)
-    if opt <= 0:
-        return None
-    if any(dot(f, x) < 0 for f in system.nonstrict) or any(dot(f, x) <= 0 for f in system.strict):
-        raise AssertionError("LP witness violates a row of the system")
-    return x
+    return x if opt > 0 else None
 
 
 def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:

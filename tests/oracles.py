@@ -48,13 +48,15 @@ The Fraction clip oracle is the former body of ``dual._boundary_segments``:
 each sign-mixed line is parametrized from a Fraction base point, and each
 window side and other term bounds the parameter by a pair of Fractions.
 
-The split-column slack LP is the former body of ``geometry.max_slack``: x is
-written as u - v with u, v >= 0 and each equality as two opposite rows, all
-on the compact integer simplex.  The dense-tableau slack LP solves the same
-LP as ``geometry.max_slack`` does today, with the same elimination and pivot
-rule, on a dense tableau of Fractions that holds every column, basic or not.
-The set-aside rows stay in that tableau and are updated by every simplex
-pivot, so x is read off their rhs at the end instead of being reconstructed.
+The split-column slack LP is an earlier form of ``geometry.max_slack``: x is
+written as u - v with u, v >= 0 and each equality as two opposite rows, and
+its own dense Fraction primal simplex under Bland's rule solves it, so it
+shares no code with ``geometry._Simplex``.  The dense-tableau slack LP
+solves the same LP as ``geometry.max_slack`` does today, with the same
+start, x pivots and dual simplex rule, on a dense tableau of Fractions that
+holds every column, basic or not.  The x rows stay in that tableau and are
+updated by every pivot, so x is read off their rhs at the end instead of
+being reconstructed.
 
 The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
 of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
@@ -94,7 +96,6 @@ from tropfan.fan import (
 from tropfan.geometry import (
     _STALL_LIMIT,
     ConstraintSystem,
-    _Simplex,
     describe_cone,
     lp_feasible,
     max_slack,
@@ -536,7 +537,8 @@ def boundary_segments_by_fractions(theta, window):
 
 
 def max_slack_by_split_columns(dim, nonstrict=(), strict=(), equalities=()):
-    """(t*, x*) of the slack LP with x = u - v and each equality as a row pair."""
+    """(t*, x*) of the slack LP with x = u - v and each equality as a row pair,
+    solved by a dense Fraction primal simplex under Bland's rule."""
     a_rows = []
     b = []
 
@@ -556,67 +558,90 @@ def max_slack_by_split_columns(dim, nonstrict=(), strict=(), equalities=()):
         add([-x for x in fi], 0, 0)
     a_rows.append([0] * (2 * dim) + [1])  # t <= 1
     b.append(1)
-    sx = _Simplex(a_rows, b, [0] * (2 * dim) + [1])
-    opt = sx.solve()
-    return opt, tuple(sx.value_of(j) - sx.value_of(dim + j) for j in range(dim))
+    values = bland_primal_simplex(a_rows, b, [0] * (2 * dim) + [1])
+    return values[2 * dim], tuple(values[j] - values[dim + j] for j in range(dim))
+
+
+def bland_primal_simplex(a_rows, b, c):
+    """Values of the variables of  max c.v : A v <= b, v >= 0  (b >= 0) at an
+    optimum, on a dense Fraction tableau with slacks: the least-index
+    improving column enters, and the least ratio leaves, ties by the least
+    basic index (Bland 1977)."""
+    m, n = len(a_rows), len(c)
+    tab = [[F(v) for v in row] + [F(int(i == k)) for k in range(m)] + [F(b[i])] for i, row in enumerate(a_rows)]
+    obj = [F(v) for v in c] + [F(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            values = [F(0)] * (n + m)
+            for i, v in enumerate(basis):
+                values[v] = tab[i][-1]
+            return values
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        dense_pivot(tab, obj, basis, leave, enter)
+
+
+def dense_pivot(tab, obj, basis, r, c):
+    """Pivot a dense Fraction tableau and its objective row on tab[r][c]."""
+    prow = [v / tab[r][c] for v in tab[r]]
+    tab[r] = prow
+    for row in tab + [obj]:
+        f = row[c]
+        if f and row is not prow:
+            row[:] = [a - f * p for a, p in zip(row, prow)]
+    basis[r] = c
 
 
 def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
     """(t*, x*) of the slack LP with x free, on a dense Fraction tableau.
 
-    Variables: x_0..x_{dim-1}, then t, then one slack per row (equalities,
-    nonstrict, strict, t <= 1).  The rows are integer rows, as ``max_slack``
-    takes them, since their scale is the scale of their slacks, which
-    Dantzig's rule sees.  Elimination pivots each row but the last, in
-    order, on its first nonzero free x column; the simplex then enters by
-    Dantzig (Bland after a stall), ties and Bland by variable id, and leaves
-    by the ratio test over the rows where no x is basic and no equality slack
-    is, ties by basis variable id.  Equality slacks and x never enter.
+    Variables: x_0..x_{dim-1}, then t, then one slack per row (t <= 1, then
+    equalities, nonstrict, strict).  The rows are integer rows, as
+    ``max_slack`` takes them.  t is pivoted in on t <= 1, the optimum of the
+    empty system.  Each later row, in order, then pivots in its nonzero
+    free x column of lowest index.  The dual simplex leaves by the most
+    negative rhs over the rows where no x is basic (Bland's least basic id
+    after a stall), ties by basic id, and enters by the least ratio
+    obj_j / row_j over row_j < 0, ties by variable id.  Equality slacks
+    never enter.  Every row stays in the tableau, x rows included: they
+    never leave, so they change no pivot.
     """
-    forms = [(g, 0) for g in (*equalities, *nonstrict)] + [(f, 1) for f in strict]
-    m = len(forms) + 1
+    forms = [([0] * dim, 1)] + [(g, 0) for g in (*equalities, *nonstrict)] + [(f, 1) for f in strict]
+    m = len(forms)
     width = dim + 1 + m + 1  # x, t, slacks, rhs
     tab = []
-    for r, (f, tcoef) in enumerate(forms + [([0] * dim, 1)]):
+    for r, (f, tcoef) in enumerate(forms):
         row = [F(-v) for v in f] + [F(tcoef)] + [F(0)] * (m + 1)
         row[dim + 1 + r] = F(1)
         tab.append(row)
-    tab[-1][-1] = F(1)  # t <= 1
+    tab[0][-1] = F(1)  # t <= 1
     obj = [F(0)] * width
     obj[dim] = F(1)
     basis = [dim + 1 + r for r in range(m)]
-
-    def pivot(r, c):
-        prow = [v / tab[r][c] for v in tab[r]]
-        tab[r] = prow
-        for row in tab + [obj]:
-            f = row[c]
-            if f and row is not prow:
-                row[:] = [a - f * p for a, p in zip(row, prow)]
-        basis[r] = c
-
+    dense_pivot(tab, obj, basis, 0, dim)
     free = list(range(dim))
-    for r in range(m - 1):
+    for r in range(1, m):
         c = next((j for j in free if tab[r][j]), None)
         if c is not None:
-            pivot(r, c)
+            dense_pivot(tab, obj, basis, r, c)
             free.remove(c)
 
-    first_inequality = dim + 1 + len(equalities)
-    kept = [i for i in range(m) if basis[i] >= first_inequality]
-    enterable = [dim] + list(range(first_inequality, dim + 1 + m))
-    stall, last = 0, F(0)
+    equality_slacks = range(dim + 2, dim + 2 + len(equalities))
+    enterable = [j for j in range(dim, dim + 1 + m) if j not in equality_slacks]
+    stall, last = 0, F(1)
     while True:
-        nonbasic = [j for j in enterable if j not in basis and obj[j] > 0]
-        if not nonbasic:
+        short = [i for i in range(m) if basis[i] >= dim and tab[i][-1] < 0]
+        if not short:
             break
         if stall >= _STALL_LIMIT:
-            enter = min(nonbasic)
+            leave = min(short, key=lambda i: basis[i])
         else:
-            enter = min(nonbasic, key=lambda j: (-obj[j], j))
-        rows = [i for i in kept if tab[i][enter] > 0]
-        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
-        pivot(leave, enter)
+            leave = min(short, key=lambda i: (tab[i][-1], basis[i]))
+        cols = [j for j in enterable if j not in basis and tab[leave][j] < 0]
+        enter = min(cols, key=lambda j: (obj[j] / tab[leave][j], j))
+        dense_pivot(tab, obj, basis, leave, enter)
         z = -obj[-1]
         stall = 0 if z != last else stall + 1
         last = z

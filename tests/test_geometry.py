@@ -304,36 +304,6 @@ def test_max_slack_duals_certify_a_zero_optimum():
         max_slack(2, nonstrict, strict, (nonstrict[0],), duals=[])
 
 
-def beale_program():
-    """Beale's classic degenerate program, rows and objective scaled to integers."""
-
-    def row(*fracs):
-        scale = 100
-        return [int(F(x) * scale) for x in fracs]
-
-    a_rows = [
-        row("1/4", -60, "-1/25", 9),
-        row("1/2", -90, "-1/50", 3),
-        row(0, 0, 1, 0),
-    ]
-    b = [0, 0, 1]
-    c = row("3/4", -150, "1/50", -6)
-    return a_rows, b, c
-
-
-def test_degenerate_cycling_instance_terminates():
-    """Beale's classic degenerate program cycles under naive most-positive
-    pivoting with a textbook ratio-test tie-break; the basis-id tie-break here
-    reaches the true optimum after five degenerate pivots and one improving
-    pivot, before the stall fallback would switch to Bland (the pinned wall LP
-    below does switch)."""
-    from tropfan.geometry import _Simplex
-
-    opt = _Simplex(*beale_program()).solve()
-    # row and objective scaling cancel, so the classic optimum is unchanged
-    assert opt == F(1, 20)
-
-
 def pinned_system(name, diag4, nine_points):
     """(dim, nonstrict, strict, equalities) of a pinned slack LP: a leaf lists
     its parts (part t on term t + 1), a wall its assignment, the point that
@@ -343,7 +313,8 @@ def pinned_system(name, diag4, nine_points):
     leaves = {
         "diag4-leaf": (diag4, ((0,), (1,), (2, 3))),
         "nine-leaf": (nine_points, ((3,), (1, 2, 4), (0, 7), (5, 6, 8))),
-        "nine-leaf-stall": (nine_points, ((0, 2, 7), (1, 4, 5, 6, 8), (3,))),
+        "nine-leaf-stall": (nine_points, ((0, 2), (1, 3, 4, 6), (5, 7, 8))),
+        "nine-leaf-ties": (nine_points, ((0, 2), (1, 3, 6), (4, 5), (7, 8))),
     }
     walls = {
         "nine-wall": (nine_points, (1, 1, 1, 1, 1, 3, 2, 2, 4), 6, (2, 4)),
@@ -359,31 +330,21 @@ def pinned_system(name, diag4, nine_points):
     return dim, (), strict, equalities
 
 
-def pinned_solve(name, diag4, nine_points):
-    from tropfan.geometry import _Simplex
-
-    if name == "beale":
-        sx = _Simplex(*beale_program())
-        opt = sx.solve()
-        return opt, tuple(sx.value_of(v) for v in range(sx.n + sx.m))
-    return max_slack(*pinned_system(name, diag4, nine_points))
-
-
-# (opt, x) exactly as the solver returns them.  For Beale's program, solved by
-# the nonnegative simplex alone, x lists every variable, slacks included.  The
-# slack LPs' answers come from ``oracles.max_slack_by_dense_tableau`` (x free,
-# elimination first, the same pivot rule on a dense Fraction tableau).  The
-# nine-point wall answer changes when either entering rule breaks ties by
-# column position instead of variable id, and when the Bland switch is
-# removed; without the switch the stalling nine-point leaf cycles until the
-# pivot limit.
+# (opt, x) exactly as the solver returns them, derived from
+# ``oracles.max_slack_by_dense_tableau`` (x free and pivoted in row by row
+# from the empty system's optimum, then the same dual simplex on a dense
+# Fraction tableau).  The stalling nine-point leaf (N = 3) switches to
+# Bland's rule and gets another witness without the switch.  The nine-point
+# wall's answer changes when the entering column's ties go by position
+# instead of variable id, and the tied leaf's (N = 4) when the leaving
+# row's do.
 PINNED = {
-    "beale": ("1/20", ["1/2500", "0", "1/100", "0", "3/100", "0", "0"]),
     "diag4-leaf": ("1", ["4", "-4", "0", "3", "-2", "0"]),
-    "nine-leaf": ("1", ["-5/11", "-23/11", "52/11", "1", "26/11", "25/11", "-21/11", "-29/11", "57/11"]),
-    "nine-leaf-stall": ("1", ["-15/2", "-4", "13/2", "4", "4", "-5"]),
+    "nine-leaf": ("1", ["0", "-3", "7", "1", "4", "7/2", "-4", "-5", "10"]),
+    "nine-leaf-stall": ("1", ["-5/2", "-5/2", "17/2", "9/2", "3/2", "5/2"]),
+    "nine-leaf-ties": ("1", ["-607/9", "-400/9", "734/9", "77/9", "50/9", "59/9", "86/9", "-4/9", "41/9"]),
     "diag4-wall": ("1", ["1", "-2", "0", "-1", "1", "0", "-6", "3", "0"]),
-    "nine-wall": ("1", ["1", "-10", "10", "-23/11", "-53/11", "-38/11", "0", "-5", "-2"]),
+    "nine-wall": ("1", ["593/132", "725/132", "725/132", "5/6", "-1/6", "1/3", "193/66", "-23/66", "59/33"]),
 }
 
 
@@ -391,11 +352,24 @@ PINNED = {
 def test_pivot_rule_is_pinned(name, diag4, nine_points):
     from tropfan.rationals import format_rat, format_vec
 
-    opt, x = pinned_solve(name, diag4, nine_points)
+    opt, x = max_slack(*pinned_system(name, diag4, nine_points))
     assert (format_rat(opt), format_vec(x)) == PINNED[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(PINNED) - {"beale"}))
+def test_cold_dual_simplex_reaches_bland_on_a_pinned_leaf(monkeypatch, diag4, nine_points):
+    """The stalling leaf's pin depends on the Bland switch: without it the
+    witness changes, though both witnesses meet every row."""
+    from tropfan import geometry
+    from tropfan.rationals import format_vec
+
+    dim, _, strict, equalities = pinned_system("nine-leaf-stall", diag4, nine_points)
+    monkeypatch.setattr(geometry, "_STALL_LIMIT", 10**9)
+    opt, x = max_slack(dim, (), strict, equalities)
+    assert opt == 1 and all(dot(f, x) >= 1 for f in strict)
+    assert format_vec(x) != PINNED["nine-leaf-stall"][1]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_dense_tableau_oracle_gives_the_pins(name, diag4, nine_points):
     from oracles import max_slack_by_dense_tableau
 
@@ -472,11 +446,47 @@ def test_max_slack_agrees_with_dense_tableau_on_seeded_systems():
         assert max_slack(*system) == max_slack_by_dense_tableau(*system)
 
 
+def test_corrupted_cold_witness_raises(monkeypatch, nine_points):
+    """A positive cold answer's witness is substituted into every row before
+    it is returned: a negated read-back must raise for a wall LP and for the
+    maximality LP of a maximal pattern."""
+    from tropfan import geometry
+    from tropfan.classify import _wall_lp
+    from tropfan.fan import is_maximal_pattern, pattern_from_assignment
+
+    a = (1, 1, 1, 1, 1, 3, 2, 2, 4)
+    G = pattern_from_assignment(a, 4)
+    assert _wall_lp(a, (6,), 4, nine_points) and is_maximal_pattern(G, nine_points)
+    read_back = geometry._read_back
+    monkeypatch.setattr(geometry, "_read_back", lambda *args: [-v for v in read_back(*args)])
+    with pytest.raises(AssertionError, match="witness violates"):
+        _wall_lp(a, (6,), 4, nine_points)
+    with pytest.raises(AssertionError, match="witness violates"):
+        is_maximal_pattern(G, nine_points)
+
+
+def guarded_answers(cold, with_duals, warm):
+    """Formatted answers of cold LPs, of cold LPs read with duals (each with
+    its multipliers) and of one warm batch, rows given as lists."""
+    from tropfan.rationals import format_rat, format_vec
+
+    out = [[format_rat(opt), format_vec(x)] for opt, x in (max_slack(*system) for system in cold)]
+    for dim, nonstrict, strict in with_duals:
+        y = []
+        opt, x = max_slack(dim, nonstrict, strict, duals=y)
+        out.append([format_rat(opt), format_vec(x), y])
+    dim, batches = warm
+    tableau = []
+    for batch in batches:
+        opt, x = max_slack(dim, (), batch, tableau=tableau)
+    return out + [[format_rat(opt), format_vec(x)]]
+
+
 def test_pivot_exactness_guard_runs(diag4, nine_points):
-    """The optional per-division exactness check must accept a normal run,
-    also through the elimination pivots of wall LPs with an equality and
-    through multi-pivot solves that swap columns and switch to Bland (the
-    nine-point wall does)."""
+    """The optional per-division exactness check must accept a normal run and
+    leave every answer as it is: cold wall LPs with equalities, the pinned
+    leaf that switches to Bland, cold LPs read with duals (the second at
+    optimum 0) and a warm batch, which makes negative pivots."""
     import json
     import os
     import subprocess
@@ -486,34 +496,35 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
 
     # the child imports the same tropfan as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
-    names = ("diag4-wall", "nine-wall")
-    walls = []
-    for name in names:
-        dim, _, strict, equalities = pinned_system(name, diag4, nine_points)
-        walls.append([dim, strict, equalities])
+    cold = [pinned_system(name, diag4, nine_points) for name in ("diag4-wall", "nine-wall", "nine-leaf-stall")]
+    dim, _, strict, equalities = pinned_system("nine-wall", diag4, nine_points)
+    pairs = [*equalities, *(tuple(-v for v in g) for g in equalities)]
+    with_duals = [(dim, pairs, strict), (dim, (), strict + tuple(pairs))]
+    warm = (dim, [strict[b::3] for b in range(3)])
     code = (
         "import json, sys\n"
         "import tropfan.geometry\n"
-        "from tropfan.geometry import _Simplex, max_slack\n"
-        "from tropfan.rationals import format_rat, format_vec\n"
-        "opt, x = max_slack(3, ((1, 2, 3),), ((1, -3, 15), (2, 0, -7)))\n"
-        "print(tropfan.geometry._CHECK_DIVISION, opt > 0)\n"
-        "print(format_rat(_Simplex(*json.loads(sys.argv[1])).solve()))\n"
-        "for dim, strict, equalities in json.loads(sys.argv[2]):\n"
-        "    opt, x = max_slack(dim, (), strict, equalities)\n"
-        "    print(json.dumps([format_rat(opt), format_vec(x)]))\n"
+        "from test_geometry import guarded_answers\n"
+        "print(tropfan.geometry._CHECK_DIVISION)\n"
+        "print(json.dumps(guarded_answers(*json.loads(sys.argv[1]))))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(beale_program()), json.dumps(walls)],
+        [sys.executable, "-c", code, json.dumps([cold, with_duals, warm])],
         capture_output=True,
         text=True,
-        env={"TROPFAN_CHECK_PIVOTS": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={
+            "TROPFAN_CHECK_PIVOTS": "1",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join((package_root, os.path.dirname(os.path.abspath(__file__)))),
+        },
     )
     assert proc.returncode == 0, proc.stderr
-    guard, beale, *wall_answers = proc.stdout.strip().split("\n")
-    assert guard == "True True"
-    assert beale == "1/20"
-    assert [json.loads(answer) for answer in wall_answers] == [list(PINNED[n]) for n in names]
+    guard, answers = proc.stdout.strip().split("\n")
+    assert guard == "True"
+    expected = guarded_answers(cold, with_duals, warm)
+    assert [a[:2] for a in expected[:2]] == [list(PINNED[n]) for n in ("diag4-wall", "nine-wall")]
+    assert expected[4][0] == "0" and expected[5][0] == "1"
+    assert json.loads(answers) == expected
 
 
 def warm_batches(seed=20261019, count=240):
@@ -581,11 +592,12 @@ def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_
     of one cold solve."""
     from tropfan import fan, geometry
 
-    path, rows = (0, 0, 0, 1, 1, 2, 3, 2, 1), []
+    path, rows, witness = (0, 0, 0, 1, 1, 2, 3, 2, 1), [], []
 
     def recorded(dim, nonstrict, strict, **kwargs):
         rows.extend(strict)
-        return max_slack(dim, nonstrict, strict, **kwargs)
+        opt, witness[:] = max_slack(dim, nonstrict, strict, **kwargs)
+        return opt, tuple(witness)
 
     monkeypatch.setattr(fan, "max_slack", recorded)
     answers = []
@@ -594,8 +606,9 @@ def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_
         rows.clear()
         tableau = []
         for k, t in enumerate(path):
-            opt, x, tableau = fan._child(nine_points, 4, list(path[:k]), t, tableau)
+            opt, tableau = fan._child(nine_points, 4, list(path[:k]), t, tableau)
             assert opt == 1
+        x = tuple(witness)
         assert all(dot(f, x) > 0 for f in rows)
         answers.append(x)
     assert answers[0] != answers[1]
