@@ -471,6 +471,10 @@ def enumerate_all_cones(
     plus the edge (k, i).  So each popped cone tries every single added edge,
     and every face, the lineality cone included, is reached through a chain of
     facets.  ``cap`` bounds the maximal-cone leaves and then the cone count.
+
+    When ``cone_of_graph(H)`` returns the closure P, every pattern H + e
+    with e an edge of P not in H is marked tried as well: its cone lies
+    between the cones of P and H, which are equal, so its closure is P.
     """
     index = fan_index(data, N, cap=cap, workers=workers)
     cones: dict[tuple, FanCone] = {}
@@ -486,10 +490,14 @@ def enumerate_all_cones(
                 if i in nb:
                     continue
                 H = ActivationPattern(data.M, N, nbrs[:k] + (nb | {i},) + nbrs[k + 1 :])
-                if H.key() in tried:
+                key = H.key()
+                if key in tried:
                     continue
-                tried.add(H.key())
+                tried.add(key)
                 cone = cone_of_graph(H, data)
+                for j, (h, c) in enumerate(zip(H.neighbors, cone.pattern.neighbors)):
+                    for t in c - h:
+                        tried.add(key[:j] + (tuple(sorted(h | {t})),) + key[j + 1 :])
                 if cone.pattern.key() not in cones:
                     cones[cone.pattern.key()] = cone
                     tried.add(cone.pattern.key())

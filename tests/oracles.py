@@ -27,6 +27,12 @@ walk from D toward C picks the lowest separating point i, finds a point Z on
 the wall of p_i by sign-probe LPs and blending, and recurses on the
 compositions Z o D and Z o C.
 
+The scanning covector-axiom oracle is the former body of
+``matroids.om_axioms_check``: composition by composing every ordered pair of
+sorted covectors, and elimination by scanning every covector for each pair
+and each separating position.  It takes the length from an arbitrary member
+and does not check the entries.
+
 The scanning pattern-axiom oracle decides as the former body of
 ``matroids.pattern_axioms_check`` did: symmetry over every term permutation,
 elimination by scanning every pattern, and a comparability graph built and
@@ -400,6 +406,50 @@ def adjacency_edges_by_pairs(assigns, data, N):
             if wall_lp_over_all_terms(assigns[x], diffs, pair, data, N):
                 edges.append((x, y))
     return edges
+
+
+def om_axioms_by_scan(covectors):
+    """The four covector axioms, each decided by the exhaustive scan."""
+    covs = set(tuple(c) for c in covectors)
+    M = len(next(iter(covs)))
+    results = []
+
+    zero = (0,) * M
+    results.append(AxiomResult("zero", zero in covs, None if zero in covs else zero))
+
+    bad = next((c for c in sorted(covs) if tuple(-x for x in c) not in covs), None)
+    results.append(AxiomResult("symmetry", bad is None, bad))
+
+    bad = None
+    for c in sorted(covs):
+        for d in sorted(covs):
+            if compose(c, d) not in covs:
+                bad = (c, d, compose(c, d))
+                break
+        if bad:
+            break
+    results.append(AxiomResult("composition", bad is None, bad))
+
+    bad = None
+    for c in sorted(covs):
+        for d in sorted(covs):
+            sep = separation(c, d)
+            for i in sorted(sep):
+                cd = compose(c, d)
+                ok = any(
+                    z[i] == 0 and all(z[j] == cd[j] for j in range(M) if j not in sep)
+                    for z in covs
+                )
+                if not ok:
+                    bad = (c, d, i)
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    results.append(AxiomResult("elimination", bad is None, bad))
+
+    return AxiomReport(tuple(results))
 
 
 def pattern_axioms_by_scan(patterns, maximal_only=False):

@@ -216,11 +216,13 @@ def test_all_cones_satisfy_euler_relation(pts, N, count):
 
 def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
     """The relint LPs of the face walk on four planar points, N = 2.  The
-    per-row method needs one LP per ``cone_of_graph`` call plus one per
-    implied row; certificate rounds stay below even cones plus implied rows
-    (the per-row method solved 388 here).  The count follows the optimal
-    basis the dual simplex ends at: its certificates decide the 264 implied
-    rows in 96 zero rounds (a primal simplex took 116, hence 152 LPs)."""
+    walk calls ``cone_of_graph`` 54 times: a tried pattern plus one edge of
+    its closure is never tried (64 calls without that skip, for the same
+    cones).  The per-row method needs one LP per call plus one per implied
+    row; certificate rounds stay below even cones plus implied rows (the
+    per-row method solved 318 here).  The count follows the optimal basis
+    the dual simplex ends at: its certificates decide the 204 implied rows
+    in 81 zero rounds, and 36 rounds end positive."""
     from tropfan import fan, geometry
 
     D = dataset([(0, 0), (2, 1), (1, 3), (-1, 1)])
@@ -239,7 +241,7 @@ def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
     monkeypatch.setattr(geometry, "max_slack", solve_counted)
     monkeypatch.setattr(fan, "relint_point", relint_counted)
     cones = enumerate_all_cones(D, 2)
-    assert (len(cones), len(implied), sum(implied), len(lps)) == (51, 64, 264, 132)
+    assert (len(cones), len(implied), sum(implied), len(lps)) == (51, 54, 204, 117)
     assert len(lps) < sum(implied) + len(cones)
 
 

@@ -3,7 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import ComparabilityGraph, comparability_graph, is_acyclic, pattern_axioms_by_scan
+from oracles import (
+    ComparabilityGraph,
+    comparability_graph,
+    is_acyclic,
+    om_axioms_by_scan,
+    pattern_axioms_by_scan,
+)
 from tropfan import matroids
 from tropfan.classify import covectors_linear, parse_signs
 from tropfan.fan import (
@@ -43,6 +49,48 @@ def test_om_witness_reproduces():
     report = om_axioms_check(covs)
     assert not report.result("zero").passed
     assert report.result("zero").witness == (0, 0)
+
+
+def test_om_rejects_covectors_of_different_lengths():
+    with pytest.raises(ValueError, match="length"):
+        om_axioms_check({(0, 0), (1,), (-1,)})
+
+
+def test_om_rejects_entries_outside_the_signs():
+    with pytest.raises(ValueError, match="entries"):
+        om_axioms_check({(0,), (2,), (-2,)})
+
+
+def _corrupted_covector_sets(count, seed):
+    """Covector sets of fans on 1 to 5 random points on a line or in the
+    plane, some whole and some with covectors dropped and random sign
+    vectors added, so that each axiom both passes and fails among them."""
+    rng = random.Random(seed)
+    bases = []
+    for M in range(1, 6):
+        for d in (1, 2):
+            points = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(M)]
+            bases.append(covectors_linear(dataset(points)))
+    for _ in range(count):
+        base = rng.choice(bases)
+        M = len(base[0])
+        drop = rng.choice((0.0, 0.05, 0.2))
+        covs = [c for c in base if rng.random() >= drop]
+        covs += [tuple(rng.choice((-1, 0, 1)) for _ in range(M)) for _ in range(rng.randint(0, 2))]
+        if covs:
+            yield covs
+
+
+def test_om_axioms_match_the_scanning_oracle():
+    """Same reports, witnesses included, as the exhaustive scan."""
+    failed, whole = set(), 0
+    for covs in _corrupted_covector_sets(320, seed=19):
+        got = om_axioms_check(covs)
+        assert got == om_axioms_by_scan(covs), covs
+        failed |= {r.name for r in got.failed()}
+        whole += got.all_passed
+    assert failed == {"zero", "symmetry", "composition", "elimination"}
+    assert whole > 0
 
 
 def test_pattern_compose_rules():
@@ -142,6 +190,29 @@ def test_pattern_axioms_match_the_scanning_oracle():
                 assert p in pats and p.relabel(dict(zip(range(1, p.N + 1), perm))) not in pats
     # every property that can fail did fail on some set
     assert failed == {"complete_graph", "symmetry", "composition", "elimination", "boundary"}
+
+
+def test_pattern_axioms_reject_mixed_shapes():
+    """Checked before any property: a term beyond the first pattern's N
+    used to end in ``KeyError`` while relabeling."""
+    P1 = ActivationPattern(1, 2, (frozenset({1}),))
+    P2 = ActivationPattern(1, 2, (frozenset({2}),))
+    with pytest.raises(ValueError, match="shapes"):
+        pattern_axioms_check([P1, P2, ActivationPattern(1, 3, (frozenset({3}),))])
+    with pytest.raises(ValueError, match="shapes"):
+        pattern_axioms_check([P1, P2, ActivationPattern(2, 2, (frozenset({1}),) * 2)])
+
+
+def test_both_checks_pass_on_the_nine_point_fan(nine_points):
+    """All axioms on the 279 cones of the nine-point fan with N = 2.  The
+    former scans took 5 to 8 s here on 2 CPUs; the mask checks take under
+    0.3 s together."""
+    cones = enumerate_all_cones(nine_points, 2)
+    assert len(cones) == 279
+    pattern_report = pattern_axioms_check([c.pattern for c in cones])
+    assert len(pattern_report.results) == 6 and pattern_report.all_passed
+    om_report = om_axioms_check(covectors_linear(nine_points, cones))
+    assert len(om_report.results) == 4 and om_report.all_passed
 
 
 def test_pattern_axioms_build_no_comparability_graph(two_points):
