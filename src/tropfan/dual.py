@@ -16,8 +16,11 @@ multiples of eq vanish on H and are dropped, and the LP asks for a point of H
 with w > 0 and every other competitor row positive.  Such a point has a
 neighborhood in H inside the cell; conversely, a row that is zero at a
 relative-interior point of a (d-1)-dimensional cell is zero on aff(cell) = H.
-Equal slopes with a_i != a_j give an empty cell without an LP; only identical
-terms, whose cell is term i's region of any dimension, use ``describe_cone``.
+Equal slopes with a_i != a_j give an empty cell without an LP.  Identical
+terms, whose cell is term i's region of any dimension, take one
+``describe_cone`` call on {others >= 0, w >= 0}: the region is empty exactly
+when w >= 0 is an implied equality, and otherwise has the cone's dimension
+minus one.
 
 The SVG clip (d = 2) needs no LP: a sign-mixed cell with distinct slopes lies
 on the line term_i = term_j, where the other terms and the window sides bound
@@ -65,9 +68,12 @@ def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional
     others = tuple(_homog_term_row(terms, i, k) for k in range(1, len(terms) + 1) if k not in (i, j))
     p = next((q for q in range(1, d + 1) if eq[q]), 0)
     if not p:  # equal slopes: the cell is empty unless the terms are identical
-        if eq[0] or lp_feasible(ConstraintSystem(others, (w,), d + 1)) is None:
+        if eq[0]:
             return None
-        return describe_cone(ConstraintSystem(others + (w,), (), d + 1)).dimension - 1
+        # Identical terms: the cell is term i's region, empty exactly when w
+        # vanishes on the cone {others >= 0, w >= 0}.
+        cone = describe_cone(ConstraintSystem(others + (w,), (), d + 1))
+        return None if len(others) in cone.implied_equalities else cone.dimension - 1
     # A row is a multiple of eq iff row[q] * eq[p] == eq[q] * row[p] for every q.
     strict = (w,) + tuple(r for r in others if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)))
     system = ConstraintSystem((eq, tuple(-x for x in eq)), strict, d + 1)
@@ -109,15 +115,9 @@ def tropical_type(apices: Sequence[Vec], point: Vec) -> tuple[frozenset[int], ..
     for apex in apices:
         if len(apex) != len(point):
             raise ValueError("apex and point dimensions differ")
-        best = None
-        arg: list[int] = []
-        for j, (a, x) in enumerate(zip(apex, point), start=1):
-            v = a + x
-            if best is None or v > best:
-                best, arg = v, [j]
-            elif v == best:
-                arg.append(j)
-        out.append(frozenset(arg))
+        values = [a + x for a, x in zip(apex, point)]
+        best = max(values, default=None)
+        out.append(frozenset(j for j, v in enumerate(values, start=1) if v == best))
     return tuple(out)
 
 

@@ -10,7 +10,6 @@ in every document.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .classify import LevelSetReport
@@ -44,10 +43,9 @@ def signomial_to_json(sig: SignomialParams) -> dict:
     return {"terms": [{"a": format_rat(a), "s": format_vec(s)} for a, s in sig.terms]}
 
 
-def signomial_from_json(doc: dict, d: int | None = None) -> SignomialParams:
+def signomial_from_json(doc: dict) -> SignomialParams:
     terms = tuple((rat(t["a"]), vec(t["s"])) for t in doc["terms"])
-    if d is None:
-        d = len(terms[0][1]) if terms else 0  # SignomialParams refuses an empty list
+    d = len(terms[0][1]) if terms else 0  # SignomialParams refuses an empty list
     return SignomialParams(terms, d)
 
 
@@ -131,8 +129,4 @@ def _witness_to_json(witness) -> Any:
         return pattern_to_json(witness)
     if isinstance(witness, tuple):
         return [_witness_to_json(w) for w in witness]
-    if isinstance(witness, (frozenset, set)):
-        return sorted(_witness_to_json(w) for w in witness)
-    if isinstance(witness, Fraction):
-        return format_rat(witness)
     return witness

@@ -1,19 +1,22 @@
 """ReLU feedforward networks and their conversion to tropical rational form.
 
 The conversion follows the difference-of-convex recursion: each neuron's
-output max(sum_k W_k f_k + c, 0) with f_k = g_k - h_k becomes
+output max(sum_k w_k f_k + c, 0) with f_k = g_k - h_k becomes
 
     g' = max(Y_convex + c, Y_concave),   h' = Y_concave,
 
-where Y_convex collects W+_k g_k + W-_k h_k and Y_concave the mirrored
-combination, for the entrywise split W = W+ - W- into nonnegative parts with
-disjoint support.  Sums of signomials expand distributively into products of
-term sets, so the formal term counts multiply: the denominator gets
-prod_k n_k m_k formal terms and the numerator exactly twice that.  Identical
-monomials produced by the expansion are merged as they appear, which keeps the
-stored representation far below the formal count; ConversionResult reports the
-formal counts (these satisfy the n = 2m contract and the architecture bound)
-alongside the stored sizes per layer.
+where Y_convex sums |w_k| g_k over the inputs with w_k > 0 and |w_k| h_k over
+those with w_k < 0, and Y_concave the mirrored combination; a zero weight adds
+nothing.  Sums of signomials expand distributively into products of term
+sets, and identical monomials produced by the expansion are merged as they
+appear, which keeps the stored representation far below the formal count.
+The formal counts are those of the entrywise split W = W+ - W- into
+nonnegative parts with disjoint support, Y_convex = W+ g + W- h, where input
+k contributes the n_k m_k formal terms of W+_k g_k + W-_k h_k whatever its
+weight: the denominator gets prod_k n_k m_k formal terms and the numerator
+exactly twice that.  ConversionResult reports the formal counts (these
+satisfy the n = 2m contract and the architecture bound) alongside the stored
+sizes per layer.
 """
 
 from __future__ import annotations
@@ -92,10 +95,8 @@ class ConversionResult:
     # trace rows: (layer, formal_n, formal_m, stored_n, stored_m)
 
 
-TermSet = dict[tuple[Vec, ...], Fraction]  # slope -> best coefficient
-
-
-def _terms_to_dict(terms) -> dict:
+def _best_terms(terms) -> dict:
+    """Slope -> largest coefficient over the (coefficient, slope) pairs."""
     out: dict = {}
     for a, s in terms:
         prev = out.get(s)
@@ -104,37 +105,17 @@ def _terms_to_dict(terms) -> dict:
     return out
 
 
-def _scale_terms(w: Fraction, terms: dict, d: int) -> dict:
-    if w == 0:
-        return {(Fraction(0),) * d: Fraction(0)}
+def _scale_terms(w: Fraction, terms: dict) -> dict:
     return {tuple(w * x for x in s): w * a for s, a in terms.items()}
 
 
 def _prod_terms(a: dict, b: dict, cap: int | None) -> dict:
-    out: dict = {}
-    for s1, a1 in a.items():
-        for s2, a2 in b.items():
-            s = tuple(x + y for x, y in zip(s1, s2))
-            coef = a1 + a2
-            prev = out.get(s)
-            if prev is None or coef > prev:
-                out[s] = coef
+    out = _best_terms(
+        (a1 + a2, tuple(x + y for x, y in zip(s1, s2))) for s1, a1 in a.items() for s2, a2 in b.items()
+    )
     if cap is not None and len(out) > cap:
         raise TermCapExceededError(f"stored term count {len(out)} exceeds cap {cap}")
     return out
-
-
-def _max_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for s, coef in b.items():
-        prev = out.get(s)
-        if prev is None or coef > prev:
-            out[s] = coef
-    return out
-
-
-def _shift_terms(terms: dict, c: Fraction) -> dict:
-    return {s: a + c for s, a in terms.items()}
 
 
 def _dict_to_signomial(terms: dict, d: int) -> SignomialParams:
@@ -142,18 +123,14 @@ def _dict_to_signomial(terms: dict, d: int) -> SignomialParams:
     return SignomialParams(tuple((a, s) for s, a in ordered), d)
 
 
-def _split_row(row: Vec) -> tuple[Vec, Vec]:
-    plus = tuple(x if x > 0 else Fraction(0) for x in row)
-    minus = tuple(-x if x < 0 else Fraction(0) for x in row)
-    return plus, minus
-
-
 def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> ConversionResult:
     """Exact tropical rational parameters with the same values as the network.
 
     The per-layer recursion keeps, for every neuron, the convex pair (g, h)
-    with f = g - h; formal counts follow the product expansion of the proof
-    sketch in the module docstring and do not depend on the weights.
+    with f = g - h.  A weight w != 0 on input k multiplies Y_convex by
+    |w| g_k and Y_concave by |w| h_k, the two swapped when w < 0; a zero
+    weight multiplies neither.  The formal counts follow the W+/W- product
+    expansion of the module docstring and do not depend on the weights.
     """
     d = net.d_in
     # Neuron state: (g terms, h terms) as slope -> coefficient dicts; the
@@ -168,27 +145,15 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> Convers
         for row, ci in zip(W, c):
             y_convex: dict = {zeros(d): Fraction(0)}
             y_concave: dict = {zeros(d): Fraction(0)}
-            for k, (plus, minus) in enumerate(zip(*_split_row(row))):
-                y_convex = _prod_terms(
-                    y_convex,
-                    _prod_terms(
-                        _scale_terms(plus, g_list[k], d),
-                        _scale_terms(minus, h_list[k], d),
-                        term_cap,
-                    ),
-                    term_cap,
-                )
-                y_concave = _prod_terms(
-                    y_concave,
-                    _prod_terms(
-                        _scale_terms(minus, g_list[k], d),
-                        _scale_terms(plus, h_list[k], d),
-                        term_cap,
-                    ),
-                    term_cap,
-                )
+            for w, g, h in zip(row, g_list, h_list):
+                if w < 0:
+                    w, g, h = -w, h, g
+                if w:
+                    y_convex = _prod_terms(y_convex, _scale_terms(w, g), term_cap)
+                    y_concave = _prod_terms(y_concave, _scale_terms(w, h), term_cap)
             new_h.append(y_concave)
-            new_g.append(_max_terms(_shift_terms(y_convex, ci), y_concave))
+            shifted = [(a + ci, s) for s, a in y_convex.items()]
+            new_g.append(_best_terms(shifted + [(a, s) for s, a in y_concave.items()]))
         formal_m = (formal_n * formal_m) ** len(g_list)
         formal_n = 2 * formal_m
         g_list, h_list = new_g, new_h
@@ -231,7 +196,7 @@ def _prune_signomial(sig: SignomialParams) -> SignomialParams:
     term_i - term_k > 0 for every other k: scaled by 1/w, x is a point where
     term i alone attains the maximum, and the strict rows define an open set,
     so the LP decides the question exactly."""
-    merged = _terms_to_dict(sig.terms)  # same slope: keep the (dominating) max coefficient
+    merged = _best_terms(sig.terms)  # same slope: keep the (dominating) max coefficient
     terms = []
     for a, s in sig.terms:  # original order, first winning occurrence per slope
         if merged.get(s) == a:

@@ -68,6 +68,12 @@ The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
 of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
 rather than from its integer lift.
 
+The split conversion oracle is the former body of ``relu.net_to_tropical``:
+each weight row is split as W = W+ - W- into nonnegative parts, a zero part
+scales its factor to the identity term {0: 0}, and every input multiplies
+each of Y_convex and Y_concave by an inner product of two scaled factors,
+so every product, inner ones included, meets the term cap.
+
 The sampled prune oracle is the former body of ``relu._prune_signomial``:
 after merging equal slopes, a term with the unique maximum at one of 64
 seeded sample points is kept without an LP, and every other term is decided
@@ -108,8 +114,8 @@ from tropfan.geometry import (
 )
 from tropfan.matroids import AxiomReport, AxiomResult, pattern_compose
 from tropfan.rationals import dot, integerize, zeros
-from tropfan.relu import _terms_to_dict
-from tropfan.tropical import SignomialParams, eval_signomial, integer_terms
+from tropfan.relu import ConversionResult, TermCapExceededError
+from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_signomial, integer_terms
 
 
 @dataclass(frozen=True)
@@ -756,10 +762,19 @@ def _uniquely_attains(rows, idx, d):
     raise AssertionError("lazy competitor loop failed to terminate")
 
 
+def _max_by_slope(items):
+    """Slope -> largest coefficient over (slope, coefficient) pairs."""
+    out = {}
+    for s, a in items:
+        if s not in out or a > out[s]:
+            out[s] = a
+    return out
+
+
 def prune_by_samples_and_lazy_lps(sig):
     """Terms of sig that uniquely attain the maximum somewhere, after merging
     equal slopes: seeded sample points first, lazy competitor LPs for the rest."""
-    merged = _terms_to_dict(sig.terms)
+    merged = _max_by_slope((s, a) for a, s in sig.terms)
     terms = []
     for a, s in sig.terms:
         if merged.get(s) == a:
@@ -878,3 +893,51 @@ def chamber_path_by_composition(start, target, data):
         return walk(D_cov, ZD) + walk(ZC, C_cov)
 
     return walk(tuple(start), tuple(target))
+
+
+def net_to_tropical_by_split(net, term_cap=500_000):
+    """The W+/W- construction term by term: every input multiplies Y_convex
+    by W+_k g_k * W-_k h_k and Y_concave by W-_k g_k * W+_k h_k, where a zero
+    part scales its factor to the identity {0: 0}, and every product, inner
+    ones included, is checked against the cap."""
+    d = net.d_in
+
+    def scale(w, terms):
+        if w == 0:
+            return {(F(0),) * d: F(0)}
+        return {tuple(w * x for x in s): w * a for s, a in terms.items()}
+
+    def prod(a, b):
+        out = _max_by_slope(
+            (tuple(x + y for x, y in zip(s1, s2)), a1 + a2) for s1, a1 in a.items() for s2, a2 in b.items()
+        )
+        if term_cap is not None and len(out) > term_cap:
+            raise TermCapExceededError(f"stored term count {len(out)} exceeds cap {term_cap}")
+        return out
+
+    g_list = [{tuple(F(int(i == k)) for i in range(d)): F(0)} for k in range(d)]
+    h_list = [{zeros(d): F(0)} for _ in range(d)]
+    formal_n, formal_m = 1, 1
+    trace = []
+    for layer, (W, c) in enumerate(net.layers, start=1):
+        new_g, new_h = [], []
+        for row, ci in zip(W, c):
+            y_convex = {zeros(d): F(0)}
+            y_concave = {zeros(d): F(0)}
+            for k, x in enumerate(row):
+                plus, minus = max(x, F(0)), max(-x, F(0))
+                y_convex = prod(y_convex, prod(scale(plus, g_list[k]), scale(minus, h_list[k])))
+                y_concave = prod(y_concave, prod(scale(minus, g_list[k]), scale(plus, h_list[k])))
+            new_h.append(y_concave)
+            shifted = ((s, a + ci) for s, a in y_convex.items())
+            new_g.append(_max_by_slope(list(shifted) + list(y_concave.items())))
+        formal_m = (formal_n * formal_m) ** len(g_list)
+        formal_n = 2 * formal_m
+        g_list, h_list = new_g, new_h
+        trace.append((layer, formal_n, formal_m, max(map(len, g_list)), max(map(len, h_list))))
+
+    def signomial(terms):
+        return SignomialParams(tuple((a, s) for s, a in sorted(terms.items())), d)
+
+    theta = TropicalRationalParams(signomial(g_list[0]), signomial(h_list[0]))
+    return ConversionResult(theta=theta, n=formal_n, m=formal_m, trace=tuple(trace))

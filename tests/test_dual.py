@@ -273,6 +273,8 @@ SPECIAL_THETAS = [
     ),
     # three terms with collinear slopes, all tied on the line x = 0
     TropicalRationalParams(signomial([(0, (0, 0)), (0, (2, 0))]), signomial([(0, (1, 0))])),
+    # identical terms 1 and 3 whose region is empty: term 2 lies above them
+    TropicalRationalParams(signomial([(0, (0, 0)), (1, (0, 0))]), signomial([(0, (0, 0))])),
 ]
 
 
@@ -408,11 +410,11 @@ README_THETA = Path(__file__).resolve().parent.parent / "data" / "running_theta.
 
 
 def test_boundary_lp_counts_are_pinned(monkeypatch):
-    """One LP per sign-mixed pair, none for equal slopes with different
-    heights; the relative-interior rounds of ``describe_cone`` run for
-    identical-term pairs only.  The README theta has 2 + 2 terms with four
-    distinct slopes: 4 pairs, 4 LPs.  Identical g and h of two terms: the
-    pairs (1, 3) and (2, 4) are identical terms (one LP and one
+    """One LP per sign-mixed pair with distinct slopes, none for equal slopes
+    with different heights, and one ``describe_cone`` call and no
+    feasibility LP for identical terms.  The README theta has 2 + 2 terms
+    with four distinct slopes: 4 pairs, 4 LPs.  Identical g and h of two
+    terms: the pairs (1, 3) and (2, 4) are identical terms (one
     ``describe_cone`` each), and (1, 4), (2, 3) one LP each.  Equal slopes
     with different heights, (1, 3) of the second special theta, take no LP;
     its other pair (2, 3) takes one."""
@@ -430,7 +432,7 @@ def test_boundary_lp_counts_are_pinned(monkeypatch):
     for name in ("lp_feasible", "describe_cone", "_pair_cell_dim"):
         wrap(name)
     readme = rational_from_json(loads(README_THETA.read_text()))
-    for theta, lps, relints in ((readme, 4, 0), (SPECIAL_THETAS[2], 4, 2), (SPECIAL_THETAS[1], 1, 0)):
+    for theta, lps, relints in ((readme, 4, 0), (SPECIAL_THETAS[2], 2, 2), (SPECIAL_THETAS[1], 1, 0)):
         log.clear()
         decision_boundary(theta)
         terms = theta.merged().terms

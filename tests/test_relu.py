@@ -14,9 +14,10 @@ from tropfan.relu import (
     prune_terms,
 )
 from tropfan import relu
+from tropfan.jsonio import conversion_to_json
 from tropfan.tropical import TropicalRationalParams, eval_rational, signomial
 
-from oracles import prune_by_samples_and_lazy_lps
+from oracles import net_to_tropical_by_split, prune_by_samples_and_lazy_lps
 
 
 def rnd_fraction(rng, span=8):
@@ -67,16 +68,6 @@ def test_base_case_parameters():
     assert set(result.theta.num.terms) == {(F(1), (F(2), F(0))), (F(0), (F(0), F(3)))}
     assert set(result.theta.den.terms) == {(F(0), (F(0), F(3)))}
     assert (result.n, result.m) == (2, 1)
-
-
-def test_split_nonnegative_disjoint_support():
-    from tropfan.relu import _split_row
-
-    row = (F(2), F(-3), F(0))
-    plus, minus = _split_row(row)
-    assert all(x >= 0 for x in plus) and all(x >= 0 for x in minus)
-    assert all(p * m == 0 for p, m in zip(plus, minus))
-    assert tuple(p - m for p, m in zip(plus, minus)) == row
 
 
 def test_two_layer_formal_counts():
@@ -207,6 +198,47 @@ def test_term_cap():
     net = random_network(rng, 3, [3, 3])
     with pytest.raises(TermCapExceededError):
         net_to_tropical(net, term_cap=4)
+
+
+def hundredths_network(rng, d_in, hidden, zero_row):
+    """Weights and biases in hundredths of [-3, 3], about a quarter of the
+    weights zero; with ``zero_row`` one weight row is zero throughout."""
+    def weight():
+        return F(rng.randint(-300, 300), 100)
+
+    dims = [d_in] + list(hidden) + [1]
+    layers = []
+    for a, b in zip(dims, dims[1:]):
+        W = [[weight() if rng.random() < 0.75 else F(0) for _ in range(a)] for _ in range(b)]
+        c = [weight() for _ in range(b)]
+        layers.append((W, c))
+    if zero_row:
+        W = rng.choice(layers)[0]
+        W[rng.randrange(len(W))] = [F(0)] * len(W[0])
+    return network(layers)
+
+
+def conversion_or_cap(convert, net, cap):
+    try:
+        return conversion_to_json(convert(net, cap))
+    except TermCapExceededError:
+        return "cap exceeded"
+
+
+def test_conversion_matches_the_split_oracle():
+    """One product per nonzero weight gives the W+/W- construction's terms,
+    counts and trace, and exceeds a term cap on exactly the same nets."""
+    rng = random.Random(20)
+    nets = [
+        hundredths_network(rng, rng.randint(1, 3), [rng.randint(1, 3) for _ in range(i % 3)], i % 6 == 0)
+        for i in range(72)
+    ]
+    assert any(all(x == 0 for x in row) for net in nets for W, _ in net.layers for row in W)
+    for net in nets:
+        assert conversion_to_json(net_to_tropical(net)) == conversion_to_json(net_to_tropical_by_split(net))
+        for cap in range(1, 9):
+            got, want = (conversion_or_cap(f, net, cap) for f in (net_to_tropical, net_to_tropical_by_split))
+            assert got == want
 
 
 @settings(max_examples=25, deadline=None)
