@@ -37,8 +37,8 @@ def main() -> int:
     for assign in ((1, 3, 3, 2), (2, 3, 3, 1)):
         from tropfan.fan import pattern_from_assignment
 
-        system = cone_constraints(pattern_from_assignment(assign, 4), data)
-        inside = all(dot(row, theta) >= 0 for row in system.nonstrict)
+        rows = cone_constraints(pattern_from_assignment(assign, 4), data)
+        inside = all(dot(row, theta) >= 0 for row in rows)
         print(f"witness in cone {assign}: {inside}")
     return 0
 

@@ -32,14 +32,7 @@ from .fan import (
     pattern_of,
     polytope_vertex_of,
 )
-from .geometry import (
-    ConeDescriptor,
-    ConstraintSystem,
-    cone_dim,
-    exact_rank,
-    implied_equalities,
-    lp_feasible,
-)
+from .geometry import exact_rank, lp_feasible
 from .matroids import (
     AxiomReport,
     om_axioms_check,

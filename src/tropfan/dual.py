@@ -8,7 +8,9 @@ the cell has dimension one less than the cone whenever some point with w > 0
 exists.  The pair (i, j) is a dual edge exactly when the set where terms i and
 j jointly attain the maximum has dimension d - 1; the decision boundary checks
 only the sign-mixed pairs i <= n < j of the merged terms of g (+) h.  The
-terms are scaled to integers once per call, so every row is an integer tuple.
+terms are scaled to integers once per call, so every row, a
+``term_difference`` of two of them, is an integer tuple and goes to the LP
+as it is built.
 
 One strict LP decides a pair with distinct slopes: its cell lies in the
 hyperplane H where eq = term_i - term_j vanishes, competitor rows that are
@@ -18,9 +20,9 @@ neighborhood in H inside the cell; conversely, a row that is zero at a
 relative-interior point of a (d-1)-dimensional cell is zero on aff(cell) = H.
 Equal slopes with a_i != a_j give an empty cell without an LP.  Identical
 terms, whose cell is term i's region of any dimension, take one
-``describe_cone`` call on {others >= 0, w >= 0}: the region is empty exactly
-when w >= 0 is an implied equality, and otherwise has the cone's dimension
-minus one.
+``describe_cone`` call on the rows of {others >= 0, w >= 0}, which returns
+the cone's dimension and its implied rows: the region is empty exactly when
+the row w is among them, and otherwise has the cone's dimension minus one.
 
 The SVG clip (d = 2) needs no LP: a sign-mixed cell with distinct slopes lies
 on the line term_i = term_j, where the other terms and the window sides bound
@@ -36,10 +38,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import ConstraintSystem, describe_cone, lp_feasible
+from .geometry import describe_cone, lp_feasible
 from .rationals import Vec, integerize
 from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point
-from .tropical import eval_signomial, integer_terms
+from .tropical import eval_signomial, integer_terms, term_difference
 
 
 @dataclass(frozen=True)
@@ -54,30 +56,25 @@ class DualEdge:
             raise ValueError("a dual edge joins distinct terms")
 
 
-def _homog_term_row(terms: Sequence[tuple[int, ...]], hi: int, lo: int) -> tuple[int, ...]:
-    """Coefficients of term_hi(x) - term_lo(x) over (w, x)."""
-    return tuple(u - v for u, v in zip(terms[hi - 1], terms[lo - 1]))
-
-
 def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional[int]:
     """Dimension of {x : term_i = term_j = max} over the integer terms, or
     None when it is empty or, for distinct slopes, below d - 1."""
     d = len(terms[0]) - 1
     w = (1,) + (0,) * d
-    eq = _homog_term_row(terms, i, j)
-    others = tuple(_homog_term_row(terms, i, k) for k in range(1, len(terms) + 1) if k not in (i, j))
+    ti = terms[i - 1]
+    eq = term_difference(ti, terms[j - 1])
+    others = tuple(term_difference(ti, terms[k - 1]) for k in range(1, len(terms) + 1) if k not in (i, j))
     p = next((q for q in range(1, d + 1) if eq[q]), 0)
     if not p:  # equal slopes: the cell is empty unless the terms are identical
         if eq[0]:
             return None
         # Identical terms: the cell is term i's region, empty exactly when w
         # vanishes on the cone {others >= 0, w >= 0}.
-        cone = describe_cone(ConstraintSystem(others + (w,), (), d + 1))
-        return None if len(others) in cone.implied_equalities else cone.dimension - 1
+        dim, implied = describe_cone(d + 1, others + (w,))
+        return None if len(others) in implied else dim - 1
     # A row is a multiple of eq iff row[q] * eq[p] == eq[q] * row[p] for every q.
     strict = (w,) + tuple(r for r in others if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)))
-    system = ConstraintSystem((eq, tuple(-x for x in eq)), strict, d + 1)
-    return d - 1 if lp_feasible(system) is not None else None
+    return d - 1 if lp_feasible(d + 1, strict, (eq, tuple(-x for x in eq))) is not None else None
 
 
 def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:
@@ -158,7 +155,8 @@ def _boundary_segments(
     xmin, xmax, ymin, ymax = box
     segments = []
     for i, j in _mixed_pairs(n, len(terms)):
-        c, n0, n1 = _homog_term_row(terms, i, j)
+        ti = terms[i - 1]
+        c, n0, n1 = term_difference(ti, terms[j - 1])
         # Equal slopes: the cell is empty (a_i != a_j) or the region of term i,
         # drawn by the sign-mixed pair of a term tied on it with another slope.
         if n0 == n1 == 0:
@@ -172,7 +170,7 @@ def _boundary_segments(
         constraints += [(b1 - q * ymin, wden * u1), (q * ymax - b1, -wden * u1)]
         for k in range(1, len(terms) + 1):
             if k != i and k != j:
-                e, f0, f1 = _homog_term_row(terms, i, k)
+                e, f0, f1 = term_difference(ti, terms[k - 1])
                 constraints.append((q * e - c * (f0 * n0 + f1 * n1), f0 * u0 + f1 * u1))
         # Bounds on t as (numerator, denominator >= 0), compared by
         # cross-multiplication; the window replaces -inf and +inf on both sides.

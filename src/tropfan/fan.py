@@ -28,7 +28,7 @@ from itertools import permutations
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .geometry import ConstraintSystem, exact_rank, max_slack, relint_point
+from .geometry import exact_rank, max_slack, relint_point
 from .rationals import Vec, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
@@ -213,16 +213,14 @@ def _cone_rows(G: ActivationPattern) -> Iterator[tuple[int, int, int]]:
                     yield k, i_star, i
 
 
-def cone_constraints(G: ActivationPattern, data: Dataset) -> ConstraintSystem:
-    """Nonstrict H-description of the activation cone of G (no strict rows).
+def cone_constraints(G: ActivationPattern, data: Dataset) -> tuple[tuple[int, ...], ...]:
+    """Integer rows, each >= 0 on the activation cone of G in R^{N(d+1)}.
 
     Row order is (point, edge term ascending, competitor ascending); the count
     is sum_p deg(p) * (N - 1).
     """
     _check_sizes(G, data)
-    N = G.N
-    rows = tuple(_tie_row(data.lifts[k], i_star, i, N) for k, i_star, i in _cone_rows(G))
-    return ConstraintSystem(rows, (), N * (data.d + 1))
+    return tuple(_tie_row(data.lifts[k], i_star, i, G.N) for k, i_star, i in _cone_rows(G))
 
 
 def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
@@ -234,15 +232,14 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
     to point k for each implied row (k, i*, i).  The dimension is the
     ambient dimension minus the rank of the implied rows.
     """
-    system = cone_constraints(H, data)
-    point, implied = relint_point(system)
+    dim, rows = H.N * (data.d + 1), cone_constraints(H, data)
+    point, implied = relint_point(dim, rows)
     nbrs = [set(nb) for nb in H.neighbors]
     for r, (k, _, i) in enumerate(_cone_rows(H)):
         if r in implied:
             nbrs[k].add(i)
     closure = ActivationPattern(H.M, H.N, tuple(frozenset(nb) for nb in nbrs))
-    dimension = system.ambient_dim - exact_rank([system.nonstrict[r] for r in implied])
-    return FanCone(closure, dimension, point)
+    return FanCone(closure, dim - exact_rank([rows[r] for r in implied]), point)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,13 @@ stalls, which preserves the termination guarantee; the entering column is
 the least ratio.  Both rules break ties by variable id, never by position,
 so the pivots are those of the full tableau.
 
-Every row is an integer tuple.  Tie rows are built from the integer lifts of
-the data points, and a ``ConstraintSystem`` multiplies each row it is given
-by the least positive integer that clears its denominators, which keeps its
-half-space, its implied rows and its strict feasibility.  So the pivot,
-which needs integer input, takes the rows as they are.
+Every row is an integer tuple of length ``dim`` from the moment it is
+built: tie rows from the integer lifts of the data points, input-space rows
+from the integer terms.  So every entry point here, ``max_slack``,
+``lp_feasible``, ``relint_point``, ``describe_cone`` and ``exact_rank``,
+takes them as they are.  Every ``max_slack`` call but the warm node LPs of
+the partition walk checks that they are: the pivot would floor a Fraction,
+and a short row would shift t onto an x column.
 
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
 optimum of 0 the final objective row holds a Farkas certificate: integer
@@ -64,13 +66,13 @@ from __future__ import annotations
 
 import os
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .rationals import Vec, integerize, zeros
+from .rationals import Vec, zeros
 
 LinearForm = tuple[int, ...]
 
@@ -83,32 +85,6 @@ _STALL_LIMIT = 12
 
 class PivotLimitError(RuntimeError):
     """Circuit breaker; Bland's rule makes this unreachable in theory."""
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Homogeneous inequalities f.x >= 0 (nonstrict) and f.x > 0 (strict);
-    rational rows are stored scaled to integers, one row at a time."""
-
-    nonstrict: tuple[LinearForm, ...]
-    strict: tuple[LinearForm, ...]
-    ambient_dim: int
-
-    def __post_init__(self):
-        for name in ("nonstrict", "strict"):
-            rows = tuple(integerize(row)[0] for row in getattr(self, name))
-            if any(len(row) != self.ambient_dim for row in rows):
-                raise ValueError(f"a row's length differs from the ambient dimension {self.ambient_dim}")
-            object.__setattr__(self, name, rows)
-
-
-@dataclass(frozen=True)
-class ConeDescriptor:
-    """A cone's H-description with derived dimension and implied equalities."""
-
-    system: ConstraintSystem
-    dimension: int
-    implied_equalities: frozenset[int]
 
 
 def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int, lead: int) -> list[int]:
@@ -263,9 +239,11 @@ def max_slack(
 ) -> tuple[Fraction, Vec]:
     """Maximize the common slack t of the integer strict rows; returns (t*, x*).
 
-    Every row is a sequence of ints; the pivot would floor a Fraction.  x is
-    free and t is clamped to [0, 1], so the LP is bounded and (0, 0) is
-    feasible.  Every call runs the same steps on a ``_Simplex``:
+    Every row is a sequence of ``dim`` ints, and a call without ``tableau``
+    raises ``ValueError`` on any other row; a warm call's rows, cut from
+    ``Dataset.lifts`` by the partition walk, are not checked.  x is free and
+    t is clamped to [0, 1], so the LP is bounded and (0, 0) is feasible.
+    Every call runs the same steps on a ``_Simplex``:
 
     * start from the optimal tableau of the empty system (t = 1, x = 0), or
       from a copy of the one passed in ``tableau``;
@@ -309,6 +287,10 @@ def max_slack(
         raise ValueError("a warm start takes inequality rows and reads no duals")
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
+    if tableau is None:
+        given = (*equalities, *nonstrict, *strict)
+        if not set(map(len, given)) <= {dim} or not set(map(type, chain.from_iterable(given))) <= {int}:
+            raise ValueError(f"every row must be a tuple of {dim} ints")
     if tableau:
         sx = copy(tableau[0])
         sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
@@ -346,37 +328,33 @@ def max_slack(
     return opt, tuple(Fraction(v, den) for v in x)
 
 
-def lp_feasible(system: ConstraintSystem) -> Optional[Vec]:
+def lp_feasible(dim: int, strict: Sequence[LinearForm], nonstrict: Sequence[LinearForm] = ()) -> Optional[Vec]:
     """Exact witness of the mixed system, or None when no point meets every strict row.
 
     A homogeneous nonstrict system always contains the origin, so infeasibility
     can only come from the strict rows.  ``max_slack`` has substituted the
     returned witness into every row as a guard against any arithmetic defect.
     """
-    opt, x = max_slack(system.ambient_dim, system.nonstrict, system.strict)
+    opt, x = max_slack(dim, nonstrict, strict)
     return x if opt > 0 else None
 
 
-def relint_point(system: ConstraintSystem) -> tuple[Vec, frozenset[int]]:
-    """A point in the relative interior of {x : nonstrict rows >= 0}, plus the implied rows.
+def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[int]]:
+    """A point in the relative interior of {x : rows >= 0}, plus the implied rows.
 
-    Strict rows are ignored: the cone geometry of this package lives entirely
-    in the closed systems.  The undecided rows U are those not yet known to
-    be implied.  Each round solves one slack maximization with U strict and
-    the known implied rows nonstrict.  A positive optimum's witness is
-    positive on U and, lying in the cone, zero on the implied rows, so it is
-    a relative-interior point.  A zero optimum comes with dual multipliers
-    y >= 0 with sum_i y_i f_i = 0 and y_i > 0 on some row of U; on the cone
-    each term y_i f_i.x of that zero sum is >= 0, so every row with y_i > 0
-    is implied.  Those rows join the implied set, and so does every undecided
-    row in the linear span of the implied rows, since it vanishes wherever
-    they do; then the next round starts.  The integer multipliers are checked
-    before they are used, and a failed check raises.  Each zero round decides
-    at least one row, so at most one round per implied row plus one is
-    needed.
+    The undecided rows U are those not yet known to be implied.  Each round
+    solves one slack maximization with U strict and the known implied rows
+    nonstrict.  A positive optimum's witness is positive on U and, lying in
+    the cone, zero on the implied rows, so it is a relative-interior point.
+    A zero optimum comes with dual multipliers y >= 0 with sum_i y_i f_i = 0
+    and y_i > 0 on some row of U; on the cone each term y_i f_i.x of that
+    zero sum is >= 0, so every row with y_i > 0 is implied.  Those rows join
+    the implied set, and so does every undecided row in the linear span of
+    the implied rows, since it vanishes wherever they do; then the next
+    round starts.  The integer multipliers are checked before they are used,
+    and a failed check raises.  Each zero round decides at least one row, so
+    at most one round per implied row plus one is needed.
     """
-    rows = system.nonstrict
-    dim = system.ambient_dim
     implied: list[int] = []
     span: list[tuple[int, list[int]]] = []  # echelon basis of the implied rows
     undecided = list(range(len(rows)))
@@ -430,25 +408,15 @@ def _extend_span(span: list[tuple[int, list[int]]], row: Sequence[int]):
         span.append((p, [v // g for v in row]))
 
 
-def implied_equalities(system: ConstraintSystem) -> frozenset[int]:
-    """Indices of nonstrict rows that hold with equality at every feasible point."""
-    return relint_point(system)[1]
-
-
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of rational rows: the size of an integer echelon basis."""
+def exact_rank(rows: Sequence[LinearForm]) -> int:
+    """Rank over Q of integer rows: the size of an integer echelon basis."""
     span: list[tuple[int, list[int]]] = []
     for row in rows:
-        _extend_span(span, integerize(row)[0])
+        _extend_span(span, row)
     return len(span)
 
 
-def describe_cone(system: ConstraintSystem) -> ConeDescriptor:
-    """Dimension and implied equalities of the closed cone {nonstrict rows >= 0}."""
-    _, implied = relint_point(system)
-    dim = system.ambient_dim - exact_rank([system.nonstrict[r] for r in sorted(implied)])
-    return ConeDescriptor(system=system, dimension=dim, implied_equalities=implied)
-
-
-def cone_dim(system: ConstraintSystem) -> int:
-    return describe_cone(system).dimension
+def describe_cone(dim: int, rows: Sequence[LinearForm]) -> tuple[int, frozenset[int]]:
+    """(dimension, implied rows) of the closed cone {x : rows >= 0}."""
+    _, implied = relint_point(dim, rows)
+    return dim - exact_rank([rows[r] for r in sorted(implied)]), implied

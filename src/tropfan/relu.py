@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import ConstraintSystem, lp_feasible
+from .geometry import lp_feasible
 from .rationals import Vec, dot, vec, zeros
-from .tropical import SignomialParams, TropicalRationalParams, integer_terms
+from .tropical import SignomialParams, TropicalRationalParams, integer_terms, term_difference
 
 
 class TermCapExceededError(RuntimeError):
@@ -109,13 +109,25 @@ def _scale_terms(w: Fraction, terms: dict) -> dict:
     return {tuple(w * x for x in s): w * a for s, a in terms.items()}
 
 
+def _capped(terms: dict, cap: int | None) -> dict:
+    if cap is not None and len(terms) > cap:
+        raise TermCapExceededError(f"stored term count {len(terms)} exceeds cap {cap}")
+    return terms
+
+
 def _prod_terms(a: dict, b: dict, cap: int | None) -> dict:
     out = _best_terms(
         (a1 + a2, tuple(x + y for x, y in zip(s1, s2))) for s1, a1 in a.items() for s2, a2 in b.items()
     )
-    if cap is not None and len(out) > cap:
-        raise TermCapExceededError(f"stored term count {len(out)} exceeds cap {cap}")
-    return out
+    return _capped(out, cap)
+
+
+def _times(a: dict, b: dict, one: dict, cap: int | None) -> dict:
+    """a times b, where a product with the identity ``one`` = {0: 0} is the
+    other factor, checked against the cap if it has not been already."""
+    if a == one:
+        return _capped(b, cap)
+    return a if b == one else _prod_terms(a, b, cap)
 
 
 def _dict_to_signomial(terms: dict, d: int) -> SignomialParams:
@@ -129,28 +141,32 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> Convers
     The per-layer recursion keeps, for every neuron, the convex pair (g, h)
     with f = g - h.  A weight w != 0 on input k multiplies Y_convex by
     |w| g_k and Y_concave by |w| h_k, the two swapped when w < 0; a zero
-    weight multiplies neither.  The formal counts follow the W+/W- product
-    expansion of the module docstring and do not depend on the weights.
+    weight multiplies neither.  Both start at the identity {0: 0}, and a
+    product with it is the other factor, not a new product: the first
+    nonzero weight's factors are checked against the cap as they are, and a
+    row of zero weights leaves both at the identity.  The formal counts
+    follow the W+/W- product expansion of the module docstring and do not
+    depend on the weights.
     """
     d = net.d_in
     # Neuron state: (g terms, h terms) as slope -> coefficient dicts; the
     # inputs are x_k = g_k - h_k with g_k = {e_k: 0} and h_k = {0: 0}.
+    one = {zeros(d): Fraction(0)}
     g_list: list[dict] = [{vec(int(i == k) for i in range(d)): Fraction(0)} for k in range(d)]
-    h_list: list[dict] = [{zeros(d): Fraction(0)} for _ in range(d)]
+    h_list: list[dict] = [one] * d
     formal_n, formal_m = 1, 1  # per-neuron counts, identical across a layer
     trace = []
     for layer_index, (W, c) in enumerate(net.layers, start=1):
         new_g: list[dict] = []
         new_h: list[dict] = []
         for row, ci in zip(W, c):
-            y_convex: dict = {zeros(d): Fraction(0)}
-            y_concave: dict = {zeros(d): Fraction(0)}
+            y_convex = y_concave = one
             for w, g, h in zip(row, g_list, h_list):
                 if w < 0:
                     w, g, h = -w, h, g
                 if w:
-                    y_convex = _prod_terms(y_convex, _scale_terms(w, g), term_cap)
-                    y_concave = _prod_terms(y_concave, _scale_terms(w, h), term_cap)
+                    y_convex = _times(y_convex, _scale_terms(w, g), one, term_cap)
+                    y_concave = _times(y_concave, _scale_terms(w, h), one, term_cap)
             new_h.append(y_concave)
             shifted = [(a + ci, s) for s, a in y_convex.items()]
             new_g.append(_best_terms(shifted + [(a, s) for s, a in y_concave.items()]))
@@ -206,8 +222,8 @@ def _prune_signomial(sig: SignomialParams) -> SignomialParams:
     w = (1,) + (0,) * sig.d
     keep = []
     for i, (term, row) in enumerate(zip(terms, rows)):
-        strict = (w,) + tuple(tuple(u - v for u, v in zip(row, other)) for k, other in enumerate(rows) if k != i)
-        if lp_feasible(ConstraintSystem((), strict, sig.d + 1)) is not None:
+        strict = (w,) + tuple(term_difference(row, other) for k, other in enumerate(rows) if k != i)
+        if lp_feasible(sig.d + 1, strict) is not None:
             keep.append(term)
     if not keep:
         raise AssertionError("upper envelope lost all terms")

@@ -82,6 +82,12 @@ def integer_terms(terms: Sequence[Term]) -> list[tuple[int, ...]]:
     return [tuple(islice(flat, 1 + len(s))) for _, s in terms]
 
 
+def term_difference(hi: Sequence[int], lo: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients of term_hi(x) - term_lo(x) over (w, x), from two rows of
+    ``integer_terms``: the homogenized input-space row of the tie."""
+    return tuple(u - v for u, v in zip(hi, lo))
+
+
 def eval_signomial(params: SignomialParams, x: Sequence[Fraction]) -> tuple[Fraction, frozenset[int]]:
     """Value max_i (a_i + <s_i, x>) together with the 1-based argmax set.
 

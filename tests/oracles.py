@@ -105,17 +105,11 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import (
-    _STALL_LIMIT,
-    ConstraintSystem,
-    describe_cone,
-    lp_feasible,
-    max_slack,
-)
+from tropfan.geometry import _STALL_LIMIT, describe_cone, lp_feasible, max_slack
 from tropfan.matroids import AxiomReport, AxiomResult, pattern_compose
 from tropfan.rationals import dot, integerize, zeros
 from tropfan.relu import ConversionResult, TermCapExceededError
-from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_signomial, integer_terms
+from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_signomial, integer_terms, term_difference
 
 
 @dataclass(frozen=True)
@@ -523,13 +517,13 @@ def pair_cell_dim_by_relint(sig, i, j):
         (a_hi, s_hi), (a_lo, s_lo) = sig.terms[hi - 1], sig.terms[lo - 1]
         return (a_hi - a_lo,) + tuple(u - v for u, v in zip(s_hi, s_lo))
 
-    w = (F(1),) + (F(0),) * d
+    w = (1,) + (0,) * d
     eq = row(i, j)
     rows = tuple(row(i, k) for k in range(1, sig.n + 1) if k not in (i, j))
-    rows += (eq, tuple(-x for x in eq))
-    if lp_feasible(ConstraintSystem(rows, (w,), d + 1)) is None:
+    rows = tuple(integerize(f)[0] for f in rows + (eq, tuple(-x for x in eq)))
+    if lp_feasible(d + 1, (w,), rows) is None:
         return None
-    return describe_cone(ConstraintSystem(rows + (w,), (), d + 1)).dimension - 1
+    return describe_cone(d + 1, rows + (w,))[0] - 1
 
 
 def dual_edges_by_relint(sig):
@@ -708,10 +702,8 @@ def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
     return -obj[-1], tuple(x)
 
 
-def relint_point_by_rows(system):
-    """(point, implied rows) of {x : nonstrict rows >= 0}, one slack LP per row."""
-    rows = system.nonstrict
-    dim = system.ambient_dim
+def relint_point_by_rows(dim, rows):
+    """(point, implied rows) of {x : rows >= 0}, one slack LP per row."""
     if not rows:
         return zeros(dim), frozenset()
     opt, acc = max_slack(dim, (), rows)
@@ -743,8 +735,8 @@ def _uniquely_attains(rows, idx, d):
     active = []
     for _ in range(len(rows)):
         strict_rows = [(1,) + (0,) * d]  # w > 0
-        strict_rows += [tuple(u - v for u, v in zip(rows[idx], rows[t])) for t in active]
-        witness = lp_feasible(ConstraintSystem((), tuple(strict_rows), d + 1))
+        strict_rows += [term_difference(rows[idx], rows[t]) for t in active]
+        witness = lp_feasible(d + 1, strict_rows)
         if witness is None:
             return False
         x = tuple(xi / witness[0] for xi in witness[1:])

@@ -38,8 +38,9 @@ from tropfan.fan import (
     pattern_from_assignment,
     pattern_of,
 )
-from tropfan.geometry import ConstraintSystem, cone_dim, lp_feasible
+from tropfan.geometry import describe_cone, lp_feasible
 from tropfan.matroids import om_axioms_check, pattern_axioms_check
+from tropfan.rationals import integerize
 from tropfan.relu import ReluNetwork, bound_m, net_eval, net_to_tropical, prune_terms
 from tropfan.tropical import SignomialParams, TropicalRationalParams, eval_rational
 
@@ -173,7 +174,7 @@ def diag_reports(diag4):
     t0 = time.perf_counter()
     rep = level_set(diag4, 2, 2, target, 0)
     dims = [
-        cone_dim(__import__("tropfan.fan", fromlist=["cone_constraints"]).cone_constraints(g, diag4))
+        describe_cone(12, __import__("tropfan.fan", fromlist=["cone_constraints"]).cone_constraints(g, diag4))[0]
         for g in rep.patterns
     ]
     cross = {}
@@ -496,8 +497,8 @@ def _window_restricted(theta, edges, window):
             (-ymin, F(0), F(1)),
             (ymax, F(0), F(-1)),
         )
-        system = ConstraintSystem(tuple(rows) + (eq, tuple(-x for x in eq)), strict, 3)
-        if lp_feasible(system) is not None:
+        nonstrict = tuple(rows) + (eq, tuple(-x for x in eq))
+        if lp_feasible(3, [integerize(f)[0] for f in strict], [integerize(f)[0] for f in nonstrict]) is not None:
             out.add((e.i, e.j))
     return out
 

@@ -209,7 +209,7 @@ def test_wall_decision_matches_closure_dimension():
     for x in range(len(maximal)):
         for y in range(x + 1, len(maximal)):
             adjacent, dim = wall_adjacent(maximal[x], maximal[y], D, 2, 1)
-            expected = describe_cone(cone_constraints(maximal[x].union(maximal[y]), D)).dimension
+            expected = describe_cone(ambient, cone_constraints(maximal[x].union(maximal[y]), D))[0]
             assert dim == expected
             assert adjacent == (expected == ambient - 1)
 

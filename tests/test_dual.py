@@ -21,7 +21,7 @@ from tropfan.dual import (
     tropical_type,
 )
 from tropfan.fan import dataset, pattern_of
-from tropfan.geometry import ConstraintSystem, lp_feasible
+from tropfan.geometry import lp_feasible
 from tropfan.jsonio import loads, rational_from_json
 from tropfan.rationals import dot, integerize
 from tropfan.tropical import (
@@ -64,8 +64,8 @@ def window_restricted(theta, edges, window):
             (-ymin, F(0), F(1)),
             (ymax, F(0), F(-1)),
         )
-        system = ConstraintSystem(tuple(rows) + (eq, tuple(-x for x in eq)), strict, 3)
-        if lp_feasible(system) is not None:
+        nonstrict = tuple(rows) + (eq, tuple(-x for x in eq))
+        if lp_feasible(3, [integerize(f)[0] for f in strict], [integerize(f)[0] for f in nonstrict]) is not None:
             out.add((e.i, e.j))
     return out
 

@@ -27,8 +27,8 @@ from tropfan.fan import (
     _tie_row,
 )
 from tropfan.classify import level_set
-from tropfan.geometry import cone_dim, describe_cone, exact_rank, lp_feasible, ConstraintSystem
-from tropfan.rationals import dot
+from tropfan.geometry import describe_cone, exact_rank, lp_feasible
+from tropfan.rationals import dot, integerize
 from tropfan.tropical import SignomialParams, signomial
 
 
@@ -61,18 +61,18 @@ def test_pattern_all_zero_parameters(two_points):
 def test_cone_constraints_shapes(two_points):
     single = dataset([(0, 0)])
     lone = pattern_from_assignment((1,), 1)
-    assert cone_constraints(lone, single).nonstrict == ()
+    assert cone_constraints(lone, single) == ()
 
     G = pattern_from_assignment((1,), 2)
-    system = cone_constraints(G, single)
-    assert len(system.nonstrict) == 1
-    assert system.ambient_dim == 6
+    rows = cone_constraints(G, single)
+    assert len(rows) == 1
+    assert len(rows[0]) == 6
     # row is (a_1 - a_2) + <s_1 - s_2, 0> >= 0
-    assert system.nonstrict[0] == (F(1), F(0), F(0), F(-1), F(0), F(0))
+    assert rows[0] == (1, 0, 0, -1, 0, 0)
 
     H = pattern_of(signomial([(0, (0, 0))] * 3), two_points)
-    system = cone_constraints(H, two_points)
-    assert len(system.nonstrict) == sum(len(nb) * 2 for nb in H.neighbors)
+    rows = cone_constraints(H, two_points)
+    assert len(rows) == sum(len(nb) * 2 for nb in H.neighbors)
 
 
 def test_cone_of_graph_complete(two_points):
@@ -88,8 +88,9 @@ def test_cone_of_graph_running(two_points):
     assert cone.pattern == H  # closure adds no edges
     assert cone.dimension == 11
     # independent dimension check: one tie row, rank 1
-    desc = describe_cone(cone_constraints(cone.pattern, two_points))
-    normals = [desc.system.nonstrict[r] for r in sorted(desc.implied_equalities)]
+    rows = cone_constraints(cone.pattern, two_points)
+    _, implied = describe_cone(12, rows)
+    normals = [rows[r] for r in sorted(implied)]
     assert 12 - exact_rank(normals) == 11
 
 
@@ -191,7 +192,7 @@ def test_face_descent_matches_pairwise_union(pts, N):
     ]
     for cone in cones:
         assert pattern_of(theta_from_vector(cone.relint, N, D.d), D) == cone.pattern
-        assert cone.dimension == describe_cone(cone_constraints(cone.pattern, D)).dimension
+        assert cone.dimension == describe_cone(N * (D.d + 1), cone_constraints(cone.pattern, D))[0]
 
 
 @pytest.mark.parametrize(
@@ -233,8 +234,8 @@ def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
         lps.append(args)
         return solve(*args, **kwargs)
 
-    def relint_counted(system):
-        point, rows = relint(system)
+    def relint_counted(dim, rows):
+        point, rows = relint(dim, rows)
         implied.append(len(rows))
         return point, rows
 
@@ -291,23 +292,23 @@ def test_lineality_values(nine_points, diag4):
 
 def test_lineality_cross_check_with_cone_dim(diag4):
     K = complete_pattern(4, 4)
-    assert cone_dim(cone_constraints(K, diag4)) == lineality_dim(diag4, 4)
+    assert describe_cone(12, cone_constraints(K, diag4))[0] == lineality_dim(diag4, 4)
     D1 = dataset([(2,)])
     K1 = complete_pattern(1, 2)
-    assert cone_dim(cone_constraints(K1, D1)) == lineality_dim(D1, 2)
+    assert describe_cone(4, cone_constraints(K1, D1))[0] == lineality_dim(D1, 2)
 
 
 def test_complete_pattern_rows_all_implied(two_points):
     """The all-edges cone is the lineality space, so every row is an implied
     equality; cross-checked against the rank of the full normal matrix."""
-    from tropfan.geometry import implied_equalities
+    from tropfan.geometry import relint_point
 
     K = complete_pattern(2, 3)
-    system = cone_constraints(K, two_points)
-    implied = implied_equalities(system)
-    assert implied == frozenset(range(len(system.nonstrict)))
-    rank = exact_rank(list(system.nonstrict))
-    assert system.ambient_dim - rank == lineality_dim(two_points, 3)
+    rows = cone_constraints(K, two_points)
+    implied = relint_point(9, rows)[1]
+    assert implied == frozenset(range(len(rows)))
+    rank = exact_rank(rows)
+    assert 9 - rank == lineality_dim(two_points, 3)
 
 
 def test_cone_dims_never_below_lineality(two_points):
@@ -354,7 +355,7 @@ def test_polytope_dimension_identity(five_line, two_points):
         patterns = enumerate_maximal_cones(data, N)
         vertices = [polytope_vertex_of(g, data, check=False) for g in patterns]
         diffs = [tuple(x - y for x, y in zip(v, vertices[0])) for v in vertices[1:]]
-        rank = exact_rank(diffs)
+        rank = exact_rank([integerize(f)[0] for f in diffs])
         assert rank == (N - 1) * (affine_dim(data) + 1)
         assert rank + lineality_dim(data, N) == N * (data.d + 1)
 
@@ -411,9 +412,7 @@ def test_enumeration_matches_bruteforce_fullspace_lp():
         brute = set()
         for assign in product(range(1, N + 1), repeat=data.M):
             G = pattern_from_assignment(assign, N)
-            system = cone_constraints(G, data)
-            strict = ConstraintSystem((), system.nonstrict, system.ambient_dim)
-            if lp_feasible(strict) is not None:
+            if lp_feasible(N * (data.d + 1), cone_constraints(G, data)) is not None:
                 brute.add(assign)
         assert enumerated == brute
 
@@ -595,7 +594,7 @@ def fan_summary(data, target):
         report = level_set(data, n, m, target, k)
         levels.append(([g.key() for g in report.patterns], report.components, report.adjacency))
     cones = [
-        (c.pattern.key(), c.dimension, describe_cone(cone_constraints(c.pattern, data)).implied_equalities)
+        (c.pattern.key(), c.dimension, describe_cone(2 * (data.d + 1), cone_constraints(c.pattern, data))[1])
         for c in enumerate_all_cones(data, 2)
     ]
     return assigns, levels, cones, affine_dim(data), lineality_dim(data, n + m)

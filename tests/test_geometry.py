@@ -4,16 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropfan.geometry import (
-    ConstraintSystem,
-    cone_dim,
-    describe_cone,
-    exact_rank,
-    implied_equalities,
-    lp_feasible,
-    max_slack,
-    relint_point,
-)
+from tropfan.geometry import describe_cone, exact_rank, lp_feasible, max_slack, relint_point
 from tropfan.rationals import dot, integerize
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -109,14 +100,12 @@ def test_max_slack_matches_vertex_enumeration_3d(nonstrict, strict, equalities):
 
 
 def test_nonneg_halfline_feasible():
-    system = ConstraintSystem(((F(1),),), (), 1)
-    w = lp_feasible(system)
+    w = lp_feasible(1, (), ((1,),))
     assert w is not None and w[0] >= 0
 
 
 def test_contradictory_strict_pair_infeasible():
-    system = ConstraintSystem((), ((F(1),), (F(-1),)), 1)
-    assert lp_feasible(system) is None
+    assert lp_feasible(1, ((1,), (-1,))) is None
 
 
 def test_running_cone_witness(two_points, running_theta4):
@@ -125,38 +114,34 @@ def test_running_cone_witness(two_points, running_theta4):
     from tropfan.fan import cone_constraints, pattern_from_assignment
 
     G = pattern_from_assignment((1, 3), 4)
-    system = cone_constraints(G, two_points)
-    strict = ConstraintSystem((), system.nonstrict, system.ambient_dim)
-    witness = lp_feasible(strict)
+    rows = cone_constraints(G, two_points)
+    witness = lp_feasible(G.N * (two_points.d + 1), rows)
     assert witness is not None
     nudged = (F(0), F(-1), F(1), F(-1, 10), F(0), F(0), F(-1), F(3, 2), F(1, 2), F(-2), F(0), F(2))
-    for row in strict.strict:
+    for row in rows:
         assert dot(row, nudged) > 0
 
 
 def test_implied_equalities_pair():
-    system = ConstraintSystem(((F(1),), (F(-1),)), (), 1)
-    assert implied_equalities(system) == {0, 1}
+    assert relint_point(1, ((1,), (-1,)))[1] == {0, 1}
 
 
 def test_implied_equalities_orthant():
-    system = ConstraintSystem(((F(1), F(0)), (F(0), F(1))), (), 2)
-    assert implied_equalities(system) == frozenset()
+    assert relint_point(2, ((1, 0), (0, 1)))[1] == frozenset()
 
 
 def test_implied_equalities_monotone():
-    base = ((F(1), F(1)), (F(-1), F(0)))
-    bigger = base + ((F(0), F(-1)),)
-    before = implied_equalities(ConstraintSystem(base, (), 2))
-    after = implied_equalities(ConstraintSystem(bigger, (), 2))
+    base = ((1, 1), (-1, 0))
+    bigger = base + ((0, -1),)
+    before = relint_point(2, base)[1]
+    after = relint_point(2, bigger)[1]
     assert {tuple(base[i]) for i in before} <= {tuple(bigger[i]) for i in after}
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows_strategy(3, 4))
 def test_relint_point_certificates(rows):
-    system = ConstraintSystem(rows, (), 3)
-    point, implied = relint_point(system)
+    point, implied = relint_point(3, integer_rows(rows))
     for r, f in enumerate(rows):
         v = dot(f, point)
         assert v >= 0
@@ -169,8 +154,7 @@ def test_relint_point_certificates(rows):
 @settings(max_examples=30, deadline=None)
 @given(rows_strategy(2, 4))
 def test_implied_equalities_match_per_row_oracle(rows):
-    system = ConstraintSystem(rows, (), 2)
-    implied = implied_equalities(system)
+    implied = relint_point(2, integer_rows(rows))[1]
     for r, f in enumerate(rows):
         others = rows[:r] + rows[r + 1 :]
         oracle_opt = brute_max_slack(2, others, (f,))
@@ -178,7 +162,8 @@ def test_implied_equalities_match_per_row_oracle(rows):
 
 
 def seeded_relint_systems(seed=20261018, count=360):
-    """Closed systems in dimension 1-4, six shapes in turn: an opposite pair,
+    """(dim, integer rows) of closed systems in dimension 1-4, built from
+    rational rows in six shapes in turn: an opposite pair,
     a rescaled duplicate plus a zero row, a positive combination of rows that
     sums to zero, a single row, an all-implied subspace (each generator with
     its opposite), and plain random rows.  A single row is zero half the time."""
@@ -211,7 +196,7 @@ def seeded_relint_systems(seed=20261018, count=360):
             rows = [f for g in gens for f in (g, tuple(-v for v in g))]
             rows.append(combination(gens, [rng.randint(-2, 2) for _ in gens]))
         rng.shuffle(rows)
-        out.append(ConstraintSystem(tuple(rows), (), dim))
+        out.append((dim, integer_rows(rows)))
     return out
 
 
@@ -234,15 +219,14 @@ def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
     monkeypatch.setattr(geometry, "max_slack", counted("rounds", geometry.max_slack))
     monkeypatch.setattr(oracles, "max_slack", counted("rows", oracles.max_slack))
     shapes = set()
-    for system in seeded_relint_systems():
-        rows = system.nonstrict
+    for dim, rows in seeded_relint_systems():
         before = dict(lps)
-        point, implied = relint_point(system)
-        assert implied == oracles.relint_point_by_rows(system)[1]
+        point, implied = relint_point(dim, rows)
+        assert implied == oracles.relint_point_by_rows(dim, rows)[1]
         assert lps["rounds"] - before["rounds"] <= lps["rows"] - before["rows"]
         for r, f in enumerate(rows):
             assert dot(f, point) == 0 if r in implied else dot(f, point) > 0
-        shapes.add((system.ambient_dim, len(rows) == 1, min(len(implied), 1) + (len(implied) == len(rows))))
+        shapes.add((dim, len(rows) == 1, min(len(implied), 1) + (len(implied) == len(rows))))
     # every dimension has systems with no, some and all rows implied, single rows included
     assert shapes == {
         (d, single, k) for d in (1, 2, 3, 4) for single in (False, True) for k in (0, 1, 2) if not single or k != 1
@@ -251,9 +235,9 @@ def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
 
 
 CERTIFIED_SYSTEMS = {
-    "cycle": ((F(1), F(1)), (F(-1), F(0)), (F(0), F(-1))),  # f1 + f2 + f3 = 0: all implied
-    "pair": ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1))),  # an opposite pair and a free row
-    "pair-3d": ((F(0), F(2), F(-1)), (F(1), F(0), F(0)), (F(0), F(-4), F(2)), (F(-1), F(1), F(1))),
+    "cycle": ((1, 1), (-1, 0), (0, -1)),  # f1 + f2 + f3 = 0: all implied
+    "pair": ((1, 0), (-1, 0), (0, 1)),  # an opposite pair and a free row
+    "pair-3d": ((0, 2, -1), (1, 0, 0), (0, -4, 2), (-1, 1, 1)),
 }
 
 
@@ -269,8 +253,7 @@ def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt
     from tropfan import geometry
 
     rows = CERTIFIED_SYSTEMS[name]
-    system = ConstraintSystem(rows, (), len(rows[0]))
-    assert relint_point(system)[1]  # positive control: a certificate is read
+    assert relint_point(len(rows[0]), rows)[1]  # positive control: a certificate is read
     solve = geometry.max_slack
 
     def corrupted(*args, duals=None, **kwargs):
@@ -288,7 +271,7 @@ def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt
 
     monkeypatch.setattr(geometry, "max_slack", corrupted)
     with pytest.raises(AssertionError, match="certificate"):
-        relint_point(system)
+        relint_point(len(rows[0]), rows)
 
 
 def test_max_slack_duals_certify_a_zero_optimum():
@@ -669,26 +652,53 @@ def test_warm_pivots_pass_the_exactness_guard():
 
 
 def test_cone_dim_empty_system():
-    assert cone_dim(ConstraintSystem((), (), 12)) == 12
+    assert describe_cone(12, ())[0] == 12
 
 
 def test_cone_dim_hyperplane_in_dim3():
-    system = ConstraintSystem(((F(1), F(0), F(0)), (F(-1), F(0), F(0))), (), 3)
-    assert cone_dim(system) == 2
+    assert describe_cone(3, ((1, 0, 0), (-1, 0, 0)))[0] == 2
 
 
 def test_cone_dim_never_exceeds_ambient_minus_implied_rank():
-    rows = ((F(1), F(1)), (F(-1), F(-1)), (F(1), F(0)))
-    desc = describe_cone(ConstraintSystem(rows, (), 2))
-    normals = [rows[i] for i in desc.implied_equalities]
-    assert desc.dimension <= 2 - exact_rank(normals)
+    rows = ((1, 1), (-1, -1), (1, 0))
+    dimension, implied = describe_cone(2, rows)
+    normals = [rows[i] for i in implied]
+    assert dimension <= 2 - exact_rank(normals)
 
 
 def test_exact_rank():
-    assert exact_rank([(F(1), F(2)), (F(2), F(4))]) == 1
-    assert exact_rank([(F(1), F(2)), (F(0), F(1)), (F(3), F(1))]) == 2
+    assert exact_rank([(1, 2), (2, 4)]) == 1
+    assert exact_rank([(1, 2), (0, 1), (3, 1)]) == 2
     assert exact_rank([]) == 0
-    assert exact_rank([(F(0), F(0))]) == 0
+    assert exact_rank([(0, 0)]) == 0
+
+
+MALFORMED_ROWS = {"fraction": ((F(1, 2), 1),), "short": ((1,),)}
+
+
+@pytest.mark.parametrize("kind", MALFORMED_ROWS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rows: lp_feasible(2, rows),
+        lambda rows: lp_feasible(2, ((1, 1),), rows),
+        lambda rows: relint_point(2, rows),
+        lambda rows: describe_cone(2, rows),
+    ],
+    ids=["lp_feasible-strict", "lp_feasible-nonstrict", "relint_point", "describe_cone"],
+)
+def test_entry_points_reject_rows_that_are_not_dim_ints(kind, call):
+    """A Fraction entry would be floored by the pivot and a short row would
+    put t's coefficient on an x column, so a cold solve refuses both."""
+    with pytest.raises(ValueError, match="ints"):
+        call(MALFORMED_ROWS[kind])
+
+
+@pytest.mark.parametrize("kind", MALFORMED_ROWS)
+def test_wall_lp_rejects_a_malformed_equality_row(kind):
+    """The wall-LP shape: strict rows plus equality rows, one of them bad."""
+    with pytest.raises(ValueError, match="ints"):
+        max_slack(2, (), ((1, 0),), ((0, 1),) + MALFORMED_ROWS[kind])
 
 
 @settings(max_examples=30, deadline=None)
@@ -710,13 +720,14 @@ def test_rank_agrees_with_fraction_elimination(rows):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
         row += 1
         rank += 1
-    assert exact_rank(rows) == rank
+    assert exact_rank(integer_rows(rows)) == rank
 
 
 def test_every_lp_row_is_integer(monkeypatch, running_theta_split):
-    """``max_slack`` floors a Fraction entry instead of rejecting it, so every
-    row that reaches it from the fan, classify, dual and relu entry points
-    must already be a tuple of ints, on rational data and parameters too."""
+    """A warm ``max_slack`` call does not check its rows, and its pivot would
+    floor a Fraction entry, so every row that reaches it from the fan,
+    classify, dual and relu entry points must already be a tuple of ints, on
+    rational data and parameters too."""
     import importlib
 
     from tropfan.dual import decision_boundary

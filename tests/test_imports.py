@@ -1,11 +1,18 @@
 """Every name a tropfan module imports is referenced somewhere in that module,
-and every module imports only the standard library and tropfan itself.
+every module imports only the standard library and tropfan itself, and the
+LP entry points are reached only through the bindings the tracer rebinds.
 
 A stdlib-only stand-in for an unused-import linter: each module under
 ``src/tropfan`` (the package ``__init__`` re-exports on purpose and is
 skipped) is parsed with ``ast``; ``from __future__`` imports are exempt.
 The runtime must stay exact and deterministic, so ``random`` is refused even
 though it is in the standard library: no verdict may rest on a sample.
+
+``perfbench/tracer.py`` counts LPs by rebinding module globals such as
+``fan.max_slack`` and ``dual.describe_cone``.  A module that reached an LP
+entry point any other way, by an alias, an absolute import or an attribute
+of ``geometry``, would run LPs the tracer cannot see, so every module but
+``geometry`` takes each of them only as ``from .geometry import <name>``.
 """
 
 import ast
@@ -65,3 +72,50 @@ def test_checker_flags_a_foreign_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_only_stdlib_and_tropfan_imports(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+LP_ENTRY_POINTS = {"max_slack", "lp_feasible", "relint_point", "describe_cone", "exact_rank"}
+
+
+def untraced_lp_bindings(source: str) -> list[str]:
+    """Imports of an LP entry point other than ``from .geometry import <name>``,
+    and every ``geometry.<name>`` attribute, with their lines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            traced = node.level == 1 and node.module == "geometry"
+            for alias in node.names:
+                star = alias.name == "*" and (node.module or "").endswith("geometry")
+                entry = alias.name in LP_ENTRY_POINTS and not (traced and alias.asname is None)
+                if star or entry:
+                    out.append((node.lineno, f"import {alias.name} (line {node.lineno})"))
+        elif isinstance(node, ast.Attribute) and node.attr in LP_ENTRY_POINTS:
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "geometry":
+                out.append((node.lineno, f"geometry.{node.attr} (line {node.lineno})"))
+    return [message for _, message in sorted(out)]
+
+
+def test_checker_flags_an_untraced_lp_binding():
+    source = (
+        "from .geometry import max_slack, exact_rank as rank\n"
+        "from tropfan.geometry import lp_feasible\n"
+        "from . import geometry\n"
+        "geometry.relint_point(2, ())\n"
+        "tropfan.geometry.describe_cone(2, ())\n"
+        "from .geometry import *\n"
+        "from .rationals import zeros\n"
+        "geometry.PivotLimitError\n"
+    )
+    assert untraced_lp_bindings(source) == [
+        "import exact_rank (line 1)",
+        "import lp_feasible (line 2)",
+        "geometry.relint_point (line 4)",
+        "geometry.describe_cone (line 5)",
+        "import * (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "geometry.py"], ids=lambda p: p.name)
+def test_lp_entry_points_go_through_traced_bindings(path):
+    assert untraced_lp_bindings(path.read_text(encoding="utf-8")) == []

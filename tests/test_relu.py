@@ -178,9 +178,9 @@ def test_prune_solves_one_lp_per_distinct_slope(monkeypatch):
     calls = []
     inner = relu.lp_feasible
 
-    def counted(system):
-        calls.append(system)
-        return inner(system)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
     monkeypatch.setattr(relu, "lp_feasible", counted)
     rng = random.Random(5)
