@@ -34,13 +34,51 @@ keeps row r, and then swaps columns: the entering variable's column c becomes
 the leaving variable's, which holds -M[i][c] in row i and q in row r, and the
 new denominator is M[r][c].  Every stored entry equals the same entry of the
 full tableau, so each division is exact and no Fraction arithmetic happens in
-the inner loop; ``TROPFAN_CHECK_PIVOTS=1`` checks every remainder.  A
-negative pivot negates the updated tableau, which keeps every value, so the
-denominator stays positive.  The leaving row is the most negative rhs while
-the objective is moving, switching to Bland's least id during degenerate
-stalls, which preserves the termination guarantee; the entering column is
-the least ratio.  Both rules break ties by variable id, never by position,
-so the pivots are those of the full tableau.
+the inner loop.  A negative pivot negates the updated tableau, which keeps
+every value, so the denominator stays positive.  The leaving row is the most
+negative rhs while the objective is moving, switching to Bland's least id
+during degenerate stalls, which preserves the termination guarantee; the
+entering column is the least ratio.  Both rules break ties by variable id,
+never by position, so the pivots are those of the full tableau.
+
+Packed rows.  Each row of the n = dim + 1 columns and the rhs is stored as
+one Python int (Kronecker substitution; Harvey 2009),
+
+    P = sum_j M[i][j] * 2**(j*b) ,   j = 0..n, the rhs being digit n,
+
+with every entry below the top one a balanced digit, |M[i][j]| < 2**(b-1).
+Such a representation is unique: adding the bias B = sum_{j<n} 2**(b-1) *
+2**(j*b) turns the low digits into the ordinary base-2**b digits of P + B,
+so entry j < n is ((P + B) >> j*b & (2**b - 1)) - 2**(b-1), and the rhs,
+which needs no bound, is (P + B) >> n*b.  The update above is linear in the
+entries, so on packed rows it is
+
+    P'_i = (P_i * M[r][c] - M[i][c] * P_r) // q + lead * M[i][c] * 2**(c*b) ,
+
+three big-integer operations in C, where the last term writes the leaving
+variable's column over digit c, which the update has made 0 (lead is -1,
+or +1 after a negative pivot).  A row with M[i][c] = 0 becomes
+P_i * M[r][c] // q, and the pivot row gets its digit c replaced.
+
+Why this is exact.  Before the division, P_i * M[r][c] - M[i][c] * P_r
+equals sum_j (M[i][j] * M[r][c] - M[i][c] * M[r][j]) * 2**(j*b) as integers,
+whatever the size of those terms.  Each term is a multiple of q (the
+Bareiss division is exact entrywise), so the sum is, and its quotient is
+sum_j M'[i][j] * 2**(j*b) exactly.  Only the quotient is ever decoded, and
+its digits are the new entries as long as each of them is balanced.  The
+digit width b makes sure of that.  Every stored entry is a minor, of size
+at most dim + 2, of the matrix of initial rows: each constraint row's
+coefficients on (x, t) and its rhs, and the objective row (Bareiss 1968;
+the unit slack columns drop out of the determinant).  Hadamard's
+inequality bounds such a minor by h**((dim + 2) / 2), h the largest squared
+norm of an initial row, which is below 2**((dim + 2) * bitlen(h) / 2).  So
+b is that exponent, rounded up, plus the sign bit, rounded up to a multiple
+of 32.  When a warm call adds rows that raise h past what b allows, the
+tableau is decoded and packed again at the wider b, once.  No tolerance
+enters anywhere.  ``TROPFAN_CHECK_PIVOTS=1`` decodes every packed update,
+recomputes it entry by entry with every remainder checked, and raises
+``ArithmeticError`` on any difference or on an entry outside the digit
+width.
 
 Every row is an integer tuple of length ``dim`` from the moment it is
 built: tie rows from the integer lifts of the data points, input-space rows
@@ -65,12 +103,14 @@ built as that span is.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from copy import copy
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd
-from operator import mul
-from typing import Optional, Sequence
+from operator import itemgetter, mul
+from typing import Optional
 
 from .rationals import Vec, zeros
 
@@ -87,18 +127,32 @@ class PivotLimitError(RuntimeError):
     """Circuit breaker; Bland's rule makes this unreachable in theory."""
 
 
-def _eliminate_checked(row: list[int], prow: list[int], c: int, piv: int, q: int, lead: int) -> list[int]:
-    """One non-pivot row after pivoting on ``prow[c] = piv`` with old denominator q,
-    every division checked for a zero remainder."""
-    f = row[c]
-    out = []
-    for x, p in zip(row, prow):
-        v, rem = divmod(x * piv - f * p, q)
-        if rem:
-            raise ArithmeticError("integer pivoting produced a non-exact division")
-        out.append(v)
-    out[c] = lead * f
-    return out
+def _width(h: int, dim: int) -> int:
+    """Digit width for initial rows of squared norm at most h: every stored
+    entry is below 2**((dim + 2) * bitlen(h) / 2) in absolute value (see the
+    module docstring); one sign bit more, rounded up to a multiple of 32."""
+    bits = -(-(dim + 2) * h.bit_length() // 2) + 1
+    return -(-bits // 32) * 32
+
+
+@lru_cache(maxsize=None)
+def _bias(n: int, b: int) -> int:
+    """2**(b-1) in each of the digits 0..n-1."""
+    return ((1 << n * b) - 1) // ((1 << b) - 1) << (b - 1)
+
+
+def _pack(entries: Sequence[int], b: int) -> int:
+    """The int whose digit j is entries[j]; the last entry is the top digit."""
+    P = 0
+    for e in reversed(entries):
+        P = (P << b) + e
+    return P
+
+
+def _unpack(P: int, n: int, b: int) -> list[int]:
+    """The n balanced low digits of P, then its top digit."""
+    U, mask, half = P + _bias(n, b), (1 << b) - 1, 1 << (b - 1)
+    return [(U >> j * b & mask) - half for j in range(n)] + [U >> n * b]
 
 
 class _Simplex:
@@ -106,126 +160,206 @@ class _Simplex:
     x free, t >= 0.
 
     Variables are numbered 0..dim-1 (x), dim (t) and dim + 1 + i (the slack
-    of row i; row 0 is t <= 1).  The tableau holds the nonbasic columns and
-    the rhs; ``nonbasic[j]`` is the variable of column j and ``basis[i]`` the
-    variable of row i.  Row m is the objective row, whose rhs slot holds -z.
-    A new tableau is the optimum of the empty system: t = 1 basic, x = 0.
+    of row i; row 0 is t <= 1).  The tableau holds the n = dim + 1 nonbasic
+    columns and the rhs, each row packed into one int of digit width b (see
+    the module docstring); ``nonbasic[j]`` is the variable of column j and
+    ``basis[i]`` the variable of row i.  Row m is the objective row, whose
+    rhs digit holds -z.  A new tableau is the optimum of the empty system:
+    t = 1 basic, x = 0, packed for rows of squared norm up to h.
     """
 
-    def __init__(self, dim: int):
-        self.rows = [[0] * dim + [1, 1], [0] * dim + [-1, -1]]
+    def __init__(self, dim: int, h: int):
+        self.dim, self.m, self.n = dim, 1, dim + 1
+        self.h = max(h, 2)  # row 0 reads t + (its slack) = 1
+        self.b = _width(self.h, dim)
+        row = (1 << dim * self.b) + (1 << self.n * self.b)  # 1 in the slack's column and the rhs
+        self.rows = [row, -row]
         self.den = 1
         self.basis = [dim]
         self.nonbasic = list(range(dim)) + [dim + 1]
-        self.m, self.n, self.dim = 1, dim + 1, dim
+
+    def entry(self, r: int, c: int) -> int:
+        """Entry c of row r; c = n is the rhs."""
+        return _unpack(self.rows[r], self.n, self.b)[c]
 
     def _pivot(self, r: int, c: int):
-        """Integer-preserving pivot on rows[r][c], then the column swap (see the
-        module docstring); the checked or the plain update is chosen once.  A
-        negative pivot enters its row negated, which negates every updated
-        row.  Rows are replaced, never edited, so tableau copies share them."""
-        rows, q = self.rows, self.den
+        """Integer-preserving pivot on entry c of row r, then the column swap,
+        on packed rows (see the module docstring).  A negative pivot enters
+        its row negated, which negates every updated row.  Rows are
+        replaced, never edited, so tableau copies share them."""
+        rows, q, B, shift = self.rows, self.den, _bias(self.n, self.b), c * self.b
+        mask, half = (1 << self.b) - 1, 1 << (self.b - 1)
+        old = list(rows) if _CHECK_DIVISION else None
         prow = rows[r]
-        piv = prow[c]
+        piv = ((prow + B) >> shift & mask) - half
         lead = -1  # the leaving column holds lead * f in a row whose column c held f
         if piv < 0:
-            prow, piv, lead = [-p for p in prow], -piv, 1
-        if _CHECK_DIVISION:
-            for i, row in enumerate(rows):
+            prow, piv, lead = -prow, -piv, 1
+        for i, row in enumerate(rows):
+            f = ((row + B) >> shift & mask) - half
+            if f:
                 if i != r:
-                    rows[i] = _eliminate_checked(row, prow, c, piv, q, lead)
-        else:
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f:
-                    if i != r:
-                        row = [(x * piv - f * p) // q for x, p in zip(row, prow)]
-                        row[c] = lead * f  # the leaving variable's column
-                        rows[i] = row
-                elif piv != q:
-                    rows[i] = [x * piv // q for x in row]
-        rows[r] = prow = prow if lead > 0 else list(prow)
-        prow[c] = -lead * q
+                    rows[i] = (row * piv - f * prow) // q + (lead * f << shift)
+            elif piv != q:
+                rows[i] = row * piv // q
+        rows[r] = prow + (-lead * q - piv << shift)
+        if old is not None:
+            self._check_pivot(old, r, c)
         self.den = piv
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def add_rows(self, new_rows: list[list[int]]):
+    def _check_pivot(self, old: list[int], r: int, c: int):
+        """Compare each packed row after the pivot on entry c of old row r
+        with the entrywise update of the decoded rows, every division checked
+        for a zero remainder and every new entry for the digit width."""
+        n, b, q = self.n, self.b, self.den
+        prow = _unpack(old[r], n, b)
+        piv, lead = prow[c], -1
+        if piv < 0:
+            prow, piv, lead = [-p for p in prow], -piv, 1
+        for i, (P, new) in enumerate(zip(old, self.rows)):
+            want = list(prow)
+            if i != r:
+                row, want = _unpack(P, n, b), []
+                f = row[c]
+                for x, p in zip(row, prow):
+                    v, rem = divmod(x * piv - f * p, q)
+                    if rem:
+                        raise ArithmeticError("integer pivoting produced a non-exact division")
+                    want.append(v)
+            want[c] = lead * row[c] if i != r else -lead * q
+            if any(abs(v) >= 1 << b - 1 for v in want[:n]):
+                raise ArithmeticError("a tableau entry exceeds the packed digit width")
+            if _unpack(new, n, b) != want:
+                raise ArithmeticError("packed row update differs from the entrywise update")
+
+    def add_rows(self, new_rows: list[list[int]], h: int):
         """Add rows ``a.(x, t) <= 0``, each in the current nonbasic columns; then
         each new row in turn pivots in the lowest x never pivoted in that has
         an entry in it.  That column's objective entry is 0, so the tableau
-        stays dual feasible."""
-        q, n, dim = self.den, self.n, self.dim
+        stays dual feasible.  h is the largest squared norm of a new row; if
+        it raises the bound on the entries past the digit width, the tableau
+        is first repacked at a wider one."""
+        dim, n = self.dim, self.n
+        if h > self.h:
+            self.h = h
+            b = _width(h, dim)
+            if b > self.b:
+                self.rows = [_pack(_unpack(P, n, self.b), b) for P in self.rows]
+                self.b = b
+        q, b, rows = self.den, self.b, self.rows
         col = {v: j for j, v in enumerate(self.nonbasic)}
         at = {v: i for i, v in enumerate(self.basis)}
         start = self.m
         for a in new_rows:  # q*a minus the basic rows' combination: the full Bareiss entry
-            row = [0] * (n + 1)
+            row = 0
             for v, coef in enumerate(a):
-                if coef and v in col:
-                    row[col[v]] += q * coef
-                elif coef:
-                    row = [e - coef * b for e, b in zip(row, self.rows[at[v]])]
-            self.rows.insert(self.m, row)
+                if coef:
+                    j = col.get(v)
+                    row += q * coef << j * b if j is not None else -coef * rows[at[v]]
+            rows.insert(self.m, row)
             self.basis.append(dim + 1 + self.m)
             self.m += 1
+        B, mask, half = _bias(n, b), (1 << b) - 1, 1 << (b - 1)
         for r in range(start, self.m):
-            c = next((j for j in range(dim) if self.nonbasic[j] == j and self.rows[r][j]), -1)
+            U = rows[r] + B
+            c = next((j for j in range(dim) if self.nonbasic[j] == j and U >> j * b & mask != half), -1)
             if c >= 0:
                 self._pivot(r, c)
 
-    def solve(self, pivot_limit: int = 200_000) -> Fraction:
-        """Re-optimize by the dual simplex; rows where some x is basic never
-        leave, since x is free."""
-        m, n, dim = self.m, self.n, self.dim
+    def solve(self, blocked: Sequence[int] = (), pivot_limit: int = 200_000) -> Fraction:
+        """Re-optimize by the dual simplex.  Rows where some x is basic never
+        leave, since x is free, and x never enters, since every other row is
+        0 in its column; the ids in ``blocked`` never enter either, so their
+        columns never move.  The ratio test decodes the leaving row and reads
+        the objective row's digits only where that row is negative."""
+        m, b, B = self.m, self.b, _bias(self.n, self.b)
+        top, mask, half = self.n * b, (1 << b) - 1, 1 << (b - 1)
         rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
-        stall, last_num, last_den = 0, -rows[m][n], self.den
+        free = [i for i in range(m) if basis[i] >= self.dim]
+        cols = [j for j in range(self.n) if nonbasic[j] not in blocked]
+        stall, last_num, last_den = 0, -((rows[m] + B) >> top), self.den
         for _ in range(pivot_limit):
-            short = [i for i in range(m) if rows[i][n] < 0 and basis[i] >= dim]
+            short = [(v, basis[i], i) for i in free if (v := (rows[i] + B) >> top) < 0]
             if not short:
-                return Fraction(-rows[m][n], self.den)
+                return Fraction(last_num, last_den)
             # Most negative rhs, or Bland's least id after a stall; ties by id.
-            bland = stall >= _STALL_LIMIT
-            leave = min(short, key=lambda i: (0 if bland else rows[i][n], basis[i]))
-            row, obj, enter = rows[leave], rows[m], -1
-            for j in range(n):  # least obj[j] / row[j] over row[j] < 0, ties by id
+            leave = (min(short, key=itemgetter(1)) if stall >= _STALL_LIMIT else min(short))[2]
+            U, V = rows[leave] + B, rows[m] + B
+            row = [(U >> s & mask) - half for s in range(0, top, b)]
+            enter = ae = oe = -1
+            for j in cols:  # least obj[j] / row[j] over row[j] < 0, ties by id
                 a = row[j]
-                if a < 0 and (enter < 0 or (obj[j] * row[enter], nonbasic[j]) < (obj[enter] * a, nonbasic[enter])):
-                    enter = j
+                if a < 0:
+                    o = (V >> j * b & mask) - half
+                    if enter < 0 or (o * ae, nonbasic[j]) < (oe * a, nonbasic[enter]):
+                        enter, ae, oe = j, a, o
             if enter < 0:
                 raise PivotLimitError("LP infeasible; the origin is feasible by construction")
             self._pivot(leave, enter)
-            num, den = -rows[m][n], self.den
+            num, den = -((rows[m] + B) >> top), self.den
             stall = 0 if num * last_den != last_num * den else stall + 1
             last_num, last_den = num, den
         raise PivotLimitError("pivot limit exceeded")
 
     def numerators(self, count: int) -> list[int]:
         """den times the value of each variable 0..count-1 (0 when nonbasic)."""
-        out = [0] * count
-        for i, v in enumerate(self.basis):
+        out, B, top = [0] * count, _bias(self.n, self.b), self.n * self.b
+        for v, P in zip(self.basis, self.rows):
             if v < count:
-                out[v] = self.rows[i][self.n]
+                out[v] = (P + B) >> top
         return out
 
-    def restrict(self, rows: list[int], cols: list[int]):
-        """Keep only the given rows (the objective row stays) and columns."""
-        n = self.n
-        self.rows = [[self.rows[i][j] for j in cols] + [self.rows[i][n]] for i in rows + [self.m]]
-        self.basis = [self.basis[i] for i in rows]
-        self.nonbasic = [self.nonbasic[j] for j in cols]
-        self.m, self.n = len(rows), len(cols)
+
+class _Witness(Sequence):
+    """x of a warm solve as a tuple of Fractions, built on first read: the
+    partition walk reads x only at its leaves.  It holds the solved tableau,
+    which no later call changes (a warm call works on a copy)."""
+
+    __slots__ = ("_sx", "_dim", "_x")
+
+    def __init__(self, sx: _Simplex, dim: int):
+        self._sx, self._dim, self._x = sx, dim, None
+
+    def _values(self) -> Vec:
+        if self._x is None:
+            sx, self._sx = self._sx, None
+            self._x = tuple(Fraction(v, sx.den) for v in sx.numerators(self._dim))
+        return self._x
+
+    def __getitem__(self, i):
+        return self._values()[i]
+
+    def __len__(self) -> int:
+        return self._dim
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __eq__(self, other) -> bool:
+        return self._values() == (other._values() if isinstance(other, _Witness) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return repr(self._values())
 
 
-def _read_back(sx: _Simplex, aside: list[tuple[int, int, list[int]]], ys: list[int]) -> list[int]:
+def _read_back(sx: _Simplex, aside: list[tuple[int, int]], ys: list[int]) -> list[int]:
     """q * sx.den times x, q the denominator when the rows were set aside: a
-    set-aside row (j, b, a) reads q * x_j + a.y = b over the variables ys,
+    set-aside row (j, P) reads q * x_j + a.y = rhs over the variables ys,
     nonbasic then, whose final values are their rhs over sx.den (0 when
-    nonbasic).  An x_j with no row stays 0."""
-    final = {v: sx.rows[i][sx.n] for i, v in enumerate(sx.basis)}
-    values = [final.get(v, 0) for v in ys]
+    nonbasic), so only the digits of a under the nonzero values are decoded.
+    An x_j with no row stays 0."""
+    b, B, top = sx.b, _bias(sx.n, sx.b), sx.n * sx.b
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    final = {v: (P + B) >> top for v, P in zip(sx.basis, sx.rows)}
+    terms = [(j * b, y) for j, v in enumerate(ys) if (y := final.get(v, 0))]
     x = [0] * sx.dim
-    for j, b, a in aside:
-        x[j] = b * sx.den - sum(map(mul, a, values))
+    for j, P in aside:
+        U = P + B
+        x[j] = (U >> top) * sx.den - sum(((U >> s & mask) - half) * y for s, y in terms)
     return x
 
 
@@ -259,14 +393,16 @@ def max_slack(
       combination of earlier ones and reads 0 = 0.
 
     A call without ``tableau`` never gets another row.  Before the dual
-    simplex it sets its x rows aside, since they never leave, and drops the
-    equality slacks' columns, the rows of dependent equalities and every x
-    column no row touched (that x stays 0).  A set-aside row gives
-    q * x_j (q the denominator then) as its rhs minus an integer combination
-    of the columns kept, so x is read back with one integer dot product over
-    their final values.  A positive answer's witness is then substituted
-    into every row in integers, and a nonstrict row below 0, a strict row
-    not above 0 or an equality not at 0 raises ``AssertionError``.
+    simplex it takes its x rows out of the row list, since they never
+    leave, drops the rows of dependent equalities and blocks the equality
+    slacks from entering; no row is repacked.  A set-aside row, decoded
+    once at the end, gives q * x_j (q the denominator then) as its rhs minus
+    an integer combination of the columns of that time, so x is read back
+    with one integer dot product over their final values; an x column no
+    row touched never enters, so that x stays 0.  A positive answer's
+    witness is then substituted into every row in integers, and a nonstrict
+    row below 0, a strict row not above 0 or an equality not at 0 raises
+    ``AssertionError``.
 
     If a list ``duals`` is passed (and there are no equality rows), it is
     filled with one integer dual multiplier y_i >= 0 per nonstrict row, then
@@ -281,7 +417,8 @@ def max_slack(
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
     is empty), and the list then holds this call's, whole, x rows included.
-    A warm call takes no equality rows and reads no duals.
+    A warm call takes no equality rows and reads no duals, and its x is a
+    tuple-like sequence whose Fractions are built on first read.
     """
     if tableau is not None and (equalities or duals is not None):
         raise ValueError("a warm start takes inequality rows and reads no duals")
@@ -291,27 +428,28 @@ def max_slack(
         given = (*equalities, *nonstrict, *strict)
         if not set(map(len, given)) <= {dim} or not set(map(type, chain.from_iterable(given))) <= {int}:
             raise ValueError(f"every row must be a tuple of {dim} ints")
+    rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
+    rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
+    h = max((sum(map(mul, a, a)) for a in rows), default=0)
     if tableau:
         sx = copy(tableau[0])
         sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
     else:
-        sx = _Simplex(dim)
-    rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
-    sx.add_rows(rows + [[-v for v in f] + [1] for f in strict])  # f.x - t >= 0
+        sx = _Simplex(dim, h)
+    sx.add_rows(rows, h)
     if tableau is not None:
         opt = sx.solve()
         tableau[:] = [sx]
-        return opt, tuple(Fraction(v, sx.den) for v in sx.numerators(dim))
+        return opt, _Witness(sx, dim)
 
-    # The ids dim + 2 .. last_eq are the equality slacks; t is basic and the
-    # slack of t <= 1 nonbasic until the dual simplex starts.
+    # The ids dim + 2 .. last_eq are the equality slacks, and t is basic.
     last_eq = dim + 1 + len(equalities)
-    cols = [j for j, v in enumerate(sx.nonbasic) if v == dim + 1 or v > last_eq]
-    q = sx.den
-    aside = [(v, row[sx.n], [row[j] for j in cols]) for v, row in zip(sx.basis, sx.rows) if v < dim]
-    sx.restrict([i for i, v in enumerate(sx.basis) if v == dim or v > last_eq], cols)
-    ys = list(sx.nonbasic)
-    opt = sx.solve()
+    q, ys = sx.den, list(sx.nonbasic)
+    aside = [(v, row) for v, row in zip(sx.basis, sx.rows) if v < dim]
+    keep = [i for i, v in enumerate(sx.basis) if v == dim or v > last_eq]
+    sx.rows = [sx.rows[i] for i in keep] + [sx.rows[sx.m]]
+    sx.basis, sx.m = [sx.basis[i] for i in keep], len(keep)
+    opt = sx.solve(range(dim + 2, last_eq + 1))
     x = _read_back(sx, aside, ys)
     if opt > 0 and (
         any(sum(map(mul, g, x)) for g in equalities)
@@ -321,7 +459,7 @@ def max_slack(
         raise AssertionError("LP witness violates a row of the system")
     if duals is not None:
         # Row i's slack is variable dim + 2 + i, after t <= 1.
-        obj = sx.rows[sx.m]
+        obj = _unpack(sx.rows[sx.m], sx.n, sx.b)
         reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
         duals.extend(-reduced.get(dim + 2 + i, 0) for i in range(len(nonstrict) + len(strict)))
     den = q * sx.den

@@ -561,6 +561,19 @@ def test_warm_batches_match_one_cold_solve():
     assert optima == {0, 1}
 
 
+
+def test_warm_witness_reads_as_the_tuple_of_its_fractions():
+    """A warm call's x is built from the tableau on first read; it then
+    reads, compares and hashes as the tuple of Fractions."""
+    tableau = []
+    opt, x = max_slack(3, (), [(1, 0, 0), (1, 1, -1)], tableau=tableau)
+    sx = tableau[0]
+    want = tuple(F(v, sx.den) for v in sx.numerators(3))
+    assert opt == 1 and len(x) == 3
+    assert x == want and tuple(x) == want and list(x) == list(want)
+    assert x[1] == want[1] and x[::-1] == want[::-1] and hash(x) == hash(want)
+    assert dot((1, 1, -1), x) >= 1
+
 def test_warm_start_refuses_equalities_and_duals():
     with pytest.raises(ValueError):
         max_slack(2, (), ((1, 0),), ((0, 1),), tableau=[])
@@ -619,7 +632,7 @@ def test_warm_pivots_pass_the_exactness_guard():
         "pivot = g._Simplex._pivot\n"
         "def counted(self, r, c):\n"
         "    global negative\n"
-        "    negative += self.rows[r][c] < 0\n"
+        "    negative += self.entry(r, c) < 0\n"
         "    pivot(self, r, c)\n"
         "g._Simplex._pivot = counted\n"
         "answers = []\n"
@@ -649,6 +662,133 @@ def test_warm_pivots_pass_the_exactness_guard():
         opt, x = solve_warm(dim, nonstrict, strict, batches)
         expected.append([format_rat(opt), format_vec(x)])
     assert json.loads(answers) == expected
+
+
+
+def big_warm_batches(seed=20261020, count=40):
+    """(dim, nonstrict, strict, batches) whose first batch has entries in
+    [-3, 3] and whose 1-3 later batches each carry rows of 2**40 to 2**60:
+    integer combinations of the small rows with such coefficients, of either
+    sign, plus a small random row.  So each later batch raises the largest
+    row norm, and the digit width with it."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        dim = rng.randint(1, 5)
+        small = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(2, 5))]
+        big, batches = [], [[("s", i) for i in range(len(small))]]
+        for _ in range(rng.randint(1, 3)):
+            batch = []
+            for _ in range(rng.randint(1, 3)):
+                coefs = [rng.choice((-1, 1)) * rng.randint(1 << 40, 1 << 60) for _ in small]
+                noise = [rng.randint(-3, 3) for _ in range(dim)]
+                row = tuple(e + sum(c * f[j] for c, f in zip(coefs, small)) for j, e in enumerate(noise))
+                batch.append(("s", len(small) + len(big)))
+                big.append(row)
+            batches.append(batch)
+        strict = small + big
+        cut = rng.randint(0, len(strict) // 3) if case % 2 else 0
+        kinds = {i: "n" if i < cut else "s" for i in range(len(strict))}
+        nonstrict, strict = strict[:cut], strict[cut:]
+        batches = [[(kinds[i], i if i < cut else i - cut) for _, i in batch] for batch in batches]
+        out.append((dim, nonstrict, strict, batches))
+    return out
+
+
+def test_warm_batches_with_big_entries_repack_and_match(monkeypatch):
+    """Later batches of 2**40-2**60 entries widen the digits of a warm
+    tableau mid-walk, and the tableau is repacked.  The answers still equal
+    one cold solve, which equals the dense-tableau oracle, and every packed
+    pivot passes the exactness guard, which decodes it and compares it with
+    the entrywise update."""
+    from oracles import max_slack_by_dense_tableau
+
+    from tropfan import geometry
+
+    monkeypatch.setattr(geometry, "_CHECK_DIVISION", True)
+    optima = set()
+    for dim, nonstrict, strict, batches in big_warm_batches():
+        tableau, widths = [], []
+        for batch in batches:
+            opt, x = max_slack(
+                dim,
+                [nonstrict[i] for kind, i in batch if kind == "n"],
+                [strict[i] for kind, i in batch if kind == "s"],
+                tableau=tableau,
+            )
+            widths.append(tableau[0].b)
+        assert widths == sorted(widths) and widths[-1] > widths[0]
+        cold = max_slack(dim, nonstrict, strict)
+        assert cold == max_slack_by_dense_tableau(dim, nonstrict, strict)
+        assert opt == cold[0]
+        assert all(dot(f, x) >= 0 for f in nonstrict)
+        if opt > 0:
+            assert all(dot(f, x) > 0 for f in strict)
+        optima.add(opt)
+    assert optima == {0, 1}
+
+
+@pytest.mark.parametrize("b", [32, 64, 96])
+def test_packed_digits_round_trip_at_the_width(b):
+    """Every low digit up to 2**(b-1) - 1 in absolute value decodes as packed,
+    and so does a top digit of any size; one more does not."""
+    import random
+
+    from tropfan.geometry import _pack, _unpack
+
+    edge = (1 << b - 1) - 1
+    rng = random.Random(b)
+    for n in (1, 2, 5, 10):
+        assert _unpack(_pack([edge] * n + [-edge], b), n, b) == [edge] * n + [-edge]
+        assert _unpack(_pack([-edge] * n + [edge], b), n, b) == [-edge] * n + [edge]
+        for _ in range(50):
+            v = [rng.choice((edge, -edge, 0, rng.randint(-edge, edge))) for _ in range(n)]
+            v.append(rng.randint(-(1 << 3 * b), 1 << 3 * b))
+            assert _unpack(_pack(v, b), n, b) == v
+    assert _unpack(_pack([edge + 1, 0], b), 1, b) != [edge + 1, 0]
+
+
+def test_digit_width_holds_hadamards_bound():
+    """A minor of at most dim + 2 rows of squared norm at most h is below
+    h**((dim + 2) / 2) by Hadamard's inequality; the width leaves it a sign
+    bit, in whole 32-bit words."""
+    from tropfan.geometry import _width
+
+    norms = {2, 3, 5, 100, (1 << 40) + 1} | {(1 << k) - 1 for k in range(2, 130)} | {1 << k for k in range(2, 130)}
+    for dim in range(1, 13):
+        for h in norms:
+            b = _width(h, dim)
+            assert b % 32 == 0
+            assert h ** (dim + 2) < 4 ** (b - 1)
+
+
+def test_nine_point_walk_pivot_counts_are_pinned(monkeypatch, nine_points):
+    """The packed rows leave the pivot sequence alone: the nine-point walk
+    makes 2,002 pivots at N = 3, all at 32-bit digits with entries of at most
+    14 bits, and 11,261 at N = 4, where the rows of later points widen the
+    digits to 64 bits."""
+    from tropfan import geometry
+    from tropfan.fan import fan_index
+
+    pivot = geometry._Simplex._pivot
+
+    def counted(self, r, c):
+        seen["pivots"] += 1
+        pivot(self, r, c)
+        seen["widths"].add(self.b)
+        if "bits" in seen:
+            entries = [abs(self.entry(i, j)) for i in range(len(self.rows)) for j in range(self.n)]
+            seen["bits"] = max(seen["bits"], max(entries).bit_length())
+
+    monkeypatch.setattr(geometry._Simplex, "_pivot", counted)
+    seen = {"pivots": 0, "widths": set(), "bits": 0}
+    fan_index(nine_points, 3, use_cache=False)
+    assert seen == {"pivots": 2002, "widths": {32}, "bits": 14}
+    seen = {"pivots": 0, "widths": set()}
+    fan_index(nine_points, 4, use_cache=False)
+    assert seen == {"pivots": 11261, "widths": {32, 64}}
 
 
 def test_cone_dim_empty_system():
