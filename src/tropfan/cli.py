@@ -292,6 +292,10 @@ def main(argv=None) -> int:
     try:
         if min(getattr(args, "n", 1), getattr(args, "m", 1)) < 1:  # fan commands
             raise ValueError("--n and --m must be at least 1")
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("--workers must be at least 1")
+        if (getattr(args, "cap", None) or 0) < 0:
+            raise ValueError("--cap must be at least 0")
         args.func(args)
     except CapExceededError as exc:
         print(json.dumps({"error": "cap_exceeded", "message": str(exc)}), file=sys.stderr)

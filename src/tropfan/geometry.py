@@ -11,10 +11,13 @@ of integer rows:
 The origin with t = 0 is always feasible, and every solve is one dual
 simplex (Lemke 1954) from a dual feasible tableau: the optimum of the empty
 system (t = 1, x = 0), or, in a warm solve, the optimal tableau of a system
-that the new rows extend.  The rows are added in the nonbasic columns, and
-each row in turn, equality rows first, pivots into the basis the free x_j
-of lowest index with an entry in it; x_j has objective entry 0, so no ratio
-test is needed and the tableau stays dual feasible.  The slack of a pivoted
+that the new rows extend.  The rows are added one at a time, equality rows
+first.  Each is built against the current basis, and if it has an entry in
+a free x_j, the one of lowest index pivots into the basis before the next
+row is built, so that pivot updates only the rows already added.  x_j has
+objective entry 0, so no ratio test is needed and the tableau stays dual
+feasible.  A Bareiss tableau is fixed by its basis, so every row, pivot and
+answer is that of inserting all the rows first.  The slack of a pivoted
 equality row is then fixed at 0, so an equality is one row, not a pair of
 opposite inequalities.  A solve that will get no further row sets its x
 rows aside, since a free basic variable never leaves, and reads x back from
@@ -78,7 +81,8 @@ tableau is decoded and packed again at the wider b, once.  No tolerance
 enters anywhere.  ``TROPFAN_CHECK_PIVOTS=1`` decodes every packed update,
 recomputes it entry by entry with every remainder checked, and raises
 ``ArithmeticError`` on any difference or on an entry outside the digit
-width.
+width; it checks each inserted row the same way against q*a minus the
+combination of the decoded basic rows.
 
 Every row is an integer tuple of length ``dim`` from the moment it is
 built: tie rows from the integer lifts of the data points, input-space rows
@@ -104,7 +108,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -234,12 +237,16 @@ class _Simplex:
                 raise ArithmeticError("packed row update differs from the entrywise update")
 
     def add_rows(self, new_rows: list[list[int]], h: int):
-        """Add rows ``a.(x, t) <= 0``, each in the current nonbasic columns; then
-        each new row in turn pivots in the lowest x never pivoted in that has
-        an entry in it.  That column's objective entry is 0, so the tableau
-        stays dual feasible.  h is the largest squared norm of a new row; if
-        it raises the bound on the entries past the digit width, the tableau
-        is first repacked at a wider one."""
+        """Add rows ``a.(x, t) <= 0`` one at a time.  Each row is built against
+        the current basis as q*a minus the combination of the basic rows, the
+        entries the full Bareiss tableau gives it, and inserted before the
+        objective row; if it has an entry in an x never pivoted in, the lowest
+        such x pivots in at once, before the next row is built.  So the
+        pivot updates only the rows inserted so far and the objective row.
+        The x column's objective entry is 0, so the tableau stays dual
+        feasible.  h is the largest squared norm of a new row; if it raises
+        the bound on the entries past the digit width, the tableau is first
+        repacked at a wider one."""
         dim, n = self.dim, self.n
         if h > self.h:
             self.h = h
@@ -247,25 +254,54 @@ class _Simplex:
             if b > self.b:
                 self.rows = [_pack(_unpack(P, n, self.b), b) for P in self.rows]
                 self.b = b
-        q, b, rows = self.den, self.b, self.rows
-        col = {v: j for j, v in enumerate(self.nonbasic)}
-        at = {v: i for i, v in enumerate(self.basis)}
-        start = self.m
-        for a in new_rows:  # q*a minus the basic rows' combination: the full Bareiss entry
-            row = 0
+        b, rows, basis = self.b, self.rows, self.basis
+        B, mask, half = _bias(n, b), (1 << b) - 1, 1 << (b - 1)
+        # Where each of x and t sits: a nonbasic column, or a basic row.
+        col = {v: j for j, v in enumerate(self.nonbasic) if v <= dim}
+        at = {v: i for i, v in enumerate(basis) if v <= dim}
+        free = [j for j in range(dim) if j in col]  # x never pivoted in; x_j stays in column j until then
+        for a in new_rows:
+            q, m, row = self.den, self.m, 0
             for v, coef in enumerate(a):
                 if coef:
                     j = col.get(v)
                     row += q * coef << j * b if j is not None else -coef * rows[at[v]]
-            rows.insert(self.m, row)
-            self.basis.append(dim + 1 + self.m)
-            self.m += 1
-        B, mask, half = _bias(n, b), (1 << b) - 1, 1 << (b - 1)
-        for r in range(start, self.m):
-            U = rows[r] + B
-            c = next((j for j in range(dim) if self.nonbasic[j] == j and U >> j * b & mask != half), -1)
-            if c >= 0:
-                self._pivot(r, c)
+            rows.insert(m, row)
+            basis.append(dim + 1 + m)
+            self.m = m + 1
+            if _CHECK_DIVISION:
+                self._check_row(a, m)
+            if free:
+                U = row + B
+                c = next((j for j in free if U >> j * b & mask != half), -1)
+                if c >= 0:
+                    self._pivot(m, c)
+                    free.remove(c)
+                    del col[c]
+                    at[c] = m
+
+    def _check_row(self, a: list[int], r: int):
+        """Compare the inserted row r with its entrywise Bareiss construction
+        from the decoded rows above it: q*a_j in each column of an x or t,
+        minus a_v times basic row v for each basic x or t."""
+        n, b, dim = self.n, self.b, self.dim
+        want = [self.den * a[v] if v <= dim else 0 for v in self.nonbasic] + [0]
+        for v, P in zip(self.basis[:r], self.rows):
+            if v <= dim and a[v]:
+                want = [w - a[v] * e for w, e in zip(want, _unpack(P, n, b))]
+        if any(abs(v) >= 1 << b - 1 for v in want[:n]):
+            raise ArithmeticError("a tableau entry exceeds the packed digit width")
+        if _unpack(self.rows[r], n, b) != want:
+            raise ArithmeticError("inserted row differs from its entrywise construction")
+
+    def copy(self) -> _Simplex:
+        """A tableau a warm call can extend while this one stays as it is: the
+        row, basis and column lists are copied, the packed rows shared, since
+        a pivot replaces rows and never edits them."""
+        sx = _Simplex.__new__(_Simplex)
+        sx.dim, sx.m, sx.n, sx.h, sx.b, sx.den = self.dim, self.m, self.n, self.h, self.b, self.den
+        sx.rows, sx.basis, sx.nonbasic = self.rows[:], self.basis[:], self.nonbasic[:]
+        return sx
 
     def solve(self, blocked: Sequence[int] = (), pivot_limit: int = 200_000) -> Fraction:
         """Re-optimize by the dual simplex.  Rows where some x is basic never
@@ -381,12 +417,13 @@ def max_slack(
 
     * start from the optimal tableau of the empty system (t = 1, x = 0), or
       from a copy of the one passed in ``tableau``;
-    * add the rows, equalities first, then the nonstrict rows, then the
-      strict rows, each in the current nonbasic columns;
-    * let each row in turn pivot in the free x_j of lowest index with an
-      entry in it.  The column's objective entry is 0, so no ratio test is needed and the
-      tableau stays dual feasible, though not primal feasible: a strict row
-      is violated at t = 1;
+    * add the rows one at a time, equalities first, then the nonstrict
+      rows, then the strict rows, each built against the current basis;
+    * as each row is added, let it pivot in the free x_j of lowest index
+      with an entry in it, before the next row is built.  The column's
+      objective entry is 0, so no ratio test is needed and the tableau stays
+      dual feasible, though not primal feasible: a strict row is violated
+      at t = 1;
     * re-optimize by the dual simplex, in which a row with a basic x never
       leaves and an equality's slack, nonbasic from its pivot on, never
       enters, so it stays 0.  An equality row with no free entry left is a
@@ -432,8 +469,7 @@ def max_slack(
     rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
     h = max((sum(map(mul, a, a)) for a in rows), default=0)
     if tableau:
-        sx = copy(tableau[0])
-        sx.rows, sx.basis, sx.nonbasic = list(sx.rows), list(sx.basis), list(sx.nonbasic)
+        sx = tableau[0].copy()
     else:
         sx = _Simplex(dim, h)
     sx.add_rows(rows, h)

@@ -64,6 +64,12 @@ holds every column, basic or not.  The x rows stay in that tableau and are
 updated by every pivot, so x is read off their rhs at the end instead of
 being reconstructed.
 
+The one-batch row insertion is the former body of
+``geometry._Simplex.add_rows``: every new row is first built against the
+basis at the start of the batch and inserted, and only then does each new
+row in turn pivot in the lowest x never pivoted in that has an entry in it,
+so every such pivot also updates the new rows after it.
+
 The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
 of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
 rather than from its integer lift.
@@ -105,7 +111,7 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import _STALL_LIMIT, describe_cone, lp_feasible, max_slack
+from tropfan.geometry import _STALL_LIMIT, _bias, _pack, _unpack, _width, describe_cone, lp_feasible, max_slack
 from tropfan.matroids import AxiomReport, AxiomResult, pattern_compose
 from tropfan.rationals import dot, integerize, zeros
 from tropfan.relu import ConversionResult, TermCapExceededError
@@ -700,6 +706,38 @@ def max_slack_by_dense_tableau(dim, nonstrict=(), strict=(), equalities=()):
         if v < dim:
             x[v] = tab[i][-1]
     return -obj[-1], tuple(x)
+
+
+def add_rows_in_one_batch(sx, new_rows, h):
+    """Add rows ``a.(x, t) <= 0`` to the ``geometry._Simplex`` sx: repack for
+    h if needed, insert every row built against the current basis, then let
+    each new row in turn pivot in its lowest never-pivoted x."""
+    dim, n = sx.dim, sx.n
+    if h > sx.h:
+        sx.h = h
+        b = _width(h, dim)
+        if b > sx.b:
+            sx.rows = [_pack(_unpack(P, n, sx.b), b) for P in sx.rows]
+            sx.b = b
+    q, b, rows = sx.den, sx.b, sx.rows
+    col = {v: j for j, v in enumerate(sx.nonbasic)}
+    at = {v: i for i, v in enumerate(sx.basis)}
+    start = sx.m
+    for a in new_rows:
+        row = 0
+        for v, coef in enumerate(a):
+            if coef:
+                j = col.get(v)
+                row += q * coef << j * b if j is not None else -coef * rows[at[v]]
+        rows.insert(sx.m, row)
+        sx.basis.append(dim + 1 + sx.m)
+        sx.m += 1
+    B, mask, half = _bias(n, b), (1 << b) - 1, 1 << (b - 1)
+    for r in range(start, sx.m):
+        U = rows[r] + B
+        c = next((j for j in range(dim) if sx.nonbasic[j] == j and U >> j * b & mask != half), -1)
+        if c >= 0:
+            sx._pivot(r, c)
 
 
 def relint_point_by_rows(dim, rows):

@@ -378,6 +378,30 @@ def test_term_counts_below_one_are_json_error(files, capsys, args):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_json_error(files, capsys, workers):
+    rc, out, err = run_cli(
+        ["dichotomies", "--data", str(files / "data.json"), "--n", "1", "--m", "1", "--workers", workers], capsys
+    )
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "--workers must be at least 1"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dichotomies", "--n", "1", "--m", "1", "--data", "data.json"],
+        ["relu-convert", "--net", "net.json"],
+    ],
+    ids=["dichotomies", "relu-convert"],
+)
+def test_negative_cap_is_json_error(files, capsys, args):
+    args = [str(files / a) if a.endswith(".json") else a for a in args]
+    rc, out, err = run_cli(args + ["--cap", "-5"], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "--cap must be at least 0"}
+
+
 @pytest.mark.parametrize("command", ["levels", "components"])
 def test_zero_target_entry_is_json_error(files, capsys, command):
     rc, out, err = run_cli(

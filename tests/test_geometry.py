@@ -791,6 +791,137 @@ def test_nine_point_walk_pivot_counts_are_pinned(monkeypatch, nine_points):
     assert seen == {"pivots": 11261, "widths": {32, 64}}
 
 
+def insertion_batches(seed=20261023, count=160):
+    """(dim, batches) of seeded batches of rows ``a.(x, t) <= 0``, each dim
+    ints and a t coefficient of 0 or 1.  The first batch starts a tableau and
+    the later ones extend it.  Batches mix random rows with zero rows,
+    repeated rows and integer combinations of earlier rows; in every fourth
+    case the later batches scale their rows by 2**40 to 2**60, which widens
+    the digits and repacks the tableau."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        dim, seen, batches = rng.randint(1, 6), [], []
+        for k in range(rng.randint(2, 4)):
+            scale = rng.randint(1 << 40, 1 << 60) if case % 4 == 3 and k else 1
+            batch = []
+            for _ in range(rng.randint(1, 2 * dim + 1)):
+                kind = rng.random()
+                if kind < 0.1:
+                    a = [0] * (dim + 1)
+                elif kind < 0.25 and seen:
+                    a = list(rng.choice(seen))
+                elif kind < 0.45 and len(seen) > 1:
+                    u, v, c = *rng.sample(seen, 2), rng.choice((-2, -1, 1, 3))
+                    a = [x + c * y for x, y in zip(u, v)]
+                else:
+                    a = [rng.randint(-3, 3) * scale for _ in range(dim)] + [rng.randint(0, 1)]
+                batch.append(a)
+                seen.append(a)
+            batches.append(batch)
+        out.append((dim, batches))
+    return out
+
+
+def test_row_at_a_time_insertion_matches_the_one_batch_oracle():
+    """Each row built against the current basis and its x pivoted in at once
+    gives the tableau of inserting the whole batch first: equal rows, basis,
+    columns, denominator, digit width and row count after every batch, and
+    after the dual simplex that readies the tableau for the next batch.  The
+    cases cover zero rows, dependent rows that pivot nothing while an x is
+    still free, batches where no x is free, and repacks."""
+    from oracles import add_rows_in_one_batch
+
+    from tropfan.geometry import _Simplex
+
+    def state(sx):
+        return sx.rows, sx.basis, sx.nonbasic, sx.den, sx.b, sx.m
+
+    seen = set()
+    for dim, batches in insertion_batches():
+        norms = [max(sum(v * v for v in a) for a in batch) for batch in batches]
+        sx = _Simplex(dim, norms[0])
+        ref = sx.copy()
+        for batch, h in zip(batches, norms):
+            free = [j for j in range(dim) if sx.nonbasic[j] == j]
+            b = sx.b
+            sx.add_rows(batch, h)
+            add_rows_in_one_batch(ref, batch, h)
+            assert state(sx) == state(ref)
+            left = [j for j in range(dim) if sx.nonbasic[j] == j]
+            seen.add("repack" if sx.b > b else "same width")
+            seen.add("no free x" if not free else "free x")
+            if any(not any(a) for a in batch):
+                seen.add("zero row")
+            if left and sum(map(any, batch)) > len(free) - len(left):
+                seen.add("dependent row")
+            sx.solve()
+            ref.solve()
+            assert state(sx) == state(ref)
+    assert seen == {"repack", "same width", "no free x", "free x", "zero row", "dependent row"}
+
+
+def test_x_pivots_touch_only_the_rows_inserted_so_far(monkeypatch):
+    """Every pivot made inside ``add_rows`` is on the row just inserted, in
+    the column of an x never pivoted in, while the tableau holds only the
+    rows inserted so far and the objective row.  The one-batch oracle makes
+    the same number of x pivots on the same systems."""
+    from oracles import add_rows_in_one_batch
+
+    from tropfan import geometry
+
+    add, pivot = geometry._Simplex.add_rows, geometry._Simplex._pivot
+    inside, counts = [], []
+
+    def counting(insert):
+        def adding(self, new_rows, h):
+            inside.append((self.m, len(new_rows), insert is add))
+            insert(self, new_rows, h)
+            inside.pop()
+
+        return adding
+
+    def pivoting(self, r, c):
+        if inside:
+            counts[-1] += 1
+            start, count, ours = inside[-1]
+            if ours:
+                assert r == self.m - 1 and len(self.rows) == self.m + 1 and self.m - start <= count
+                assert c < self.dim and self.nonbasic[c] == c and self.entry(r, c)
+        pivot(self, r, c)
+
+    monkeypatch.setattr(geometry._Simplex, "_pivot", pivoting)
+    for insert in (add, add_rows_in_one_batch):
+        monkeypatch.setattr(geometry._Simplex, "add_rows", counting(insert))
+        counts.append(0)
+        for system in seeded_slack_systems():
+            max_slack(*system)
+        for system in warm_batches(count=60):
+            solve_warm(*system)
+    assert counts[0] == counts[1] > 500
+
+
+def test_inserted_row_guard_catches_a_corrupted_row(monkeypatch):
+    """``TROPFAN_CHECK_PIVOTS=1`` compares each inserted row with q*a minus
+    the combination of the decoded basic rows: a row off by one in its rhs
+    or in a column raises, and the row as built passes."""
+    from tropfan import geometry
+
+    monkeypatch.setattr(geometry, "_CHECK_DIVISION", True)
+    a = [-2, 6, 1]  # twice the first row in x, so it pivots no x in
+    sx = geometry._Simplex(2, 41)
+    sx.add_rows([[-1, 3, 1], a], 41)
+    assert sx.basis[1:] == [0, 5]
+    row = sx.rows[2]
+    sx._check_row(a, 2)
+    for digit in (sx.n, 1):
+        sx.rows[2] = row + (1 << digit * sx.b)
+        with pytest.raises(ArithmeticError, match="entrywise construction"):
+            sx._check_row(a, 2)
+
+
 def test_cone_dim_empty_system():
     assert describe_cone(12, ())[0] == 12
 
