@@ -14,7 +14,10 @@ to zero, so every node has the same columns and a child only adds rows.
 Every LP here runs the one dual simplex of ``geometry.max_slack``; a child
 starts it from a copy of its parent's optimal tableau
 (``max_slack(tableau=...)``) instead of the empty system's, and a leaf's
-witness is read off its tableau in integers.
+witness is read off its tableau and checked in integers.  The leaf is kept
+in integers as well: its witness blocks become Fractions only when first
+read, and each class maps a relabeling to its assignment with one
+``itemgetter`` over the part of each point.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
-from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, permutations
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import exact_rank, max_slack, relint_point
-from .rationals import Vec, integerize, vec, zeros
+from .rationals import LazyTuple, Vec, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
 
@@ -246,17 +249,40 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
 # Enumeration of maximal cones
 
 
+class _WitnessBlocks(LazyTuple):
+    """A leaf's witness blocks as a tuple of tuples of Fractions, built on
+    first read from the blocks' integer values, one after another in one
+    list, and their common denominator; the list is then dropped.
+    ``enum-fan``, ``levels`` and ``dichotomies`` never read them, and only
+    ints are pickled until then."""
+
+    __slots__ = ("_nums", "_den", "_width")
+
+    def __init__(self, nums: list[int], den: int, width: int):
+        self._nums, self._den, self._width, self._x = nums, den, width, None
+
+    def _build(self) -> tuple[Vec, ...]:
+        nums, self._nums = self._nums, None
+        den, w = self._den, self._width
+        return tuple(tuple(Fraction(v, den) for v in nums[i : i + w]) for i in range(0, len(nums), w))
+
+    def __len__(self) -> int:
+        return len(self._nums) // self._width if self._x is None else len(self._x)
+
+
 @dataclass(frozen=True)
 class _CanonicalCone:
     """One strictly feasible unordered partition plus a strict witness.
 
     ``witness_blocks`` holds one (a, s) block per part under the canonical
     labeling part t -> term t+1; ``pad_a`` is a constant low enough that
-    padding terms (a, 0) never reach the max on any data point.
+    padding terms (a, 0) never reach the max on any data point.  A leaf of
+    the walk is checked and kept in integers, and its ``witness_blocks`` are
+    a ``_WitnessBlocks``, whose Fractions are built on first read.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    witness_blocks: tuple[Vec, ...]
+    witness_blocks: Sequence[Vec]
     pad_a: Fraction
 
 
@@ -299,20 +325,26 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
     """The leaf's canonical cone, once its witness is checked in integers: at
     each point its part's term must beat every other part's term in the
     tableau's rhs values, or an ``AssertionError`` is raised.  The witness
-    blocks are those values over the tableau's denominator."""
+    blocks are those values over the tableau's denominator, kept in
+    integers until first read (``_WitnessBlocks``).  ``pad_a`` is one less
+    than the least value of a point's own term, over the points, found by
+    integer cross-multiplication; it is the one Fraction built here."""
     sx, width, r = tableau[0], data.d + 1, max(owner) + 1
-    nums = [0] * width + sx.numerators((R - 1) * width)  # part 0's block is zero
+    nums = [0] * width + sx.numerators((r - 1) * width)  # part 0's block is zero
     blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
     parts: list[list[int]] = [[] for _ in range(r)]
-    mu = []
+    # The least values[p] / lift[0] so far, as two ints: point 0 is in part 0, whose block is zero.
+    low, low_lift = 0, 1
     for k, (lift, p) in enumerate(zip(data.lifts, owner)):
         values = [sum(map(mul, lift, block)) for block in blocks]
-        if max(values) != values[p] or values.count(values[p]) > 1:
+        v = values[p]
+        if max(values) != v or values.count(v) > 1:
             raise AssertionError("leaf witness violates a strict row")
-        mu.append(Fraction(values[p], sx.den * lift[0]))
+        if v * low_lift < low * lift[0]:
+            low, low_lift = v, lift[0]
         parts[p].append(k)
-    witness = tuple(tuple(Fraction(v, sx.den) for v in block) for block in blocks)
-    return _CanonicalCone(tuple(map(tuple, parts)), witness, min(mu) - 1)
+    pad_a = Fraction(low, sx.den * low_lift) - 1
+    return _CanonicalCone(tuple(map(tuple, parts)), _WitnessBlocks(nums, sx.den, width), pad_a)
 
 
 def _chunk_worker(args) -> list[_CanonicalCone]:
@@ -368,22 +400,24 @@ class _FanIndex:
         self.reps = reps
         self.leaves = len(reps)
 
-    def _labelings(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, tuple[int, ...], tuple[int, ...]]]:
-        """(rep, perm, assignment) for each injective relabeling part t -> term
-        perm[t] of each canonical partition, or for those ``relabelings(rep)`` yields."""
+    def _classes(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, Iterable[tuple[int, ...]], Callable]]:
+        """(rep, perms, get) for each canonical partition: the injective
+        relabelings part t -> term perm[t], or those ``relabelings(rep)``
+        yields, and the map from a perm to its assignment, one itemgetter
+        over the part of each point (a 1-tuple slice for one point, where
+        an itemgetter of one item returns a scalar)."""
         M = self.data.M
         for rep in self.reps:
+            owner = [0] * M
+            for t, part in enumerate(rep.parts):
+                for k in part:
+                    owner[k] = t
             perms = relabelings(rep) if relabelings else permutations(range(1, self.N + 1), len(rep.parts))
-            for perm in perms:
-                assign = [0] * M
-                for t, part in enumerate(rep.parts):
-                    for k in part:
-                        assign[k] = perm[t]
-                yield rep, perm, tuple(assign)
+            yield rep, perms, itemgetter(*owner) if M > 1 else itemgetter(slice(0, 1))
 
     def iter_assignments(self, relabelings=None) -> Iterator[tuple[int, ...]]:
-        """All degree-one maximal patterns as 1-based term assignments (see ``_labelings``)."""
-        return (assign for _, _, assign in self._labelings(relabelings))
+        """All degree-one maximal patterns as 1-based term assignments (see ``_classes``)."""
+        return chain.from_iterable(map(get, perms) for _, perms, get in self._classes(relabelings))
 
     def witness_for(self, rep: _CanonicalCone, perm: Sequence[int]) -> Vec:
         """Full-space strict witness for the relabeling part t -> term perm[t]."""
@@ -394,7 +428,8 @@ class _FanIndex:
         return tuple(x for b in blocks for x in b)
 
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
-        return ((assign, self.witness_for(rep, perm)) for rep, perm, assign in self._labelings())
+        classes = self._classes()
+        return ((get(perm), self.witness_for(rep, perm)) for rep, perms, get in classes for perm in perms)
 
 
 _FAN_CACHE_SIZE = 8

@@ -53,7 +53,10 @@ with every entry below the top one a balanced digit, |M[i][j]| < 2**(b-1).
 Such a representation is unique: adding the bias B = sum_{j<n} 2**(b-1) *
 2**(j*b) turns the low digits into the ordinary base-2**b digits of P + B,
 so entry j < n is ((P + B) >> j*b & (2**b - 1)) - 2**(b-1), and the rhs,
-which needs no bound, is (P + B) >> n*b.  The update above is linear in the
+which needs no bound, is (P + B) >> n*b.  Each low digit of P + B lies in
+[1, 2**b - 1], so the rhs is negative exactly when P < -B: the search for
+the leaving row compares each row once and decodes only the rhs of the rows
+it selects.  The update above is linear in the
 entries, so on packed rows it is
 
     P'_i = (P_i * M[r][c] - M[i][c] * P_r) // q + lead * M[i][c] * 2**(c*b) ,
@@ -82,7 +85,8 @@ enters anywhere.  ``TROPFAN_CHECK_PIVOTS=1`` decodes every packed update,
 recomputes it entry by entry with every remainder checked, and raises
 ``ArithmeticError`` on any difference or on an entry outside the digit
 width; it checks each inserted row the same way against q*a minus the
-combination of the decoded basic rows.
+combination of the decoded basic rows, and the rows the leaving-row scan
+selects against those whose decoded rhs is negative.
 
 Every row is an integer tuple of length ``dim`` from the moment it is
 built: tie rows from the integer lifts of the data points, input-space rows
@@ -115,7 +119,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Optional
 
-from .rationals import Vec, zeros
+from .rationals import LazyTuple, Vec, zeros
 
 LinearForm = tuple[int, ...]
 
@@ -307,16 +311,24 @@ class _Simplex:
         """Re-optimize by the dual simplex.  Rows where some x is basic never
         leave, since x is free, and x never enters, since every other row is
         0 in its column; the ids in ``blocked`` never enter either, so their
-        columns never move.  The ratio test decodes the leaving row and reads
-        the objective row's digits only where that row is negative."""
+        columns never move.
+
+        The leaving-row scan compares each packed row P once with -B, B the
+        bias: every low digit of P + B lies in [1, 2**b - 1], so P + B is
+        negative, that is P < -B, exactly when its top digit, the rhs, is.
+        Only the rows it selects have their rhs decoded, as (P + B) >> n*b.
+        The ratio test decodes the leaving row and reads the objective row's
+        digits only where that row is negative."""
         m, b, B = self.m, self.b, _bias(self.n, self.b)
-        top, mask, half = self.n * b, (1 << b) - 1, 1 << (b - 1)
+        top, mask, half, low = self.n * b, (1 << b) - 1, 1 << (b - 1), -B
         rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         free = [i for i in range(m) if basis[i] >= self.dim]
         cols = [j for j in range(self.n) if nonbasic[j] not in blocked]
         stall, last_num, last_den = 0, -((rows[m] + B) >> top), self.den
         for _ in range(pivot_limit):
-            short = [(v, basis[i], i) for i in free if (v := (rows[i] + B) >> top) < 0]
+            short = [((P + B) >> top, basis[i], i) for i in free if (P := rows[i]) < low]
+            if _CHECK_DIVISION:
+                self._check_short(free, short)
             if not short:
                 return Fraction(last_num, last_den)
             # Most negative rhs, or Bland's least id after a stall; ties by id.
@@ -338,6 +350,14 @@ class _Simplex:
             last_num, last_den = num, den
         raise PivotLimitError("pivot limit exceeded")
 
+    def _check_short(self, free: list[int], short: list[tuple[int, int, int]]):
+        """Compare the (rhs, id, row) triples the leaving-row scan selected
+        with the rows among ``free`` whose decoded rhs is negative."""
+        n, b = self.n, self.b
+        want = [(v, self.basis[i], i) for i in free if (v := _unpack(self.rows[i], n, b)[n]) < 0]
+        if short != want:
+            raise ArithmeticError("the negative-rhs scan differs from the decoded rhs")
+
     def numerators(self, count: int) -> list[int]:
         """den times the value of each variable 0..count-1 (0 when nonbasic)."""
         out, B, top = [0] * count, _bias(self.n, self.b), self.n * self.b
@@ -347,39 +367,22 @@ class _Simplex:
         return out
 
 
-class _Witness(Sequence):
+class _Witness(LazyTuple):
     """x of a warm solve as a tuple of Fractions, built on first read: the
     partition walk reads x only at its leaves.  It holds the solved tableau,
     which no later call changes (a warm call works on a copy)."""
 
-    __slots__ = ("_sx", "_dim", "_x")
+    __slots__ = ("_sx", "_dim")
 
     def __init__(self, sx: _Simplex, dim: int):
         self._sx, self._dim, self._x = sx, dim, None
 
-    def _values(self) -> Vec:
-        if self._x is None:
-            sx, self._sx = self._sx, None
-            self._x = tuple(Fraction(v, sx.den) for v in sx.numerators(self._dim))
-        return self._x
-
-    def __getitem__(self, i):
-        return self._values()[i]
+    def _build(self) -> Vec:
+        sx, self._sx = self._sx, None
+        return tuple(Fraction(v, sx.den) for v in sx.numerators(self._dim))
 
     def __len__(self) -> int:
         return self._dim
-
-    def __iter__(self):
-        return iter(self._values())
-
-    def __eq__(self, other) -> bool:
-        return self._values() == (other._values() if isinstance(other, _Witness) else other)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return repr(self._values())
 
 
 def _read_back(sx: _Simplex, aside: list[tuple[int, int]], ys: list[int]) -> list[int]:

@@ -70,6 +70,15 @@ basis at the start of the batch and inserted, and only then does each new
 row in turn pivot in the lowest x never pivoted in that has an entry in it,
 so every such pivot also updates the new rows after it.
 
+The eager leaf oracle is the former body of ``fan._leaf_cone``: it checks
+the leaf's witness in integers as the runtime does, then builds a Fraction
+for every witness entry and for every point's own term value, and takes
+the least of those Fractions, less one, as the padding constant.
+
+The nested-loop labeling oracle is the former body of
+``fan._FanIndex._labelings``: each assignment is filled in point by point,
+part by part, for every relabeling of every class.
+
 The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
 of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
 rather than from its integer lift.
@@ -97,6 +106,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from operator import mul
 
 from tropfan.classify import compose, separation
 from tropfan.dual import DualEdge
@@ -738,6 +748,38 @@ def add_rows_in_one_batch(sx, new_rows, h):
         c = next((j for j in range(dim) if sx.nonbasic[j] == j and U >> j * b & mask != half), -1)
         if c >= 0:
             sx._pivot(r, c)
+
+
+def leaf_cone_with_fractions(data, R, owner, tableau):
+    """The canonical cone of the walk leaf ``owner`` with its witness blocks
+    and padding constant built eagerly as Fractions."""
+    sx, width, r = tableau[0], data.d + 1, max(owner) + 1
+    nums = [0] * width + sx.numerators((R - 1) * width)  # part 0's block is zero
+    blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
+    parts = [[] for _ in range(r)]
+    mu = []
+    for k, (lift, p) in enumerate(zip(data.lifts, owner)):
+        values = [sum(map(mul, lift, block)) for block in blocks]
+        if max(values) != values[p] or values.count(values[p]) > 1:
+            raise AssertionError("leaf witness violates a strict row")
+        mu.append(F(values[p], sx.den * lift[0]))
+        parts[p].append(k)
+    witness = tuple(tuple(F(v, sx.den) for v in block) for block in blocks)
+    return _CanonicalCone(tuple(map(tuple, parts)), witness, min(mu) - 1)
+
+
+def labelings_by_parts(index, relabelings=None):
+    """Every assignment of the ``fan._FanIndex`` index, class by class, for
+    each injective relabeling part t -> term perm[t] or for those
+    ``relabelings(rep)`` yields."""
+    for rep in index.reps:
+        perms = relabelings(rep) if relabelings else permutations(range(1, index.N + 1), len(rep.parts))
+        for perm in perms:
+            assign = [0] * index.data.M
+            for t, part in enumerate(rep.parts):
+                for k in part:
+                    assign[k] = perm[t]
+            yield tuple(assign)
 
 
 def relint_point_by_rows(dim, rows):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -6,7 +7,13 @@ from math import lcm
 
 import pytest
 
-from oracles import all_cones_by_pairwise_union, canonical_cones_by_hull_pruning, tie_row_by_fractions
+from oracles import (
+    all_cones_by_pairwise_union,
+    canonical_cones_by_hull_pruning,
+    labelings_by_parts,
+    leaf_cone_with_fractions,
+    tie_row_by_fractions,
+)
 from tropfan.fan import (
     ActivationPattern,
     affine_dim,
@@ -480,6 +487,92 @@ def test_exact_walk_matches_hull_pruning_on_seeded_datasets(monkeypatch):
 def test_exact_walk_matches_hull_pruning_on_nine_points(nine_points, monkeypatch, N, count):
     check_walk_against_hull_pruning(nine_points, N, monkeypatch)
     assert len(fan_index(nine_points, N).reps) == count
+
+
+def test_integer_leaves_match_the_eager_fraction_oracle(monkeypatch):
+    """On the seeded walk datasets, with 1 and 2 workers, every leaf equals
+    the eager Fraction leaf built from the same tableau: its parts, its
+    witness blocks as tuples of Fractions, its padding constant and every
+    full-space witness.  The walk itself builds no witness Fraction."""
+    from tropfan import fan
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
+    for data, N in walk_datasets():
+        for workers in (1, 2):
+            index = fan_index(data, N, workers=workers, use_cache=False)
+            assert all(rep.witness_blocks._x is None for rep in index.reps)
+            with monkeypatch.context() as patch:
+                patch.setattr(fan, "_leaf_cone", leaf_cone_with_fractions)
+                want = fan_index(data, N, workers=workers, use_cache=False)
+            assert [rep.parts for rep in index.reps] == [rep.parts for rep in want.reps]
+            assert [rep.pad_a for rep in index.reps] == [rep.pad_a for rep in want.reps]
+            for rep, eager in zip(index.reps, want.reps):
+                blocks = tuple(map(tuple, rep.witness_blocks))
+                assert blocks == eager.witness_blocks
+                assert {type(v) for block in blocks for v in block} <= {F}
+            assert list(index.iter_patterns_with_witness()) == list(want.iter_patterns_with_witness())
+            assert index.reps == want.reps
+
+
+def test_leaf_witness_blocks_act_as_the_eager_tuple():
+    """A leaf's witness blocks compare equal to, and hash like, the eager
+    tuple of tuples, from either side; they survive a pickle round trip, as
+    ``--workers`` ships classes between processes, with only the integers
+    sent while unread."""
+    data = dataset([(0, 0), (3, 1), (1, 4), (2, 2), (4, 3)])
+    rep = max(fan_index(data, 3, use_cache=False).reps, key=lambda rep: len(rep.parts))
+    assert len(rep.parts) == len(rep.witness_blocks) == 3
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy.witness_blocks._x is None and len(copy.witness_blocks) == 3
+    eager = tuple(map(tuple, rep.witness_blocks))
+    assert copy.witness_blocks == eager and eager == copy.witness_blocks
+    assert hash(copy.witness_blocks) == hash(eager) and copy == rep
+    assert pickle.loads(pickle.dumps(rep)) == rep  # once read, the Fractions travel
+    assert rep.witness_blocks != eager[:-1] and len(rep.witness_blocks) == 3
+
+
+def labeling_cases():
+    """(data, N): one point, where an itemgetter of one item returns a
+    scalar, two points and the seeded walk datasets."""
+    return [
+        (dataset([(2,)]), 1),
+        (dataset([(2,)]), 3),
+        (dataset([(0,), (3,)]), 2),
+        (dataset([(1, 1), (1, 1)]), 3),
+        *walk_datasets(count=36),
+    ]
+
+
+def test_assignments_match_the_nested_loop_oracle():
+    for data, N in labeling_cases():
+        index = fan_index(data, N, use_cache=False)
+        want = list(labelings_by_parts(index))
+        assert list(index.iter_assignments()) == want
+        assert [assign for assign, _ in index.iter_patterns_with_witness()] == want
+    assert list(fan_index(dataset([(2,)]), 3).iter_assignments()) == [(1,), (2,), (3,)]
+
+
+def test_level_set_relabelings_match_the_nested_loop_oracle(monkeypatch):
+    """``level_set`` lists the assignments its relabelings select in the
+    nested-loop oracle's order."""
+    real, counts = _FanIndex.iter_assignments, []
+
+    def checked(self, relabelings=None):
+        got = list(real(self, relabelings))
+        assert relabelings is not None and got == list(labelings_by_parts(self, relabelings))
+        counts.append(len(got))
+        return iter(got)
+
+    monkeypatch.setattr(_FanIndex, "iter_assignments", checked)
+    rng = random.Random(20261019)
+    for data, N in labeling_cases():
+        if N >= 2:
+            target = [rng.choice((-1, 1)) for _ in range(data.M)]
+            for k in range(data.M + 1):
+                level_set(data, 1, N - 1, target, k)
+    assert sorted(counts[:2]) == [1, 2]  # one point, one numerator and two denominator terms
+    assert min(counts) == 0
+    assert sum(counts) > 1000
 
 
 def test_corrupted_leaf_witness_raises(monkeypatch):

@@ -922,6 +922,43 @@ def test_inserted_row_guard_catches_a_corrupted_row(monkeypatch):
             sx._check_row(a, 2)
 
 
+@pytest.mark.parametrize("b", [32, 64, 96])
+def test_negative_rhs_is_a_packed_row_below_minus_the_bias(b):
+    """With the low digits at their extremes, +-(2**(b-1) - 1), a packed row
+    P is below -B exactly when its rhs is negative, and (P + B) >> n*b is
+    the rhs."""
+    from itertools import product
+
+    from tropfan.geometry import _bias, _pack, _unpack
+
+    edge = (1 << b - 1) - 1
+    for n in (1, 2, 3):
+        B = _bias(n, b)
+        for low in product((-edge, edge), repeat=n):
+            for rhs in (-1, 0, 1):
+                P = _pack([*low, rhs], b)
+                assert _unpack(P, n, b) == [*low, rhs]
+                assert (P < -B) == (rhs < 0)
+                assert (P + B) >> n * b == rhs
+
+
+def test_negative_rhs_scan_guard_catches_a_disagreeing_decode(monkeypatch):
+    """``TROPFAN_CHECK_PIVOTS=1`` compares the rows the leaving-row scan
+    selects with the rows whose decoded rhs is negative.  A decode that
+    negates every rhs keeps every other guard consistent, since the updates
+    are linear, but not that one."""
+    from tropfan import geometry
+
+    rows = ((1, 2), (3, -1), (-1, 1))
+    want = max_slack(2, (), rows)
+    monkeypatch.setattr(geometry, "_CHECK_DIVISION", True)
+    assert max_slack(2, (), rows) == want and want[0] > 0
+    unpack = geometry._unpack
+    monkeypatch.setattr(geometry, "_unpack", lambda P, n, b: [*unpack(P, n, b)[:n], -unpack(P, n, b)[n]])
+    with pytest.raises(ArithmeticError, match="negative-rhs scan"):
+        max_slack(2, (), rows)
+
+
 def test_cone_dim_empty_system():
     assert describe_cone(12, ())[0] == 12
 
