@@ -51,7 +51,6 @@ from .relu import (
 from .tropical import (
     SignomialParams,
     TropicalRationalParams,
-    classify,
     eval_rational,
     eval_signomial,
     signomial,

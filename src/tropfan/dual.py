@@ -34,6 +34,7 @@ the bounds are integer pairs compared by cross-multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -124,26 +125,8 @@ def tropical_type(apices: Sequence[Vec], point: Vec) -> tuple[frozenset[int], ..
 
 def _sig_digits(x: Fraction, digits: int = 9) -> str:
     """Round-half-even decimal form with the given significant digits."""
-    if x == 0:
-        return "0"
-    sign = "-" if x < 0 else ""
-    n, dnm = abs(x.numerator), x.denominator
-    mag = len(str(n * 10**digits // dnm)) - digits  # digits before the point
-    shift = digits - mag
-    if shift >= 0:
-        q, r = divmod(n * 10**shift, dnm)
-        whole_den = dnm
-    else:
-        whole_den = dnm * 10 ** (-shift)
-        q, r = divmod(n, whole_den)
-    if 2 * r > whole_den or (2 * r == whole_den and q % 2 == 1):
-        q += 1
-    if shift <= 0:
-        return sign + str(q * 10 ** (-shift))
-    s = str(q).rjust(shift + 1, "0")
-    whole, frac = s[:-shift], s[-shift:]
-    frac = frac.rstrip("0")
-    return sign + (f"{whole}.{frac}" if frac else whole)
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    return format(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)).normalize(ctx), "f")
 
 
 def _boundary_segments(

@@ -392,13 +392,12 @@ def _enumerate_canonical(
 
 class _FanIndex:
     """Enumerated maximal cones of (data, N), stored as canonical partitions.
-    The walk reaches only realizable leaves, so ``leaves`` is their count."""
+    The walk reaches only realizable leaves, so ``reps`` holds one per leaf."""
 
     def __init__(self, data: Dataset, N: int, reps: list[_CanonicalCone]):
         self.data = data
         self.N = N
         self.reps = reps
-        self.leaves = len(reps)
 
     def _classes(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, Iterable[tuple[int, ...]], Callable]]:
         """(rep, perms, get) for each canonical partition: the injective
@@ -458,7 +457,7 @@ def fan_index(
             _FAN_CACHE[key] = index
             if len(_FAN_CACHE) > _FAN_CACHE_SIZE:
                 _FAN_CACHE.popitem(last=False)
-    if cap is not None and index.leaves > cap:
+    if cap is not None and len(index.reps) > cap:
         raise CapExceededError("candidate cap exceeded during fan enumeration")
     return index
 

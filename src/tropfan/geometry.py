@@ -19,9 +19,8 @@ objective entry 0, so no ratio test is needed and the tableau stays dual
 feasible.  A Bareiss tableau is fixed by its basis, so every row, pivot and
 answer is that of inserting all the rows first.  The slack of a pivoted
 equality row is then fixed at 0, so an equality is one row, not a pair of
-opposite inequalities.  A solve that will get no further row sets its x
-rows aside, since a free basic variable never leaves, and reads x back from
-them at the end (see ``max_slack``).
+opposite inequalities.  Every row stays in the tableau through the solve,
+and x is read off the rhs of the rows where it is basic (see ``max_slack``).
 
 The tableau is kept as an integer matrix with one common positive
 denominator q (the previous pivot entry), and it is compact: it stores only
@@ -385,23 +384,6 @@ class _Witness(LazyTuple):
         return self._dim
 
 
-def _read_back(sx: _Simplex, aside: list[tuple[int, int]], ys: list[int]) -> list[int]:
-    """q * sx.den times x, q the denominator when the rows were set aside: a
-    set-aside row (j, P) reads q * x_j + a.y = rhs over the variables ys,
-    nonbasic then, whose final values are their rhs over sx.den (0 when
-    nonbasic), so only the digits of a under the nonzero values are decoded.
-    An x_j with no row stays 0."""
-    b, B, top = sx.b, _bias(sx.n, sx.b), sx.n * sx.b
-    mask, half = (1 << b) - 1, 1 << (b - 1)
-    final = {v: (P + B) >> top for v, P in zip(sx.basis, sx.rows)}
-    terms = [(j * b, y) for j, v in enumerate(ys) if (y := final.get(v, 0))]
-    x = [0] * sx.dim
-    for j, P in aside:
-        U = P + B
-        x[j] = (U >> top) * sx.den - sum(((U >> s & mask) - half) * y for s, y in terms)
-    return x
-
-
 def max_slack(
     dim: int,
     nonstrict: Sequence[LinearForm] = (),
@@ -430,19 +412,18 @@ def max_slack(
     * re-optimize by the dual simplex, in which a row with a basic x never
       leaves and an equality's slack, nonbasic from its pivot on, never
       enters, so it stays 0.  An equality row with no free entry left is a
-      combination of earlier ones and reads 0 = 0.
+      combination of earlier ones: it reads 0 = 0, is 0 in every column but
+      the equality slacks' and keeps rhs 0, so it never leaves either;
+    * read x_j off the rhs of the row where x_j is basic, over the final
+      denominator; an x column no row touched never enters, so that x is 0.
 
-    A call without ``tableau`` never gets another row.  Before the dual
-    simplex it takes its x rows out of the row list, since they never
-    leave, drops the rows of dependent equalities and blocks the equality
-    slacks from entering; no row is repacked.  A set-aside row, decoded
-    once at the end, gives q * x_j (q the denominator then) as its rhs minus
-    an integer combination of the columns of that time, so x is read back
-    with one integer dot product over their final values; an x column no
-    row touched never enters, so that x stays 0.  A positive answer's
-    witness is then substituted into every row in integers, and a nonstrict
-    row below 0, a strict row not above 0 or an equality not at 0 raises
-    ``AssertionError``.
+    Every row stays in the tableau, x rows included, so a call without
+    ``tableau`` runs exactly the steps of a warm call from an empty one.
+    Around them it checks its rows, reads the duals and returns x as a
+    tuple.  Its positive answer's witness is substituted into every row in
+    integers (the numerators of x, since the denominator is positive), and
+    a nonstrict row below 0, a strict row not above 0 or an equality not at
+    0 raises ``AssertionError``.
 
     If a list ``duals`` is passed (and there are no equality rows), it is
     filled with one integer dual multiplier y_i >= 0 per nonstrict row, then
@@ -471,25 +452,13 @@ def max_slack(
     rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
     rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
     h = max((sum(map(mul, a, a)) for a in rows), default=0)
-    if tableau:
-        sx = tableau[0].copy()
-    else:
-        sx = _Simplex(dim, h)
+    sx = tableau[0].copy() if tableau else _Simplex(dim, h)
     sx.add_rows(rows, h)
+    opt = sx.solve(range(dim + 2, dim + 2 + len(equalities)))  # the equality slacks
     if tableau is not None:
-        opt = sx.solve()
         tableau[:] = [sx]
         return opt, _Witness(sx, dim)
-
-    # The ids dim + 2 .. last_eq are the equality slacks, and t is basic.
-    last_eq = dim + 1 + len(equalities)
-    q, ys = sx.den, list(sx.nonbasic)
-    aside = [(v, row) for v, row in zip(sx.basis, sx.rows) if v < dim]
-    keep = [i for i, v in enumerate(sx.basis) if v == dim or v > last_eq]
-    sx.rows = [sx.rows[i] for i in keep] + [sx.rows[sx.m]]
-    sx.basis, sx.m = [sx.basis[i] for i in keep], len(keep)
-    opt = sx.solve(range(dim + 2, last_eq + 1))
-    x = _read_back(sx, aside, ys)
+    x = sx.numerators(dim)
     if opt > 0 and (
         any(sum(map(mul, g, x)) for g in equalities)
         or any(sum(map(mul, f, x)) < 0 for f in nonstrict)
@@ -501,8 +470,7 @@ def max_slack(
         obj = _unpack(sx.rows[sx.m], sx.n, sx.b)
         reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
         duals.extend(-reduced.get(dim + 2 + i, 0) for i in range(len(nonstrict) + len(strict)))
-    den = q * sx.den
-    return opt, tuple(Fraction(v, den) for v in x)
+    return opt, tuple(Fraction(v, sx.den) for v in x)
 
 
 def lp_feasible(dim: int, strict: Sequence[LinearForm], nonstrict: Sequence[LinearForm] = ()) -> Optional[Vec]:

@@ -221,6 +221,12 @@ def test_sig_digits():
     assert _sig_digits(F(20)) == "20"
     assert _sig_digits(F(-1, 8)) == "-0.125"
     assert _sig_digits(F(123456789123, 100)) == "1234567890"
+    # nine significant digits below 1e-9 too, and no "-0" for a tiny negative
+    assert _sig_digits(F(1, 3 * 10**9)) == "0.000000000333333333"
+    assert _sig_digits(F(-1, 10**20)) == "-0.00000000000000000001"
+    # halfway cases round to the even last digit
+    assert _sig_digits(F(1000000005, 10**9)) == "1"
+    assert _sig_digits(F(-1000000015, 10**9)) == "-1.00000002"
 
 
 def test_render_svg_vertical_line():

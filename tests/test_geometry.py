@@ -405,7 +405,7 @@ def seeded_slack_systems(count=300, seed=20240917):
 
 def test_max_slack_agrees_with_split_columns_on_seeded_systems():
     """Free x columns keep the split-column LP's optimum, and the witness read
-    back from the set-aside rows meets every row."""
+    off the tableau's x rows meets every row."""
     from oracles import max_slack_by_split_columns
 
     optima = set()
@@ -431,8 +431,8 @@ def test_max_slack_agrees_with_dense_tableau_on_seeded_systems():
 
 def test_corrupted_cold_witness_raises(monkeypatch, nine_points):
     """A positive cold answer's witness is substituted into every row before
-    it is returned: a negated read-back must raise for a wall LP and for the
-    maximality LP of a maximal pattern."""
+    it is returned: negated numerators of x must raise for a wall LP and for
+    the maximality LP of a maximal pattern."""
     from tropfan import geometry
     from tropfan.classify import _wall_lp
     from tropfan.fan import is_maximal_pattern, pattern_from_assignment
@@ -440,8 +440,8 @@ def test_corrupted_cold_witness_raises(monkeypatch, nine_points):
     a = (1, 1, 1, 1, 1, 3, 2, 2, 4)
     G = pattern_from_assignment(a, 4)
     assert _wall_lp(a, (6,), 4, nine_points) and is_maximal_pattern(G, nine_points)
-    read_back = geometry._read_back
-    monkeypatch.setattr(geometry, "_read_back", lambda *args: [-v for v in read_back(*args)])
+    numerators = geometry._Simplex.numerators
+    monkeypatch.setattr(geometry._Simplex, "numerators", lambda *args: [-v for v in numerators(*args)])
     with pytest.raises(AssertionError, match="witness violates"):
         _wall_lp(a, (6,), 4, nine_points)
     with pytest.raises(AssertionError, match="witness violates"):
@@ -468,8 +468,10 @@ def guarded_answers(cold, with_duals, warm):
 def test_pivot_exactness_guard_runs(diag4, nine_points):
     """The optional per-division exactness check must accept a normal run and
     leave every answer as it is: cold wall LPs with equalities, the pinned
-    leaf that switches to Bland, cold LPs read with duals (the second at
-    optimum 0) and a warm batch, which makes negative pivots."""
+    leaf that switches to Bland, the seeded systems with duplicated and
+    dependent equalities, whose rows stay in the tableau through every
+    pivot, cold LPs read with duals (the second at optimum 0) and a warm
+    batch, which makes negative pivots."""
     import json
     import os
     import subprocess
@@ -480,6 +482,7 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
     # the child imports the same tropfan as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(tropfan.__file__)))
     cold = [pinned_system(name, diag4, nine_points) for name in ("diag4-wall", "nine-wall", "nine-leaf-stall")]
+    cold += seeded_slack_systems()[3::6]  # kind 3: duplicated and dependent equalities
     dim, _, strict, equalities = pinned_system("nine-wall", diag4, nine_points)
     pairs = [*equalities, *(tuple(-v for v in g) for g in equalities)]
     with_duals = [(dim, pairs, strict), (dim, (), strict + tuple(pairs))]
@@ -506,7 +509,7 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
     assert guard == "True"
     expected = guarded_answers(cold, with_duals, warm)
     assert [a[:2] for a in expected[:2]] == [list(PINNED[n]) for n in ("diag4-wall", "nine-wall")]
-    assert expected[4][0] == "0" and expected[5][0] == "1"
+    assert expected[len(cold) + 1][0] == "0" and expected[-1][0] == "1"
     assert json.loads(answers) == expected
 
 
@@ -560,6 +563,18 @@ def test_warm_batches_match_one_cold_solve():
         optima.add(opt)
     assert optima == {0, 1}
 
+
+def test_cold_solve_equals_one_warm_call_from_an_empty_tableau():
+    """A cold call runs the steps of a warm call from an empty tableau: on
+    every equality-free seeded system and every warm-batch system, the two
+    give the same optimum and the same witness."""
+    systems = [(dim, nonstrict, strict) for dim, nonstrict, strict, equalities in seeded_slack_systems()
+               if not equalities]
+    systems += [(dim, nonstrict, strict) for dim, nonstrict, strict, _ in warm_batches()]
+    assert len(systems) > 300
+    for dim, nonstrict, strict in systems:
+        opt, x = max_slack(dim, nonstrict, strict, tableau=[])
+        assert max_slack(dim, nonstrict, strict) == (opt, tuple(x))
 
 
 def test_warm_witness_reads_as_the_tuple_of_its_fractions():

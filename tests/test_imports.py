@@ -119,3 +119,14 @@ def test_checker_flags_an_untraced_lp_binding():
 @pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "geometry.py"], ids=lambda p: p.name)
 def test_lp_entry_points_go_through_traced_bindings(path):
     assert untraced_lp_bindings(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_attributes_are_the_submodules():
+    """No root re-export shadows a submodule: ``tropfan.classify`` is the
+    module, so an attribute set on it reaches the module's code."""
+    import importlib
+
+    assert tropfan.classify is importlib.import_module("tropfan.classify")
+    for path in MODULES:
+        module = importlib.import_module(f"tropfan.{path.stem}")
+        assert getattr(tropfan, path.stem) is module, path.stem
