@@ -93,7 +93,8 @@ from the integer terms.  So every entry point here, ``max_slack``,
 ``lp_feasible``, ``relint_point``, ``describe_cone`` and ``exact_rank``,
 takes them as they are.  Every ``max_slack`` call but the warm node LPs of
 the partition walk checks that they are: the pivot would floor a Fraction,
-and a short row would shift t onto an x column.
+and a short row would shift t onto an x column.  ``relint_point`` runs the
+same check first, since it may decide every row without an LP.
 
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
 optimum of 0 the final objective row holds a Farkas certificate: integer
@@ -102,6 +103,9 @@ and y > 0 on some strict row.  ``relint_point`` reads the implied
 equalities of a cone off such certificates, several rows per LP (Freund,
 Roundy and Todd 1985), and checks each certificate exactly before it uses
 it; rows in the linear span of the rows found implied are implied too.
+Before its first LP it implies each nonzero row whose exact negative is
+also a row, by the certificate y = (1, 1), checked the same way: tie rows
+come in such pairs wherever a point is tied to two terms.
 Cone dimension is the ambient dimension minus the rank of the
 implied-equality normals, the size of an integer echelon basis of them,
 built as that span is.
@@ -384,6 +388,12 @@ class _Witness(LazyTuple):
         return self._dim
 
 
+def _check_rows(dim: int, rows: Sequence[LinearForm]):
+    """Raise ``ValueError`` unless every row is a sequence of ``dim`` ints."""
+    if not set(map(len, rows)) <= {dim} or not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise ValueError(f"every row must be a tuple of {dim} ints")
+
+
 def max_slack(
     dim: int,
     nonstrict: Sequence[LinearForm] = (),
@@ -446,9 +456,7 @@ def max_slack(
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
     if tableau is None:
-        given = (*equalities, *nonstrict, *strict)
-        if not set(map(len, given)) <= {dim} or not set(map(type, chain.from_iterable(given))) <= {int}:
-            raise ValueError(f"every row must be a tuple of {dim} ints")
+        _check_rows(dim, (*equalities, *nonstrict, *strict))
     rows = [[-v for v in f] + [0] for f in (*equalities, *nonstrict)]
     rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
     h = max((sum(map(mul, a, a)) for a in rows), default=0)
@@ -487,48 +495,77 @@ def lp_feasible(dim: int, strict: Sequence[LinearForm], nonstrict: Sequence[Line
 def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[int]]:
     """A point in the relative interior of {x : rows >= 0}, plus the implied rows.
 
-    The undecided rows U are those not yet known to be implied.  Each round
-    solves one slack maximization with U strict and the known implied rows
-    nonstrict.  A positive optimum's witness is positive on U and, lying in
-    the cone, zero on the implied rows, so it is a relative-interior point.
-    A zero optimum comes with dual multipliers y >= 0 with sum_i y_i f_i = 0
-    and y_i > 0 on some row of U; on the cone each term y_i f_i.x of that
-    zero sum is >= 0, so every row with y_i > 0 is implied.  Those rows join
-    the implied set, and so does every undecided row in the linear span of
-    the implied rows, since it vanishes wherever they do; then the next
-    round starts.  The integer multipliers are checked before they are used,
-    and a failed check raises.  Each zero round decides at least one row, so
-    at most one round per implied row plus one is needed.
+    The rows are checked as ``max_slack`` checks them, before anything else.
+    First, every nonzero row whose exact negative is also a row is implied,
+    with the certificate 1 * f + 1 * (-f) = 0, which goes through the same
+    integer checks as an LP certificate.  Then rounds: the undecided rows U
+    are those not yet known to be implied, and each round solves one slack
+    maximization with U strict and the known implied rows nonstrict.  A
+    positive optimum's witness is positive on U and, lying in the cone, zero
+    on the implied rows, so it is a relative-interior point.  A zero optimum
+    comes with dual multipliers y >= 0 with sum_i y_i f_i = 0 and y_i > 0 on
+    some row of U; on the cone each term y_i f_i.x of that zero sum is >= 0,
+    so every row with y_i > 0 is implied.  Whenever rows join the implied
+    set, by a pair or by a round, so does every undecided row in the linear
+    span of the implied rows, since it vanishes wherever they do.  A failed
+    certificate check raises.  Each zero round decides at least one row, so
+    at most one round per implied row plus one is needed, and a system of
+    opposite pairs and their combinations needs none.
     """
+    _check_rows(dim, rows)
     implied: list[int] = []
     span: list[tuple[int, list[int]]] = []  # echelon basis of the implied rows
     undecided = list(range(len(rows)))
-    while undecided:
+    pairs = _opposite_pairs(rows)
+    for r, s in pairs:
+        _check_certificate(dim, (1, 1), (rows[r], rows[s]))
+    found = [r for r, _ in pairs]
+    while True:
+        if found:
+            implied += found
+            for r in found:
+                _extend_span(span, rows[r])
+            decided, rest = set(found), []
+            for r in undecided:
+                if r in decided:
+                    continue
+                if any(_reduce(span, rows[r])):
+                    rest.append(r)
+                else:
+                    implied.append(r)  # a combination of implied rows vanishes on the cone too
+            undecided = rest
+        if not undecided:
+            return zeros(dim), frozenset(implied)
         y: list[int] = []
         opt, x = max_slack(dim, [rows[r] for r in implied], [rows[r] for r in undecided], duals=y)
         if opt > 0:
             return x, frozenset(implied)
-        if any(v < 0 for v in y):
-            raise AssertionError("implied-equality certificate has a negative multiplier")
-        support = [(v, rows[r]) for v, r in zip(y, implied + undecided) if v]
-        if any(sum(v * f[j] for v, f in support) for j in range(dim)):
-            raise AssertionError("implied-equality certificate does not sum to zero")
-        tail = list(zip(y[len(implied) :], undecided))
-        found = [r for v, r in tail if v]
+        _check_certificate(dim, y, [rows[r] for r in implied + undecided])
+        found = [r for v, r in zip(y[len(implied) :], undecided) if v]
         if not found:
             raise AssertionError("implied-equality certificate has no undecided row")
-        implied += found
-        for r in found:
-            _extend_span(span, rows[r])
-        undecided = []
-        for v, r in tail:
-            if v:
-                continue
-            if any(_reduce(span, rows[r])):
-                undecided.append(r)
-            else:
-                implied.append(r)  # a combination of implied rows vanishes on the cone too
-    return zeros(dim), frozenset(implied)
+
+
+def _opposite_pairs(rows: Sequence[LinearForm]) -> list[tuple[int, int]]:
+    """(r, s) for each nonzero row r whose exact negative is a row, s being
+    one such row: no gcd, so a scaled multiple is no match."""
+    where = {tuple(f): s for s, f in enumerate(rows)}
+    pairs = []
+    for r, f in enumerate(rows):
+        s = where.get(tuple(-v for v in f))
+        if s is not None and any(f):
+            pairs.append((r, s))
+    return pairs
+
+
+def _check_certificate(dim: int, y: Sequence[int], forms: Sequence[LinearForm]):
+    """Raise ``AssertionError`` unless the integer multipliers y are >= 0 and
+    sum_i y_i f_i = 0 over the rows ``forms``."""
+    if any(v < 0 for v in y):
+        raise AssertionError("implied-equality certificate has a negative multiplier")
+    support = [(v, f) for v, f in zip(y, forms) if v]
+    if any(sum(v * f[j] for v, f in support) for j in range(dim)):
+        raise AssertionError("implied-equality certificate does not sum to zero")
 
 
 def _reduce(span: list[tuple[int, list[int]]], row: Sequence[int]) -> Sequence[int]:

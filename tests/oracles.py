@@ -100,6 +100,13 @@ The per-row relative-interior oracle is the former body of
 row not yet positive at the accumulated point gets its own LP with that row
 strict and the rest nonstrict; a zero optimum marks the row implied, and a
 positive one adds its witness to the point.
+
+The certificate-round relative-interior oracle is the later body of
+``geometry.relint_point``, before opposite pairs were implied without an LP:
+every round solves one slack LP with the undecided rows strict and the
+implied ones nonstrict, and a zero optimum's checked dual multipliers mark
+their rows implied, along with every undecided row in the span of the
+implied rows.
 """
 
 import random
@@ -121,7 +128,18 @@ from tropfan.fan import (
     fan_index,
     pattern_from_assignment,
 )
-from tropfan.geometry import _STALL_LIMIT, _bias, _pack, _unpack, _width, describe_cone, lp_feasible, max_slack
+from tropfan.geometry import (
+    _STALL_LIMIT,
+    _bias,
+    _extend_span,
+    _pack,
+    _reduce,
+    _unpack,
+    _width,
+    describe_cone,
+    lp_feasible,
+    max_slack,
+)
 from tropfan.matroids import AxiomReport, AxiomResult, pattern_compose
 from tropfan.rationals import dot, integerize, zeros
 from tropfan.relu import ConversionResult, TermCapExceededError
@@ -799,6 +817,40 @@ def relint_point_by_rows(dim, rows):
         else:
             acc = tuple(u + v for u, v in zip(acc, x))
     return acc, frozenset(implied)
+
+
+def relint_point_by_rounds(dim, rows):
+    """(point, implied rows) of {x : rows >= 0} by certificate rounds alone:
+    one slack LP per round, the zero rounds' duals deciding the implied rows."""
+    implied = []
+    span = []  # echelon basis of the implied rows
+    undecided = list(range(len(rows)))
+    while undecided:
+        y = []
+        opt, x = max_slack(dim, [rows[r] for r in implied], [rows[r] for r in undecided], duals=y)
+        if opt > 0:
+            return x, frozenset(implied)
+        if any(v < 0 for v in y):
+            raise AssertionError("implied-equality certificate has a negative multiplier")
+        support = [(v, rows[r]) for v, r in zip(y, implied + undecided) if v]
+        if any(sum(v * f[j] for v, f in support) for j in range(dim)):
+            raise AssertionError("implied-equality certificate does not sum to zero")
+        tail = list(zip(y[len(implied) :], undecided))
+        found = [r for v, r in tail if v]
+        if not found:
+            raise AssertionError("implied-equality certificate has no undecided row")
+        implied += found
+        for r in found:
+            _extend_span(span, rows[r])
+        undecided = []
+        for v, r in tail:
+            if v:
+                continue
+            if any(_reduce(span, rows[r])):
+                undecided.append(r)
+            else:
+                implied.append(r)
+    return zeros(dim), frozenset(implied)
 
 
 def _values_at(rows, x):

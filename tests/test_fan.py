@@ -228,9 +228,12 @@ def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
     its closure is never tried (64 calls without that skip, for the same
     cones).  The per-row method needs one LP per call plus one per implied
     row; certificate rounds stay below even cones plus implied rows (the
-    per-row method solved 318 here).  The count follows the optimal basis
-    the dual simplex ends at: its certificates decide the 204 implied rows
-    in 81 zero rounds, and 36 rounds end positive."""
+    per-row method solved 318 here).  Opposite rows, and the rows in their
+    span, are implied without an LP: they decide every row of 8 calls.  The
+    other 46 calls take one LP each, whose count follows the optimal basis
+    the dual simplex ends at: 10 are zero rounds whose certificates decide
+    every row left, and 36 end positive (without the pair rule, 81 zero
+    rounds and the same 36 positive ones)."""
     from tropfan import fan, geometry
 
     D = dataset([(0, 0), (2, 1), (1, 3), (-1, 1)])
@@ -249,7 +252,7 @@ def test_face_walk_relint_lp_count_is_pinned(monkeypatch):
     monkeypatch.setattr(geometry, "max_slack", solve_counted)
     monkeypatch.setattr(fan, "relint_point", relint_counted)
     cones = enumerate_all_cones(D, 2)
-    assert (len(cones), len(implied), sum(implied), len(lps)) == (51, 54, 204, 117)
+    assert (len(cones), len(implied), sum(implied), len(lps)) == (51, 54, 204, 46)
     assert len(lps) < sum(implied) + len(cones)
 
 

@@ -200,6 +200,16 @@ def seeded_relint_systems(seed=20261018, count=360):
     return out
 
 
+def counted(lps, name, solve):
+    """``solve``, adding one to ``lps[name]`` per call."""
+
+    def wrapper(*args, **kwargs):
+        lps[name] += 1
+        return solve(*args, **kwargs)
+
+    return wrapper
+
+
 def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
     """Certificate rounds find the implied set of the per-row method, with a
     point positive on every other row and zero on the implied ones, and never
@@ -208,16 +218,8 @@ def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
     from tropfan import geometry
 
     lps = {"rounds": 0, "rows": 0}
-
-    def counted(name, solve):
-        def wrapper(*args, **kwargs):
-            lps[name] += 1
-            return solve(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(geometry, "max_slack", counted("rounds", geometry.max_slack))
-    monkeypatch.setattr(oracles, "max_slack", counted("rows", oracles.max_slack))
+    monkeypatch.setattr(geometry, "max_slack", counted(lps, "rounds", geometry.max_slack))
+    monkeypatch.setattr(oracles, "max_slack", counted(lps, "rows", oracles.max_slack))
     shapes = set()
     for dim, rows in seeded_relint_systems():
         before = dict(lps)
@@ -234,22 +236,67 @@ def test_relint_point_matches_per_row_oracle_on_seeded_systems(monkeypatch):
     assert lps["rounds"] < lps["rows"]
 
 
+def test_relint_point_agrees_with_certificate_rounds(monkeypatch, nine_points):
+    """Implying opposite pairs first changes no implied set and no dimension:
+    on every seeded system and every ``cone_of_graph`` system of the
+    nine-point face walk with N = 2 they equal those of the certificate-round
+    oracle and of the per-row oracle, with no more LPs than the rounds take,
+    and none on a system whose nonzero rows all come in opposite pairs."""
+    import oracles
+    from tropfan import fan, geometry
+
+    walk, relint = [], fan.relint_point
+
+    def recorded(dim, rows):
+        walk.append((dim, rows))
+        return relint(dim, rows)
+
+    monkeypatch.setattr(fan, "relint_point", recorded)
+    fan.enumerate_all_cones(nine_points, 2)
+    monkeypatch.setattr(fan, "relint_point", relint)
+    assert len(walk) == 952
+    lps = {"pairs": 0, "oracles": 0}
+    monkeypatch.setattr(geometry, "max_slack", counted(lps, "pairs", geometry.max_slack))
+    monkeypatch.setattr(oracles, "max_slack", counted(lps, "oracles", oracles.max_slack))
+    pair_only = 0
+    for dim, rows in seeded_relint_systems() + walk:
+        before = dict(lps)
+        implied = relint_point(dim, rows)[1]
+        spent = lps["pairs"] - before["pairs"]
+        by_rounds = oracles.relint_point_by_rounds(dim, rows)[1]
+        rounds = lps["oracles"] - before["oracles"]
+        by_rows = oracles.relint_point_by_rows(dim, rows)[1]
+        assert implied == by_rounds == by_rows
+        assert spent <= rounds
+        rank = exact_rank([rows[r] for r in sorted(implied)])
+        assert describe_cone(dim, rows)[0] == dim - rank
+        nonzero = {tuple(f) for f in rows if any(f)}
+        if nonzero and all(tuple(-v for v in f) in nonzero for f in nonzero):
+            assert spent == 0 and implied == set(range(len(rows)))
+            pair_only += 1
+    assert pair_only > 0
+    assert lps["pairs"] < lps["oracles"]
+
+
 CERTIFIED_SYSTEMS = {
     "cycle": ((1, 1), (-1, 0), (0, -1)),  # f1 + f2 + f3 = 0: all implied
     "pair": ((1, 0), (-1, 0), (0, 1)),  # an opposite pair and a free row
     "pair-3d": ((0, 2, -1), (1, 0, 0), (0, -4, 2), (-1, 1, 1)),
+    # an opposite pair, implied without an LP, then a cycle that needs one
+    "pair-cycle": ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
 }
 
 
 @pytest.mark.parametrize(
     "name, corrupt",
-    [(name, c) for name in CERTIFIED_SYSTEMS for c in ("flip", "zero")]
-    + [("pair", "move"), ("pair-3d", "move")],
+    [(name, c) for name in CERTIFIED_SYSTEMS if name != "pair" for c in ("flip", "zero")]
+    + [("pair-3d", "move"), ("pair-cycle", "move")],
 )
 def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt):
     """A multiplier with its sign flipped, set to zero, or moved onto a row
     that is not implied fails the exact check, so no wrong implied set comes
-    back."""
+    back.  The ``pair`` system is decided by its opposite pair, without an
+    LP certificate; see the next test."""
     from tropfan import geometry
 
     rows = CERTIFIED_SYSTEMS[name]
@@ -272,6 +319,18 @@ def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt
     monkeypatch.setattr(geometry, "max_slack", corrupted)
     with pytest.raises(AssertionError, match="certificate"):
         relint_point(len(rows[0]), rows)
+
+
+def test_relint_point_rejects_a_corrupted_pair_certificate(monkeypatch):
+    """A pair that is not opposite fails the check of its certificate,
+    1 * f + 1 * g = 0, so no LP-free implied set comes back unchecked."""
+    from tropfan import geometry
+
+    rows = CERTIFIED_SYSTEMS["pair"]
+    assert relint_point(2, rows)[1] == {0, 1}  # positive control: the pair decides rows 0 and 1
+    monkeypatch.setattr(geometry, "_opposite_pairs", lambda rows: [(0, 2), (2, 0)])
+    with pytest.raises(AssertionError, match="certificate"):
+        relint_point(2, rows)
 
 
 def test_max_slack_duals_certify_a_zero_optimum():
@@ -1015,6 +1074,18 @@ def test_entry_points_reject_rows_that_are_not_dim_ints(kind, call):
     put t's coefficient on an x column, so a cold solve refuses both."""
     with pytest.raises(ValueError, match="ints"):
         call(MALFORMED_ROWS[kind])
+
+
+@pytest.mark.parametrize(
+    "dim, rows", [(3, ((1, 0), (-1, 0))), (2, ((F(1, 2), 0), (F(-1, 2), 0)))], ids=["short", "fraction"]
+)
+@pytest.mark.parametrize("entry", [relint_point, describe_cone], ids=["relint_point", "describe_cone"])
+def test_pair_only_rows_are_checked_without_an_lp(entry, dim, rows):
+    """An opposite pair is implied without an LP, so the row check must come
+    first: a short pair would be read as implied, and a Fraction pair would
+    reach the integer echelon span."""
+    with pytest.raises(ValueError, match="ints"):
+        entry(dim, rows)
 
 
 @pytest.mark.parametrize("kind", MALFORMED_ROWS)
