@@ -135,17 +135,12 @@ def _wall_lp(a: Sequence[int], group: Sequence[int], j: int, data: Dataset) -> b
 def wall_adjacent(
     G: ActivationPattern, H: ActivationPattern, data: Dataset, n: int, m: int
 ) -> tuple[bool, int]:
-    """(adjacent, dimension of the intersection cone) for two maximal patterns.
-    A degree-one pattern that splits coincident points is not maximal: no wall."""
-    N = n + m
-    ambient = N * (data.d + 1)
-    a, b = G.assignment(), H.assignment()
-    if a == b:
-        return False, ambient
-    whole = all(len(set(zip(data.points, x))) == len(set(data.points)) for x in (a, b))
-    if whole and _adjacency_edges([a, b], data, N):
-        return True, ambient - 1
-    return False, _intersection_dim(G, H, data, N)
+    """(adjacent, dimension of the intersection cone) for two maximal patterns:
+    adjacent when their cones meet in a facet.  A degree-one pattern that
+    splits coincident points is not maximal: no wall."""
+    whole = all(len(set(zip(data.points, x.assignment()))) == len(set(data.points)) for x in (G, H))
+    dim = _intersection_dim(G, H, data, n + m)
+    return whole and dim == (n + m) * (data.d + 1) - 1, dim
 
 
 def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset, N: int) -> int:

@@ -307,18 +307,18 @@ def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tu
     return opt, child
 
 
-def _walk(data: Dataset, R: int, owner: list[int], tableau: list, depth: int, visit: Callable):
-    """Depth-first over the realizable partitions of the first ``depth`` points
-    below a node, children in canonical order (the open parts, then a new
-    part while fewer than R are open); ``visit`` sees each one's (owner,
-    tableau)."""
+def _nodes(data: Dataset, R: int, owner: list[int], tableau: list, depth: int) -> Iterator[tuple[list[int], list]]:
+    """(owner, tableau) of each realizable partition of the first ``depth``
+    points below a node, depth first, children in canonical order (the open
+    parts, then a new part while fewer than R are open); each node's LP is
+    solved once, warm from its parent's tableau."""
     if len(owner) == depth:
-        visit(owner, tableau)
+        yield owner, tableau
         return
     for t in range(min(max(owner, default=-1) + 2, R)):
         opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
-            _walk(data, R, owner + [t], child, depth, visit)
+            yield from _nodes(data, R, owner + [t], child, depth)
 
 
 def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _CanonicalCone:
@@ -348,46 +348,46 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
 
 
 def _chunk_worker(args) -> list[_CanonicalCone]:
-    """Realizable leaves below one prefix node, whose tableau is rebuilt by
-    replaying the prefix from the root; stops once they outnumber the cap."""
-    data, N, prefix, cap = args
-    R = min(N, data.M)
-    tableau: list = []
-    for k, t in enumerate(prefix):
-        _, tableau = _child(data, R, prefix[:k], t, tableau)
+    """Realizable leaves below one prefix node, walked on from the tableau
+    the node already holds; stops once they outnumber the cap."""
+    data, R, owner, tableau, cap = args
     out: list[_CanonicalCone] = []
-
-    def leaf(owner, tableau):
-        out.append(_leaf_cone(data, R, owner, tableau))
+    for leaf in _nodes(data, R, owner, tableau, data.M):
+        out.append(_leaf_cone(data, R, *leaf))
         if len(out) > cap:
             raise CapExceededError("candidate cap exceeded during fan enumeration")
-
-    _walk(data, R, prefix, tableau, data.M, leaf)
     return out
 
 
 def _enumerate_canonical(
     data: Dataset, N: int, cap: Optional[int], workers: int, progress: Optional[Callable[[str], None]]
 ) -> list[_CanonicalCone]:
-    """Canonical cones in walk order; a chunk stops early only when its own
-    count exceeds the cap.  Parallel chunks are the nodes of the first depth
-    with at least 4 per worker."""
+    """Canonical cones in walk order.  The chunks are the nodes of the first
+    depth with at least 4 per worker, each level grown from the one above;
+    each walks on from its node's tableau, through ``map`` or a process pool
+    by the worker count.  A chunk, then the run, stops past the cap."""
     budget = cap if cap is not None else sys.maxsize
     workers = min(workers, os.cpu_count() or 1)
+    R = min(N, data.M)
     if progress:
         progress(f"enumerating canonical partitions of {data.M} points into <= {N} groups")
-    if workers <= 1:
-        return _chunk_worker((data, N, [], budget))
-    depth, prefixes = 0, [[]]
-    while depth < data.M and len(prefixes) < 4 * workers:
-        depth, prefixes = depth + 1, []
-        _walk(data, min(N, data.M), [], [], depth, lambda owner, _: prefixes.append(owner))
-    import multiprocessing as mp
-
-    tasks = [(data, N, prefix, budget) for prefix in prefixes]
-    with mp.Pool(workers) as pool:
-        chunks = pool.map(_chunk_worker, tasks)
-    return [cone for cones in chunks for cone in cones]
+    depth, level = 0, [([], [])]
+    while depth < data.M and len(level) < 4 * workers:
+        depth += 1
+        level = [node for owner, tableau in level for node in _nodes(data, R, owner, tableau, depth)]
+    tasks = [(data, R, owner, tableau, budget) for owner, tableau in level]
+    if workers > 1:
+        import multiprocessing as mp
+        with mp.Pool(workers) as pool:
+            chunks = pool.map(_chunk_worker, tasks)
+    else:
+        chunks = map(_chunk_worker, tasks)
+    cones: list[_CanonicalCone] = []
+    for chunk in chunks:
+        cones += chunk
+        if len(cones) > budget:
+            raise CapExceededError("candidate cap exceeded during fan enumeration")
+    return cones
 
 
 class _FanIndex:

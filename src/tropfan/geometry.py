@@ -131,6 +131,7 @@ _CHECK_DIVISION = bool(os.environ.get("TROPFAN_CHECK_PIVOTS"))
 # Pivots spent in a degenerate stall before the leaving row switches from the
 # most negative rhs to Bland's least id.
 _STALL_LIMIT = 12
+_PIVOT_LIMIT = 200_000  # pivots in one solve before ``PivotLimitError``
 
 
 class PivotLimitError(RuntimeError):
@@ -310,7 +311,7 @@ class _Simplex:
         sx.rows, sx.basis, sx.nonbasic = self.rows[:], self.basis[:], self.nonbasic[:]
         return sx
 
-    def solve(self, blocked: Sequence[int] = (), pivot_limit: int = 200_000) -> Fraction:
+    def solve(self, blocked: Sequence[int] = ()) -> Fraction:
         """Re-optimize by the dual simplex.  Rows where some x is basic never
         leave, since x is free, and x never enters, since every other row is
         0 in its column; the ids in ``blocked`` never enter either, so their
@@ -328,7 +329,7 @@ class _Simplex:
         free = [i for i in range(m) if basis[i] >= self.dim]
         cols = [j for j in range(self.n) if nonbasic[j] not in blocked]
         stall, last_num, last_den = 0, -((rows[m] + B) >> top), self.den
-        for _ in range(pivot_limit):
+        for _ in range(_PIVOT_LIMIT):
             short = [((P + B) >> top, basis[i], i) for i in free if (P := rows[i]) < low]
             if _CHECK_DIVISION:
                 self._check_short(free, short)
@@ -497,8 +498,8 @@ def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[i
 
     The rows are checked as ``max_slack`` checks them, before anything else.
     First, every nonzero row whose exact negative is also a row is implied,
-    with the certificate 1 * f + 1 * (-f) = 0, which goes through the same
-    integer checks as an LP certificate.  Then rounds: the undecided rows U
+    with the certificate 1 * f + 1 * (-f) = 0, checked once per pair by the
+    same integer checks as an LP certificate.  Then rounds: the undecided rows U
     are those not yet known to be implied, and each round solves one slack
     maximization with U strict and the known implied rows nonstrict.  A
     positive optimum's witness is positive on U and, lying in the cone, zero
@@ -518,13 +519,13 @@ def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[i
     undecided = list(range(len(rows)))
     pairs = _opposite_pairs(rows)
     for r, s in pairs:
-        _check_certificate(dim, (1, 1), (rows[r], rows[s]))
+        if r < s:  # each pair once: row s is -row r, so r alone extends the span
+            _check_certificate(dim, (1, 1), (rows[r], rows[s]))
+            _extend_span(span, rows[r])
     found = [r for r, _ in pairs]
     while True:
         if found:
             implied += found
-            for r in found:
-                _extend_span(span, rows[r])
             decided, rest = set(found), []
             for r in undecided:
                 if r in decided:
@@ -544,6 +545,8 @@ def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[i
         found = [r for v, r in zip(y[len(implied) :], undecided) if v]
         if not found:
             raise AssertionError("implied-equality certificate has no undecided row")
+        for r in found:
+            _extend_span(span, rows[r])
 
 
 def _opposite_pairs(rows: Sequence[LinearForm]) -> list[tuple[int, int]]:

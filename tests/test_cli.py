@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -455,10 +456,14 @@ def test_out_flag_writes_file(files, capsys, tmp_path):
 
 
 def test_installed_entry_point(files):
+    """``python -m tropfan.cli`` runs from the directory holding the imported
+    package, so it needs neither an install nor ``PYTHONPATH``."""
+    import tropfan
+
     proc = subprocess.run(
         [sys.executable, "-m", "tropfan.cli", "pattern", "--theta", str(files / "theta.json"),
          "--data", str(files / "data.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(tropfan.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"neighbors": [[1, 2], [3]]}

@@ -709,12 +709,9 @@ def test_rational_data_matches_its_integer_multiple():
     assert {2, 3, 7} <= denominators
 
 
-def test_workers_are_clamped_to_the_cpu_count(monkeypatch, nine_points):
-    """A huge --workers asks for no more processes than there are CPUs, and the
-    enumeration does not depend on it.  The pool is a fake that maps serially."""
-    import multiprocessing
-
-    sizes = []
+def serial_pool(sizes: list) -> type:
+    """A stand-in for ``multiprocessing.Pool`` that maps in this process and
+    appends the process count each pool asks for to ``sizes``."""
 
     class SerialPool:
         def __init__(self, processes):
@@ -729,8 +726,42 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch, nine_points):
         def map(self, fn, tasks):
             return list(map(fn, tasks))
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return SerialPool
+
+
+def test_workers_are_clamped_to_the_cpu_count(monkeypatch, nine_points):
+    """A huge --workers asks for no more processes than there are CPUs, and the
+    enumeration does not depend on it.  The pool is a fake that maps serially."""
+    import multiprocessing
+
+    sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", serial_pool(sizes))
     want = sorted(fan_index(nine_points, 3, use_cache=False).iter_assignments())
     got = sorted(fan_index(nine_points, 3, workers=10**6, use_cache=False).iter_assignments())
     assert got == want
     assert all(size <= (os.cpu_count() or 1) for size in sizes)
+
+
+@pytest.mark.parametrize("N, calls", [(3, 1394), (4, 4768)])
+def test_every_node_lp_is_solved_once_at_every_worker_count(monkeypatch, nine_points, N, calls):
+    """Each prefix level grows from the one above and each chunk walks on from
+    its node's tableau, so the nine-point walk makes one ``max_slack`` call
+    per node under 1 and 2 workers.  The pool maps in this process, so the
+    chunks' calls are counted too."""
+    import multiprocessing
+
+    from tropfan import fan
+
+    sizes, counts, real = [], [], fan.max_slack
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
+    monkeypatch.setattr(multiprocessing, "Pool", serial_pool(sizes))
+    monkeypatch.setattr(fan, "max_slack", counted)
+    for workers in (1, 2):
+        counts.append(0)
+        fan_index(nine_points, N, workers=workers, use_cache=False)
+    assert sizes == [2] and counts == [calls, calls]
