@@ -123,9 +123,12 @@ def tropical_type(apices: Sequence[Vec], point: Vec) -> tuple[frozenset[int], ..
 # SVG rendering (d = 2 only)
 
 
-def _sig_digits(x: Fraction, digits: int = 9) -> str:
-    """Round-half-even decimal form with the given significant digits."""
-    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+_SIG_DIGITS = 9
+
+
+def _sig_digits(x: Fraction) -> str:
+    """Round-half-even decimal form with ``_SIG_DIGITS`` significant digits."""
+    ctx = Context(prec=_SIG_DIGITS, rounding=ROUND_HALF_EVEN)
     return format(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)).normalize(ctx), "f")
 
 

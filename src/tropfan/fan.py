@@ -23,11 +23,11 @@ read, and each class maps a relabeling to its assignment with one
 from __future__ import annotations
 
 import os
-import sys
 from collections import OrderedDict
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -349,14 +349,11 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
 
 def _chunk_worker(args) -> list[_CanonicalCone]:
     """Realizable leaves below one prefix node, walked on from the tableau
-    the node already holds; stops once they outnumber the cap."""
+    the node already holds, in walk order.  At most ``cap + 1`` are walked:
+    one past the cap already shows that the fan passes it."""
     data, R, owner, tableau, cap = args
-    out: list[_CanonicalCone] = []
-    for leaf in _nodes(data, R, owner, tableau, data.M):
-        out.append(_leaf_cone(data, R, *leaf))
-        if len(out) > cap:
-            raise CapExceededError("candidate cap exceeded during fan enumeration")
-    return out
+    leaves = _nodes(data, R, owner, tableau, data.M)
+    return [_leaf_cone(data, R, *leaf) for leaf in islice(leaves, None if cap is None else cap + 1)]
 
 
 def _enumerate_canonical(
@@ -364,9 +361,9 @@ def _enumerate_canonical(
 ) -> list[_CanonicalCone]:
     """Canonical cones in walk order.  The chunks are the nodes of the first
     depth with at least 4 per worker, each level grown from the one above;
-    each walks on from its node's tableau, through ``map`` or a process pool
-    by the worker count.  A chunk, then the run, stops past the cap."""
-    budget = cap if cap is not None else sys.maxsize
+    each walks on from its node's tableau, through ``map`` or a process
+    pool's ``imap`` by the worker count, and is read as it finishes.  The
+    walk stops after the first chunk that takes the total past ``cap``."""
     workers = min(workers, os.cpu_count() or 1)
     R = min(N, data.M)
     if progress:
@@ -375,18 +372,18 @@ def _enumerate_canonical(
     while depth < data.M and len(level) < 4 * workers:
         depth += 1
         level = [node for owner, tableau in level for node in _nodes(data, R, owner, tableau, depth)]
-    tasks = [(data, R, owner, tableau, budget) for owner, tableau in level]
-    if workers > 1:
-        import multiprocessing as mp
-        with mp.Pool(workers) as pool:
-            chunks = pool.map(_chunk_worker, tasks)
-    else:
-        chunks = map(_chunk_worker, tasks)
+    tasks = [(data, R, owner, tableau, cap) for owner, tableau in level]
     cones: list[_CanonicalCone] = []
-    for chunk in chunks:
-        cones += chunk
-        if len(cones) > budget:
-            raise CapExceededError("candidate cap exceeded during fan enumeration")
+    with ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing as mp
+            chunks = stack.enter_context(mp.Pool(workers)).imap(_chunk_worker, tasks)
+        else:
+            chunks = map(_chunk_worker, tasks)
+        for chunk in chunks:
+            cones += chunk
+            if cap is not None and len(cones) > cap:
+                break
     return cones
 
 
@@ -444,21 +441,21 @@ def fan_index(
     use_cache: bool = True,
 ) -> _FanIndex:
     """Enumerated maximal cones of (data, N).  ``cap`` bounds the number of
-    realizable classes over all chunks, so it does not depend on ``workers``,
-    and it is checked on cached indexes too.  The cache keeps the
+    realizable classes over all chunks, whatever ``workers`` is; passing it
+    raises ``CapExceededError`` here alone, on fresh and cached indexes
+    alike, before anything is cached.  The cache keeps the
     ``_FAN_CACHE_SIZE`` most recently used indexes."""
     key = (data, N)
     index = _FAN_CACHE.get(key) if use_cache else None
-    if index is not None:
-        _FAN_CACHE.move_to_end(key)
-    else:
+    if index is None:
         index = _FanIndex(data, N, _enumerate_canonical(data, N, cap, workers, progress))
-        if use_cache:
-            _FAN_CACHE[key] = index
-            if len(_FAN_CACHE) > _FAN_CACHE_SIZE:
-                _FAN_CACHE.popitem(last=False)
     if cap is not None and len(index.reps) > cap:
         raise CapExceededError("candidate cap exceeded during fan enumeration")
+    if use_cache:
+        _FAN_CACHE[key] = index
+        _FAN_CACHE.move_to_end(key)
+        if len(_FAN_CACHE) > _FAN_CACHE_SIZE:
+            _FAN_CACHE.popitem(last=False)
     return index
 
 

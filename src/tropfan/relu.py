@@ -60,10 +60,6 @@ class ReluNetwork:
         return len(self.layers[0][0][0])
 
     @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
     def widths(self) -> tuple[int, ...]:
         return tuple(len(W) for W, _ in self.layers)
 

@@ -620,6 +620,18 @@ def test_cap_applies_to_cached_index(nine_points):
         fan_index(nine_points, 3, cap=198)
 
 
+def test_walk_past_the_cap_is_not_cached(nine_points):
+    from tropfan import fan
+    from tropfan.fan import CapExceededError
+
+    data = dataset(nine_points.points[::-1])  # a fresh key, so the walk runs
+    with pytest.raises(CapExceededError):
+        fan_index(data, 3, cap=198)
+    assert (data, 3) not in fan._FAN_CACHE
+    assert len(fan_index(data, 3).reps) == 396
+    assert (data, 3) in fan._FAN_CACHE
+
+
 def test_fan_cache_is_bounded():
     from tropfan import fan
 
@@ -710,8 +722,9 @@ def test_rational_data_matches_its_integer_multiple():
 
 
 def serial_pool(sizes: list) -> type:
-    """A stand-in for ``multiprocessing.Pool`` that maps in this process and
-    appends the process count each pool asks for to ``sizes``."""
+    """A stand-in for ``multiprocessing.Pool`` whose ``imap`` maps lazily in
+    this process and which appends the process count each pool asks for to
+    ``sizes``."""
 
     class SerialPool:
         def __init__(self, processes):
@@ -723,8 +736,8 @@ def serial_pool(sizes: list) -> type:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     return SerialPool
 
@@ -742,12 +755,11 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch, nine_points):
     assert all(size <= (os.cpu_count() or 1) for size in sizes)
 
 
-@pytest.mark.parametrize("N, calls", [(3, 1394), (4, 4768)])
-def test_every_node_lp_is_solved_once_at_every_worker_count(monkeypatch, nine_points, N, calls):
-    """Each prefix level grows from the one above and each chunk walks on from
-    its node's tableau, so the nine-point walk makes one ``max_slack`` call
-    per node under 1 and 2 workers.  The pool maps in this process, so the
-    chunks' calls are counted too."""
+@pytest.fixture
+def counted_serial_walk(monkeypatch):
+    """(sizes, counts): two CPUs, so two workers split into chunks; pools
+    that map in this process, so the chunks' LPs are counted too; and
+    ``fan.max_slack`` counted into ``counts[-1]``."""
     import multiprocessing
 
     from tropfan import fan
@@ -758,10 +770,34 @@ def test_every_node_lp_is_solved_once_at_every_worker_count(monkeypatch, nine_po
         counts[-1] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", serial_pool(sizes))
     monkeypatch.setattr(fan, "max_slack", counted)
+    return sizes, counts
+
+
+@pytest.mark.parametrize("N, calls", [(3, 1394), (4, 4768)])
+def test_every_node_lp_is_solved_once_at_every_worker_count(counted_serial_walk, nine_points, N, calls):
+    """Each prefix level grows from the one above and each chunk walks on from
+    its node's tableau, so the nine-point walk makes one ``max_slack`` call
+    per node under 1 and 2 workers."""
+    sizes, counts = counted_serial_walk
     for workers in (1, 2):
         counts.append(0)
         fan_index(nine_points, N, workers=workers, use_cache=False)
     assert sizes == [2] and counts == [calls, calls]
+
+
+@pytest.mark.parametrize("cap, calls", [(200, [434, 481]), (1000, [3264, 2728])])
+def test_cap_stops_the_walk_at_every_worker_count(counted_serial_walk, nine_points, cap, calls):
+    """The chunks are read in order as they finish, and the walk stops after
+    the first one that passes the cap, so under 2 workers a cap failure at
+    N = 4 solves far fewer node LPs than the whole walk's 4,768."""
+    from tropfan.fan import CapExceededError
+
+    sizes, counts = counted_serial_walk
+    for workers in (1, 2):
+        counts.append(0)
+        with pytest.raises(CapExceededError):
+            fan_index(nine_points, 4, cap=cap, workers=workers, use_cache=False)
+    assert sizes == [2] and counts == calls and counts[1] < 4768
