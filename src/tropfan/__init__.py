@@ -10,7 +10,6 @@ from .classify import (
     count_dichotomies,
     covectors_linear,
     level_set,
-    loss,
     loss_of_pattern,
     loss_of_theta,
     parse_signs,

@@ -25,7 +25,7 @@ flip and wall LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from operator import getitem
 from typing import Iterable, Optional, Sequence
@@ -101,17 +101,6 @@ def loss_of_theta(theta: TropicalRationalParams, target: Sequence[int], data: Da
     return sum(
         1 for p, c in zip(data.points, target) if classify_point(theta, p) == -c
     )
-
-
-def loss(obj, target: Sequence[int], n: int | None = None, m: int | None = None,
-         data: Dataset | None = None) -> int:
-    if isinstance(obj, ActivationPattern):
-        if n is None or m is None:
-            raise ValueError("pattern loss needs the (n, m) split")
-        return loss_of_pattern(obj, target, n, m)
-    if data is None:
-        raise ValueError("parameter loss needs the dataset")
-    return loss_of_theta(obj, target, data)
 
 
 def dichotomy_of_assignment(assign: Sequence[int], n: int) -> Dichotomy:
@@ -310,13 +299,7 @@ def perfect_fan(
         for y in range(x + 1, len(pats)):
             cone = cone_of_graph(pats[x].union(pats[y]), data)
             faces.setdefault(cone.pattern.key(), cone)
-    return LevelSetReport(
-        k=0,
-        patterns=report.patterns,
-        components=report.components,
-        adjacency=report.adjacency,
-        faces=tuple(faces[kk] for kk in sorted(faces)),
-    )
+    return replace(report, faces=tuple(faces[kk] for kk in sorted(faces)))
 
 
 def connected_components(

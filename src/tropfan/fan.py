@@ -15,9 +15,9 @@ Every LP here runs the one dual simplex of ``geometry.max_slack``; a child
 starts it from a copy of its parent's optimal tableau
 (``max_slack(tableau=...)``) instead of the empty system's, and a leaf's
 witness is read off its tableau and checked in integers.  The leaf is kept
-in integers as well: its witness blocks become Fractions only when first
-read, and each class maps a relabeling to its assignment with one
-``itemgetter`` over the part of each point.
+in integers as well: its witness blocks become Fractions only where a
+witness is read, and each class maps a relabeling to its assignment with
+one ``itemgetter`` over the part of each point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import exact_rank, max_slack, relint_point
-from .rationals import LazyTuple, Vec, integerize, vec, zeros
+from .rationals import Vec, integerize, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, eval_signomial
 
 
@@ -249,40 +249,20 @@ def cone_of_graph(H: ActivationPattern, data: Dataset) -> FanCone:
 # Enumeration of maximal cones
 
 
-class _WitnessBlocks(LazyTuple):
-    """A leaf's witness blocks as a tuple of tuples of Fractions, built on
-    first read from the blocks' integer values, one after another in one
-    list, and their common denominator; the list is then dropped.
-    ``enum-fan``, ``levels`` and ``dichotomies`` never read them, and only
-    ints are pickled until then."""
-
-    __slots__ = ("_nums", "_den", "_width")
-
-    def __init__(self, nums: list[int], den: int, width: int):
-        self._nums, self._den, self._width, self._x = nums, den, width, None
-
-    def _build(self) -> tuple[Vec, ...]:
-        nums, self._nums = self._nums, None
-        den, w = self._den, self._width
-        return tuple(tuple(Fraction(v, den) for v in nums[i : i + w]) for i in range(0, len(nums), w))
-
-    def __len__(self) -> int:
-        return len(self._nums) // self._width if self._x is None else len(self._x)
-
-
 @dataclass(frozen=True)
 class _CanonicalCone:
     """One strictly feasible unordered partition plus a strict witness.
 
     ``witness_blocks`` holds one (a, s) block per part under the canonical
-    labeling part t -> term t+1; ``pad_a`` is a constant low enough that
-    padding terms (a, 0) never reach the max on any data point.  A leaf of
-    the walk is checked and kept in integers, and its ``witness_blocks`` are
-    a ``_WitnessBlocks``, whose Fractions are built on first read.
+    labeling part t -> term t+1, over the common denominator ``den``;
+    ``pad_a`` is a constant low enough that padding terms (a, 0) never reach
+    the max on any data point.  A leaf of the walk keeps its blocks in
+    integers; they become Fractions only where a witness is read.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    witness_blocks: Sequence[Vec]
+    witness_blocks: tuple[tuple[int, ...], ...]
+    den: int
     pad_a: Fraction
 
 
@@ -325,10 +305,10 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
     """The leaf's canonical cone, once its witness is checked in integers: at
     each point its part's term must beat every other part's term in the
     tableau's rhs values, or an ``AssertionError`` is raised.  The witness
-    blocks are those values over the tableau's denominator, kept in
-    integers until first read (``_WitnessBlocks``).  ``pad_a`` is one less
-    than the least value of a point's own term, over the points, found by
-    integer cross-multiplication; it is the one Fraction built here."""
+    blocks are those values, kept in integers with the tableau's
+    denominator.  ``pad_a`` is one less than the least value of a point's
+    own term, over the points, found by integer cross-multiplication; it is
+    the one Fraction built here."""
     sx, width, r = tableau[0], data.d + 1, max(owner) + 1
     nums = [0] * width + sx.numerators((r - 1) * width)  # part 0's block is zero
     blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
@@ -344,7 +324,7 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
             low, low_lift = v, lift[0]
         parts[p].append(k)
     pad_a = Fraction(low, sx.den * low_lift) - 1
-    return _CanonicalCone(tuple(map(tuple, parts)), _WitnessBlocks(nums, sx.den, width), pad_a)
+    return _CanonicalCone(tuple(map(tuple, parts)), tuple(map(tuple, blocks)), sx.den, pad_a)
 
 
 def _chunk_worker(args) -> list[_CanonicalCone]:
@@ -415,17 +395,24 @@ class _FanIndex:
         """All degree-one maximal patterns as 1-based term assignments (see ``_classes``)."""
         return chain.from_iterable(map(get, perms) for _, perms, get in self._classes(relabelings))
 
+    def _witnesses(self, rep: _CanonicalCone, perms: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], Vec]]:
+        """(perm, full-space strict witness for the relabeling part t -> term
+        perm[t]) for each perm; rep's blocks become Fractions once, for all."""
+        blocks = [tuple(Fraction(v, rep.den) for v in block) for block in rep.witness_blocks]
+        pad = (rep.pad_a,) + zeros(self.data.d)
+        for perm in perms:
+            full = [pad] * self.N
+            for t, term in enumerate(perm):
+                full[term - 1] = blocks[t]
+            yield perm, tuple(chain.from_iterable(full))
+
     def witness_for(self, rep: _CanonicalCone, perm: Sequence[int]) -> Vec:
         """Full-space strict witness for the relabeling part t -> term perm[t]."""
-        d = self.data.d
-        blocks: list[Vec] = [(rep.pad_a,) + zeros(d)] * self.N
-        for t, term in enumerate(perm):
-            blocks[term - 1] = rep.witness_blocks[t]
-        return tuple(x for b in blocks for x in b)
+        return next(self._witnesses(rep, [perm]))[1]
 
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
         classes = self._classes()
-        return ((get(perm), self.witness_for(rep, perm)) for rep, perms, get in classes for perm in perms)
+        return ((get(perm), x) for rep, perms, get in classes for perm, x in self._witnesses(rep, perms))
 
 
 _FAN_CACHE_SIZE = 8

@@ -20,7 +20,8 @@ feasible.  A Bareiss tableau is fixed by its basis, so every row, pivot and
 answer is that of inserting all the rows first.  The slack of a pivoted
 equality row is then fixed at 0, so an equality is one row, not a pair of
 opposite inequalities.  Every row stays in the tableau through the solve,
-and x is read off the rhs of the rows where it is basic (see ``max_slack``).
+and x is read off the rhs of the rows where it is basic (see ``max_slack``);
+a warm solve returns no x and leaves it in its tableau.
 
 The tableau is kept as an integer matrix with one common positive
 denominator q (the previous pivot entry), and it is compact: it stores only
@@ -122,7 +123,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Optional
 
-from .rationals import LazyTuple, Vec, zeros
+from .rationals import Vec, zeros
 
 LinearForm = tuple[int, ...]
 
@@ -371,24 +372,6 @@ class _Simplex:
         return out
 
 
-class _Witness(LazyTuple):
-    """x of a warm solve as a tuple of Fractions, built on first read: the
-    partition walk reads x only at its leaves.  It holds the solved tableau,
-    which no later call changes (a warm call works on a copy)."""
-
-    __slots__ = ("_sx", "_dim")
-
-    def __init__(self, sx: _Simplex, dim: int):
-        self._sx, self._dim, self._x = sx, dim, None
-
-    def _build(self) -> Vec:
-        sx, self._sx = self._sx, None
-        return tuple(Fraction(v, sx.den) for v in sx.numerators(self._dim))
-
-    def __len__(self) -> int:
-        return self._dim
-
-
 def _check_rows(dim: int, rows: Sequence[LinearForm]):
     """Raise ``ValueError`` unless every row is a sequence of ``dim`` ints."""
     if not set(map(len, rows)) <= {dim} or not set(map(type, chain.from_iterable(rows))) <= {int}:
@@ -449,8 +432,8 @@ def max_slack(
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
     is empty), and the list then holds this call's, whole, x rows included.
-    A warm call takes no equality rows and reads no duals, and its x is a
-    tuple-like sequence whose Fractions are built on first read.
+    A warm call takes no equality rows, reads no duals and returns (t*, ()):
+    its x stays in the tableau, as ``numerators(dim)`` over ``den``.
     """
     if tableau is not None and (equalities or duals is not None):
         raise ValueError("a warm start takes inequality rows and reads no duals")
@@ -466,7 +449,7 @@ def max_slack(
     opt = sx.solve(range(dim + 2, dim + 2 + len(equalities)))  # the equality slacks
     if tableau is not None:
         tableau[:] = [sx]
-        return opt, _Witness(sx, dim)
+        return opt, ()
     x = sx.numerators(dim)
     if opt > 0 and (
         any(sum(map(mul, g, x)) for g in equalities)

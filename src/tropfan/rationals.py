@@ -62,6 +62,9 @@ def rat(value) -> Fraction:
 
 
 def vec(values: Iterable) -> Vec:
+    """Coerce each entry with ``rat``; a string is refused, not read digit by digit."""
+    if isinstance(values, str):
+        raise TypeError(f"expected a sequence of rationals, got the string {values[:40]!r}")
     return tuple(rat(v) for v in values)
 
 
@@ -93,34 +96,3 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def zeros(n: int) -> Vec:
     return (Fraction(0),) * n
 
-
-class LazyTuple(Sequence):
-    """A tuple whose items ``_build`` makes on first read, for values that
-    are cheap to hold in integers and rarely read.  It compares equal to,
-    and hashes like, that tuple; a subclass gives ``__len__``, which builds
-    nothing."""
-
-    __slots__ = ("_x",)
-
-    def _build(self) -> tuple:
-        raise NotImplementedError
-
-    def _values(self) -> tuple:
-        if self._x is None:
-            self._x = self._build()
-        return self._x
-
-    def __getitem__(self, i):
-        return self._values()[i]
-
-    def __iter__(self):
-        return iter(self._values())
-
-    def __eq__(self, other) -> bool:
-        return self._values() == (other._values() if isinstance(other, LazyTuple) else other)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return repr(self._values())

@@ -354,7 +354,7 @@ def _check_leaf(data, parts):
     blocks = [tuple(x[t * (d + 1) : (t + 1) * (d + 1)]) for t in range(len(parts) - 1)]
     blocks.append(zeros(d + 1))
     mu = [blocks[t][0] + dot(blocks[t][1:], data.points[k]) for t, part in enumerate(parts) for k in part]
-    return _CanonicalCone(tuple(tuple(p) for p in parts), tuple(blocks), min(mu) - 1)
+    return _CanonicalCone(tuple(tuple(p) for p in parts), tuple(blocks), 1, min(mu) - 1)
 
 
 def canonical_cones_by_hull_pruning(data, N):
@@ -783,7 +783,7 @@ def leaf_cone_with_fractions(data, R, owner, tableau):
         mu.append(F(values[p], sx.den * lift[0]))
         parts[p].append(k)
     witness = tuple(tuple(F(v, sx.den) for v in block) for block in blocks)
-    return _CanonicalCone(tuple(map(tuple, parts)), witness, min(mu) - 1)
+    return _CanonicalCone(tuple(map(tuple, parts)), witness, 1, min(mu) - 1)
 
 
 def labelings_by_parts(index, relabelings=None):

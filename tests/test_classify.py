@@ -23,7 +23,6 @@ from tropfan.classify import (
     covectors_linear,
     format_signs,
     level_set,
-    loss,
     loss_of_pattern,
     loss_of_theta,
     parse_signs,
@@ -83,8 +82,8 @@ def test_loss_mixed_neighborhood_counts_correct():
 def test_loss_dispatch(five_line):
     target = parse_signs("+,+,+,+,+")
     theta = TropicalRationalParams(signomial([(0, (1,))]), signomial([(-10, (0,))]))
-    assert loss(theta, target, data=five_line) == 0
-    assert loss(cov_to_pattern(target), target, n=1, m=1) == 0
+    assert loss_of_theta(theta, target, five_line) == 0
+    assert loss_of_pattern(cov_to_pattern(target), target, 1, 1) == 0
 
 
 def test_loss_constant_on_cones(five_line):

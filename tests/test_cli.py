@@ -294,6 +294,26 @@ def test_bad_rational_literal_is_json_error(files, capsys, literal, error, args,
 
 
 @pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["enum-fan", "--n", "1", "--m", "1", "--data"], {"points": ["10", "23"]}),
+        (["eval", "--data", "data.json", "--theta"], {"num": {"terms": [{"a": "0", "s": "12"}]}, "den": {"terms": [TERM]}}),
+        (["relu-convert", "--net"], {"layers": [{"W": ["12"], "c": ["0"]}]}),
+    ],
+    ids=["points", "slope", "weight-row"],
+)
+def test_string_in_place_of_a_vector_is_json_error(files, capsys, args, doc):
+    """A string where a vector belongs ends in the JSON error; it is never
+    read digit by digit, as "12" would be the vector (1, 2)."""
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = [str(files / tok) if tok.endswith(".json") else tok for tok in args]
+    rc, out, err = run_cli(args + [str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "TypeError"
+
+
+@pytest.mark.parametrize(
     "text",
     ['{"points": [["' + "x" * 100_000 + '", "0"]]}', '{"points": [' + "[" * 900 + "]" * 900 + "]}"],
     ids=["long-string", "nested-900"],

@@ -495,43 +495,65 @@ def test_exact_walk_matches_hull_pruning_on_nine_points(nine_points, monkeypatch
 def test_integer_leaves_match_the_eager_fraction_oracle(monkeypatch):
     """On the seeded walk datasets, with 1 and 2 workers, every leaf equals
     the eager Fraction leaf built from the same tableau: its parts, its
-    witness blocks as tuples of Fractions, its padding constant and every
-    full-space witness.  The walk itself builds no witness Fraction."""
+    integer witness blocks over its denominator, its padding constant and
+    every full-space witness."""
     from tropfan import fan
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
     for data, N in walk_datasets():
         for workers in (1, 2):
             index = fan_index(data, N, workers=workers, use_cache=False)
-            assert all(rep.witness_blocks._x is None for rep in index.reps)
             with monkeypatch.context() as patch:
                 patch.setattr(fan, "_leaf_cone", leaf_cone_with_fractions)
                 want = fan_index(data, N, workers=workers, use_cache=False)
             assert [rep.parts for rep in index.reps] == [rep.parts for rep in want.reps]
             assert [rep.pad_a for rep in index.reps] == [rep.pad_a for rep in want.reps]
             for rep, eager in zip(index.reps, want.reps):
-                blocks = tuple(map(tuple, rep.witness_blocks))
+                assert {type(v) for block in rep.witness_blocks for v in block} == {int}
+                assert type(rep.den) is int and rep.den > 0
+                blocks = tuple(tuple(F(v, rep.den) for v in block) for block in rep.witness_blocks)
                 assert blocks == eager.witness_blocks
-                assert {type(v) for block in blocks for v in block} <= {F}
             assert list(index.iter_patterns_with_witness()) == list(want.iter_patterns_with_witness())
-            assert index.reps == want.reps
 
 
-def test_leaf_witness_blocks_act_as_the_eager_tuple():
-    """A leaf's witness blocks compare equal to, and hash like, the eager
-    tuple of tuples, from either side; they survive a pickle round trip, as
-    ``--workers`` ships classes between processes, with only the integers
-    sent while unread."""
+def test_fan_builds_witness_fractions_only_where_a_witness_is_read(monkeypatch):
+    """On the seeded walk datasets the walk builds one Fraction per class,
+    its ``pad_a``.  A full ``iter_patterns_with_witness`` pass then builds
+    each class's witness blocks once, for all of its relabelings:
+    len(parts) * (d + 1) Fractions per class."""
+    from tropfan import fan
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(fan, "Fraction", counted)
+    classes = relabelings = 0
+    for data, N in walk_datasets():
+        index = fan_index(data, N, use_cache=False)
+        assert len(built) == len(index.reps)
+        built.clear()
+        relabelings += len(list(index.iter_patterns_with_witness()))
+        assert len(built) == sum(len(rep.parts) * (data.d + 1) for rep in index.reps)
+        built.clear()
+        classes += len(index.reps)
+    assert relabelings > classes
+
+
+def test_integer_class_survives_a_pickle_round_trip():
+    """A class holds ints until a witness is read, and survives a pickle
+    round trip, as ``--workers`` ships classes between processes: the copy
+    equals it and gives the same witness under every relabeling."""
     data = dataset([(0, 0), (3, 1), (1, 4), (2, 2), (4, 3)])
-    rep = max(fan_index(data, 3, use_cache=False).reps, key=lambda rep: len(rep.parts))
-    assert len(rep.parts) == len(rep.witness_blocks) == 3
+    index = fan_index(data, 3, use_cache=False)
+    rep = max(index.reps, key=lambda rep: len(rep.parts))
     copy = pickle.loads(pickle.dumps(rep))
-    assert copy.witness_blocks._x is None and len(copy.witness_blocks) == 3
-    eager = tuple(map(tuple, rep.witness_blocks))
-    assert copy.witness_blocks == eager and eager == copy.witness_blocks
-    assert hash(copy.witness_blocks) == hash(eager) and copy == rep
-    assert pickle.loads(pickle.dumps(rep)) == rep  # once read, the Fractions travel
-    assert rep.witness_blocks != eager[:-1] and len(rep.witness_blocks) == 3
+    assert copy == rep and len(copy.witness_blocks) == len(rep.parts) == 3
+    assert {type(v) for block in copy.witness_blocks for v in block} == {int}
+    for perm in permutations(range(1, 4)):
+        assert index.witness_for(copy, perm) == index.witness_for(rep, perm)
 
 
 def labeling_cases():

@@ -507,6 +507,12 @@ def test_corrupted_cold_witness_raises(monkeypatch, nine_points):
         is_maximal_pattern(G, nine_points)
 
 
+def tableau_witness(tableau):
+    """x of the last warm call, read off the tableau it left in ``tableau``."""
+    sx = tableau[0]
+    return tuple(F(v, sx.den) for v in sx.numerators(sx.dim))
+
+
 def guarded_answers(cold, with_duals, warm):
     """Formatted answers of cold LPs, of cold LPs read with duals (each with
     its multipliers) and of one warm batch, rows given as lists."""
@@ -520,8 +526,8 @@ def guarded_answers(cold, with_duals, warm):
     dim, batches = warm
     tableau = []
     for batch in batches:
-        opt, x = max_slack(dim, (), batch, tableau=tableau)
-    return out + [[format_rat(opt), format_vec(x)]]
+        opt, _ = max_slack(dim, (), batch, tableau=tableau)
+    return out + [[format_rat(opt), format_vec(tableau_witness(tableau))]]
 
 
 def test_pivot_exactness_guard_runs(diag4, nine_points):
@@ -596,16 +602,17 @@ def warm_batches(seed=20261019, count=240):
 
 
 def solve_warm(dim, nonstrict, strict, batches):
-    """Optimum and witness after adding the batches one warm call at a time."""
+    """Optimum and witness after adding the batches one warm call at a time,
+    the witness read off the last tableau."""
     tableau = []
     for batch in batches:
-        opt, x = max_slack(
+        opt, _ = max_slack(
             dim,
             [nonstrict[i] for kind, i in batch if kind == "n"],
             [strict[i] for kind, i in batch if kind == "s"],
             tableau=tableau,
         )
-    return opt, x
+    return opt, tableau_witness(tableau)
 
 
 def test_warm_batches_match_one_cold_solve():
@@ -632,21 +639,20 @@ def test_cold_solve_equals_one_warm_call_from_an_empty_tableau():
     systems += [(dim, nonstrict, strict) for dim, nonstrict, strict, _ in warm_batches()]
     assert len(systems) > 300
     for dim, nonstrict, strict in systems:
-        opt, x = max_slack(dim, nonstrict, strict, tableau=[])
-        assert max_slack(dim, nonstrict, strict) == (opt, tuple(x))
+        tableau = []
+        opt, _ = max_slack(dim, nonstrict, strict, tableau=tableau)
+        assert max_slack(dim, nonstrict, strict) == (opt, tableau_witness(tableau))
 
 
-def test_warm_witness_reads_as_the_tuple_of_its_fractions():
-    """A warm call's x is built from the tableau on first read; it then
-    reads, compares and hashes as the tuple of Fractions."""
-    tableau = []
-    opt, x = max_slack(3, (), [(1, 0, 0), (1, 1, -1)], tableau=tableau)
-    sx = tableau[0]
-    want = tuple(F(v, sx.den) for v in sx.numerators(3))
-    assert opt == 1 and len(x) == 3
-    assert x == want and tuple(x) == want and list(x) == list(want)
-    assert x[1] == want[1] and x[::-1] == want[::-1] and hash(x) == hash(want)
-    assert dot((1, 1, -1), x) >= 1
+def test_warm_call_returns_no_witness_and_leaves_it_in_its_tableau():
+    """A warm call returns (t*, ()); its witness is read off the tableau it
+    leaves, and it meets every row."""
+    nonstrict, strict, tableau = [(0, 1, 0)], [(1, 0, 0), (1, 1, -1)], []
+    assert max_slack(3, nonstrict, strict, tableau=tableau) == (1, ())
+    x = tableau_witness(tableau)
+    assert len(x) == 3 and all(type(v) is F for v in x)
+    assert all(dot(f, x) >= 0 for f in nonstrict) and all(dot(f, x) >= 1 for f in strict)
+
 
 def test_warm_start_refuses_equalities_and_duals():
     with pytest.raises(ValueError):
@@ -662,12 +668,11 @@ def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_
     of one cold solve."""
     from tropfan import fan, geometry
 
-    path, rows, witness = (0, 0, 0, 1, 1, 2, 3, 2, 1), [], []
+    path, rows = (0, 0, 0, 1, 1, 2, 3, 2, 1), []
 
     def recorded(dim, nonstrict, strict, **kwargs):
         rows.extend(strict)
-        opt, witness[:] = max_slack(dim, nonstrict, strict, **kwargs)
-        return opt, tuple(witness)
+        return max_slack(dim, nonstrict, strict, **kwargs)
 
     monkeypatch.setattr(fan, "max_slack", recorded)
     answers = []
@@ -678,7 +683,7 @@ def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_
         for k, t in enumerate(path):
             opt, tableau = fan._child(nine_points, 4, list(path[:k]), t, tableau)
             assert opt == 1
-        x = tuple(witness)
+        x = tableau_witness(tableau)
         assert all(dot(f, x) > 0 for f in rows)
         answers.append(x)
     assert answers[0] != answers[1]
@@ -786,13 +791,14 @@ def test_warm_batches_with_big_entries_repack_and_match(monkeypatch):
     for dim, nonstrict, strict, batches in big_warm_batches():
         tableau, widths = [], []
         for batch in batches:
-            opt, x = max_slack(
+            opt, _ = max_slack(
                 dim,
                 [nonstrict[i] for kind, i in batch if kind == "n"],
                 [strict[i] for kind, i in batch if kind == "s"],
                 tableau=tableau,
             )
             widths.append(tableau[0].b)
+        x = tableau_witness(tableau)
         assert widths == sorted(widths) and widths[-1] > widths[0]
         cold = max_slack(dim, nonstrict, strict)
         assert cold == max_slack_by_dense_tableau(dim, nonstrict, strict)

@@ -1,4 +1,5 @@
 """Every name a tropfan module imports is referenced somewhere in that module,
+every module-level private name is referenced somewhere in the package,
 every module imports only the standard library and tropfan itself, and the
 LP entry points are reached only through the bindings the tracer rebinds.
 
@@ -49,6 +50,53 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """"module: name" for each module-level private name (a ``_name``
+    function, class or assignment) that no top-level statement of any of the
+    modules references, as a name or an attribute, besides the one defining
+    it."""
+    statements = []  # (module, private names defined, names referenced)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            refs = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(stmt)}
+            statements.append((module, private, refs))
+    return sorted(
+        f"{module}: {name}"
+        for i, (module, private, _) in enumerate(statements)
+        for name in private
+        if not any(name in refs for j, (_, _, refs) in enumerate(statements) if j != i)
+    )
+
+
+def test_checker_flags_a_dead_helper():
+    source = (
+        "_CAP = 3\n"
+        "def _used():\n    return _CAP\n"
+        "def _recursive():\n    return _recursive()\n"
+        "class _Alone:\n    def copy(self):\n        return _Alone()\n"
+        "def public():\n    return _used()\n"
+        "_pair, public_too = 1, 2\n"
+        "_TABLE: dict = {}\n"
+        "def __getattr__(name):\n    return name\n"
+    )
+    assert dead_private_names({"a.py": source}) == ["a.py: _Alone", "a.py: _TABLE", "a.py: _pair", "a.py: _recursive"]
+    other = "from .a import _recursive\nimport a\n_recursive()\na._TABLE\n"
+    assert dead_private_names({"a.py": source, "b.py": other}) == ["a.py: _Alone", "a.py: _pair"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in ALL_MODULES}
+    assert dead_private_names(sources) == []
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropfan.rationals import integerize, rat
+from tropfan.rationals import integerize, rat, vec
 
 
 def test_integerize_clears_the_least_common_denominator():
@@ -39,3 +39,10 @@ def test_parse_error_cuts_the_literal_short():
     with pytest.raises(ValueError) as err:
         rat("y" * 10_000)
     assert len(str(err.value)) < 100
+
+
+def test_vec_refuses_a_string():
+    """A string is not a sequence of rationals: "12" is not (1, 2)."""
+    with pytest.raises(TypeError, match="string '12'"):
+        vec("12")
+    assert vec(["1", "2"]) == (F(1), F(2))
