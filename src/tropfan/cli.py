@@ -32,7 +32,7 @@ from .fan import (
 )
 from .matroids import om_axioms_check, pattern_axioms_check
 from .rationals import format_rat, rat
-from .relu import TermCapExceededError, bound_m, net_to_tropical, prune_terms
+from .relu import TERM_CAP, TermCapExceededError, bound_m, net_to_tropical, prune_terms
 from .tropical import classify, eval_rational
 
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boundary)
 
     p = common(sub.add_parser("relu-convert", help="convert a ReLU network to tropical form"), net=True)
-    p.add_argument("--cap", type=int, default=None, help="stored term cap")
+    p.add_argument("--cap", type=int, default=TERM_CAP, help="stored term cap")
     p.add_argument("--prune", action="store_true", help="include the pruned parameters")
     p.set_defaults(func=cmd_relu_convert)
 

@@ -75,7 +75,7 @@ def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional
         return None if len(others) in implied else dim - 1
     # A row is a multiple of eq iff row[q] * eq[p] == eq[q] * row[p] for every q.
     strict = (w,) + tuple(r for r in others if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)))
-    return d - 1 if lp_feasible(d + 1, strict, (eq, tuple(-x for x in eq))) is not None else None
+    return d - 1 if lp_feasible(d + 1, strict, equalities=(eq,)) is not None else None
 
 
 def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:

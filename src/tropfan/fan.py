@@ -406,10 +406,6 @@ class _FanIndex:
                 full[term - 1] = blocks[t]
             yield perm, tuple(chain.from_iterable(full))
 
-    def witness_for(self, rep: _CanonicalCone, perm: Sequence[int]) -> Vec:
-        """Full-space strict witness for the relabeling part t -> term perm[t]."""
-        return next(self._witnesses(rep, [perm]))[1]
-
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
         classes = self._classes()
         return ((get(perm), x) for rep, perms, get in classes for perm, x in self._witnesses(rep, perms))

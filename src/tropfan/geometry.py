@@ -190,10 +190,6 @@ class _Simplex:
         self.basis = [dim]
         self.nonbasic = list(range(dim)) + [dim + 1]
 
-    def entry(self, r: int, c: int) -> int:
-        """Entry c of row r; c = n is the rhs."""
-        return _unpack(self.rows[r], self.n, self.b)[c]
-
     def _pivot(self, r: int, c: int):
         """Integer-preserving pivot on entry c of row r, then the column swap,
         on packed rows (see the module docstring).  A negative pivot enters
@@ -465,14 +461,14 @@ def max_slack(
     return opt, tuple(Fraction(v, sx.den) for v in x)
 
 
-def lp_feasible(dim: int, strict: Sequence[LinearForm], nonstrict: Sequence[LinearForm] = ()) -> Optional[Vec]:
+def lp_feasible(dim: int, strict: Sequence[LinearForm], *, equalities: Sequence[LinearForm] = ()) -> Optional[Vec]:
     """Exact witness of the mixed system, or None when no point meets every strict row.
 
-    A homogeneous nonstrict system always contains the origin, so infeasibility
-    can only come from the strict rows.  ``max_slack`` has substituted the
-    returned witness into every row as a guard against any arithmetic defect.
+    The origin meets the homogeneous equalities, so infeasibility can only
+    come from the strict rows.  ``max_slack`` has substituted the returned
+    witness into every row as a guard against any arithmetic defect.
     """
-    opt, x = max_slack(dim, nonstrict, strict)
+    opt, x = max_slack(dim, (), strict, equalities)
     return x if opt > 0 else None
 
 

@@ -16,7 +16,10 @@ k contributes the n_k m_k formal terms of W+_k g_k + W-_k h_k whatever its
 weight: the denominator gets prod_k n_k m_k formal terms and the numerator
 exactly twice that.  ConversionResult reports the formal counts (these
 satisfy the n = 2m contract and the architecture bound) alongside the stored
-sizes per layer.
+sizes per layer.  One rule caps the stored sizes: ``_best_terms`` builds each
+signomial the conversion keeps, every product and every neuron's merged
+numerator g', and raises ``TermCapExceededError`` as it is about to store term
+number cap + 1.  ``TERM_CAP`` is the default cap of the library and the CLI.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from typing import Sequence
 from .geometry import lp_feasible
 from .rationals import Vec, dot, vec, zeros
 from .tropical import SignomialParams, TropicalRationalParams, integer_terms, term_difference
+
+
+TERM_CAP = 500_000
 
 
 class TermCapExceededError(RuntimeError):
@@ -91,12 +97,18 @@ class ConversionResult:
     # trace rows: (layer, formal_n, formal_m, stored_n, stored_m)
 
 
-def _best_terms(terms) -> dict:
-    """Slope -> largest coefficient over the (coefficient, slope) pairs."""
+def _best_terms(terms, cap: int | None = None) -> dict:
+    """Slope -> largest coefficient over the (coefficient, slope) pairs.
+    Storing slope number cap + 1 raises ``TermCapExceededError``, before the
+    rest of ``terms`` is read: the conversion's one term-cap check."""
     out: dict = {}
     for a, s in terms:
         prev = out.get(s)
-        if prev is None or a > prev:
+        if prev is None:
+            if cap is not None and len(out) >= cap:
+                raise TermCapExceededError(f"stored term count exceeds cap {cap}")
+            out[s] = a
+        elif a > prev:
             out[s] = a
     return out
 
@@ -105,24 +117,17 @@ def _scale_terms(w: Fraction, terms: dict) -> dict:
     return {tuple(w * x for x in s): w * a for s, a in terms.items()}
 
 
-def _capped(terms: dict, cap: int | None) -> dict:
-    if cap is not None and len(terms) > cap:
-        raise TermCapExceededError(f"stored term count {len(terms)} exceeds cap {cap}")
-    return terms
-
-
 def _prod_terms(a: dict, b: dict, cap: int | None) -> dict:
-    out = _best_terms(
-        (a1 + a2, tuple(x + y for x, y in zip(s1, s2))) for s1, a1 in a.items() for s2, a2 in b.items()
+    return _best_terms(
+        ((a1 + a2, tuple(x + y for x, y in zip(s1, s2))) for s1, a1 in a.items() for s2, a2 in b.items()), cap
     )
-    return _capped(out, cap)
 
 
 def _times(a: dict, b: dict, one: dict, cap: int | None) -> dict:
     """a times b, where a product with the identity ``one`` = {0: 0} is the
-    other factor, checked against the cap if it has not been already."""
+    other factor."""
     if a == one:
-        return _capped(b, cap)
+        return b
     return a if b == one else _prod_terms(a, b, cap)
 
 
@@ -131,18 +136,20 @@ def _dict_to_signomial(terms: dict, d: int) -> SignomialParams:
     return SignomialParams(tuple((a, s) for s, a in ordered), d)
 
 
-def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> ConversionResult:
+def net_to_tropical(net: ReluNetwork, term_cap: int | None = TERM_CAP) -> ConversionResult:
     """Exact tropical rational parameters with the same values as the network.
 
     The per-layer recursion keeps, for every neuron, the convex pair (g, h)
     with f = g - h.  A weight w != 0 on input k multiplies Y_convex by
     |w| g_k and Y_concave by |w| h_k, the two swapped when w < 0; a zero
     weight multiplies neither.  Both start at the identity {0: 0}, and a
-    product with it is the other factor, not a new product: the first
-    nonzero weight's factors are checked against the cap as they are, and a
-    row of zero weights leaves both at the identity.  The formal counts
-    follow the W+/W- product expansion of the module docstring and do not
-    depend on the weights.
+    product with it is the other factor, not a new product, and a row of
+    zero weights leaves both at the identity.  Each product and each merged
+    numerator g' raises ``TermCapExceededError`` as it is about to store
+    term number ``term_cap`` + 1 (None: no cap); a factor is a scaled
+    signomial of the previous layer, held to the cap already.  The formal
+    counts follow the W+/W- product expansion of the module docstring and do
+    not depend on the weights.
     """
     d = net.d_in
     # Neuron state: (g terms, h terms) as slope -> coefficient dicts; the
@@ -165,7 +172,7 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = 500_000) -> Convers
                     y_concave = _times(y_concave, _scale_terms(w, h), one, term_cap)
             new_h.append(y_concave)
             shifted = [(a + ci, s) for s, a in y_convex.items()]
-            new_g.append(_best_terms(shifted + [(a, s) for s, a in y_concave.items()]))
+            new_g.append(_best_terms(shifted + [(a, s) for s, a in y_concave.items()], term_cap))
         formal_m = (formal_n * formal_m) ** len(g_list)
         formal_n = 2 * formal_m
         g_list, h_list = new_g, new_h

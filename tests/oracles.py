@@ -87,7 +87,8 @@ The split conversion oracle is the former body of ``relu.net_to_tropical``:
 each weight row is split as W = W+ - W- into nonnegative parts, a zero part
 scales its factor to the identity term {0: 0}, and every input multiplies
 each of Y_convex and Y_concave by an inner product of two scaled factors,
-so every product, inner ones included, meets the term cap.
+so every product, inner ones included, and each merged numerator meets the
+term cap.
 
 The sampled prune oracle is the former body of ``relu._prune_signomial``:
 after merging equal slopes, a term with the unique maximum at one of 64
@@ -555,7 +556,7 @@ def pair_cell_dim_by_relint(sig, i, j):
     eq = row(i, j)
     rows = tuple(row(i, k) for k in range(1, sig.n + 1) if k not in (i, j))
     rows = tuple(integerize(f)[0] for f in rows + (eq, tuple(-x for x in eq)))
-    if lp_feasible(d + 1, (w,), rows) is None:
+    if max_slack(d + 1, rows, (w,))[0] == 0:
         return None
     return describe_cone(d + 1, rows + (w,))[0] - 1
 
@@ -1022,8 +1023,9 @@ def chamber_path_by_composition(start, target, data):
 def net_to_tropical_by_split(net, term_cap=500_000):
     """The W+/W- construction term by term: every input multiplies Y_convex
     by W+_k g_k * W-_k h_k and Y_concave by W-_k g_k * W+_k h_k, where a zero
-    part scales its factor to the identity {0: 0}, and every product, inner
-    ones included, is checked against the cap."""
+    part scales its factor to the identity {0: 0}, and every stored dict,
+    each product, inner ones included, and each merged numerator, is checked
+    against the cap once it is built."""
     d = net.d_in
 
     def scale(w, terms):
@@ -1031,13 +1033,15 @@ def net_to_tropical_by_split(net, term_cap=500_000):
             return {(F(0),) * d: F(0)}
         return {tuple(w * x for x in s): w * a for s, a in terms.items()}
 
-    def prod(a, b):
-        out = _max_by_slope(
-            (tuple(x + y for x, y in zip(s1, s2)), a1 + a2) for s1, a1 in a.items() for s2, a2 in b.items()
-        )
+    def capped(out):
         if term_cap is not None and len(out) > term_cap:
             raise TermCapExceededError(f"stored term count {len(out)} exceeds cap {term_cap}")
         return out
+
+    def prod(a, b):
+        return capped(_max_by_slope(
+            (tuple(x + y for x, y in zip(s1, s2)), a1 + a2) for s1, a1 in a.items() for s2, a2 in b.items()
+        ))
 
     g_list = [{tuple(F(int(i == k)) for i in range(d)): F(0)} for k in range(d)]
     h_list = [{zeros(d): F(0)} for _ in range(d)]
@@ -1054,7 +1058,7 @@ def net_to_tropical_by_split(net, term_cap=500_000):
                 y_concave = prod(y_concave, prod(scale(minus, g_list[k]), scale(plus, h_list[k])))
             new_h.append(y_concave)
             shifted = ((s, a + ci) for s, a in y_convex.items())
-            new_g.append(_max_by_slope(list(shifted) + list(y_concave.items())))
+            new_g.append(capped(_max_by_slope(list(shifted) + list(y_concave.items()))))
         formal_m = (formal_n * formal_m) ** len(g_list)
         formal_n = 2 * formal_m
         g_list, h_list = new_g, new_h

@@ -38,7 +38,7 @@ from tropfan.fan import (
     pattern_from_assignment,
     pattern_of,
 )
-from tropfan.geometry import describe_cone, lp_feasible
+from tropfan.geometry import describe_cone, max_slack
 from tropfan.matroids import om_axioms_check, pattern_axioms_check
 from tropfan.rationals import integerize
 from tropfan.relu import ReluNetwork, bound_m, net_eval, net_to_tropical, prune_terms
@@ -498,7 +498,7 @@ def _window_restricted(theta, edges, window):
             (ymax, F(0), F(-1)),
         )
         nonstrict = tuple(rows) + (eq, tuple(-x for x in eq))
-        if lp_feasible(3, [integerize(f)[0] for f in strict], [integerize(f)[0] for f in nonstrict]) is not None:
+        if max_slack(3, [integerize(f)[0] for f in nonstrict], [integerize(f)[0] for f in strict])[0] > 0:
             out.add((e.i, e.j))
     return out
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from tropfan import jsonio
-from tropfan.cli import main
+from tropfan import relu
+from tropfan.cli import build_parser, main
 from tropfan.fan import dataset
 from tropfan.relu import network
 from tropfan.tropical import SignomialParams, TropicalRationalParams, signomial
@@ -460,6 +461,11 @@ def test_relu_convert_cap_is_json_error(files, capsys):
     rc, out, err = run_cli(["relu-convert", "--net", str(net), "--cap", "1"], capsys)
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "TermCapExceededError"
+
+
+def test_relu_convert_cap_defaults_to_the_library_cap():
+    args = build_parser().parse_args(["relu-convert", "--net", "n.json"])
+    assert args.cap == relu.TERM_CAP == 500_000
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):

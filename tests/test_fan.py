@@ -473,7 +473,7 @@ def check_walk_against_hull_pruning(data, N, monkeypatch):
         assert list(index.iter_assignments()) == list(oracle.iter_assignments())
         for rep in index.reps:
             perm = range(1, len(rep.parts) + 1)
-            theta = theta_from_vector(index.witness_for(rep, perm), N, data.d)
+            theta = theta_from_vector(next(index._witnesses(rep, [perm]))[1], N, data.d)
             assign = [t for k in range(data.M) for t in perm if k in rep.parts[t - 1]]
             assert pattern_of(theta, data).assignment() == tuple(assign)
 
@@ -553,7 +553,7 @@ def test_integer_class_survives_a_pickle_round_trip():
     assert copy == rep and len(copy.witness_blocks) == len(rep.parts) == 3
     assert {type(v) for block in copy.witness_blocks for v in block} == {int}
     for perm in permutations(range(1, 4)):
-        assert index.witness_for(copy, perm) == index.witness_for(rep, perm)
+        assert next(index._witnesses(copy, [perm])) == next(index._witnesses(rep, [perm]))
 
 
 def labeling_cases():

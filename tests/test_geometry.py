@@ -100,8 +100,8 @@ def test_max_slack_matches_vertex_enumeration_3d(nonstrict, strict, equalities):
 
 
 def test_nonneg_halfline_feasible():
-    w = lp_feasible(1, (), ((1,),))
-    assert w is not None and w[0] >= 0
+    opt, w = max_slack(1, ((1,),))
+    assert opt > 0 and w[0] >= 0
 
 
 def test_contradictory_strict_pair_infeasible():
@@ -711,7 +711,7 @@ def test_warm_pivots_pass_the_exactness_guard():
         "pivot = g._Simplex._pivot\n"
         "def counted(self, r, c):\n"
         "    global negative\n"
-        "    negative += self.entry(r, c) < 0\n"
+        "    negative += g._unpack(self.rows[r], self.n, self.b)[c] < 0\n"
         "    pivot(self, r, c)\n"
         "g._Simplex._pivot = counted\n"
         "answers = []\n"
@@ -859,7 +859,7 @@ def test_nine_point_walk_pivot_counts_are_pinned(monkeypatch, nine_points):
         pivot(self, r, c)
         seen["widths"].add(self.b)
         if "bits" in seen:
-            entries = [abs(self.entry(i, j)) for i in range(len(self.rows)) for j in range(self.n)]
+            entries = [abs(v) for P in self.rows for v in geometry._unpack(P, self.n, self.b)[: self.n]]
             seen["bits"] = max(seen["bits"], max(entries).bit_length())
 
     monkeypatch.setattr(geometry._Simplex, "_pivot", counted)
@@ -969,7 +969,7 @@ def test_x_pivots_touch_only_the_rows_inserted_so_far(monkeypatch):
             start, count, ours = inside[-1]
             if ours:
                 assert r == self.m - 1 and len(self.rows) == self.m + 1 and self.m - start <= count
-                assert c < self.dim and self.nonbasic[c] == c and self.entry(r, c)
+                assert c < self.dim and self.nonbasic[c] == c and geometry._unpack(self.rows[r], self.n, self.b)[c]
         pivot(self, r, c)
 
     monkeypatch.setattr(geometry._Simplex, "_pivot", pivoting)
@@ -1069,7 +1069,7 @@ MALFORMED_ROWS = {"fraction": ((F(1, 2), 1),), "short": ((1,),)}
     "call",
     [
         lambda rows: lp_feasible(2, rows),
-        lambda rows: lp_feasible(2, ((1, 1),), rows),
+        lambda rows: lp_feasible(2, ((1, 1),), equalities=rows),
         lambda rows: relint_point(2, rows),
         lambda rows: describe_cone(2, rows),
     ],

@@ -1,7 +1,8 @@
 """Every name a tropfan module imports is referenced somewhere in that module,
-every module-level private name is referenced somewhere in the package,
-every module imports only the standard library and tropfan itself, and the
-LP entry points are reached only through the bindings the tracer rebinds.
+every module-level private name and every method of a private class is
+referenced somewhere in the package, every module imports only the standard
+library and tropfan itself, and the LP entry points are reached only through
+the bindings the tracer rebinds.
 
 A stdlib-only stand-in for an unused-import linter: each module under
 ``src/tropfan`` (the package ``__init__`` re-exports on purpose and is
@@ -56,10 +57,15 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     """"module: name" for each module-level private name (a ``_name``
     function, class or assignment) that no top-level statement of any of the
     modules references, as a name or an attribute, besides the one defining
-    it."""
+    it; and "module: _Class.method" for each method of a private class,
+    dunders aside, that no attribute of its name references outside the
+    method's own body.  A plain name, such as a local variable, never
+    references a method."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
     statements = []  # (module, private names defined, names referenced)
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
+    methods = []  # (module, "_Class.method", the method's def)
+    for module, tree in trees.items():
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -70,12 +76,25 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
             private = [name for name in names if name.startswith("_") and not name.startswith("__")]
             refs = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(stmt)}
             statements.append((module, private, refs))
-    return sorted(
+            if isinstance(stmt, ast.ClassDef) and private:
+                methods += [
+                    (module, f"{stmt.name}.{node.name}", node)
+                    for node in stmt.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
+    attributes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    dead = [
         f"{module}: {name}"
         for i, (module, private, _) in enumerate(statements)
         for name in private
         if not any(name in refs for j, (_, _, refs) in enumerate(statements) if j != i)
-    )
+    ]
+    for module, qualname, method in methods:
+        own = {id(node) for node in ast.walk(method)}
+        if not any(node.attr == method.name and id(node) not in own for node in attributes):
+            dead.append(f"{module}: {qualname}")
+    return sorted(dead)
 
 
 def test_checker_flags_a_dead_helper():
@@ -88,10 +107,18 @@ def test_checker_flags_a_dead_helper():
         "_pair, public_too = 1, 2\n"
         "_TABLE: dict = {}\n"
         "def __getattr__(name):\n    return name\n"
+        "class _Kept:\n"
+        "    def entry(self):\n        return self.entry()\n"
+        "    def called(self):\n        return 1\n"
+        "    def __len__(self):\n        return 0\n"
+        "class Public:\n    def unread(self):\n        return 0\n"
+        "def public_kept():\n    entry = _Kept().called()\n    return entry\n"
     )
-    assert dead_private_names({"a.py": source}) == ["a.py: _Alone", "a.py: _TABLE", "a.py: _pair", "a.py: _recursive"]
-    other = "from .a import _recursive\nimport a\n_recursive()\na._TABLE\n"
-    assert dead_private_names({"a.py": source, "b.py": other}) == ["a.py: _Alone", "a.py: _pair"]
+    assert dead_private_names({"a.py": source}) == [
+        "a.py: _Alone", "a.py: _Alone.copy", "a.py: _Kept.entry", "a.py: _TABLE", "a.py: _pair", "a.py: _recursive"
+    ]
+    other = "from .a import _recursive\nimport a\n_recursive()\na._TABLE\nlambda kept: kept.entry\n"
+    assert dead_private_names({"a.py": source, "b.py": other}) == ["a.py: _Alone", "a.py: _Alone.copy", "a.py: _pair"]
 
 
 def test_no_dead_private_helpers():

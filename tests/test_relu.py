@@ -14,7 +14,7 @@ from tropfan.relu import (
     prune_terms,
 )
 from tropfan import relu
-from tropfan.jsonio import conversion_to_json
+from tropfan.jsonio import conversion_to_json, network_from_json
 from tropfan.tropical import TropicalRationalParams, eval_rational, signomial
 
 from oracles import net_to_tropical_by_split, prune_by_samples_and_lazy_lps
@@ -198,6 +198,48 @@ def test_term_cap():
     net = random_network(rng, 3, [3, 3])
     with pytest.raises(TermCapExceededError):
         net_to_tropical(net, term_cap=4)
+
+
+def test_merged_numerator_is_held_to_the_term_cap():
+    """Every product of this net has at most 2 terms, and its merged numerator
+    has 4: a cap of 3 raises there, and a cap of 4 binds nowhere."""
+    net = network_from_json(
+        {
+            "layers": [
+                {"W": [["3", "0"], ["3", "0"], ["-3", "-1"]], "c": ["1", "0", "0"]},
+                {"W": [["3", "3", "-1"]], "c": ["0"]},
+            ]
+        }
+    )
+    uncapped = net_to_tropical(net, term_cap=None)
+    assert (uncapped.theta.num.n, uncapped.theta.den.n) == (4, 2)
+    with pytest.raises(TermCapExceededError):
+        net_to_tropical(net, term_cap=3)
+    assert conversion_to_json(net_to_tropical(net, term_cap=4)) == conversion_to_json(uncapped)
+
+
+def test_a_product_past_the_cap_stops_at_term_cap_plus_one(monkeypatch):
+    """A product of 10 x 10 terms with 100 distinct slopes, under a cap of 5,
+    raises after reading 6 of its pairs, not after building all 100."""
+    read = []
+    best_terms = relu._best_terms
+
+    def counted(terms, cap=None):
+        def reading():
+            for pair in terms:
+                read.append(pair)
+                yield pair
+
+        return best_terms(reading(), cap)
+
+    monkeypatch.setattr(relu, "_best_terms", counted)
+    a = {(F(i),): F(0) for i in range(10)}
+    b = {(F(100 * j),): F(j) for j in range(10)}
+    with pytest.raises(TermCapExceededError):
+        relu._prod_terms(a, b, 5)
+    assert len(read) == 6
+    read.clear()
+    assert len(relu._prod_terms(a, b, None)) == len(read) == 100
 
 
 def hundredths_network(rng, d_in, hidden, zero_row):
