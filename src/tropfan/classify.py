@@ -6,16 +6,18 @@ data point whose activating terms sit entirely in the wrong block is a
 mistake; mixed activation sets are ties and count as correct, which is what
 makes every level set a subfan.
 
-Wall adjacency between two maximal cones is decided by one strict LP: the
-shared facet exists iff the bipartite graph that ties the differing points
-and keeps every other point on its term is realizable.  Two maximal cones
-can share a facet only when all their differing data points are the same
-vector and swap the same two terms; any other difference forces
-codimension >= 2.  Coincident points share a term in every maximal cone, so
-the candidates of a list of maximal cones are its single-group flips: move
-every copy of one point vector to another term and look the result up.
-Within one such lookup the wall LPs are memoised up to a relabeling of the
-terms, which does not change whether a wall exists.
+Two maximal cones share a facet iff the bipartite graph that ties the
+differing points and keeps every other point on its term is realizable.
+Two maximal cones can share a facet only when all their differing data
+points are the same vector and swap the same two terms; any other
+difference forces codimension >= 2.  Coincident points share a term in
+every maximal cone, so the candidates of a list of maximal cones are its
+single-group flips: move every copy of one point vector to another term and
+look the result up.  Within one such lookup the verdicts are memoised up to
+a relabeling of the terms, which does not change whether a wall exists.
+A level set's cones carry strict witnesses from the fan index, and the
+crossing of two of them on the tie, checked in integers, certifies most
+walls; the rest, and every "no wall", are decided by one strict LP.
 
 For N = 2 the fan is the arrangement of the hyperplanes of the lifted points
 (1, p), a maximal covector is the assignment + -> term 1, - -> term 2, and a
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from operator import getitem
-from typing import Iterable, Optional, Sequence
+from operator import getitem, itemgetter, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fan import (
     ActivationPattern,
@@ -143,15 +145,27 @@ def _intersection_dim(G: ActivationPattern, H: ActivationPattern, data: Dataset,
     return cone_of_graph(union, data).dimension
 
 
-def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> list[tuple[int, int]]:
+def _adjacency_edges(
+    assigns: list[tuple[int, ...]],
+    data: Dataset,
+    N: int,
+    witness: Optional[Callable[[int], Sequence[int]]] = None,
+) -> list[tuple[int, int]]:
     """All wall-adjacent index pairs (x < y), sorted, within one list of
     maximal assignments; a repeated assignment gets the edges of each copy.
 
     Candidates are single-group flips looked up in a dict, O(K*M*N) instead
-    of all K^2 pairs.  A wall LP is solved once per ``_flip_key`` and call:
+    of all K^2 pairs.  A wall is decided once per ``_flip_key`` and call:
     the key fixes the tied union graph up to a relabeling of the terms, and
     both sides of a wall tie the same graph.  Whether a graph is realizable
     does not change under a relabeling of the terms.
+
+    ``witness(x)``, when given, is an integer strict witness of the cone of
+    ``assigns[x]`` over all N term blocks.  A decision then first checks
+    the crossing of the two cones' witnesses (``_crossing_is_wall``); only a
+    crossing that fails, or a call without witnesses, solves ``_wall_lp``.
+    Each cone's witness is read on its first decision, as its values at the
+    data points.
     """
     where: dict[tuple[int, ...], list[int]] = {}
     for x, a in enumerate(assigns):
@@ -160,6 +174,16 @@ def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> l
     for k, p in enumerate(data.points):
         by_point.setdefault(p, []).append(k)
     groups = list(by_point.values())
+    width = data.d + 1
+    tables: dict[int, list[list[int]]] = {}
+
+    def values(x: int) -> list[list[int]]:
+        if x not in tables:
+            w = witness(x)
+            blocks = [w[t * width : (t + 1) * width] for t in range(N)]
+            tables[x] = [[sum(map(mul, lift, block)) for block in blocks] for lift in data.lifts]
+        return tables[x]
+
     memo: dict[tuple, bool] = {}
     edges = []
     for x, a in enumerate(assigns):
@@ -178,11 +202,42 @@ def _adjacency_edges(assigns: list[tuple[int, ...]], data: Dataset, N: int) -> l
                 key = min(_flip_key(a, g, j), _flip_key(b, g, i))
                 wall = memo.get(key)
                 if wall is None:
-                    wall = memo[key] = _wall_lp(a, group, j, data)
+                    wall = witness is not None and _crossing_is_wall(values(x), values(ys[0]), a, group, j)
+                    wall = memo[key] = wall or _wall_lp(a, group, j, data)
                 if wall:
                     edges.extend((x, y) for y in ys)
     edges.sort()
     return edges
+
+
+def _crossing_is_wall(va: Sequence[Sequence[int]], vb: Sequence[Sequence[int]], a: Sequence[int],
+                      group: Sequence[int], j: int) -> bool:
+    """Whether the crossing of two strict witnesses certifies the wall on
+    which every point of ``group`` ties its term i in ``a`` to term ``j``.
+
+    ``va[k][t - 1]`` and ``vb[k][t - 1]`` are the values of term t at point
+    k under integer witnesses A of ``a`` and B of b, ``a`` with the group
+    moved to j.  Their tie values fa = A_i - A_j > 0 and fb = B_i - B_j < 0
+    at the group's point, or an ``AssertionError`` is raised, and the
+    crossing X = (-fb)·A + fa·B lies on the tie.  X certifies the wall when,
+    over all N terms, every point outside the group has its own term
+    strictly above every other term, and every point of the group has i and
+    j equal and strictly above every other term: X then realizes the tied
+    graph.  The check is exact and makes no LP call.
+    """
+    p, i = group[0], a[group[0]]
+    fa, fb = va[p][i - 1] - va[p][j - 1], vb[p][i - 1] - vb[p][j - 1]
+    if not fa > 0 > fb:
+        raise AssertionError("a witness lies off its side of the flip's tie")
+    for k, (u, v) in enumerate(zip(va, vb)):
+        x = [fa * w - fb * s for s, w in zip(u, v)]
+        tied = (i, j) if k in group else (a[k],)
+        top = x[tied[0] - 1]
+        if any(x[t - 1] != top for t in tied):
+            return False
+        if not all(top > y for t, y in enumerate(x, 1) if t not in tied):
+            return False
+    return True
 
 
 def _flip_key(a: Sequence[int], g: int, j: int) -> tuple:
@@ -262,10 +317,15 @@ def level_set(
                     terms = (iter(num), iter(den))
                     yield tuple(next(terms[s]) for s in side)
 
-    assigns = sorted(index.iter_assignments(relabelings))
+    # Each assignment with its class and relabeling, from which its witness is built.
+    cones = sorted(
+        ((get(perm), rep, perm) for rep, perms, get in index._classes(relabelings) for perm in perms),
+        key=itemgetter(0),
+    )
+    assigns = [a for a, _, _ in cones]
     if progress:
         progress(f"level {k}: {len(assigns)} maximal cones; computing wall adjacency")
-    edges = _adjacency_edges(assigns, data, N)
+    edges = _adjacency_edges(assigns, data, N, lambda x: index._integer_witness(*cones[x][1:]))
     ambient = N * (data.d + 1)
     components = _union_find_components(len(assigns), edges)
     return LevelSetReport(
@@ -306,7 +366,9 @@ def connected_components(
     patterns: Sequence[ActivationPattern], data: Dataset, n: int, m: int
 ) -> list[tuple[int, ...]]:
     """Partition of the (maximal) patterns into classes reachable through
-    codimension-1 walls, as tuples of indices into the input order."""
+    codimension-1 walls, as tuples of indices into the input order.  The
+    patterns come from the caller, not from a fan index, so they carry no
+    witnesses and every wall is decided by its LP."""
     assigns = [g.assignment() for g in patterns]
     edges = _adjacency_edges(assigns, data, n + m)
     return _union_find_components(len(assigns), edges)

@@ -28,6 +28,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, permutations
+from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -395,16 +396,34 @@ class _FanIndex:
         """All degree-one maximal patterns as 1-based term assignments (see ``_classes``)."""
         return chain.from_iterable(map(get, perms) for _, perms, get in self._classes(relabelings))
 
+    def _layout(self, perm: Sequence[int], blocks: Sequence[Sequence], pad: Sequence) -> tuple:
+        """The full-space vector of the relabeling part t -> term perm[t]:
+        ``blocks[t]`` at term perm[t] and ``pad`` at every term it leaves
+        unused, so that term never reaches the max."""
+        full = [pad] * self.N
+        for term, block in zip(perm, blocks):
+            full[term - 1] = block
+        return tuple(chain.from_iterable(full))
+
+    def _integer_witness(self, rep: _CanonicalCone, perm: Sequence[int]) -> tuple[int, ...]:
+        """rep's full-space strict witness under the relabeling part t ->
+        term perm[t], in integers: its blocks and the pad blocks
+        (pad_a, 0, ..., 0) times the positive scale lcm(den, denominator of
+        pad_a).  A positive multiple of a strict witness is one."""
+        pad_a, scale = rep.pad_a, lcm(rep.den, rep.pad_a.denominator)
+        up = scale // rep.den
+        blocks = [[v * up for v in block] for block in rep.witness_blocks]
+        pad = (pad_a.numerator * (scale // pad_a.denominator),) + (0,) * self.data.d
+        return self._layout(perm, blocks, pad)
+
     def _witnesses(self, rep: _CanonicalCone, perms: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], Vec]]:
-        """(perm, full-space strict witness for the relabeling part t -> term
-        perm[t]) for each perm; rep's blocks become Fractions once, for all."""
+        """(perm, ``_integer_witness(rep, perm)`` over its scale, as
+        Fractions) for each perm; rep's blocks become Fractions once, for
+        all, and the pad keeps ``pad_a``."""
         blocks = [tuple(Fraction(v, rep.den) for v in block) for block in rep.witness_blocks]
         pad = (rep.pad_a,) + zeros(self.data.d)
         for perm in perms:
-            full = [pad] * self.N
-            for t, term in enumerate(perm):
-                full[term - 1] = blocks[t]
-            yield perm, tuple(chain.from_iterable(full))
+            yield perm, self._layout(perm, blocks, pad)
 
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
         classes = self._classes()

@@ -15,6 +15,7 @@ from oracles import (
 )
 from tropfan.classify import (
     _adjacency_edges,
+    _crossing_is_wall,
     _union_find_components,
     chamber_path,
     compose,
@@ -478,6 +479,13 @@ SPATIAL = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 NINE_TARGET = "+,+,-,-,+,-,-,+,+"
 
 
+def _witness_of(index, assigns):
+    """The ``witness`` argument ``level_set`` passes, for a list of the index's
+    assignments: the integer witness of each one's class and relabeling."""
+    of = {get(perm): (rep, perm) for rep, perms, get in index._classes() for perm in perms}
+    return lambda x: index._integer_witness(*of[assigns[x]])
+
+
 def _seeded_coincident(d):
     """Four distinct seeded integer points in R^d plus a copy of one of them."""
     rng = random.Random(d)
@@ -499,7 +507,8 @@ def _seeded_coincident(d):
 def test_adjacency_edges_match_pairwise_oracle(case, request):
     """The pairwise oracle builds every wall LP over all N term blocks, so the
     seeded cases, whose flips leave terms unused, also check that dropping an
-    unused term keeps every verdict."""
+    unused term keeps every verdict.  The edges are the same with the LP
+    alone and with the witness crossings that ``level_set`` tries first."""
     name, arg = case.split("-")
     if name == "nine":
         data, N, n = request.getfixturevalue("nine_points"), 4, 2
@@ -517,6 +526,7 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
         assigns = sorted(fan_index(data, N).iter_assignments())
     edges = _adjacency_edges(assigns, data, N)
     assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
+    assert _adjacency_edges(assigns, data, N, _witness_of(fan_index(data, N), assigns)) == edges
     if name.startswith("seeded"):
         assert len(set(data.points)) == data.M - 1
         assert any(
@@ -626,3 +636,103 @@ def test_level_set_scores_each_partition_once(nine_points):
             assert got == want
             sizes.append(len(got))
     assert sizes[:2] == [16, 304] and sum(sizes) > 100
+
+
+# ---------------------------------------------------------------------------
+# Witness crossings
+#
+# Every flip candidate tried so far is a wall, so equal edges alone cannot
+# show a crossing check that answers "wall" too often; these tests call it on
+# witnesses built by hand.  One point at the origin of R^1 gives term t the
+# value a_t, so a witness over three terms is (a_1, 0, a_2, 0, a_3, 0).
+
+ORIGIN = dataset([(0,)])
+
+
+def _values(data, w):
+    width = data.d + 1
+    return [[sum(l * v for l, v in zip(lift, w[t : t + width])) for t in range(0, len(w), width)]
+            for lift in data.lifts]
+
+
+def _heights(*a):
+    return tuple(x for h in a for x in (h, 0))
+
+
+@pytest.mark.parametrize("third", [-1, -5])
+def test_crossing_refuses_a_third_term_at_or_above_the_tie(third, monkeypatch):
+    """A = (0, -10, third) is a strict witness of term 1 and B = (-10, 0, third)
+    of term 2; their crossing 10·A + 10·B ties terms 1 and 2 at -100 while term
+    3 is at 20·third: above the tie for -1, equal to it for -5.  Neither is a
+    certificate, and the LP then finds the wall, which one point always has."""
+    A, B = _heights(0, -10, third), _heights(-10, 0, third)
+    assert not _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+    calls = _count_wall_lps(monkeypatch)
+    assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
+    assert len(calls) == 1
+
+
+def test_crossing_certifies_a_tie_above_the_third_term(monkeypatch):
+    A, B = _heights(0, -10, -6), _heights(-10, 0, -6)
+    assert _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+    calls = _count_wall_lps(monkeypatch)
+    assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("A, B", [
+    (_heights(-10, 0, -20), _heights(-10, 0, -20)),  # A wins on term 2, not on its own term 1
+    (_heights(0, -10, -20), _heights(0, -10, -20)),  # B wins on term 1, not on its own term 2
+    (_heights(0, 0, -20), _heights(-10, 0, -20)),  # A ties terms 1 and 2
+])
+def test_a_witness_off_its_side_of_the_tie_raises(A, B):
+    with pytest.raises(AssertionError, match="witness"):
+        _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+    with pytest.raises(AssertionError, match="witness"):
+        _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__)
+
+
+def test_crossing_checks_the_third_term_at_every_group_point():
+    """Points 0 and 1 on a line; the group is point 0, and point 1 keeps term
+    3 under both witnesses, which differ only in the blocks of terms 1 and 2.
+    Term 3, the block (h, 10 - h), is worth h at point 0, where the crossing
+    10·A + 10·B ties terms 1 and 2 at -100: h = -6 puts it below the tie and
+    h = -1 above.  A copy of point 0 joins the group and gives the same
+    verdicts."""
+    for data, a, group in ((dataset([(0,), (1,)]), (1, 3), [0]),
+                           (dataset([(0,), (0,), (1,)]), (1, 1, 3), [0, 1])):
+        for h, wall in ((-6, True), (-1, False)):
+            A, B = (0, 0, -10, 0, h, 10 - h), (-10, 0, 0, 0, h, 10 - h)
+            assert _crossing_is_wall(_values(data, A), _values(data, B), a, group, 2) is wall
+
+
+def test_nine_point_level_two_takes_both_branches(nine_points, monkeypatch):
+    """Some level-2 decisions are certified at the crossing and some fall
+    back to the LP, one LP for each crossing refused."""
+    module = importlib.import_module("tropfan.classify")
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(_crossing_is_wall(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(module, "_crossing_is_wall", recorded)
+    fan_index(nine_points, 4)
+    calls = _count_wall_lps(monkeypatch)
+    level_set(nine_points, 2, 2, parse_signs(NINE_TARGET), 2)
+    assert verdicts.count(True) > 0 and verdicts.count(False) == len(calls) > 0
+
+
+def test_nine_point_wall_lps_per_level(nine_points, monkeypatch):
+    """The wall LPs of the nine-point levels 0, 1 and 2.  Before witness
+    crossings were tried first, one LP per memoised flip made 3, 102 and 989;
+    the crossings certify every other decision."""
+    target = parse_signs(NINE_TARGET)
+    fan_index(nine_points, 4)
+    calls = _count_wall_lps(monkeypatch)
+    lps = []
+    for k in (0, 1, 2):
+        calls.clear()
+        level_set(nine_points, 2, 2, target, k)
+        lps.append(len(calls))
+    assert lps == [0, 9, 126]

@@ -580,15 +580,16 @@ def test_assignments_match_the_nested_loop_oracle():
 def test_level_set_relabelings_match_the_nested_loop_oracle(monkeypatch):
     """``level_set`` lists the assignments its relabelings select in the
     nested-loop oracle's order."""
-    real, counts = _FanIndex.iter_assignments, []
+    real, counts = _FanIndex._classes, []
 
     def checked(self, relabelings=None):
-        got = list(real(self, relabelings))
+        classes = [(rep, list(perms), get) for rep, perms, get in real(self, relabelings)]
+        got = [get(perm) for _, perms, get in classes for perm in perms]
         assert relabelings is not None and got == list(labelings_by_parts(self, relabelings))
         counts.append(len(got))
-        return iter(got)
+        return iter(classes)
 
-    monkeypatch.setattr(_FanIndex, "iter_assignments", checked)
+    monkeypatch.setattr(_FanIndex, "_classes", checked)
     rng = random.Random(20261019)
     for data, N in labeling_cases():
         if N >= 2:
