@@ -9,12 +9,16 @@ is strictly feasible.  Enumeration walks canonical set partitions of the data
 into at most N groups (term labels are interchangeable, so each unordered
 partition is LP-checked once and then expanded to all injective labelings).
 The walk is exact: a node, a partition of the first k points, is expanded
-only when its own strict LP is feasible.  The part of point 0 is gauge-fixed
-to zero, so every node has the same columns and a child only adds rows.
-Every LP here runs the one dual simplex of ``geometry.max_slack``; a child
-starts it from a copy of its parent's optimal tableau
-(``max_slack(tableau=...)``) instead of the empty system's, and a leaf's
-witness is read off its tableau and checked in integers.  The leaf is kept
+only when its own strict LP is feasible.  It runs over the distinct point
+vectors only, since coincident points share a part in every realizable
+partition; each copy joins the part of its first occurrence when a leaf is
+stored.  The part of point 0 is gauge-fixed to zero, so every node has the
+same columns and a child only adds rows.  Every LP here runs the one dual
+simplex of ``geometry.max_slack``; a child starts it from a copy of its
+parent's optimal tableau (``max_slack(tableau=...)``) instead of the empty
+system's.  A leaf whose parent's own witness already puts the last point in
+its part takes no LP and keeps that tableau.  Every leaf's witness is read
+off its tableau and checked in integers at every point.  The leaf is kept
 in integers as well: its witness blocks become Fractions only where a
 witness is read, and each class maps a relabeling to its assignment with
 one ``itemgetter`` over the part of each point.
@@ -288,15 +292,43 @@ def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tu
     return opt, child
 
 
+def _witness_blocks(data: Dataset, owner: list[int], tableau: list) -> list[list[int]]:
+    """The (a, s) block of each open part in the tableau's witness, as its
+    rhs numerators over the tableau's denominator; part 0's is zero."""
+    width, r = data.d + 1, max(owner) + 1
+    nums = [0] * width + tableau[0].numerators((r - 1) * width)
+    return [nums[l * width : (l + 1) * width] for l in range(r)]
+
+
+def _kept_part(data: Dataset, owner: list[int], tableau: list) -> Optional[int]:
+    """The open part where the node's own witness puts point k = len(owner)
+    strictly above every other open part, or None (no part yet, or a tie).
+    The witness is strict on the node's rows, so it is one for that child as
+    well, whose new rows only ask point k to beat the other open parts."""
+    if not owner:
+        return None
+    lift = data.lifts[len(owner)]
+    values = [sum(map(mul, lift, block)) for block in _witness_blocks(data, owner, tableau)]
+    top = max(values)
+    return values.index(top) if values.count(top) == 1 else None
+
+
 def _nodes(data: Dataset, R: int, owner: list[int], tableau: list, depth: int) -> Iterator[tuple[list[int], list]]:
     """(owner, tableau) of each realizable partition of the first ``depth``
     points below a node, depth first, children in canonical order (the open
     parts, then a new part while fewer than R are open); each node's LP is
-    solved once, warm from its parent's tableau."""
+    solved once, warm from its parent's tableau.  When the children are
+    leaves, the one in the part ``_kept_part`` names is yielded with the
+    node's own tableau and no LP; ``_leaf_cone`` checks that witness at
+    every point."""
     if len(owner) == depth:
         yield owner, tableau
         return
+    kept = _kept_part(data, owner, tableau) if len(owner) + 1 == data.M else None
     for t in range(min(max(owner, default=-1) + 2, R)):
+        if t == kept:
+            yield owner + [t], tableau
+            continue
         opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
             yield from _nodes(data, R, owner + [t], child, depth)
@@ -310,10 +342,8 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
     denominator.  ``pad_a`` is one less than the least value of a point's
     own term, over the points, found by integer cross-multiplication; it is
     the one Fraction built here."""
-    sx, width, r = tableau[0], data.d + 1, max(owner) + 1
-    nums = [0] * width + sx.numerators((r - 1) * width)  # part 0's block is zero
-    blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
-    parts: list[list[int]] = [[] for _ in range(r)]
+    sx, blocks = tableau[0], _witness_blocks(data, owner, tableau)
+    parts: list[list[int]] = [[] for _ in blocks]
     # The least values[p] / lift[0] so far, as two ints: point 0 is in part 0, whose block is zero.
     low, low_lift = 0, 1
     for k, (lift, p) in enumerate(zip(data.lifts, owner)):
@@ -328,32 +358,48 @@ def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _Canon
     return _CanonicalCone(tuple(map(tuple, parts)), tuple(map(tuple, blocks)), sx.den, pad_a)
 
 
+def _distinct(data: Dataset) -> tuple[Dataset, tuple[int, ...]]:
+    """(walk, first): the distinct point vectors of ``data`` in order of
+    first occurrence (``data`` itself when there are no copies), and for
+    each point of ``data`` the index in ``walk`` of its vector."""
+    index: dict[Vec, int] = {}
+    first = tuple(index.setdefault(p, len(index)) for p in data.points)
+    return (data if len(index) == data.M else Dataset(tuple(index), data.d)), first
+
+
 def _chunk_worker(args) -> list[_CanonicalCone]:
-    """Realizable leaves below one prefix node, walked on from the tableau
-    the node already holds, in walk order.  At most ``cap + 1`` are walked:
-    one past the cap already shows that the fan passes it."""
-    data, R, owner, tableau, cap = args
-    leaves = _nodes(data, R, owner, tableau, data.M)
-    return [_leaf_cone(data, R, *leaf) for leaf in islice(leaves, None if cap is None else cap + 1)]
+    """Realizable leaves below one prefix node of the walk over the distinct
+    points, walked on from the tableau the node already holds, in walk
+    order, each stored with every copy in the part of its first occurrence.
+    At most ``cap + 1`` are walked: one past the cap already shows that the
+    fan passes it."""
+    data, walk, first, R, owner, tableau, cap = args
+    leaves = islice(_nodes(walk, R, owner, tableau, walk.M), None if cap is None else cap + 1)
+    return [_leaf_cone(data, R, [owner[j] for j in first], tableau) for owner, tableau in leaves]
 
 
 def _enumerate_canonical(
     data: Dataset, N: int, cap: Optional[int], workers: int, progress: Optional[Callable[[str], None]]
 ) -> list[_CanonicalCone]:
-    """Canonical cones in walk order.  The chunks are the nodes of the first
-    depth with at least 4 per worker, each level grown from the one above;
-    each walks on from its node's tableau, through ``map`` or a process
-    pool's ``imap`` by the worker count, and is read as it finishes.  The
-    walk stops after the first chunk that takes the total past ``cap``."""
+    """Canonical cones in walk order.  The walk runs over the distinct point
+    vectors only: coincident points can never be strictly separated, so a
+    copy lies in the part of its first occurrence in every realizable
+    partition, and adds only rows its first occurrence already has.  The
+    chunks are the nodes of the first depth with at least 4 per worker,
+    each level grown from the one above; each walks on from its node's
+    tableau, through ``map`` or a process pool's ``imap`` by the worker
+    count, and is read as it finishes.  The walk stops after the first
+    chunk that takes the total past ``cap``."""
     workers = min(workers, os.cpu_count() or 1)
-    R = min(N, data.M)
+    walk, first = _distinct(data)
+    R = min(N, walk.M)
     if progress:
-        progress(f"enumerating canonical partitions of {data.M} points into <= {N} groups")
+        progress(f"enumerating canonical partitions of {data.M} points ({walk.M} distinct) into <= {N} groups")
     depth, level = 0, [([], [])]
-    while depth < data.M and len(level) < 4 * workers:
+    while depth < walk.M and len(level) < 4 * workers:
         depth += 1
-        level = [node for owner, tableau in level for node in _nodes(data, R, owner, tableau, depth)]
-    tasks = [(data, R, owner, tableau, cap) for owner, tableau in level]
+        level = [node for owner, tableau in level for node in _nodes(walk, R, owner, tableau, depth)]
+    tasks = [(data, walk, first, R, owner, tableau, cap) for owner, tableau in level]
     cones: list[_CanonicalCone] = []
     with ExitStack() as stack:
         if workers > 1:

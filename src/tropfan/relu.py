@@ -20,6 +20,9 @@ sizes per layer.  One rule caps the stored sizes: ``_best_terms`` builds each
 signomial the conversion keeps, every product and every neuron's merged
 numerator g', and raises ``TermCapExceededError`` as it is about to store term
 number cap + 1.  ``TERM_CAP`` is the default cap of the library and the CLI.
+The formal counts and ``bound_m`` are powers of two whose exponents roughly
+double with each layer, so they are built from their exponents, and one of
+more than ``COUNT_DIGITS`` decimal digits raises ``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .tropical import SignomialParams, TropicalRationalParams, integer_terms, te
 
 
 TERM_CAP = 500_000
+COUNT_DIGITS = 4300  # Python's default limit on converting an int to a string
+# 2**e has more than COUNT_DIGITS digits exactly when e reaches this.
+_COUNT_EXPONENT_LIMIT = (10**COUNT_DIGITS).bit_length()
 
 
 class TermCapExceededError(RuntimeError):
@@ -131,6 +137,14 @@ def _times(a: dict, b: dict, one: dict, cap: int | None) -> dict:
     return a if b == one else _prod_terms(a, b, cap)
 
 
+def _power_of_two(exponent: int) -> int:
+    """2**exponent, a formal count; ``ValueError`` when it would have more
+    than ``COUNT_DIGITS`` decimal digits."""
+    if exponent >= _COUNT_EXPONENT_LIMIT:
+        raise ValueError(f"a formal term count would have more than {COUNT_DIGITS} digits")
+    return 1 << exponent
+
+
 def _dict_to_signomial(terms: dict, d: int) -> SignomialParams:
     ordered = tuple(sorted(terms.items(), key=lambda kv: kv[0]))
     return SignomialParams(tuple((a, s) for s, a in ordered), d)
@@ -149,7 +163,8 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = TERM_CAP) -> Conver
     term number ``term_cap`` + 1 (None: no cap); a factor is a scaled
     signomial of the previous layer, held to the cap already.  The formal
     counts follow the W+/W- product expansion of the module docstring and do
-    not depend on the weights.
+    not depend on the weights; each layer's are built before its neurons,
+    and raise ``ValueError`` past ``COUNT_DIGITS`` digits.
     """
     d = net.d_in
     # Neuron state: (g terms, h terms) as slope -> coefficient dicts; the
@@ -157,9 +172,12 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = TERM_CAP) -> Conver
     one = {zeros(d): Fraction(0)}
     g_list: list[dict] = [{vec(int(i == k) for i in range(d)): Fraction(0)} for k in range(d)]
     h_list: list[dict] = [one] * d
-    formal_n, formal_m = 1, 1  # per-neuron counts, identical across a layer
+    exp_n, exp_m = 0, 0  # per-neuron counts 2**exp_n and 2**exp_m, identical across a layer
     trace = []
     for layer_index, (W, c) in enumerate(net.layers, start=1):
+        exp_m = (exp_n + exp_m) * len(g_list)  # m' = (n m)**width
+        exp_n = exp_m + 1
+        formal_n, formal_m = _power_of_two(exp_n), _power_of_two(exp_m)
         new_g: list[dict] = []
         new_h: list[dict] = []
         for row, ci in zip(W, c):
@@ -173,8 +191,6 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = TERM_CAP) -> Conver
             new_h.append(y_concave)
             shifted = [(a + ci, s) for s, a in y_convex.items()]
             new_g.append(_best_terms(shifted + [(a, s) for s, a in y_concave.items()], term_cap))
-        formal_m = (formal_n * formal_m) ** len(g_list)
-        formal_n = 2 * formal_m
         g_list, h_list = new_g, new_h
         trace.append(
             (
@@ -194,16 +210,17 @@ def net_to_tropical(net: ReluNetwork, term_cap: int | None = TERM_CAP) -> Conver
 def bound_m(hidden_dims: Sequence[int]) -> int:
     """Architecture bound on the denominator term count of the construction:
     2 raised to sum_{k=1}^{L-1} 2^(L-1-k) prod_{l=k}^{L-1} d_l, where the
-    d_l are the hidden widths (empty sequence: a single layer, bound 1)."""
+    d_l are the hidden widths (empty sequence: a single layer, bound 1).
+    ``ValueError`` when the bound would have more than ``COUNT_DIGITS``
+    digits; the sum stops as soon as it shows that."""
     dims = list(hidden_dims)
-    L = len(dims) + 1
-    exponent = 0
-    for k in range(1, L):
-        prod = 1
-        for l in range(k, L):
-            prod *= dims[l - 1]
-        exponent += 2 ** (L - 1 - k) * prod
-    return 2**exponent
+    exponent, prod = 0, 1
+    for k in range(len(dims), 0, -1):  # k = L-1 down to 1; no term is negative
+        prod *= dims[k - 1]
+        exponent += prod << (len(dims) - k)
+        if exponent >= _COUNT_EXPONENT_LIMIT:
+            break
+    return _power_of_two(exponent)
 
 
 # ---------------------------------------------------------------------------

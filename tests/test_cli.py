@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,16 @@ def test_levels_command_diag4(files, capsys):
     assert sorted(len(c["patterns"]) for c in doc["levels"]["0"]["components"]) == [4, 4]
     assert all(edge["dim"] == 11 for edge in doc["levels"]["0"]["adjacency"])
     assert "#" in err  # progress lines stay on stderr
+
+
+def test_enum_fan_progress_names_the_distinct_points(files, capsys):
+    """The walk runs over the distinct points, and its progress line says
+    how many there are next to the point count."""
+    copies = files / "copies.json"
+    copies.write_text(json.dumps({"points": [["0", "0"], ["1", "0"], ["0", "0"]]}))
+    rc, out, err = run_cli(["enum-fan", "--data", str(copies), "--n", "1", "--m", "1"], capsys)
+    assert rc == 0 and json.loads(out)
+    assert "# enumerating canonical partitions of 3 points (2 distinct) into <= 2 groups\n" in err
 
 
 def test_components_command(files, capsys):
@@ -347,6 +358,20 @@ def test_deeply_nested_json_is_json_error(files, capsys, args, doc):
     rc, out, err = run_cli(args + [str(bad)], capsys)
     assert rc == 2 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": "JSON document is nested too deeply"}
+
+
+@pytest.mark.parametrize("layers", [16, 64])
+def test_deep_net_past_the_count_digit_limit_is_json_error(files, capsys, layers):
+    """A width-1 net doubles the bit length of its formal counts with each
+    layer; they are refused before one of more than 4,300 digits is built,
+    so 16 and 64 layers both end at once in the JSON error."""
+    deep = files / "deep_net.json"
+    deep.write_text(json.dumps({"layers": [{"W": [["1"]], "c": ["0"]}] * layers}))
+    start = time.perf_counter()
+    rc, out, err = run_cli(["relu-convert", "--net", str(deep)], capsys)
+    assert time.perf_counter() - start < 5
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "a formal term count would have more than 4300 digits"}
 
 
 @pytest.mark.parametrize(

@@ -799,11 +799,12 @@ def counted_serial_walk(monkeypatch):
     return sizes, counts
 
 
-@pytest.mark.parametrize("N, calls", [(3, 1394), (4, 4768)])
+@pytest.mark.parametrize("N, calls", [(3, 1172), (4, 4037)])
 def test_every_node_lp_is_solved_once_at_every_worker_count(counted_serial_walk, nine_points, N, calls):
     """Each prefix level grows from the one above and each chunk walks on from
     its node's tableau, so the nine-point walk makes one ``max_slack`` call
-    per node under 1 and 2 workers."""
+    per node under 1 and 2 workers, less the leaves kept on their node's
+    witness (1,394 and 4,768 calls before those were kept)."""
     sizes, counts = counted_serial_walk
     for workers in (1, 2):
         counts.append(0)
@@ -811,11 +812,11 @@ def test_every_node_lp_is_solved_once_at_every_worker_count(counted_serial_walk,
     assert sizes == [2] and counts == [calls, calls]
 
 
-@pytest.mark.parametrize("cap, calls", [(200, [434, 481]), (1000, [3264, 2728])])
+@pytest.mark.parametrize("cap, calls", [(200, [359, 399]), (1000, [2740, 2285])])
 def test_cap_stops_the_walk_at_every_worker_count(counted_serial_walk, nine_points, cap, calls):
     """The chunks are read in order as they finish, and the walk stops after
     the first one that passes the cap, so under 2 workers a cap failure at
-    N = 4 solves far fewer node LPs than the whole walk's 4,768."""
+    N = 4 solves far fewer node LPs than the whole walk's 4,037."""
     from tropfan.fan import CapExceededError
 
     sizes, counts = counted_serial_walk
@@ -823,4 +824,101 @@ def test_cap_stops_the_walk_at_every_worker_count(counted_serial_walk, nine_poin
         counts.append(0)
         with pytest.raises(CapExceededError):
             fan_index(nine_points, 4, cap=cap, workers=workers, use_cache=False)
-    assert sizes == [2] and counts == calls and counts[1] < 4768
+    assert sizes == [2] and counts == calls and counts[1] < 4037
+
+
+COPIES = {
+    "last": lambda pts: pts + [pts[2]],
+    "middle": lambda pts: pts[:3] + [pts[1]] + pts[3:],
+    "three": lambda pts: pts[:2] + [pts[0]] + pts[2:] + [pts[0]],
+}
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("where", COPIES)
+def test_walk_visits_each_coincident_point_once(counted_serial_walk, nine_points, where, N):
+    """Copies placed last, in the middle and as a group of three: the walk
+    lists the former walk's classes, parts and order, and its witnesses
+    realize them, under 1 and 2 workers.  It walks the distinct points
+    only, so it solves as many node LPs as the dataset without the copies,
+    and the cap still counts classes."""
+    from tropfan.fan import CapExceededError
+
+    pts = list(nine_points.points[:6])
+    data, distinct = dataset(COPIES[where](pts)), dataset(pts)
+    want = [cone.parts for cone in canonical_cones_by_hull_pruning(data, N)]
+    sizes, counts = counted_serial_walk
+    for workers in (1, 2):
+        counts.append(0)
+        index = fan_index(data, N, workers=workers, use_cache=False)
+        counts.append(0)
+        fan_index(distinct, N, workers=workers, use_cache=False)
+        assert counts[-2] == counts[-1] > 0
+        assert [rep.parts for rep in index.reps] == want
+        for rep in index.reps:
+            perm = range(1, len(rep.parts) + 1)
+            theta = theta_from_vector(next(index._witnesses(rep, [perm]))[1], N, data.d)
+            assign = [t for k in range(data.M) for t in perm if k in rep.parts[t - 1]]
+            assert pattern_of(theta, data).assignment() == tuple(assign)
+        with pytest.raises(CapExceededError):
+            fan_index(data, N, cap=len(want) - 1, workers=workers, use_cache=False)
+        assert len(fan_index(data, N, cap=len(want), workers=workers, use_cache=False).reps) == len(want)
+    assert sizes == [2] * 4 and counts[0] == counts[2]
+
+
+def realizes_by_fractions(data, rep) -> bool:
+    """Whether rep's witness, as Fractions over its denominator, puts every
+    point's own part strictly above every other part and above the padding
+    constant: the canonical labeling, computed from the points themselves."""
+    blocks = [[F(v, rep.den) for v in block] for block in rep.witness_blocks]
+    owner = {k: t for t, part in enumerate(rep.parts) for k in part}
+    for k, p in enumerate(data.points):
+        values = [block[0] + sum(s * x for s, x in zip(block[1:], p)) for block in blocks]
+        own = values.pop(owner[k])
+        if not all(own > v for v in values + [rep.pad_a]):
+            return False
+    return True
+
+
+def test_leaves_kept_on_their_nodes_witness(monkeypatch, nine_points):
+    """At N = 4 the nine-point walk keeps some leaves on their node's witness
+    with no LP: each saves the one LP per node the walk solved before
+    (4,768 in all), and every stored witness realizes its class."""
+    from tropfan import fan
+
+    kept, calls, real_kept, real_lp = [], [], fan._kept_part, fan.max_slack
+
+    def recorded(data, owner, tableau):
+        t = real_kept(data, owner, tableau)
+        if t is not None:
+            kept.append(owner + [t])
+        return t
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(fan, "_kept_part", recorded)
+    monkeypatch.setattr(fan, "max_slack", counted)
+    index = fan_index(nine_points, 4, use_cache=False)
+    assert len(kept) > 0 and len(calls) + len(kept) == 4768
+    reps = {tuple(tuple(k for k, t in enumerate(owner) if t == p) for p in range(max(owner) + 1)) for owner in kept}
+    assert reps <= {rep.parts for rep in index.reps}
+    assert all(realizes_by_fractions(nine_points, rep) for rep in index.reps)
+
+
+def test_a_kept_leaf_in_the_wrong_part_fails_the_leaf_check(monkeypatch, nine_points):
+    """A helper that names an open part other than the one the node's witness
+    puts the last point in yields a leaf whose witness ``_leaf_cone``
+    refuses: the integer check guards every kept leaf."""
+    from tropfan import fan
+
+    real = fan._kept_part
+
+    def wrong(data, owner, tableau):
+        t, r = real(data, owner, tableau), max(owner, default=-1) + 1
+        return t if t is None or r < 2 else (t + 1) % r
+
+    monkeypatch.setattr(fan, "_kept_part", wrong)
+    with pytest.raises(AssertionError, match="leaf witness"):
+        fan_index(nine_points, 4, use_cache=False)

@@ -200,6 +200,27 @@ def test_term_cap():
         net_to_tropical(net, term_cap=4)
 
 
+def test_formal_counts_past_the_digit_limit_raise_before_they_are_built():
+    """A width-1 net's formal counts are m = 2**(2**(L-1) - 1) and n = 2m
+    after L layers, and 2**e has more than 4,300 digits from e = 14,285 on.
+    So 14 layers convert, 15 raise ``ValueError``, and so does ``bound_m``
+    from 14 hidden layers on; a million hidden layers are refused as fast."""
+    assert relu._COUNT_EXPONENT_LIMIT == 14285 and 2**14284 < 10**4300 < 2**14285
+    assert relu._power_of_two(14284) == 2**14284
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        relu._power_of_two(14285)
+    result = net_to_tropical(network([([[1]], [0])] * 14))
+    assert (result.n, result.m) == (2**8192, 2**8191)
+    assert result.trace[-1][1:3] == (2**8192, 2**8191)
+    for layers in (15, 16, 64):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            net_to_tropical(network([([[1]], [0])] * layers))
+    assert bound_m([1] * 13) == 2**8191
+    for hidden in ([1] * 14, [3] * 10**6):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            bound_m(hidden)
+
+
 def test_merged_numerator_is_held_to_the_term_cap():
     """Every product of this net has at most 2 terms, and its merged numerator
     has 4: a cap of 3 raises there, and a cap of 4 binds nowhere."""
