@@ -12,17 +12,38 @@ terms are scaled to integers once per call, so every row, a
 ``term_difference`` of two of them, is an integer tuple and goes to the LP
 as it is built.
 
-One strict LP decides a pair with distinct slopes: its cell lies in the
-hyperplane H where eq = term_i - term_j vanishes, competitor rows that are
-multiples of eq vanish on H and are dropped, and the LP asks for a point of H
-with w > 0 and every other competitor row positive.  Such a point has a
-neighborhood in H inside the cell; conversely, a row that is zero at a
-relative-interior point of a (d-1)-dimensional cell is zero on aff(cell) = H.
-Equal slopes with a_i != a_j give an empty cell without an LP.  Identical
-terms, whose cell is term i's region of any dimension, take one
-``describe_cone`` call on the rows of {others >= 0, w >= 0}, which returns
-the cone's dimension and its implied rows: the region is empty exactly when
-the row w is among them, and otherwise has the cone's dimension minus one.
+Pairs are decided from one region LP per distinct term, run when a pair
+first asks for it; a term and its identical copies share it.  The region LP
+of term a asks for (w, x) with w > 0 and term_a - term_b > 0 for every other
+distinct term b, and gives an integer witness x_a or "empty".  Its "empty"
+is used only after the LP's Farkas multipliers are checked exactly.  A pair
+(i, j) is then decided by the first rule that applies:
+
+* Identical terms: the cell is term i's region.  With a witness it has
+  dimension d, so no edge.  An empty region takes one ``describe_cone`` call
+  on {others >= 0, w >= 0}, which returns the cone's dimension and implied
+  rows: the cell is empty exactly when the row w is among them, and
+  otherwise has the cone's dimension minus one.
+* Equal slopes with a_i != a_j: the cell is empty.
+* Distinct slopes: the cell lies in the hyperplane H where
+  eq = term_i - term_j vanishes.  A competitor row term_i - term_k that is a
+  multiple lambda * eq vanishes on all of H.  If i's region is empty and no
+  distinct competitor has lambda < 0, or j's region is empty and none has
+  lambda > 1, there is no edge.  Proof: at a relative-interior point of a
+  (d-1)-dimensional cell every row that is not a multiple of eq is positive,
+  since one that is zero there is zero on aff(cell) = H.  A small step off
+  H to the side eq > 0 keeps those rows positive and makes a multiple
+  positive exactly when lambda > 0, so there term i wins alone.  The step
+  to eq < 0 makes term_j - term_k = (lambda - 1) eq on a multiple, positive
+  exactly when lambda < 1, so there term j wins alone.
+* Both regions nonempty: with fa = eq.x_i > 0 > fb = eq.x_j, the crossing
+  X = (-fb) x_i + fa x_j lies on H with w > 0.  If every competitor row that
+  is not a multiple of eq is positive at X, checked in integers, X is a
+  point of the pair LP below and the pair is an edge.
+* Otherwise one strict LP decides: it asks for a point of H with w > 0 and
+  every competitor row that is not a multiple of eq positive.  Such a point
+  has a neighborhood in H inside the cell; conversely, at a relative-interior
+  point of a (d-1)-dimensional cell each of those rows is positive.
 
 The SVG clip (d = 2) needs no LP: a sign-mixed cell with distinct slopes lies
 on the line term_i = term_j, where the other terms and the window sides bound
@@ -36,13 +57,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .geometry import describe_cone, lp_feasible
+from .geometry import _check_certificate, describe_cone, lp_feasible
 from .rationals import Vec, integerize
-from .tropical import SignomialParams, TropicalRationalParams, classify as classify_point
-from .tropical import eval_signomial, integer_terms, term_difference
+from .tropical import SignomialParams, TropicalRationalParams, eval_signomial, integer_terms, term_difference
 
 
 @dataclass(frozen=True)
@@ -57,36 +79,77 @@ class DualEdge:
             raise ValueError("a dual edge joins distinct terms")
 
 
-def _pair_cell_dim(terms: Sequence[tuple[int, ...]], i: int, j: int) -> Optional[int]:
-    """Dimension of {x : term_i = term_j = max} over the integer terms, or
-    None when it is empty or, for distinct slopes, below d - 1."""
-    d = len(terms[0]) - 1
+def _region_witness(distinct: Sequence[tuple[int, ...]], t: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """An integer point (w, x) with w > 0 where term t is strictly above every
+    other distinct term, or None once the region LP's Farkas certificate that
+    no such point exists is checked: an ``AssertionError`` unless y >= 0,
+    sum_i y_i f_i = 0 and some y_i > 0."""
+    dim = len(t)
+    strict = ((1,) + (0,) * (dim - 1),) + tuple(term_difference(t, u) for u in distinct if u != t)
+    y: list[int] = []
+    x = lp_feasible(dim, strict, duals=y)
+    if x is not None:
+        return integerize(x)[0]
+    _check_certificate(dim, y, strict)
+    if not any(y):
+        raise AssertionError("empty-region certificate has no positive multiplier")
+    return None
+
+
+def _pair_is_edge(
+    terms: Sequence[tuple[int, ...]],
+    distinct: Sequence[tuple[int, ...]],
+    witness: Callable[[tuple[int, ...]], Optional[tuple[int, ...]]],
+    i: int,
+    j: int,
+) -> bool:
+    """Whether {x : term_i = term_j = max} has dimension d - 1, decided by the
+    rules of the module docstring, in its order."""
+    ti, tj = terms[i - 1], terms[j - 1]
+    d = len(ti) - 1
     w = (1,) + (0,) * d
-    ti = terms[i - 1]
-    eq = term_difference(ti, terms[j - 1])
-    others = tuple(term_difference(ti, terms[k - 1]) for k in range(1, len(terms) + 1) if k not in (i, j))
-    p = next((q for q in range(1, d + 1) if eq[q]), 0)
-    if not p:  # equal slopes: the cell is empty unless the terms are identical
-        if eq[0]:
-            return None
-        # Identical terms: the cell is term i's region, empty exactly when w
-        # vanishes on the cone {others >= 0, w >= 0}.
+    if ti == tj:
+        if witness(ti) is not None:  # the cell is term i's region, of dimension d
+            return False
+        others = tuple(term_difference(ti, u) for u in distinct if u != ti)
         dim, implied = describe_cone(d + 1, others + (w,))
-        return None if len(others) in implied else dim - 1
-    # A row is a multiple of eq iff row[q] * eq[p] == eq[q] * row[p] for every q.
-    strict = (w,) + tuple(r for r in others if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)))
-    return d - 1 if lp_feasible(d + 1, strict, equalities=(eq,)) is not None else None
+        return len(others) not in implied and dim == d
+    eq = term_difference(ti, tj)
+    p = next((q for q in range(1, d + 1) if eq[q]), 0)
+    if not p:  # equal slopes with different heights: the cell is empty
+        return False
+    # The pair LP's strict rows: w and each competitor row term_i - term_k
+    # that is not a multiple of eq.  A multiple lambda * eq is kept as
+    # lambda * eq[p]**2 = r[p] * eq[p].
+    rows, lams = [w], []
+    for tk in distinct:
+        if tk != ti and tk != tj:
+            r = term_difference(ti, tk)
+            if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)):
+                rows.append(r)
+            else:
+                lams.append(r[p] * eq[p])
+    xi = witness(ti)
+    if xi is None and all(lam > 0 for lam in lams):
+        return False
+    xj = witness(tj)
+    if xj is None and all(lam < eq[p] * eq[p] for lam in lams):
+        return False
+    if xi is not None and xj is not None:
+        fa, fb = sum(map(mul, eq, xi)), sum(map(mul, eq, xj))
+        X = [fa * v - fb * u for u, v in zip(xi, xj)]
+        if all(sum(map(mul, r, X)) > 0 for r in rows):
+            return True
+    return lp_feasible(d + 1, rows, equalities=(eq,)) is not None
 
 
 def _edges(sig: SignomialParams, pairs: Iterable[tuple[int, int]], sign_mixed: bool) -> list[DualEdge]:
-    """The given pairs, in order, whose cell has dimension d - 1."""
+    """The given pairs, in order, whose cell has dimension d - 1.  Each
+    distinct term's region LP runs once, when a pair first asks for it."""
     terms = integer_terms(sig.terms)
-    edges = []
-    for i, j in pairs:
-        dim = _pair_cell_dim(terms, i, j)
-        if dim == sig.d - 1:
-            edges.append(DualEdge(i, j, sign_mixed, dim))
-    return edges
+    distinct = tuple(dict.fromkeys(terms))
+    witness = cache(partial(_region_witness, distinct))
+    return [DualEdge(i, j, sign_mixed, sig.d - 1) for i, j in pairs if _pair_is_edge(terms, distinct, witness, i, j)]
 
 
 def _mixed_pairs(n: int, count: int) -> Iterator[tuple[int, int]]:
@@ -245,7 +308,12 @@ def render_svg(theta: TropicalRationalParams, data, window) -> str:
         for p in data.points:
             if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
                 continue
-            sgn = classify_point(theta, p)
+            # The sign of g(p) - h(p) from the integer terms at p = P / den,
+            # every term's value scaled by the same positive den.
+            P, den = integerize(p)
+            values = [t[0] * den + t[1] * P[0] + t[2] * P[1] for t in terms]
+            g, h = max(values[: theta.n]), max(values[theta.n :])
+            sgn = (g > h) - (g < h)
             color = "#1a7f37" if sgn > 0 else "#c0392b" if sgn < 0 else "#666666"
             px, py = to_px(p)
             lines.append(f'<circle cx="{px}" cy="{py}" r="5" fill="{color}"/>')

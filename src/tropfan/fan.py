@@ -334,7 +334,7 @@ def _nodes(data: Dataset, R: int, owner: list[int], tableau: list, depth: int) -
             yield from _nodes(data, R, owner + [t], child, depth)
 
 
-def _leaf_cone(data: Dataset, R: int, owner: list[int], tableau: list) -> _CanonicalCone:
+def _leaf_cone(data: Dataset, owner: list[int], tableau: list) -> _CanonicalCone:
     """The leaf's canonical cone, once its witness is checked in integers: at
     each point its part's term must beat every other part's term in the
     tableau's rhs values, or an ``AssertionError`` is raised.  The witness
@@ -375,7 +375,7 @@ def _chunk_worker(args) -> list[_CanonicalCone]:
     fan passes it."""
     data, walk, first, R, owner, tableau, cap = args
     leaves = islice(_nodes(walk, R, owner, tableau, walk.M), None if cap is None else cap + 1)
-    return [_leaf_cone(data, R, [owner[j] for j in first], tableau) for owner, tableau in leaves]
+    return [_leaf_cone(data, [owner[j] for j in first], tableau) for owner, tableau in leaves]
 
 
 def _enumerate_canonical(

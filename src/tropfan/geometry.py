@@ -461,14 +461,23 @@ def max_slack(
     return opt, tuple(Fraction(v, sx.den) for v in x)
 
 
-def lp_feasible(dim: int, strict: Sequence[LinearForm], *, equalities: Sequence[LinearForm] = ()) -> Optional[Vec]:
+def lp_feasible(
+    dim: int,
+    strict: Sequence[LinearForm],
+    *,
+    equalities: Sequence[LinearForm] = (),
+    duals: Optional[list[int]] = None,
+) -> Optional[Vec]:
     """Exact witness of the mixed system, or None when no point meets every strict row.
 
     The origin meets the homogeneous equalities, so infeasibility can only
     come from the strict rows.  ``max_slack`` has substituted the returned
-    witness into every row as a guard against any arithmetic defect.
+    witness into every row as a guard against any arithmetic defect.  A list
+    ``duals`` (only without equalities) is filled as ``max_slack`` fills it,
+    one multiplier per strict row: on None, a Farkas certificate y >= 0 with
+    sum_i y_i f_i = 0 and y > 0 on some row, which the caller checks.
     """
-    opt, x = max_slack(dim, (), strict, equalities)
+    opt, x = max_slack(dim, (), strict, equalities, duals)
     return x if opt > 0 else None
 
 

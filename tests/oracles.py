@@ -769,11 +769,11 @@ def add_rows_in_one_batch(sx, new_rows, h):
             sx._pivot(r, c)
 
 
-def leaf_cone_with_fractions(data, R, owner, tableau):
+def leaf_cone_with_fractions(data, owner, tableau):
     """The canonical cone of the walk leaf ``owner`` with its witness blocks
     and padding constant built eagerly as Fractions."""
     sx, width, r = tableau[0], data.d + 1, max(owner) + 1
-    nums = [0] * width + sx.numerators((R - 1) * width)  # part 0's block is zero
+    nums = [0] * width + sx.numerators(sx.dim)  # part 0's block is zero; the tableau holds the other R - 1
     blocks = [nums[l * width : (l + 1) * width] for l in range(r)]
     parts = [[] for _ in range(r)]
     mu = []

@@ -24,6 +24,7 @@ from tropfan.fan import dataset, pattern_of
 from tropfan.geometry import max_slack
 from tropfan.jsonio import loads, rational_from_json
 from tropfan.rationals import dot, integerize
+from tropfan.relu import net_to_tropical, network, prune_terms
 from tropfan.tropical import (
     SignomialParams,
     TropicalRationalParams,
@@ -415,41 +416,130 @@ def test_integer_clip_matches_the_fraction_clip():
 README_THETA = Path(__file__).resolve().parent.parent / "data" / "running_theta.json"
 
 
+def count_boundary_calls(monkeypatch):
+    """Rebind dual's LP entry points so each call is tallied: a region LP
+    (``lp_feasible`` asked for duals), a pair LP (``lp_feasible`` with the
+    tie as an equality) or a ``describe_cone`` call.  Returns the tally."""
+    counts = {"region": 0, "pair": 0, "describe_cone": 0}
+    lp_feasible, describe_cone = dual.lp_feasible, dual.describe_cone
+
+    def counted_lp(*args, **kwargs):
+        counts["region" if "duals" in kwargs else "pair"] += 1
+        return lp_feasible(*args, **kwargs)
+
+    def counted_cone(*args, **kwargs):
+        counts["describe_cone"] += 1
+        return describe_cone(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "lp_feasible", counted_lp)
+    monkeypatch.setattr(dual, "describe_cone", counted_cone)
+    return counts
+
+
 def test_boundary_lp_counts_are_pinned(monkeypatch):
-    """One LP per sign-mixed pair with distinct slopes, none for equal slopes
-    with different heights, and one ``describe_cone`` call and no
-    feasibility LP for identical terms.  The README theta has 2 + 2 terms
-    with four distinct slopes: 4 pairs, 4 LPs.  Identical g and h of two
-    terms: the pairs (1, 3) and (2, 4) are identical terms (one
-    ``describe_cone`` each), and (1, 4), (2, 3) one LP each.  Equal slopes
-    with different heights, (1, 3) of the second special theta, take no LP;
-    its other pair (2, 3) takes one."""
-    log = []
-
-    def wrap(name):
-        inner = getattr(dual, name)
-
-        def counted(*args, **kwargs):
-            log.append((name, args))
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(dual, name, counted)
-
-    for name in ("lp_feasible", "describe_cone", "_pair_cell_dim"):
-        wrap(name)
+    """One region LP per distinct merged term a pair asks about, a pair LP
+    only where the region witnesses leave the pair open, and
+    ``describe_cone`` only for identical terms whose region is empty.  The
+    README theta has 2 + 2 terms with four distinct slopes: 4 region LPs,
+    and the crossings of the witnesses certify its three edges, so only the
+    pair (2, 4) takes a pair LP (one LP per pair took 4).  Identical g and h
+    of two terms: 2 region LPs, both nonempty, so the identical pairs (1, 3)
+    and (2, 4) take no ``describe_cone`` call (they took one each) and the
+    crossings certify (1, 4) and (2, 3).  Equal slopes with different
+    heights, (1, 3) of the second special theta, take no LP; its pair
+    (2, 3) is refuted by the empty region of term 3 with no pair LP."""
+    counts = count_boundary_calls(monkeypatch)
     readme = rational_from_json(loads(README_THETA.read_text()))
-    for theta, lps, relints in ((readme, 4, 0), (SPECIAL_THETAS[2], 2, 2), (SPECIAL_THETAS[1], 1, 0)):
-        log.clear()
+    for theta, edges, want in (
+        (readme, [(1, 3), (1, 4), (2, 3)], (4, 1, 0)),
+        (SPECIAL_THETAS[2], [(1, 4), (2, 3)], (2, 0, 0)),
+        (SPECIAL_THETAS[1], [], (2, 0, 0)),
+    ):
+        counts.update(dict.fromkeys(counts, 0))
+        assert [(e.i, e.j) for e in decision_boundary(theta)] == edges
+        assert (counts["region"], counts["pair"], counts["describe_cone"]) == want
+
+
+def theta_1d(g, h):
+    return TropicalRationalParams(signomial(g), signomial(h))
+
+
+# (theta, edges, (region LPs, pair LPs, describe_cone calls)), one per rule.
+RULE_THETAS = [
+    # x and -x: both regions nonempty, and the crossing of their witnesses
+    # lies on the tie x = 0 with no competitor: an edge with no pair LP.
+    (theta_1d([(0, (1,))], [(0, (-1,))]), [(1, 2)], (2, 0, 0)),
+    # The constant 1 is above the crossing of x and -x, so (1, 3) takes the
+    # pair LP, which finds {x = -x >= 1} empty.
+    (theta_1d([(0, (1,)), (1, (0,))], [(0, (-1,))]), [(2, 3)], (3, 1, 0)),
+    # 0 is below max(1 + x, 1 - x) everywhere and neither row 0 - (1 +- x)
+    # is a multiple of the other: term 1's empty region refutes both pairs
+    # before term 2 or 3 is asked about.
+    (theta_1d([(0, (0,))], [(1, (1,)), (1, (-1,))]), [], (1, 0, 0)),
+    # 0 never wins alone over x and -x, but in (1, 2) the competitor -x has
+    # 0 - (-x) = -1 * (0 - x), lambda < 0, and in (1, 3) x has lambda = -1
+    # too: the pair LP finds both edges at x = 0.
+    (theta_1d([(0, (0,))], [(0, (1,)), (0, (-1,))]), [(1, 2), (1, 3)], (3, 2, 0)),
+    # The mirror: 0 is term j, and the competitor of (1, 3) has
+    # x - (-x) = 2 * (x - 0), lambda > 1.
+    (theta_1d([(0, (1,)), (0, (-1,))], [(0, (0,))]), [(1, 3), (2, 3)], (3, 2, 0)),
+    # Identical terms x and x whose region has a witness: a cell of
+    # dimension d, no edge, no describe_cone call.
+    (theta_1d([(0, (1,)), (0, (-1,))], [(0, (1,))]), [(2, 3)], (2, 0, 0)),
+    # Identical terms 0 and 0 whose region is empty but whose cell is the
+    # point x = 0: describe_cone finds the edge (1, 3).
+    (theta_1d([(0, (0,)), (0, (1,))], [(0, (0,)), (0, (-1,))]), [(1, 3), (1, 4), (2, 3), (2, 4)], (3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("theta, edges, want", RULE_THETAS)
+def test_each_pair_rule_takes_its_pinned_calls(monkeypatch, theta, edges, want):
+    counts = count_boundary_calls(monkeypatch)
+    got = decision_boundary(theta)
+    assert [(e.i, e.j) for e in got] == edges
+    assert (counts["region"], counts["pair"], counts["describe_cone"]) == want
+    assert got == decision_boundary_by_all_pairs(theta)
+    assert dual_edges(theta.merged()) == dual_edges_by_relint(theta.merged())
+
+
+def test_empty_region_certificates_are_checked(monkeypatch):
+    """A region reported empty is used only after its Farkas multipliers
+    pass the exact check; spoiled multipliers raise."""
+    lp_feasible = dual.lp_feasible
+
+    def spoiled(*args, **kwargs):
+        x = lp_feasible(*args, **kwargs)
+        if x is None and "duals" in kwargs:
+            kwargs["duals"][0] += 1
+        return x
+
+    theta = RULE_THETAS[2][0]
+    monkeypatch.setattr(dual, "lp_feasible", spoiled)
+    with pytest.raises(AssertionError):
         decision_boundary(theta)
-        terms = theta.merged().terms
-        pair = None
-        pairs = 0
-        for name, args in log:
-            if name == "_pair_cell_dim":
-                pair = args[1:]
-                pairs += 1
-            elif name == "describe_cone":
-                assert terms[pair[0] - 1] == terms[pair[1] - 1]
-        assert pairs == theta.n * theta.m
-        counts = {name: sum(1 for n, _ in log if n == name) for name in ("lp_feasible", "describe_cone")}
-        assert counts == {"lp_feasible": lps, "describe_cone": relints}
+
+
+def relu_theta(rng, widths):
+    """The pruned (g, h) of a two-input ReLU net with the given layer widths,
+    weights and biases in hundredths of [-3, 3]."""
+
+    def weight():
+        return F(rng.randint(-300, 300), 100)
+
+    layers, prev = [], 2
+    for width in widths:
+        layers.append(([[weight() for _ in range(prev)] for _ in range(width)], [weight() for _ in range(width)]))
+        prev = width
+    return prune_terms(net_to_tropical(network(layers)).theta)
+
+
+def test_relu_boundaries_match_the_oracles():
+    """Pruned ReLU nets, most of whose h terms have an identical twin in g,
+    so most sign-mixed pairs meet a shared region LP."""
+    rng = random.Random(15)
+    thetas = [relu_theta(rng, widths) for widths in ((3, 1), (2, 2, 1)) for _ in range(4)]
+    twins = sum(t in theta.num.terms for theta in thetas for t in theta.den.terms)
+    assert 2 * twins > sum(theta.m for theta in thetas)
+    for theta in thetas:
+        assert decision_boundary(theta) == decision_boundary_by_all_pairs(theta)
+        assert dual_edges(theta.merged()) == dual_edges_by_relint(theta.merged())

@@ -399,11 +399,12 @@ def test_count_bound_and_equality_condition():
     assert len(enumerate_maximal_cones(coll, 2)) < 2**3
 
 
-def test_duplicate_points_are_distinct_nodes():
+def test_coincident_points_share_one_part():
+    """The walk visits a repeated point once, and the copy joins the part of
+    its first occurrence when the leaf is stored.  Coincident points can
+    never be strictly separated, so only the diagonal assignments exist."""
     D = dataset([(1,), (1,)])
     patterns = enumerate_maximal_cones(D, 2)
-    # coincident points can never strictly separate, so only the diagonal
-    # assignments survive
     assert {g.assignment() for g in patterns} == {(1, 1), (2, 2)}
 
 
