@@ -14,15 +14,16 @@ as it is built.
 
 Pairs are decided from one region LP per distinct term, run when a pair
 first asks for it; a term and its identical copies share it.  The region LP
-of term a asks for (w, x) with w > 0 and term_a - term_b > 0 for every other
-distinct term b, and gives an integer witness x_a or "empty".  Its "empty"
-is used only after the LP's Farkas multipliers are checked exactly.  A pair
-(i, j) is then decided by the first rule that applies:
+of term a asks for a point of ``tropical.region_rows``: (w, x) with w > 0 and
+term_a - term_b > 0 for every other distinct term b.  It gives an integer
+witness x_a or "empty", whose Farkas certificate ``geometry.max_slack`` has
+checked exactly.  A pair (i, j) is then decided by the first rule that
+applies:
 
 * Identical terms: the cell is term i's region.  With a witness it has
   dimension d, so no edge.  An empty region takes one ``describe_cone`` call
-  on {others >= 0, w >= 0}, which returns the cone's dimension and implied
-  rows: the cell is empty exactly when the row w is among them, and
+  on the closed cone of the same rows, which returns its dimension and
+  implied rows: the cell is empty exactly when row 0, w, is among them, and
   otherwise has the cone's dimension minus one.
 * Equal slopes with a_i != a_j: the cell is empty.
 * Distinct slopes: the cell lies in the hyperplane H where
@@ -62,9 +63,16 @@ from itertools import combinations, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .geometry import _check_certificate, describe_cone, lp_feasible
+from .geometry import describe_cone, lp_feasible
 from .rationals import Vec, integerize
-from .tropical import SignomialParams, TropicalRationalParams, eval_signomial, integer_terms, term_difference
+from .tropical import (
+    SignomialParams,
+    TropicalRationalParams,
+    eval_signomial,
+    integer_terms,
+    region_rows,
+    term_difference,
+)
 
 
 @dataclass(frozen=True)
@@ -80,20 +88,10 @@ class DualEdge:
 
 
 def _region_witness(distinct: Sequence[tuple[int, ...]], t: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """An integer point (w, x) with w > 0 where term t is strictly above every
-    other distinct term, or None once the region LP's Farkas certificate that
-    no such point exists is checked: an ``AssertionError`` unless y >= 0,
-    sum_i y_i f_i = 0 and some y_i > 0."""
-    dim = len(t)
-    strict = ((1,) + (0,) * (dim - 1),) + tuple(term_difference(t, u) for u in distinct if u != t)
-    y: list[int] = []
-    x = lp_feasible(dim, strict, duals=y)
-    if x is not None:
-        return integerize(x)[0]
-    _check_certificate(dim, y, strict)
-    if not any(y):
-        raise AssertionError("empty-region certificate has no positive multiplier")
-    return None
+    """An integer point (w, x) of term t's ``region_rows`` among the distinct
+    terms, or None, whose Farkas certificate ``max_slack`` has checked."""
+    x = lp_feasible(len(t), region_rows(t, distinct))
+    return None if x is None else integerize(x)[0]
 
 
 def _pair_is_edge(
@@ -107,28 +105,25 @@ def _pair_is_edge(
     rules of the module docstring, in its order."""
     ti, tj = terms[i - 1], terms[j - 1]
     d = len(ti) - 1
-    w = (1,) + (0,) * d
     if ti == tj:
         if witness(ti) is not None:  # the cell is term i's region, of dimension d
             return False
-        others = tuple(term_difference(ti, u) for u in distinct if u != ti)
-        dim, implied = describe_cone(d + 1, others + (w,))
-        return len(others) not in implied and dim == d
+        dim, implied = describe_cone(d + 1, region_rows(ti, distinct))
+        return 0 not in implied and dim == d  # row 0 is w
     eq = term_difference(ti, tj)
     p = next((q for q in range(1, d + 1) if eq[q]), 0)
     if not p:  # equal slopes with different heights: the cell is empty
         return False
     # The pair LP's strict rows: w and each competitor row term_i - term_k
     # that is not a multiple of eq.  A multiple lambda * eq is kept as
-    # lambda * eq[p]**2 = r[p] * eq[p].
+    # lambda * eq[p]**2 = r[p] * eq[p]; eq itself, term j's row, is neither.
+    w, *competitors = region_rows(ti, distinct)
     rows, lams = [w], []
-    for tk in distinct:
-        if tk != ti and tk != tj:
-            r = term_difference(ti, tk)
-            if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)):
-                rows.append(r)
-            else:
-                lams.append(r[p] * eq[p])
+    for r in competitors:
+        if any(r[q] * eq[p] != eq[q] * r[p] for q in range(d + 1)):
+            rows.append(r)
+        elif r != eq:
+            lams.append(r[p] * eq[p])
     xi = witness(ti)
     if xi is None and all(lam > 0 for lam in lams):
         return False

@@ -438,9 +438,9 @@ class _FanIndex:
             perms = relabelings(rep) if relabelings else permutations(range(1, self.N + 1), len(rep.parts))
             yield rep, perms, itemgetter(*owner) if M > 1 else itemgetter(slice(0, 1))
 
-    def iter_assignments(self, relabelings=None) -> Iterator[tuple[int, ...]]:
+    def iter_assignments(self) -> Iterator[tuple[int, ...]]:
         """All degree-one maximal patterns as 1-based term assignments (see ``_classes``)."""
-        return chain.from_iterable(map(get, perms) for _, perms, get in self._classes(relabelings))
+        return chain.from_iterable(map(get, perms) for _, perms, get in self._classes())
 
     def _layout(self, perm: Sequence[int], blocks: Sequence[Sequence], pad: Sequence) -> tuple:
         """The full-space vector of the relabeling part t -> term perm[t]:

@@ -100,13 +100,14 @@ same check first, since it may decide every row without an LP.
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
 optimum of 0 the final objective row holds a Farkas certificate: integer
 dual multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0
-and y > 0 on some strict row.  ``relint_point`` reads the implied
-equalities of a cone off such certificates, several rows per LP (Freund,
-Roundy and Todd 1985), and checks each certificate exactly before it uses
-it; rows in the linear span of the rows found implied are implied too.
-Before its first LP it implies each nonzero row whose exact negative is
-also a row, by the certificate y = (1, 1), checked the same way: tie rows
-come in such pairs wherever a point is tied to two terms.
+and y > 0 on some strict row.  A cold ``max_slack`` call without equality
+rows checks it exactly at every optimum of 0, as it substitutes every
+positive witness.  ``relint_point`` reads the implied equalities of a cone
+off such certificates, several rows per LP (Freund, Roundy and Todd 1985);
+rows in the linear span of the rows found implied are implied too.  Before
+its first LP it implies each nonzero row whose exact negative is also a
+row, by the certificate y = (1, 1), checked the same way: tie rows come in
+such pairs wherever a point is tied to two terms.
 Cone dimension is the ambient dimension minus the rank of the
 implied-equality normals, the size of an integer echelon basis of them,
 built as that span is.
@@ -367,6 +368,14 @@ class _Simplex:
                 out[v] = (P + B) >> top
         return out
 
+    def multipliers(self, count: int) -> list[int]:
+        """den times the dual multiplier y_i >= 0 of each added row i < count:
+        minus the objective-row entry of its slack's column (variable
+        dim + 2 + i, after t <= 1), 0 when that slack is basic."""
+        obj = _unpack(self.rows[self.m], self.n, self.b)
+        reduced = {v: obj[j] for j, v in enumerate(self.nonbasic)}
+        return [-reduced.get(self.dim + 2 + i, 0) for i in range(count)]
+
 
 def _check_rows(dim: int, rows: Sequence[LinearForm]):
     """Raise ``ValueError`` unless every row is a sequence of ``dim`` ints."""
@@ -409,21 +418,20 @@ def max_slack(
 
     Every row stays in the tableau, x rows included, so a call without
     ``tableau`` runs exactly the steps of a warm call from an empty one.
-    Around them it checks its rows, reads the duals and returns x as a
+    Around them it checks its rows and its answer and returns x as a
     tuple.  Its positive answer's witness is substituted into every row in
     integers (the numerators of x, since the denominator is positive), and
     a nonstrict row below 0, a strict row not above 0 or an equality not at
     0 raises ``AssertionError``.
 
-    If a list ``duals`` is passed (and there are no equality rows), it is
-    filled with one integer dual multiplier y_i >= 0 per nonstrict row, then
-    per strict row, in the scale of the integer rows: minus the final
-    objective-row entry of row i's slack column, 0 when that slack is basic.
-    That is the optimal dual times the final denominator, which is positive,
-    so the signs and the support are the dual's.  When the optimum is 0 the
-    dual reads sum_i y_i f_i = 0 with y_i > 0 on some strict row, a Farkas
-    certificate that no x is positive on every strict row (see
-    ``relint_point``).
+    Without equality rows it reads one integer dual multiplier y_i >= 0 per
+    nonstrict row, then per strict row (``_Simplex.multipliers``): the
+    optimal dual times the final denominator, which is positive, so the
+    signs and the support are the dual's.  At an optimum of 0 they must
+    read sum_i y_i f_i = 0 with y_i > 0 on some strict row, a Farkas
+    certificate that no x is positive on every strict row; this is checked
+    in integers, and a failure raises ``AssertionError``.  A list ``duals``
+    (only without equality rows) is filled with them at any optimum.
 
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
@@ -453,31 +461,26 @@ def max_slack(
         or any(sum(map(mul, f, x)) <= 0 for f in strict)
     ):
         raise AssertionError("LP witness violates a row of the system")
-    if duals is not None:
-        # Row i's slack is variable dim + 2 + i, after t <= 1.
-        obj = _unpack(sx.rows[sx.m], sx.n, sx.b)
-        reduced = {v: obj[j] for j, v in enumerate(sx.nonbasic)}
-        duals.extend(-reduced.get(dim + 2 + i, 0) for i in range(len(nonstrict) + len(strict)))
+    if not equalities and (opt == 0 or duals is not None):
+        y = sx.multipliers(len(nonstrict) + len(strict))
+        if opt == 0:
+            _check_certificate(dim, y, (*nonstrict, *strict))
+            if not any(y[len(nonstrict) :]):
+                raise AssertionError("Farkas certificate has no positive multiplier on a strict row")
+        if duals is not None:
+            duals.extend(y)
     return opt, tuple(Fraction(v, sx.den) for v in x)
 
 
-def lp_feasible(
-    dim: int,
-    strict: Sequence[LinearForm],
-    *,
-    equalities: Sequence[LinearForm] = (),
-    duals: Optional[list[int]] = None,
-) -> Optional[Vec]:
+def lp_feasible(dim: int, strict: Sequence[LinearForm], *, equalities: Sequence[LinearForm] = ()) -> Optional[Vec]:
     """Exact witness of the mixed system, or None when no point meets every strict row.
 
     The origin meets the homogeneous equalities, so infeasibility can only
     come from the strict rows.  ``max_slack`` has substituted the returned
-    witness into every row as a guard against any arithmetic defect.  A list
-    ``duals`` (only without equalities) is filled as ``max_slack`` fills it,
-    one multiplier per strict row: on None, a Farkas certificate y >= 0 with
-    sum_i y_i f_i = 0 and y > 0 on some row, which the caller checks.
+    witness into every row as a guard against any arithmetic defect, and,
+    without equalities, has checked the Farkas certificate behind a None.
     """
-    opt, x = max_slack(dim, (), strict, equalities, duals)
+    opt, x = max_slack(dim, (), strict, equalities)
     return x if opt > 0 else None
 
 
@@ -493,13 +496,13 @@ def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[i
     positive optimum's witness is positive on U and, lying in the cone, zero
     on the implied rows, so it is a relative-interior point.  A zero optimum
     comes with dual multipliers y >= 0 with sum_i y_i f_i = 0 and y_i > 0 on
-    some row of U; on the cone each term y_i f_i.x of that zero sum is >= 0,
-    so every row with y_i > 0 is implied.  Whenever rows join the implied
-    set, by a pair or by a round, so does every undecided row in the linear
-    span of the implied rows, since it vanishes wherever they do.  A failed
-    certificate check raises.  Each zero round decides at least one row, so
-    at most one round per implied row plus one is needed, and a system of
-    opposite pairs and their combinations needs none.
+    some row of U, which ``max_slack`` has checked; on the cone each term
+    y_i f_i.x of that zero sum is >= 0, so every row with y_i > 0 is
+    implied.  Whenever rows join the implied set, by a pair or by a round,
+    so does every undecided row in the linear span of the implied rows,
+    since it vanishes wherever they do.  Each zero round decides at least
+    one row, so at most one round per implied row plus one is needed, and a
+    system of opposite pairs and their combinations needs none.
     """
     _check_rows(dim, rows)
     implied: list[int] = []
@@ -529,10 +532,7 @@ def relint_point(dim: int, rows: Sequence[LinearForm]) -> tuple[Vec, frozenset[i
         opt, x = max_slack(dim, [rows[r] for r in implied], [rows[r] for r in undecided], duals=y)
         if opt > 0:
             return x, frozenset(implied)
-        _check_certificate(dim, y, [rows[r] for r in implied + undecided])
         found = [r for v, r in zip(y[len(implied) :], undecided) if v]
-        if not found:
-            raise AssertionError("implied-equality certificate has no undecided row")
         for r in found:
             _extend_span(span, rows[r])
 
@@ -553,10 +553,10 @@ def _check_certificate(dim: int, y: Sequence[int], forms: Sequence[LinearForm]):
     """Raise ``AssertionError`` unless the integer multipliers y are >= 0 and
     sum_i y_i f_i = 0 over the rows ``forms``."""
     if any(v < 0 for v in y):
-        raise AssertionError("implied-equality certificate has a negative multiplier")
+        raise AssertionError("Farkas certificate has a negative multiplier")
     support = [(v, f) for v, f in zip(y, forms) if v]
     if any(sum(v * f[j] for v, f in support) for j in range(dim)):
-        raise AssertionError("implied-equality certificate does not sum to zero")
+        raise AssertionError("Farkas certificate does not sum to zero")
 
 
 def _reduce(span: list[tuple[int, list[int]]], row: Sequence[int]) -> Sequence[int]:

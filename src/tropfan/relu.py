@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .geometry import lp_feasible
 from .rationals import Vec, dot, vec, zeros
-from .tropical import SignomialParams, TropicalRationalParams, integer_terms, term_difference
+from .tropical import SignomialParams, TropicalRationalParams, integer_terms, region_rows
 
 
 TERM_CAP = 500_000
@@ -228,23 +228,19 @@ def bound_m(hidden_dims: Sequence[int]) -> int:
 
 
 def _prune_signomial(sig: SignomialParams) -> SignomialParams:
-    """Keep term i exactly when one strict LP finds (w, x) with w > 0 and
-    term_i - term_k > 0 for every other k: scaled by 1/w, x is a point where
-    term i alone attains the maximum, and the strict rows define an open set,
-    so the LP decides the question exactly."""
+    """Keep term i exactly when one strict LP finds a point of its
+    ``region_rows``: scaled by 1/w, x is a point where term i alone attains
+    the maximum, and the strict rows define an open set, so the LP decides
+    the question exactly.  ``max_slack`` checks the Farkas certificate of
+    each term dropped."""
     merged = _best_terms(sig.terms)  # same slope: keep the (dominating) max coefficient
     terms = []
     for a, s in sig.terms:  # original order, first winning occurrence per slope
         if merged.get(s) == a:
             terms.append((a, s))
             del merged[s]
-    rows = integer_terms(terms)
-    w = (1,) + (0,) * sig.d
-    keep = []
-    for i, (term, row) in enumerate(zip(terms, rows)):
-        strict = (w,) + tuple(term_difference(row, other) for k, other in enumerate(rows) if k != i)
-        if lp_feasible(sig.d + 1, strict) is not None:
-            keep.append(term)
+    rows = integer_terms(terms)  # distinct, as the slopes are
+    keep = [term for term, row in zip(terms, rows) if lp_feasible(sig.d + 1, region_rows(row, rows)) is not None]
     if not keep:
         raise AssertionError("upper envelope lost all terms")
     return SignomialParams(tuple(keep), sig.d)

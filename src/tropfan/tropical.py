@@ -88,6 +88,13 @@ def term_difference(hi: Sequence[int], lo: Sequence[int]) -> tuple[int, ...]:
     return tuple(u - v for u, v in zip(hi, lo))
 
 
+def region_rows(t: tuple[int, ...], terms: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Strict rows over (w, x), from rows of ``integer_terms``, of the region
+    where term t alone attains the maximum: w > 0, then term_t - term_u > 0
+    for each term u of ``terms`` other than t, in order."""
+    return ((1,) + (0,) * (len(t) - 1),) + tuple(term_difference(t, u) for u in terms if u != t)
+
+
 def eval_signomial(params: SignomialParams, x: Sequence[Fraction]) -> tuple[Fraction, frozenset[int]]:
     """Value max_i (a_i + <s_i, x>) together with the 1-based argmax set.
 

@@ -43,3 +43,32 @@ def nine_points():
     return dataset(
         [(-2, 3), (3, 3), (1, 2), (0, 1), (0, 0), (-2, -1), (1, -2), (-7, -3), (3, -4)]
     )
+
+
+@pytest.fixture
+def spoil_multipliers(monkeypatch):
+    """``spoil_multipliers(how)`` corrupts every later read of Farkas
+    multipliers off the objective row, where ``max_slack`` checks them: the
+    first nonzero one has its sign flipped ("flip"), is set to 0 ("zero") or
+    is copied onto the first zero one, a row that is not in the certificate
+    ("move").  A read with nothing to corrupt is left as it is."""
+    from tropfan import geometry
+
+    read = geometry._Simplex.multipliers
+
+    def spoil(how):
+        def spoiled(self, count):
+            y = read(self, count)
+            r = next((i for i, v in enumerate(y) if v), None)
+            if r is not None and (how != "move" or 0 in y):
+                if how == "flip":
+                    y[r] = -y[r]
+                elif how == "zero":
+                    y[r] = 0
+                else:
+                    y[y.index(0)] = y[r]
+            return y
+
+        monkeypatch.setattr(geometry._Simplex, "multipliers", spoiled)
+
+    return spoil

@@ -418,13 +418,13 @@ README_THETA = Path(__file__).resolve().parent.parent / "data" / "running_theta.
 
 def count_boundary_calls(monkeypatch):
     """Rebind dual's LP entry points so each call is tallied: a region LP
-    (``lp_feasible`` asked for duals), a pair LP (``lp_feasible`` with the
-    tie as an equality) or a ``describe_cone`` call.  Returns the tally."""
+    (``lp_feasible`` with strict rows only), a pair LP (``lp_feasible`` with
+    the tie as an equality) or a ``describe_cone`` call.  Returns the tally."""
     counts = {"region": 0, "pair": 0, "describe_cone": 0}
     lp_feasible, describe_cone = dual.lp_feasible, dual.describe_cone
 
     def counted_lp(*args, **kwargs):
-        counts["region" if "duals" in kwargs else "pair"] += 1
+        counts["pair" if "equalities" in kwargs else "region"] += 1
         return lp_feasible(*args, **kwargs)
 
     def counted_cone(*args, **kwargs):
@@ -502,21 +502,16 @@ def test_each_pair_rule_takes_its_pinned_calls(monkeypatch, theta, edges, want):
     assert dual_edges(theta.merged()) == dual_edges_by_relint(theta.merged())
 
 
-def test_empty_region_certificates_are_checked(monkeypatch):
+def test_empty_region_certificates_are_checked(spoil_multipliers):
     """A region reported empty is used only after its Farkas multipliers
-    pass the exact check; spoiled multipliers raise."""
-    lp_feasible = dual.lp_feasible
-
-    def spoiled(*args, **kwargs):
-        x = lp_feasible(*args, **kwargs)
-        if x is None and "duals" in kwargs:
-            kwargs["duals"][0] += 1
-        return x
-
+    pass the exact check in ``max_slack``; multipliers spoiled where they are
+    read raise, and the ``AssertionError`` reaches ``decision_boundary``."""
     theta = RULE_THETAS[2][0]
-    monkeypatch.setattr(dual, "lp_feasible", spoiled)
-    with pytest.raises(AssertionError):
-        decision_boundary(theta)
+    assert decision_boundary(theta) == []  # positive control: term 1's region is empty
+    for corrupt in ("flip", "zero"):
+        spoil_multipliers(corrupt)
+        with pytest.raises(AssertionError, match="certificate"):
+            decision_boundary(theta)
 
 
 def relu_theta(rng, widths):

@@ -125,6 +125,19 @@ def test_is_maximal_convexity_violation():
     assert not is_maximal_pattern(G, D)
 
 
+def test_non_maximal_certificates_are_checked(spoil_multipliers):
+    """A degree-one pattern is refused only after its LP's Farkas
+    multipliers pass the exact check in ``max_slack``; multipliers spoiled
+    where they are read raise through ``is_maximal_pattern``."""
+    D = dataset([(0, 0), (1, 1), (2, 2)])
+    G = pattern_from_assignment((1, 2, 1), 2)
+    assert not is_maximal_pattern(G, D)  # positive control: the LP's optimum is 0
+    for corrupt in ("flip", "zero"):
+        spoil_multipliers(corrupt)
+        with pytest.raises(AssertionError, match="certificate"):
+            is_maximal_pattern(G, D)
+
+
 def test_enumerate_five_points_line(five_line):
     assert len(enumerate_maximal_cones(five_line, 2)) == 10
 

@@ -292,31 +292,15 @@ CERTIFIED_SYSTEMS = {
     [(name, c) for name in CERTIFIED_SYSTEMS if name != "pair" for c in ("flip", "zero")]
     + [("pair-3d", "move"), ("pair-cycle", "move")],
 )
-def test_relint_point_rejects_a_corrupted_certificate(monkeypatch, name, corrupt):
+def test_relint_point_rejects_a_corrupted_certificate(spoil_multipliers, name, corrupt):
     """A multiplier with its sign flipped, set to zero, or moved onto a row
-    that is not implied fails the exact check, so no wrong implied set comes
-    back.  The ``pair`` system is decided by its opposite pair, without an
-    LP certificate; see the next test."""
-    from tropfan import geometry
-
+    that is not implied, where ``max_slack`` reads it, fails the exact check
+    there, and the ``AssertionError`` reaches ``relint_point``, so no wrong
+    implied set comes back.  The ``pair`` system is decided by its opposite
+    pair, without an LP certificate; see the next test."""
     rows = CERTIFIED_SYSTEMS[name]
     assert relint_point(len(rows[0]), rows)[1]  # positive control: a certificate is read
-    solve = geometry.max_slack
-
-    def corrupted(*args, duals=None, **kwargs):
-        result = solve(*args, duals=duals, **kwargs)
-        if result[0] > 0:
-            return result
-        r = next(i for i, v in enumerate(duals) if v)
-        if corrupt == "flip":
-            duals[r] = -duals[r]
-        elif corrupt == "zero":
-            duals[r] = F(0)
-        else:
-            duals[duals.index(F(0))] = duals[r]
-        return result
-
-    monkeypatch.setattr(geometry, "max_slack", corrupted)
+    spoil_multipliers(corrupt)
     with pytest.raises(AssertionError, match="certificate"):
         relint_point(len(rows[0]), rows)
 

@@ -2,7 +2,8 @@
 every module-level private name and every method of a private class is
 referenced somewhere in the package, every module imports only the standard
 library and tropfan itself, and the LP entry points are reached only through
-the bindings the tracer rebinds.
+the bindings the tracer rebinds, and no module but ``geometry`` imports a
+private ``geometry`` name.
 
 A stdlib-only stand-in for an unused-import linter: each module under
 ``src/tropfan`` (the package ``__init__`` re-exports on purpose and is
@@ -15,6 +16,10 @@ though it is in the standard library: no verdict may rest on a sample.
 entry point any other way, by an alias, an absolute import or an attribute
 of ``geometry``, would run LPs the tracer cannot see, so every module but
 ``geometry`` takes each of them only as ``from .geometry import <name>``.
+The checks behind an LP's answer, its witness substitution and its Farkas
+certificate, run inside ``geometry.max_slack``; a module that imported a
+private ``geometry`` helper such as ``_check_certificate`` would be
+checking answers a second way, beside the solver.
 """
 
 import ast
@@ -194,6 +199,41 @@ def test_checker_flags_an_untraced_lp_binding():
 @pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "geometry.py"], ids=lambda p: p.name)
 def test_lp_entry_points_go_through_traced_bindings(path):
     assert untraced_lp_bindings(path.read_text(encoding="utf-8")) == []
+
+
+def private_geometry_names(source: str) -> list[str]:
+    """Private names taken from ``geometry`` by an import or as an attribute
+    of ``geometry``, with their lines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "geometry":
+            names = [alias.name for alias in node.names if alias.name[0] == "_"]
+            out += [(node.lineno, f"{name} (line {node.lineno})") for name in names]
+        elif isinstance(node, ast.Attribute) and node.attr[0] == "_":
+            if getattr(node.value, "attr", getattr(node.value, "id", None)) == "geometry":
+                out.append((node.lineno, f"geometry.{node.attr} (line {node.lineno})"))
+    return [message for _, message in sorted(out)]
+
+
+def test_checker_flags_a_private_geometry_name():
+    source = (
+        "from .geometry import _check_certificate, lp_feasible\n"
+        "from tropfan.geometry import _Simplex as S\n"
+        "from . import geometry\n"
+        "geometry._width(2, 3)\n"
+        "from .rationals import _private\n"
+        "geometry.max_slack.__name__\n"
+    )
+    assert private_geometry_names(source) == [
+        "_check_certificate (line 1)",
+        "_Simplex (line 2)",
+        "geometry._width (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "geometry.py"], ids=lambda p: p.name)
+def test_no_private_geometry_imports(path):
+    assert private_geometry_names(path.read_text(encoding="utf-8")) == []
 
 
 def test_package_attributes_are_the_submodules():

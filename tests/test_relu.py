@@ -193,6 +193,19 @@ def test_prune_solves_one_lp_per_distinct_slope(monkeypatch):
     assert len(calls) == 2 + 3
 
 
+def test_dropped_term_certificates_are_checked(spoil_multipliers):
+    """A term is dropped only after its region LP's Farkas multipliers pass
+    the exact check in ``max_slack``: the middle term of x, 0, -x never wins
+    alone, and multipliers spoiled where they are read raise through
+    ``prune_terms``."""
+    theta = TropicalRationalParams(PRUNE_CASES[2], PRUNE_CASES[0])
+    assert prune_terms(theta).num.n == 2  # positive control: one term is dropped
+    for corrupt in ("flip", "zero"):
+        spoil_multipliers(corrupt)
+        with pytest.raises(AssertionError, match="certificate"):
+            prune_terms(theta)
+
+
 def test_term_cap():
     rng = random.Random(1)
     net = random_network(rng, 3, [3, 3])
