@@ -12,12 +12,17 @@ Two maximal cones can share a facet only when all their differing data
 points are the same vector and swap the same two terms; any other
 difference forces codimension >= 2.  Coincident points share a term in
 every maximal cone, so the candidates of a list of maximal cones are its
-single-group flips: move every copy of one point vector to another term and
-look the result up.  Within one such lookup the verdicts are memoised up to
-a relabeling of the terms, which does not change whether a wall exists.
-A level set's cones carry strict witnesses from the fan index, and the
-crossing of two of them on the tie, checked in integers, certifies most
-walls; the rest, and every "no wall", are decided by one strict LP.
+single-group flips: every copy of one point vector moves to another term.
+Two assignments are such a flip exactly when they agree outside the group,
+so each group buckets the assignments by their other entries.  Within one
+call the verdicts are memoised up to a relabeling of the terms, which does
+not change whether a wall exists.  A level set's cones carry strict
+witnesses from the fan index, each checked at every point once per call.
+Both witnesses of a flip put every point outside the group strictly on the
+same term, and so does any positive combination of them, so their crossing
+on the tie certifies the wall when, at the group's point alone, it keeps
+the two tied terms strictly above the rest.  That integer check settles
+most walls; the rest, and every "no wall", are decided by one strict LP.
 
 For N = 2 the fan is the arrangement of the hyperplanes of the lifted points
 (1, p), a maximal covector is the assignment + -> term 1, - -> term 2, and a
@@ -154,99 +159,108 @@ def _adjacency_edges(
     """All wall-adjacent index pairs (x < y), sorted, within one list of
     maximal assignments; a repeated assignment gets the edges of each copy.
 
-    Candidates are single-group flips looked up in a dict, O(K*M*N) instead
-    of all K^2 pairs.  A wall is decided once per ``_flip_key`` and call:
-    the key fixes the tied union graph up to a relabeling of the terms, and
-    both sides of a wall tie the same graph.  Whether a graph is realizable
-    does not change under a relabeling of the terms.
+    Candidates are single-group flips.  For each group of coincident points
+    the assignments are bucketed by their entries outside the group, so
+    O(K*G) bucket keys replace all K^2 pairs, and no flipped tuple is built.
+    In a bucket, (x, y) with x < y is a candidate when y holds the whole
+    group on a term j other than x's term i at the group's first point.
+
+    A wall is decided once per key and call.  The key of the flip of x's
+    group to j is the partition of ``assigns[x]`` labeled by first
+    occurrence (computed once per assignment), the group, and the label of
+    j, -1 when j is unused; a candidate takes the smaller of its two sides'
+    keys.  The key fixes the tied union graph up to a relabeling of the
+    terms, both sides of a wall tie the same graph, and whether a graph is
+    realizable does not change under a relabeling.  The order in which the
+    buckets are read therefore changes no edge.  Nor does it change an LP
+    count when the witnesses come from the fan index: the candidates of one
+    key are relabelings of one another, so are their cones' witnesses, and
+    the crossing below reads the same from either side, so it gives every
+    candidate of a key the same verdict.
 
     ``witness(x)``, when given, is an integer strict witness of the cone of
-    ``assigns[x]`` over all N term blocks.  A decision then first checks
-    the crossing of the two cones' witnesses (``_crossing_is_wall``); only a
-    crossing that fails, or a call without witnesses, solves ``_wall_lp``.
-    Each cone's witness is read on its first decision, as its values at the
-    data points.
+    ``assigns[x]`` over all N term blocks.  Each cone's witness is read once,
+    on its first decision, as its values at every group's point, and checked
+    in integers to put every point's own term strictly on top
+    (``AssertionError`` otherwise).  A decision then first checks the
+    crossing of the two cones' witnesses at the group's point
+    (``_crossing_is_wall``); only a crossing that fails, or a call without
+    witnesses, solves ``_wall_lp``.
     """
-    where: dict[tuple[int, ...], list[int]] = {}
-    for x, a in enumerate(assigns):
-        where.setdefault(a, []).append(x)
     by_point: dict[Vec, list[int]] = {}
     for k, p in enumerate(data.points):
         by_point.setdefault(p, []).append(k)
     groups = list(by_point.values())
+    labels, canon = [], []
+    for a in assigns:
+        label: dict[int, int] = {}
+        canon.append(tuple(label.setdefault(t, len(label)) for t in a))
+        labels.append(label)
+    lifts = [data.lifts[group[0]] for group in groups]
     width = data.d + 1
     tables: dict[int, list[list[int]]] = {}
 
     def values(x: int) -> list[list[int]]:
+        # the witness's term values at each group's point, each own term strictly on top
         if x not in tables:
-            w = witness(x)
-            blocks = [w[t * width : (t + 1) * width] for t in range(N)]
-            tables[x] = [[sum(map(mul, lift, block)) for block in blocks] for lift in data.lifts]
+            w, a = witness(x), assigns[x]
+            rows = [[sum(map(mul, lift, w[s : s + width])) for s in range(0, N * width, width)] for lift in lifts]
+            for row, group in zip(rows, groups):
+                top = max(row)
+                if row.count(top) > 1 or any(row[a[k] - 1] != top for k in group):
+                    raise AssertionError("a witness does not put every point strictly on its own term")
+            tables[x] = rows
         return tables[x]
 
     memo: dict[tuple, bool] = {}
     edges = []
-    for x, a in enumerate(assigns):
-        for g, group in enumerate(groups):
-            flipped = list(a)
-            i = a[group[0]]
-            for j in range(1, N + 1):
-                if j == i:
-                    continue
-                for k in group:
-                    flipped[k] = j
-                b = tuple(flipped)
-                ys = [y for y in where.get(b, ()) if y > x]
-                if not ys:
-                    continue
-                key = min(_flip_key(a, g, j), _flip_key(b, g, i))
-                wall = memo.get(key)
-                if wall is None:
-                    wall = witness is not None and _crossing_is_wall(values(x), values(ys[0]), a, group, j)
-                    wall = memo[key] = wall or _wall_lp(a, group, j, data)
-                if wall:
-                    edges.extend((x, y) for y in ys)
+    for g, group in enumerate(groups):
+        p, copies = group[0], group[1:]
+        rest = [k for k in range(data.M) if k not in group]
+        outside = itemgetter(*rest) if rest else lambda a: ()
+        buckets: dict[object, list[int]] = {}
+        for x, key in enumerate(map(outside, assigns)):
+            buckets.setdefault(key, []).append(x)
+        term = [a[p] for a in assigns]
+        for bucket in buckets.values():
+            for n, x in enumerate(bucket[:-1]):
+                i = term[x]
+                for y in bucket[n + 1 :]:
+                    j = term[y]
+                    if j == i or any(assigns[y][k] != j for k in copies):
+                        continue
+                    key = min((canon[x], g, labels[x].get(j, -1)), (canon[y], g, labels[y].get(i, -1)))
+                    wall = memo.get(key)
+                    if wall is None:
+                        wall = witness is not None and _crossing_is_wall(values(x)[g], values(y)[g], i, j)
+                        wall = memo[key] = wall or _wall_lp(assigns[x], group, j, data)
+                    if wall:
+                        edges.append((x, y))
     edges.sort()
     return edges
 
 
-def _crossing_is_wall(va: Sequence[Sequence[int]], vb: Sequence[Sequence[int]], a: Sequence[int],
-                      group: Sequence[int], j: int) -> bool:
+def _crossing_is_wall(u: Sequence[int], v: Sequence[int], i: int, j: int) -> bool:
     """Whether the crossing of two strict witnesses certifies the wall on
-    which every point of ``group`` ties its term i in ``a`` to term ``j``.
+    which a group of coincident points ties its term i to term ``j``.
 
-    ``va[k][t - 1]`` and ``vb[k][t - 1]`` are the values of term t at point
-    k under integer witnesses A of ``a`` and B of b, ``a`` with the group
-    moved to j.  Their tie values fa = A_i - A_j > 0 and fb = B_i - B_j < 0
-    at the group's point, or an ``AssertionError`` is raised, and the
-    crossing X = (-fb)·A + fa·B lies on the tie.  X certifies the wall when,
-    over all N terms, every point outside the group has its own term
-    strictly above every other term, and every point of the group has i and
-    j equal and strictly above every other term: X then realizes the tied
-    graph.  The check is exact and makes no LP call.
+    ``u[t - 1]`` and ``v[t - 1]`` are the values of term t at the group's
+    point under integer witnesses A of an assignment a, which puts the group
+    on i, and B of b, a with the group moved to j.  Their tie values
+    fa = A_i - A_j > 0 and fb = B_i - B_j < 0, or an ``AssertionError`` is
+    raised, and the crossing X = (-fb)·A + fa·B lies on the tie.  X
+    certifies the wall when i and j are strictly above every other term at
+    the group's point: X then realizes the tied graph.  Only that point is
+    checked.  Every point outside the group is on the same term t in a and
+    b, and A and B put it strictly on t there when the caller has checked
+    them, so their positive combination X does too; the group's copies
+    share its lift.  The check is exact and makes no LP call.
     """
-    p, i = group[0], a[group[0]]
-    fa, fb = va[p][i - 1] - va[p][j - 1], vb[p][i - 1] - vb[p][j - 1]
+    fa, fb = u[i - 1] - u[j - 1], v[i - 1] - v[j - 1]
     if not fa > 0 > fb:
         raise AssertionError("a witness lies off its side of the flip's tie")
-    for k, (u, v) in enumerate(zip(va, vb)):
-        x = [fa * w - fb * s for s, w in zip(u, v)]
-        tied = (i, j) if k in group else (a[k],)
-        top = x[tied[0] - 1]
-        if any(x[t - 1] != top for t in tied):
-            return False
-        if not all(top > y for t, y in enumerate(x, 1) if t not in tied):
-            return False
-    return True
-
-
-def _flip_key(a: Sequence[int], g: int, j: int) -> tuple:
-    """Flip of group ``g`` of ``a`` to term ``j``, up to term relabeling: the
-    partition of ``a`` labeled by first occurrence, the group, and the label
-    of ``j`` (-1 when ``j`` is unused)."""
-    labels: dict[int, int] = {}
-    canon = tuple(labels.setdefault(t, len(labels)) for t in a)
-    return canon, g, labels.get(j, -1)
+    tie = fa * v[i - 1] - fb * u[i - 1]
+    return all(tie > fa * y - fb * s for t, (s, y) in enumerate(zip(u, v), 1) if t != i and t != j)
 
 
 def _union_find_components(count: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:

@@ -86,7 +86,7 @@ class ActivationPattern:
         for nb in self.neighbors:
             if not nb:
                 raise ValueError("every data point must activate at least one term")
-            if not all(1 <= i <= self.N for i in nb):
+            if min(nb) < 1 or max(nb) > self.N:
                 raise ValueError("term index out of range")
 
     def key(self) -> tuple[tuple[int, ...], ...]:

@@ -18,6 +18,13 @@ The pairwise wall oracle is the former quadratic filter behind
 ``classify._adjacency_edges``: every pair of assignments goes through
 ``_wall_shape``, and each survivor gets its own wall LP, with no memo.
 ``_wall_shape`` is the former wall-candidate rule of ``wall_adjacent``.
+The flip-lookup wall oracle is the former body of
+``classify._adjacency_edges``: for each assignment, group of coincident
+points and other term, it builds the flipped tuple and looks it up, keys
+the decision by the relabeling key of either side built afresh, and checks
+a witness crossing at every data point, without checking the witnesses
+themselves; a refused crossing or a call without witnesses takes the
+runtime's ``classify._wall_lp``.
 The all-terms wall LP is the former body of ``classify._wall_lp``: it builds
 its rows over every term's block, a term that no point uses included.
 
@@ -116,7 +123,7 @@ from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from operator import mul
 
-from tropfan.classify import compose, separation
+from tropfan.classify import _wall_lp, compose, separation
 from tropfan.dual import DualEdge
 from tropfan.fan import (
     ActivationPattern,
@@ -440,6 +447,77 @@ def adjacency_edges_by_pairs(assigns, data, N):
             diffs, pair = shape
             if wall_lp_over_all_terms(assigns[x], diffs, pair, data, N):
                 edges.append((x, y))
+    return edges
+
+
+def _flip_key(a, g, j):
+    labels = {}
+    canon = tuple(labels.setdefault(t, len(labels)) for t in a)
+    return canon, g, labels.get(j, -1)
+
+
+def _crossing_at_every_point(va, vb, a, group, j):
+    """Whether X = (-fb)·A + fa·B, from the witnesses' values ``va``, ``vb``
+    at every point, keeps each point outside ``group`` strictly on its term
+    in ``a`` and ties the group's i and j strictly above every other term."""
+    p, i = group[0], a[group[0]]
+    fa, fb = va[p][i - 1] - va[p][j - 1], vb[p][i - 1] - vb[p][j - 1]
+    if not fa > 0 > fb:
+        raise AssertionError("a witness lies off its side of the flip's tie")
+    for k, (u, v) in enumerate(zip(va, vb)):
+        x = [fa * w - fb * s for s, w in zip(u, v)]
+        tied = (i, j) if k in group else (a[k],)
+        top = x[tied[0] - 1]
+        if any(x[t - 1] != top for t in tied):
+            return False
+        if not all(top > y for t, y in enumerate(x, 1) if t not in tied):
+            return False
+    return True
+
+
+def adjacency_edges_by_flips(assigns, data, N, witness=None):
+    """All wall-adjacent index pairs (x < y), sorted, by single-group flips
+    looked up in a dict, one decision per relabeling key."""
+    where = {}
+    for x, a in enumerate(assigns):
+        where.setdefault(a, []).append(x)
+    by_point = {}
+    for k, p in enumerate(data.points):
+        by_point.setdefault(p, []).append(k)
+    groups = list(by_point.values())
+    width = data.d + 1
+    tables = {}
+
+    def values(x):
+        if x not in tables:
+            w = witness(x)
+            blocks = [w[t * width : (t + 1) * width] for t in range(N)]
+            tables[x] = [[sum(map(mul, lift, block)) for block in blocks] for lift in data.lifts]
+        return tables[x]
+
+    memo = {}
+    edges = []
+    for x, a in enumerate(assigns):
+        for g, group in enumerate(groups):
+            flipped = list(a)
+            i = a[group[0]]
+            for j in range(1, N + 1):
+                if j == i:
+                    continue
+                for k in group:
+                    flipped[k] = j
+                b = tuple(flipped)
+                ys = [y for y in where.get(b, ()) if y > x]
+                if not ys:
+                    continue
+                key = min(_flip_key(a, g, j), _flip_key(b, g, i))
+                wall = memo.get(key)
+                if wall is None:
+                    wall = witness is not None and _crossing_at_every_point(values(x), values(ys[0]), a, group, j)
+                    wall = memo[key] = wall or _wall_lp(a, group, j, data)
+                if wall:
+                    edges.extend((x, y) for y in ys)
+    edges.sort()
     return edges
 
 

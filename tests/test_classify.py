@@ -2,12 +2,13 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from oracles import (
     _wall_shape,
+    adjacency_edges_by_flips,
     adjacency_edges_by_pairs,
     assignment_loss,
     chamber_path_by_composition,
@@ -534,6 +535,71 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
         )
 
 
+def _split_copies(rng, data, assigns, N, count):
+    """``count`` degree-one assignments that each move one copy of a
+    coincident point off its group's term, drawn from ``assigns``."""
+    groups = [[k for k, q in enumerate(data.points) if q == p] for p in dict.fromkeys(data.points)]
+    groups = [group for group in groups if len(group) > 1]
+    out = []
+    for _ in range(count):
+        a, group = list(rng.choice(assigns)), rng.choice(groups)
+        k = rng.choice(group)
+        a[k] = rng.choice([t for t in range(1, N + 1) if t != a[k]])
+        out.append(tuple(a))
+    return out
+
+
+def test_adjacency_edges_match_the_flip_oracle(monkeypatch):
+    """Group buckets give the flip lookup's edges and the same wall LPs, with
+    and without witnesses, on seeded sets with d = 1..3 and N = 2..4.  Each
+    set has groups of 2 and 3 coincident points, a repeated assignment and a
+    shuffled order; without witnesses, as ``connected_components`` takes its
+    patterns from the caller, it also has assignments that split a group.
+    One set is a single point vector, so no entry lies outside the group."""
+    rng = random.Random(35)
+    cases = []
+    for d, N in product((1, 2, 3), (2, 3, 4)):
+        points = []
+        while len(points) < 3:
+            p = tuple(rng.randint(-2, 2) for _ in range(d))
+            if p not in points:
+                points.append(p)
+        points += [points[0], points[1], points[1]]
+        rng.shuffle(points)
+        cases.append((dataset(points), N))
+    cases.append((dataset([(1,), (1,), (1,)]), 3))
+    calls = _count_wall_lps(monkeypatch)
+    split_edges = repeated_edges = 0
+    for data, N in cases:
+        index = fan_index(data, N)
+        assigns = list(index.iter_assignments())
+        assigns.append(rng.choice(assigns))
+        rng.shuffle(assigns)
+        witness = _witness_of(index, assigns)
+        lps = []
+        for args in ((assigns, data, N), (assigns, data, N, witness)):
+            calls.clear()
+            edges = _adjacency_edges(*args)
+            lps.append(len(calls))
+            calls.clear()
+            assert edges == adjacency_edges_by_flips(*args)
+            assert lps[-1] == len(calls)
+        assert edges and lps[1] <= lps[0]
+        repeated_edges += sum(assigns.count(assigns[x]) > 1 for x, _ in edges)
+        mixed = assigns + _split_copies(rng, data, assigns, N, 4)
+        rng.shuffle(mixed)
+        calls.clear()
+        edges = _adjacency_edges(mixed, data, N)
+        lp = len(calls)
+        calls.clear()
+        assert edges == adjacency_edges_by_flips(mixed, data, N) and lp == len(calls)
+        patterns = [pattern_from_assignment(a, N) for a in mixed]
+        assert connected_components(patterns, data, 1, N - 1) == _union_find_components(len(mixed), edges)
+        whole = set(assigns)
+        split_edges += sum(mixed[x] not in whole or mixed[y] not in whole for x, y in edges)
+    assert split_edges > 0 and repeated_edges > 0
+
+
 def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):
     maximal = enumerate_maximal_cones(diag4, 3)
     patterns = maximal + [maximal[0], maximal[5]]
@@ -666,7 +732,7 @@ def test_crossing_refuses_a_third_term_at_or_above_the_tie(third, monkeypatch):
     3 is at 20·third: above the tie for -1, equal to it for -5.  Neither is a
     certificate, and the LP then finds the wall, which one point always has."""
     A, B = _heights(0, -10, third), _heights(-10, 0, third)
-    assert not _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+    assert not _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
     calls = _count_wall_lps(monkeypatch)
     assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
     assert len(calls) == 1
@@ -674,7 +740,7 @@ def test_crossing_refuses_a_third_term_at_or_above_the_tie(third, monkeypatch):
 
 def test_crossing_certifies_a_tie_above_the_third_term(monkeypatch):
     A, B = _heights(0, -10, -6), _heights(-10, 0, -6)
-    assert _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+    assert _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
     calls = _count_wall_lps(monkeypatch)
     assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
     assert calls == []
@@ -687,23 +753,52 @@ def test_crossing_certifies_a_tie_above_the_third_term(monkeypatch):
 ])
 def test_a_witness_off_its_side_of_the_tie_raises(A, B):
     with pytest.raises(AssertionError, match="witness"):
-        _crossing_is_wall(_values(ORIGIN, A), _values(ORIGIN, B), (1,), [0], 2)
+        _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
     with pytest.raises(AssertionError, match="witness"):
         _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__)
 
 
-def test_crossing_checks_the_third_term_at_every_group_point():
+def test_crossing_checks_the_third_term_at_every_group_point(monkeypatch):
     """Points 0 and 1 on a line; the group is point 0, and point 1 keeps term
     3 under both witnesses, which differ only in the blocks of terms 1 and 2.
     Term 3, the block (h, 10 - h), is worth h at point 0, where the crossing
     10·A + 10·B ties terms 1 and 2 at -100: h = -6 puts it below the tie and
-    h = -1 above.  A copy of point 0 joins the group and gives the same
-    verdicts."""
+    h = -1 above.  A copy of point 0 joins the group; it shares the point's
+    lift, so the group's point gives the same verdicts for both copies, and
+    ``_adjacency_edges`` takes an LP exactly when the crossing is refused."""
+    calls = _count_wall_lps(monkeypatch)
     for data, a, group in ((dataset([(0,), (1,)]), (1, 3), [0]),
                            (dataset([(0,), (0,), (1,)]), (1, 1, 3), [0, 1])):
+        b = tuple(2 if k in group else t for k, t in enumerate(a))
         for h, wall in ((-6, True), (-1, False)):
             A, B = (0, 0, -10, 0, h, 10 - h), (-10, 0, 0, 0, h, 10 - h)
-            assert _crossing_is_wall(_values(data, A), _values(data, B), a, group, 2) is wall
+            assert _crossing_is_wall(_values(data, A)[0], _values(data, B)[0], 1, 2) is wall
+            calls.clear()
+            assert _adjacency_edges([a, b], data, 3, [A, B].__getitem__) == [(0, 1)]
+            assert len(calls) == (0 if wall else 1)
+
+
+def test_a_witness_off_its_own_term_at_any_point_raises(monkeypatch):
+    """The crossing is checked at the group's point only, so every witness is
+    first checked at every point.  A = (0, 100, -10, 0, -6, 5) puts point 1 of
+    a = (1, 3) on term 1, not on its own term 3, while B = (-10, 0, 0, 0, -6,
+    16) is a strict witness of b = (2, 3).  The flip oracle, which checks the
+    crossing at every point instead, is refused there and takes the LP.  With
+    a copy of point 0, (0, 0, -10, 0, -6, 16) puts both copies on term 1, so
+    it is no witness of (1, 2, 3), which splits them, although the group's
+    first point is on its term and the crossing with B would pass."""
+    data, assigns = dataset([(0,), (1,)]), [(1, 3), (2, 3)]
+    A, B = (0, 100, -10, 0, -6, 5), (-10, 0, 0, 0, -6, 16)
+    with pytest.raises(AssertionError, match="own term"):
+        _adjacency_edges(assigns, data, 3, [A, B].__getitem__)
+    calls = _count_wall_lps(monkeypatch)
+    assert adjacency_edges_by_flips(assigns, data, 3, [A, B].__getitem__) == [(0, 1)]
+    assert len(calls) == 1
+    split = dataset([(0,), (0,), (1,)])
+    A = (0, 0, -10, 0, -6, 16)
+    assert _crossing_is_wall(_values(split, A)[0], _values(split, B)[0], 1, 2)
+    with pytest.raises(AssertionError, match="own term"):
+        _adjacency_edges([(1, 2, 3), (2, 2, 3)], split, 3, [A, B].__getitem__)
 
 
 def test_nine_point_level_two_takes_both_branches(nine_points, monkeypatch):

@@ -448,6 +448,19 @@ def test_patterns_require_positive_degree():
         ActivationPattern(1, 2, (frozenset({3}),))  # term index out of range
 
 
+@pytest.mark.parametrize("neighbors, message", [
+    ((frozenset({0}),), "out of range"),
+    ((frozenset({1, 3}),), "out of range"),
+    ((frozenset({-1, 2}), frozenset()), "out of range"),
+    ((frozenset(), frozenset({3})), "at least one term"),
+    ((frozenset({1}),) * 3, "one neighbor set"),
+])
+def test_pattern_errors_keep_their_order_and_messages(neighbors, message):
+    """Each point's set is checked in order, emptiness before its range."""
+    with pytest.raises(ValueError, match=message):
+        ActivationPattern(2 if len(neighbors) != 1 else 1, 2, neighbors)
+
+
 def walk_datasets(seed=20261019, count=108):
     """(data, N) for small seeded point sets in d = 1..3 with N = 2..4: general
     integer points, a coincident pair, a collinear triple, or rational points

@@ -514,6 +514,28 @@ def guarded_answers(cold, with_duals, warm):
     return out + [[format_rat(opt), format_vec(tableau_witness(tableau))]]
 
 
+def guarded_child_env(package_root, parent=None):
+    """A minimal environment for a child Python with the exactness guard on:
+    the child imports the tropfan under ``package_root`` and this directory's
+    test modules, and it writes no bytecode when the parent asked for none."""
+    import os
+
+    parent = os.environ if parent is None else parent
+    env = {
+        "TROPFAN_CHECK_PIVOTS": "1",
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": os.pathsep.join((package_root, os.path.dirname(os.path.abspath(__file__)))),
+    }
+    if "PYTHONDONTWRITEBYTECODE" in parent:
+        env["PYTHONDONTWRITEBYTECODE"] = parent["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
+def test_guarded_child_env_passes_no_bytecode_through():
+    assert guarded_child_env("root", {"PYTHONDONTWRITEBYTECODE": "1"})["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONDONTWRITEBYTECODE" not in guarded_child_env("root", {"HOME": "/"})
+
+
 def test_pivot_exactness_guard_runs(diag4, nine_points):
     """The optional per-division exactness check must accept a normal run and
     leave every answer as it is: cold wall LPs with equalities, the pinned
@@ -547,11 +569,7 @@ def test_pivot_exactness_guard_runs(diag4, nine_points):
         [sys.executable, "-c", code, json.dumps([cold, with_duals, warm])],
         capture_output=True,
         text=True,
-        env={
-            "TROPFAN_CHECK_PIVOTS": "1",
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.pathsep.join((package_root, os.path.dirname(os.path.abspath(__file__)))),
-        },
+        env=guarded_child_env(package_root),
     )
     assert proc.returncode == 0, proc.stderr
     guard, answers = proc.stdout.strip().split("\n")
@@ -709,11 +727,7 @@ def test_warm_pivots_pass_the_exactness_guard():
         [sys.executable, "-c", code, json.dumps(systems)],
         capture_output=True,
         text=True,
-        env={
-            "TROPFAN_CHECK_PIVOTS": "1",
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.pathsep.join((package_root, os.path.dirname(os.path.abspath(__file__)))),
-        },
+        env=guarded_child_env(package_root),
     )
     assert proc.returncode == 0, proc.stderr
     guard, answers = proc.stdout.strip().split("\n")
