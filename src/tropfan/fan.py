@@ -22,6 +22,31 @@ off its tableau and checked in integers at every point.  The leaf is kept
 in integers as well: its witness blocks become Fractions only where a
 witness is read, and each class maps a relabeling to its assignment with
 one ``itemgetter`` over the part of each point.
+
+Every "no" of the walk is a checked certificate.  An infeasible child's
+warm LP ends with Farkas multipliers y >= 0, one per row of its tableau,
+that ``max_slack`` checks in integers: sum_i y_i f_i = 0, and y > 0 on some
+strict row.  Its support S, the points of the rows with y_i > 0, and the
+child's partition restricted to S, pi up to relabeling, form a nogood
+(S, pi): it refutes, with no LP, every later child whose partition
+restricted to S is pi.  That is sound:
+
+* every tie row is +lift at one block and -lift at another, so its blocks
+  sum to zero.  A certificate that vanishes off the gauge-fixed block of
+  part 0 therefore vanishes on it too, and so holds in the full space of
+  all R blocks, where any one block can be dropped again;
+* every part that carries a supported row holds a point of S.  Otherwise
+  its block of sum_i y_i f_i would read sum y * lift = 0 over the rows it
+  loses, whose lifts have positive first entries.  So each supported row
+  is "the part of j beats the part of j'" for points j, j' of S in
+  different parts, and every node whose partition restricted to S is pi
+  has it, with its parts relabeled;
+* relabeling parts permutes blocks, so the same multipliers refute that
+  node.
+
+Two distinct points alone never make a certificate (their lifts would be
+parallel), so S has at least three points.  ``_Nogoods`` stores the
+nogoods and arms them along the depth-first path.
 """
 
 from __future__ import annotations
@@ -29,6 +54,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import ExitStack
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, permutations
@@ -275,7 +301,9 @@ def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tu
     """(optimum, tableau) of the node that puts point k = len(owner)
     into part t of the node ``owner`` (owner[j] is the part of point j, and
     t = the number of open parts opens a new one), solved warm from the
-    node's tableau.
+    node's tableau.  At an optimum of 0 the list is instead the Farkas
+    multipliers ``max_slack`` checked, one per row of the tableau in the
+    order they were added (see ``_row_points``).
 
     Part 0 holds point 0 and its block is gauge-fixed to zero, so x holds
     the blocks of parts 1..R-1 at every node.  Point k must beat every other
@@ -287,9 +315,113 @@ def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tu
     rows = [_tie_row(lift, t or R, l or R, R - 1) for l in range(r) if l != t]
     if t == r:
         rows += [_tie_row(data.lifts[j], p or R, t, R - 1) for j, p in enumerate(owner)]
-    child = list(tableau)
-    opt, _ = max_slack((R - 1) * (data.d + 1), (), rows, tableau=child)
-    return opt, child
+    child, y = list(tableau), []
+    opt, _ = max_slack((R - 1) * (data.d + 1), (), rows, duals=y, tableau=child)
+    return opt, child if opt > 0 else y
+
+
+def _row_points(owner: list[int]) -> list[int]:
+    """The point of each row of the node ``owner``'s tableau, in the order
+    ``_child`` added them along the path from the root."""
+    points, r = [], 0
+    for k, t in enumerate(owner):
+        if t < r:
+            points += [k] * (r - 1)
+        else:
+            points += [k] * r + list(range(k))
+            r += 1
+    return points
+
+
+def _canon(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts relabeled in order of first occurrence, the same for any
+    two sequences that differ by a relabeling of the parts only."""
+    seen: dict[int, int] = {}
+    return tuple([seen.setdefault(p, len(seen)) for p in parts])
+
+
+def _refutes(rule, t: int) -> bool:
+    """Whether an armed rule refutes part t: the one part an int names, or
+    every part outside a frozenset."""
+    return t == rule if type(rule) is int else t not in rule
+
+
+class _Nogoods:
+    """The nogoods the walk learned, and the rules they arm on its current
+    path (see the module docstring for why a nogood refutes).
+
+    A nogood (S, pi) with largest point k and next largest k2 is stored at
+    depth k2 + 1 under its rest, S without k, and the patterns of the
+    nogoods on one rest share one ``itemgetter`` and one dict, keyed by
+    the rest's partition up to relabeling.  A node of that depth, whose
+    partition of the rest no node below it changes, tests them with one
+    lookup; a match arms each nogood's rule for point k on the node's
+    subtree.  The rule is the part of k's block-mate in pi, or, when k is
+    alone in pi, the frozenset of the rest's parts: every part outside it is
+    refuted, a new one included.
+
+    ``stamps[e]`` is unique to the node of depth e on the current path, and
+    a rule armed at depth e holds while the stamp it was armed with does, so
+    leaving a subtree needs no cleanup.  A walk that starts below the root,
+    at depth ``top``, stamps every depth up to ``top`` afresh and tests there
+    every nogood stored at those depths; a nogood learned at a depth above
+    ``top`` is armed at ``top``.
+    """
+
+    def __init__(self):
+        self.stored: dict[int, dict[tuple[int, ...], tuple[itemgetter, dict]]] = {}
+        self.armed: dict[int, list[tuple[int, int, object]]] = {}  # point -> (depth, stamp, rule)
+        self.stamps: list[int] = []
+        self.clock = self.top = 0
+        self.canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # each tuple of parts once through ``_canon``
+
+    def _arm(self, k: int, depth: int, rule):
+        self.armed.setdefault(k, []).append((depth, self.stamps[depth], rule))
+
+    def enter(self, owner: list[int], parts: range, top: bool) -> set[int]:
+        """Arm the nogoods tested at the node ``owner`` (at every depth up
+        to its own when ``top``, the start of a walk) and return the parts of
+        ``parts`` that the rules armed on the path refute for point k =
+        len(owner)."""
+        k, stamps = len(owner), self.stamps
+        depths = range(k + 1) if top else (k,)
+        if top:
+            self.top = k
+        stamps += [0] * (k + 1 - len(stamps))
+        for e in depths:
+            self.clock += 1
+            stamps[e] = self.clock
+        canon = self.canon
+        for e in depths:
+            for get, patterns in self.stored.get(e, {}).values():
+                values = get(owner)
+                key = canon.get(values)
+                if key is None:
+                    key = canon[values] = _canon(values)
+                for j, mate in patterns.get(key, ()):
+                    if j >= k:
+                        self._arm(j, k, owner[mate] if mate is not None else frozenset(values))
+        live = [a for a in self.armed.get(k, ()) if stamps[a[0]] == a[1]]
+        self.armed[k] = live
+        return {t for t in parts if any(_refutes(rule, t) for _, _, rule in live)}
+
+    def learn(self, child: list[int], y: list[int], parts: range) -> set[int]:
+        """Store the nogood of the infeasible child ``child``, whose
+        certificate y ``max_slack`` checked, arm it on the current path, and
+        return the parts of ``parts`` it refutes for the child's last point.
+        Its support holds that point, since the child's parent is
+        realizable, and at least two others (see the module docstring), so
+        the rest's ``itemgetter`` returns a tuple."""
+        *rest, k = sorted({j for j, v in zip(_row_points(child), y, strict=True) if v})
+        rest = tuple(rest)
+        values = [child[j] for j in rest]
+        mate = next((j for j in rest if child[j] == child[k]), None)
+        depth = rest[-1] + 1
+        _, patterns = self.stored.setdefault(depth, {}).setdefault(rest, (itemgetter(*rest), {}))
+        patterns.setdefault(_canon(values), []).append((k, mate))
+        rule = child[mate] if mate is not None else frozenset(values)
+        self._arm(k, max(depth, self.top), rule)
+        return {t for t in parts if _refutes(rule, t)}
 
 
 def _witness_blocks(data: Dataset, owner: list[int], tableau: list) -> list[list[int]]:
@@ -313,25 +445,39 @@ def _kept_part(data: Dataset, owner: list[int], tableau: list) -> Optional[int]:
     return values.index(top) if values.count(top) == 1 else None
 
 
-def _nodes(data: Dataset, R: int, owner: list[int], tableau: list, depth: int) -> Iterator[tuple[list[int], list]]:
+def _nodes(
+    data: Dataset, R: int, owner: list[int], tableau: list, depth: int, nogoods: _Nogoods, top: bool = True
+) -> Iterator[tuple[list[int], list]]:
     """(owner, tableau) of each realizable partition of the first ``depth``
     points below a node, depth first, children in canonical order (the open
     parts, then a new part while fewer than R are open); each node's LP is
-    solved once, warm from its parent's tableau.  When the children are
-    leaves, the one in the part ``_kept_part`` names is yielded with the
-    node's own tableau and no LP; ``_leaf_cone`` checks that witness at
-    every point."""
+    solved at most once, warm from its parent's tableau.  A child that a
+    nogood armed on the path refutes takes no LP, and an infeasible child's
+    checked certificate becomes a nogood; ``top`` marks the node the walk
+    starts from (see ``_Nogoods``).  When the children are leaves, the one
+    in the part ``_kept_part`` names is yielded with the node's own tableau
+    and no LP; ``_leaf_cone`` checks that witness at every point, and an
+    ``AssertionError`` is raised if an armed nogood refutes that leaf,
+    since then a witness and a certificate disagree."""
     if len(owner) == depth:
         yield owner, tableau
         return
+    parts = range(min(max(owner, default=-1) + 2, R))
+    refuted = nogoods.enter(owner, parts, top)
     kept = _kept_part(data, owner, tableau) if len(owner) + 1 == data.M else None
-    for t in range(min(max(owner, default=-1) + 2, R)):
+    for t in parts:
+        if t in refuted:
+            if t == kept:
+                raise AssertionError("kept leaf witness contradicts a checked certificate")
+            continue
         if t == kept:
             yield owner + [t], tableau
             continue
         opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
-            yield from _nodes(data, R, owner + [t], child, depth)
+            yield from _nodes(data, R, owner + [t], child, depth, nogoods, False)
+        else:
+            refuted |= nogoods.learn(owner + [t], child, parts)
 
 
 def _leaf_cone(data: Dataset, owner: list[int], tableau: list) -> _CanonicalCone:
@@ -369,12 +515,13 @@ def _distinct(data: Dataset) -> tuple[Dataset, tuple[int, ...]]:
 
 def _chunk_worker(args) -> list[_CanonicalCone]:
     """Realizable leaves below one prefix node of the walk over the distinct
-    points, walked on from the tableau the node already holds, in walk
-    order, each stored with every copy in the part of its first occurrence.
+    points, walked on from the tableau the node already holds and with the
+    nogoods the task carries, in walk order, each stored with every copy in
+    the part of its first occurrence.
     At most ``cap + 1`` are walked: one past the cap already shows that the
     fan passes it."""
-    data, walk, first, R, owner, tableau, cap = args
-    leaves = islice(_nodes(walk, R, owner, tableau, walk.M), None if cap is None else cap + 1)
+    data, walk, first, R, owner, tableau, cap, nogoods = args
+    leaves = islice(_nodes(walk, R, owner, tableau, walk.M, nogoods), None if cap is None else cap + 1)
     return [_leaf_cone(data, [owner[j] for j in first], tableau) for owner, tableau in leaves]
 
 
@@ -389,17 +536,22 @@ def _enumerate_canonical(
     each level grown from the one above; each walks on from its node's
     tableau, through ``map`` or a process pool's ``imap`` by the worker
     count, and is read as it finishes.  The walk stops after the first
-    chunk that takes the total past ``cap``."""
+    chunk that takes the total past ``cap``.  One store of nogoods serves
+    the prefix levels and, at one worker, every chunk in order; under a
+    pool each chunk starts from a copy of the prefix levels' store.  So the
+    cones are the same at every worker count, and the LP counts repeat at
+    each worker count but differ between them."""
     workers = min(workers, os.cpu_count() or 1)
     walk, first = _distinct(data)
     R = min(N, walk.M)
     if progress:
         progress(f"enumerating canonical partitions of {data.M} points ({walk.M} distinct) into <= {N} groups")
-    depth, level = 0, [([], [])]
+    depth, level, nogoods = 0, [([], [])], _Nogoods()
     while depth < walk.M and len(level) < 4 * workers:
         depth += 1
-        level = [node for owner, tableau in level for node in _nodes(walk, R, owner, tableau, depth)]
-    tasks = [(data, walk, first, R, owner, tableau, cap) for owner, tableau in level]
+        level = [node for owner, tableau in level for node in _nodes(walk, R, owner, tableau, depth, nogoods)]
+    tasks = [(data, walk, first, R, owner, tableau, cap, nogoods if workers == 1 else deepcopy(nogoods))
+             for owner, tableau in level]
     cones: list[_CanonicalCone] = []
     with ExitStack() as stack:
         if workers > 1:

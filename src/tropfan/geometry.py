@@ -100,10 +100,12 @@ same check first, since it may decide every row without an LP.
 Strict feasibility of a mixed system is equivalent to optimum t > 0.  At an
 optimum of 0 the final objective row holds a Farkas certificate: integer
 dual multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0
-and y > 0 on some strict row.  A cold ``max_slack`` call without equality
-rows checks it exactly at every optimum of 0, as it substitutes every
-positive witness.  ``relint_point`` reads the implied equalities of a cone
-off such certificates, several rows per LP (Freund, Roundy and Todd 1985);
+and y > 0 on some strict row.  Every ``max_slack`` call without equality
+rows, cold or warm, checks it exactly at every optimum of 0, over every row
+of its tableau, as a cold call substitutes every positive witness.  The
+partition walk learns from the warm ones (see ``fan``).  ``relint_point``
+reads the implied equalities of a cone off such certificates, several rows
+per LP (Freund, Roundy and Todd 1985);
 rows in the linear span of the rows found implied are implied too.  Before
 its first LP it implies each nonzero row whose exact negative is also a
 row, by the certificate y = (1, 1), checked the same way: tie rows come in
@@ -177,8 +179,10 @@ class _Simplex:
     columns and the rhs, each row packed into one int of digit width b (see
     the module docstring); ``nonbasic[j]`` is the variable of column j and
     ``basis[i]`` the variable of row i.  Row m is the objective row, whose
-    rhs digit holds -z.  A new tableau is the optimum of the empty system:
-    t = 1 basic, x = 0, packed for rows of squared norm up to h.
+    rhs digit holds -z.  ``forms[i]`` is added row i as ``max_slack``
+    built it, the row a Farkas certificate is checked against.  A new
+    tableau is the optimum of the empty system: t = 1 basic, x = 0, packed
+    for rows of squared norm up to h.
     """
 
     def __init__(self, dim: int, h: int):
@@ -190,6 +194,7 @@ class _Simplex:
         self.den = 1
         self.basis = [dim]
         self.nonbasic = list(range(dim)) + [dim + 1]
+        self.forms: list[list[int]] = []
 
     def _pivot(self, r: int, c: int):
         """Integer-preserving pivot on entry c of row r, then the column swap,
@@ -303,10 +308,11 @@ class _Simplex:
     def copy(self) -> _Simplex:
         """A tableau a warm call can extend while this one stays as it is: the
         row, basis and column lists are copied, the packed rows shared, since
-        a pivot replaces rows and never edits them."""
+        a pivot replaces rows and never edits them; so are the given rows."""
         sx = _Simplex.__new__(_Simplex)
         sx.dim, sx.m, sx.n, sx.h, sx.b, sx.den = self.dim, self.m, self.n, self.h, self.b, self.den
         sx.rows, sx.basis, sx.nonbasic = self.rows[:], self.basis[:], self.nonbasic[:]
+        sx.forms = self.forms[:]
         return sx
 
     def solve(self, blocked: Sequence[int] = ()) -> Fraction:
@@ -425,22 +431,25 @@ def max_slack(
     0 raises ``AssertionError``.
 
     Without equality rows it reads one integer dual multiplier y_i >= 0 per
-    nonstrict row, then per strict row (``_Simplex.multipliers``): the
+    row of the tableau (``_Simplex.multipliers``): per nonstrict row, then
+    per strict row, after those of the earlier warm calls.  Each is the
     optimal dual times the final denominator, which is positive, so the
     signs and the support are the dual's.  At an optimum of 0 they must
-    read sum_i y_i f_i = 0 with y_i > 0 on some strict row, a Farkas
-    certificate that no x is positive on every strict row; this is checked
-    in integers, and a failure raises ``AssertionError``.  A list ``duals``
-    (only without equality rows) is filled with them at any optimum.
+    read sum_i y_i f_i = 0 over the rows the tableau recorded, with y_i > 0
+    on some strict row, a Farkas certificate that no x is positive on every
+    strict row; this is checked in integers, and a failure raises
+    ``AssertionError``.  A list ``duals`` (only without equality rows) is
+    filled with them at any optimum of a cold call, and at an optimum of 0
+    of a warm one.
 
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
     is empty), and the list then holds this call's, whole, x rows included.
-    A warm call takes no equality rows, reads no duals and returns (t*, ()):
-    its x stays in the tableau, as ``numerators(dim)`` over ``den``.
+    A warm call takes no equality rows and returns (t*, ()): its x stays in
+    the tableau, as ``numerators(dim)`` over ``den``.
     """
-    if tableau is not None and (equalities or duals is not None):
-        raise ValueError("a warm start takes inequality rows and reads no duals")
+    if tableau is not None and equalities:
+        raise ValueError("a warm start takes inequality rows only")
     if duals is not None and equalities:
         raise ValueError("dual multipliers are read for inequality rows only")
     if tableau is None:
@@ -449,8 +458,17 @@ def max_slack(
     rows += [[-v for v in f] + [1] for f in strict]  # f.x - t >= 0
     h = max((sum(map(mul, a, a)) for a in rows), default=0)
     sx = tableau[0].copy() if tableau else _Simplex(dim, h)
+    sx.forms += rows
     sx.add_rows(rows, h)
     opt = sx.solve(range(dim + 2, dim + 2 + len(equalities)))  # the equality slacks
+    if not equalities and (opt == 0 or duals is not None and tableau is None):
+        y = sx.multipliers(sx.m - 1)
+        if opt == 0:
+            _check_certificate(dim, y, sx.forms)
+            if not any(v and a[dim] for v, a in zip(y, sx.forms)):  # a[dim] is 1 on a strict row
+                raise AssertionError("Farkas certificate has no positive multiplier on a strict row")
+        if duals is not None:
+            duals.extend(y)
     if tableau is not None:
         tableau[:] = [sx]
         return opt, ()
@@ -461,14 +479,6 @@ def max_slack(
         or any(sum(map(mul, f, x)) <= 0 for f in strict)
     ):
         raise AssertionError("LP witness violates a row of the system")
-    if not equalities and (opt == 0 or duals is not None):
-        y = sx.multipliers(len(nonstrict) + len(strict))
-        if opt == 0:
-            _check_certificate(dim, y, (*nonstrict, *strict))
-            if not any(y[len(nonstrict) :]):
-                raise AssertionError("Farkas certificate has no positive multiplier on a strict row")
-        if duals is not None:
-            duals.extend(y)
     return opt, tuple(Fraction(v, sx.den) for v in x)
 
 

@@ -82,6 +82,11 @@ the leaf's witness in integers as the runtime does, then builds a Fraction
 for every witness entry and for every point's own term value, and takes
 the least of those Fractions, less one, as the padding constant.
 
+The walk without nogoods is the former body of ``fan._nodes``, run in
+one process: every child of a realizable node solves its warm LP through
+``fan._child``, but the leaf its node's witness already realizes
+(``fan._kept_part``), and no child is refuted without an LP.
+
 The nested-loop labeling oracle is the former body of
 ``fan._FanIndex._labelings``: each assignment is filled in point by point,
 part by part, for every relabeling of every class.
@@ -129,6 +134,10 @@ from tropfan.fan import (
     ActivationPattern,
     FanCone,
     _CanonicalCone,
+    _child,
+    _distinct,
+    _kept_part,
+    _leaf_cone,
     _pattern_system,
     _tie_row,
     complete_pattern,
@@ -390,6 +399,30 @@ def canonical_cones_by_hull_pruning(data, N):
             parts.pop()
 
     recurse(0)
+    return out
+
+
+def canonical_cones_without_nogoods(data, N):
+    """The canonical cones of (data, N) in walk order, by the former walk
+    over the distinct points, which solves the LP of every child but the
+    kept leaves and learns nothing from an infeasible one."""
+    walk, first = _distinct(data)
+    R, out = min(N, walk.M), []
+
+    def recurse(owner, tableau):
+        if len(owner) == walk.M:
+            out.append(_leaf_cone(data, [owner[j] for j in first], tableau))
+            return
+        kept = _kept_part(walk, owner, tableau) if len(owner) + 1 == walk.M else None
+        for t in range(min(max(owner, default=-1) + 2, R)):
+            if t == kept:
+                recurse(owner + [t], tableau)
+                continue
+            opt, child = _child(walk, R, owner, t, tableau)
+            if opt > 0:
+                recurse(owner + [t], child)
+
+    recurse([], [])
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     all_cones_by_pairwise_union,
     canonical_cones_by_hull_pruning,
+    canonical_cones_without_nogoods,
     labelings_by_parts,
     leaf_cone_with_fractions,
     tie_row_by_fractions,
@@ -826,24 +827,73 @@ def counted_serial_walk(monkeypatch):
     return sizes, counts
 
 
-@pytest.mark.parametrize("N, calls", [(3, 1172), (4, 4037)])
-def test_every_node_lp_is_solved_once_at_every_worker_count(counted_serial_walk, nine_points, N, calls):
+def record_walk(monkeypatch) -> tuple[list, list]:
+    """(solved, kept): each child the walk solves an LP for, as (owner,
+    optimum), and each leaf it keeps on its node's witness, as an owner
+    list, appended as the walk makes them."""
+    from tropfan import fan
+
+    solved, kept, child, kept_part = [], [], fan._child, fan._kept_part
+
+    def solving(data, R, owner, t, tableau):
+        opt, out = child(data, R, owner, t, tableau)
+        solved.append((owner + [t], opt))
+        return opt, out
+
+    def keeping(data, owner, tableau):
+        t = kept_part(data, owner, tableau)
+        if t is not None:
+            kept.append(owner + [t])
+        return t
+
+    monkeypatch.setattr(fan, "_child", solving)
+    monkeypatch.setattr(fan, "_kept_part", keeping)
+    return solved, kept
+
+
+def refuted_children(solved: list, kept: list, M: int, R: int) -> set[tuple[int, ...]]:
+    """The children of the walk's nodes, over M distinct points into at most
+    R parts, that took neither an LP nor their node's witness: those a
+    learned nogood refuted.  The nodes are the root and each solved child
+    above the leaves whose optimum is positive."""
+    nodes = [[]] + [owner for owner, opt in solved if opt > 0 and len(owner) < M]
+    children = {tuple(owner + [t]) for owner in nodes for t in range(min(max(owner, default=-1) + 2, R))}
+    return children - {tuple(owner) for owner, _ in solved} - set(map(tuple, kept))
+
+
+@pytest.mark.parametrize(
+    "N, nodes, calls",
+    [pytest.param(3, 1172, [715, 879], id="3-1172"), pytest.param(4, 4037, [2345, 2678], id="4-4037")],
+)
+def test_every_node_lp_is_solved_once_at_every_worker_count(
+    counted_serial_walk, monkeypatch, nine_points, N, nodes, calls
+):
     """Each prefix level grows from the one above and each chunk walks on from
-    its node's tableau, so the nine-point walk makes one ``max_slack`` call
-    per node under 1 and 2 workers, less the leaves kept on their node's
-    witness (1,394 and 4,768 calls before those were kept)."""
+    its node's tableau, so the nine-point walk solves each node's LP at most
+    once under 1 and 2 workers.  Each of the ``nodes`` LPs the walk solved
+    before it learned nogoods is now solved or refuted by one (1,394 and
+    4,768 before the leaves kept on their node's witness).  The counts
+    repeat run after run at each worker count, and differ between them:
+    under a pool each chunk starts from a copy of the nogoods the prefix
+    levels learned, while one worker keeps one store for every chunk."""
     sizes, counts = counted_serial_walk
-    for workers in (1, 2):
+    solved, kept = record_walk(monkeypatch)
+    for workers in (1, 2, 1, 2):
         counts.append(0)
+        solved.clear()
+        kept.clear()
         fan_index(nine_points, N, workers=workers, use_cache=False)
-    assert sizes == [2] and counts == [calls, calls]
+        owners = [tuple(owner) for owner, _ in solved]
+        assert len(set(owners)) == len(owners) == counts[-1]
+        assert counts[-1] + len(refuted_children(solved, kept, nine_points.M, N)) == nodes
+    assert sizes == [2, 2] and counts == calls * 2
 
 
-@pytest.mark.parametrize("cap, calls", [(200, [359, 399]), (1000, [2740, 2285])])
+@pytest.mark.parametrize("cap, calls", [(200, [271, 306]), (1000, [1712, 1595])])
 def test_cap_stops_the_walk_at_every_worker_count(counted_serial_walk, nine_points, cap, calls):
     """The chunks are read in order as they finish, and the walk stops after
     the first one that passes the cap, so under 2 workers a cap failure at
-    N = 4 solves far fewer node LPs than the whole walk's 4,037."""
+    N = 4 solves far fewer node LPs than the whole walk's 2,678."""
     from tropfan.fan import CapExceededError
 
     sizes, counts = counted_serial_walk
@@ -851,7 +901,7 @@ def test_cap_stops_the_walk_at_every_worker_count(counted_serial_walk, nine_poin
         counts.append(0)
         with pytest.raises(CapExceededError):
             fan_index(nine_points, 4, cap=cap, workers=workers, use_cache=False)
-    assert sizes == [2] and counts == calls and counts[1] < 4037
+    assert sizes == [2] and counts == calls and counts[1] < 2678
 
 
 COPIES = {
@@ -867,8 +917,8 @@ def test_walk_visits_each_coincident_point_once(counted_serial_walk, nine_points
     """Copies placed last, in the middle and as a group of three: the walk
     lists the former walk's classes, parts and order, and its witnesses
     realize them, under 1 and 2 workers.  It walks the distinct points
-    only, so it solves as many node LPs as the dataset without the copies,
-    and the cap still counts classes."""
+    only, so at each worker count it solves as many node LPs as the dataset
+    without the copies, and the cap still counts classes."""
     from tropfan.fan import CapExceededError
 
     pts = list(nine_points.points[:6])
@@ -890,7 +940,7 @@ def test_walk_visits_each_coincident_point_once(counted_serial_walk, nine_points
         with pytest.raises(CapExceededError):
             fan_index(data, N, cap=len(want) - 1, workers=workers, use_cache=False)
         assert len(fan_index(data, N, cap=len(want), workers=workers, use_cache=False).reps) == len(want)
-    assert sizes == [2] * 4 and counts[0] == counts[2]
+    assert sizes == [2] * 4
 
 
 def realizes_by_fractions(data, rep) -> bool:
@@ -909,29 +959,89 @@ def realizes_by_fractions(data, rep) -> bool:
 
 def test_leaves_kept_on_their_nodes_witness(monkeypatch, nine_points):
     """At N = 4 the nine-point walk keeps some leaves on their node's witness
-    with no LP: each saves the one LP per node the walk solved before
-    (4,768 in all), and every stored witness realizes its class."""
+    with no LP, and refutes other children by learned nogoods: each of the
+    4,768 nodes that took one LP apiece before either is solved, is kept or
+    is refuted.  Every stored witness realizes its class."""
     from tropfan import fan
 
-    kept, calls, real_kept, real_lp = [], [], fan._kept_part, fan.max_slack
-
-    def recorded(data, owner, tableau):
-        t = real_kept(data, owner, tableau)
-        if t is not None:
-            kept.append(owner + [t])
-        return t
+    calls, real_lp = [], fan.max_slack
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real_lp(*args, **kwargs)
 
-    monkeypatch.setattr(fan, "_kept_part", recorded)
+    solved, kept = record_walk(monkeypatch)
     monkeypatch.setattr(fan, "max_slack", counted)
     index = fan_index(nine_points, 4, use_cache=False)
-    assert len(kept) > 0 and len(calls) + len(kept) == 4768
+    refuted = refuted_children(solved, kept, nine_points.M, 4)
+    assert len(kept) > 0 and len(refuted) > 0 and len(calls) + len(kept) + len(refuted) == 4768
     reps = {tuple(tuple(k for k, t in enumerate(owner) if t == p) for p in range(max(owner) + 1)) for owner in kept}
     assert reps <= {rep.parts for rep in index.reps}
     assert all(realizes_by_fractions(nine_points, rep) for rep in index.reps)
+
+
+def test_warm_walk_certificates_are_checked(spoil_multipliers, nine_points):
+    """Every infeasible child of the walk is refused only after its warm
+    Farkas multipliers, over every row of its tableau, pass the exact check
+    in ``max_slack``; multipliers spoiled where they are read raise through
+    ``fan_index``."""
+    assert len(fan_index(nine_points, 4, use_cache=False).reps) == 1755  # positive control
+    for corrupt in ("flip", "zero", "move"):
+        spoil_multipliers(corrupt)
+        with pytest.raises(AssertionError, match="certificate"):
+            fan_index(nine_points, 4, use_cache=False)
+
+
+def degenerate_sets(seed=20261021):
+    """(data, N) for d = 1..3 and N = 2..4: six seeded integer points, one
+    more collinear with the first two, a copy of one point and two copies of
+    another, in a seeded order."""
+    rng = random.Random(seed)
+    out = []
+    for d in (1, 2, 3):
+        for N in (2, 3, 4):
+            pts = set()
+            while len(pts) < 6:
+                pts.add(tuple(rng.randint(-4, 4) for _ in range(d)))
+            pts = sorted(pts)
+            rng.shuffle(pts)
+            pts.append(tuple(2 * q - p for p, q in zip(pts[0], pts[1])))
+            pts += [pts[2], pts[3], pts[3]]
+            rng.shuffle(pts)
+            out.append((dataset(pts), N))
+    return out
+
+
+def test_refuted_children_are_infeasible_and_the_walk_is_unchanged(counted_serial_walk, monkeypatch):
+    """On seeded sets with coincident groups of 2 and 3 and a collinear
+    triple, under 1 and 2 workers: the classes, their order and their
+    witnesses are those of the walk without nogoods, and every child a
+    learned nogood refuted is infeasible by a cold strict LP on its own
+    rows."""
+    from tropfan.fan import _distinct, _pattern_system
+    from tropfan.geometry import max_slack
+
+    def reps(index):
+        return [(r.parts, r.witness_blocks, r.den, r.pad_a) for r in index]
+
+    sizes, counts = counted_serial_walk
+    counts.append(0)
+    sets = degenerate_sets()
+    want = [reps(canonical_cones_without_nogoods(data, N)) for data, N in sets]
+    solved, kept = record_walk(monkeypatch)
+    total = 0
+    for (data, N), cones in zip(sets, want):
+        walk = _distinct(data)[0]
+        for workers in (1, 2):
+            solved.clear()
+            kept.clear()
+            assert reps(fan_index(data, N, workers=workers, use_cache=False).reps) == cones
+            refuted = refuted_children(solved, kept, walk.M, min(N, walk.M))
+            for child in refuted:
+                dim, rows, _ = _pattern_system(walk, [(k, (t + 1,)) for k, t in enumerate(child)])
+                assert max_slack(dim, (), rows)[0] == 0, child
+            total += len(refuted)
+    assert total > 0 and 2 in sizes
 
 
 def test_a_kept_leaf_in_the_wrong_part_fails_the_leaf_check(monkeypatch, nine_points):

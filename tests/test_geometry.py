@@ -656,11 +656,21 @@ def test_warm_call_returns_no_witness_and_leaves_it_in_its_tableau():
     assert all(dot(f, x) >= 0 for f in nonstrict) and all(dot(f, x) >= 1 for f in strict)
 
 
-def test_warm_start_refuses_equalities_and_duals():
+def test_warm_start_refuses_equalities():
     with pytest.raises(ValueError):
         max_slack(2, (), ((1, 0),), ((0, 1),), tableau=[])
-    with pytest.raises(ValueError):
-        max_slack(2, (), ((1, 0),), duals=[], tableau=[])
+
+
+def test_warm_duals_certify_a_zero_optimum_over_every_warm_call():
+    """A warm call fills ``duals`` only at an optimum of 0, with one
+    multiplier per row of its tableau, in the order the warm calls added
+    them; they are the Farkas certificate ``max_slack`` checked."""
+    nonstrict, strict, tableau, y = ((1, 0), (0, 1)), ((3, 3),), [], []
+    assert max_slack(2, nonstrict, strict, duals=y, tableau=tableau) == (1, ()) and y == []
+    assert max_slack(2, ((-1, -1),), (), duals=y, tableau=tableau) == (0, ())
+    rows = nonstrict + strict + ((-1, -1),)
+    assert len(y) == 4 and min(y) >= 0 and y[2] >= 1
+    assert all(sum(v * f[j] for v, f in zip(y, rows)) == 0 for j in range(2))
 
 
 def test_warm_dual_simplex_reaches_bland_on_a_degenerate_walk(monkeypatch, nine_points):
@@ -844,10 +854,11 @@ def test_digit_width_holds_hadamards_bound():
 
 def test_nine_point_walk_pivot_counts_are_pinned(monkeypatch, nine_points):
     """The packed rows leave the pivot sequence alone: the nine-point walk
-    makes 1,996 pivots at N = 3, all at 32-bit digits with entries of at most
-    14 bits, and 11,238 at N = 4, where the rows of later points widen the
+    makes 1,267 pivots at N = 3, all at 32-bit digits with entries of at most
+    14 bits, and 7,627 at N = 4, where the rows of later points widen the
     digits to 64 bits.  (2,002 and 11,261 before the leaves that their
-    node's witness realizes were kept without an LP.)"""
+    node's witness realizes were kept without an LP, then 1,996 and 11,238
+    before children were refuted by learned certificates.)"""
     from tropfan import geometry
     from tropfan.fan import fan_index
 
@@ -864,10 +875,10 @@ def test_nine_point_walk_pivot_counts_are_pinned(monkeypatch, nine_points):
     monkeypatch.setattr(geometry._Simplex, "_pivot", counted)
     seen = {"pivots": 0, "widths": set(), "bits": 0}
     fan_index(nine_points, 3, use_cache=False)
-    assert seen == {"pivots": 1996, "widths": {32}, "bits": 14}
+    assert seen == {"pivots": 1267, "widths": {32}, "bits": 14}
     seen = {"pivots": 0, "widths": set()}
     fan_index(nine_points, 4, use_cache=False)
-    assert seen == {"pivots": 11238, "widths": {32, 64}}
+    assert seen == {"pivots": 7627, "widths": {32, 64}}
 
 
 def insertion_batches(seed=20261023, count=160):
