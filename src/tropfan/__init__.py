@@ -6,7 +6,6 @@ ReLU-to-tropical conversion.  All geometry is exact rational arithmetic."""
 from .classify import (
     LevelSetReport,
     chamber_path,
-    connected_components,
     count_dichotomies,
     covectors_linear,
     level_set,

@@ -32,7 +32,7 @@ flip and wall LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations, product
 from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
@@ -154,7 +154,7 @@ def _adjacency_edges(
     assigns: list[tuple[int, ...]],
     data: Dataset,
     N: int,
-    witness: Optional[Callable[[int], Sequence[int]]] = None,
+    witness: Callable[[int], Sequence[int]],
 ) -> list[tuple[int, int]]:
     """All wall-adjacent index pairs (x < y), sorted, within one list of
     maximal assignments; a repeated assignment gets the edges of each copy.
@@ -162,8 +162,10 @@ def _adjacency_edges(
     Candidates are single-group flips.  For each group of coincident points
     the assignments are bucketed by their entries outside the group, so
     O(K*G) bucket keys replace all K^2 pairs, and no flipped tuple is built.
-    In a bucket, (x, y) with x < y is a candidate when y holds the whole
-    group on a term j other than x's term i at the group's first point.
+    In a bucket, (x, y) with x < y is a candidate when y holds the group on
+    a term j other than x's term i.  The assignments come from a fan index,
+    which puts every copy in the part of its first occurrence, so none
+    splits a group and its first point's term is the whole group's.
 
     A wall is decided once per key and call.  The key of the flip of x's
     group to j is the partition of ``assigns[x]`` labeled by first
@@ -173,19 +175,17 @@ def _adjacency_edges(
     terms, both sides of a wall tie the same graph, and whether a graph is
     realizable does not change under a relabeling.  The order in which the
     buckets are read therefore changes no edge.  Nor does it change an LP
-    count when the witnesses come from the fan index: the candidates of one
-    key are relabelings of one another, so are their cones' witnesses, and
-    the crossing below reads the same from either side, so it gives every
-    candidate of a key the same verdict.
+    count: the candidates of one key are relabelings of one another, so are
+    their cones' fan-index witnesses, and the crossing below reads the same
+    from either side, so it gives every candidate of a key the same verdict.
 
-    ``witness(x)``, when given, is an integer strict witness of the cone of
+    ``witness(x)`` is an integer strict witness of the cone of
     ``assigns[x]`` over all N term blocks.  Each cone's witness is read once,
     on its first decision, as its values at every group's point, and checked
     in integers to put every point's own term strictly on top
     (``AssertionError`` otherwise).  A decision then first checks the
     crossing of the two cones' witnesses at the group's point
-    (``_crossing_is_wall``); only a crossing that fails, or a call without
-    witnesses, solves ``_wall_lp``.
+    (``_crossing_is_wall``); only a crossing that fails solves ``_wall_lp``.
     """
     by_point: dict[Vec, list[int]] = {}
     for k, p in enumerate(data.points):
@@ -215,25 +215,24 @@ def _adjacency_edges(
     memo: dict[tuple, bool] = {}
     edges = []
     for g, group in enumerate(groups):
-        p, copies = group[0], group[1:]
         rest = [k for k in range(data.M) if k not in group]
         outside = itemgetter(*rest) if rest else lambda a: ()
         buckets: dict[object, list[int]] = {}
         for x, key in enumerate(map(outside, assigns)):
             buckets.setdefault(key, []).append(x)
-        term = [a[p] for a in assigns]
+        term = [a[group[0]] for a in assigns]
         for bucket in buckets.values():
             for n, x in enumerate(bucket[:-1]):
                 i = term[x]
                 for y in bucket[n + 1 :]:
                     j = term[y]
-                    if j == i or any(assigns[y][k] != j for k in copies):
+                    if j == i:
                         continue
                     key = min((canon[x], g, labels[x].get(j, -1)), (canon[y], g, labels[y].get(i, -1)))
                     wall = memo.get(key)
                     if wall is None:
-                        wall = witness is not None and _crossing_is_wall(values(x)[g], values(y)[g], i, j)
-                        wall = memo[key] = wall or _wall_lp(assigns[x], group, j, data)
+                        crossing = _crossing_is_wall(values(x)[g], values(y)[g], i, j)
+                        wall = memo[key] = crossing or _wall_lp(assigns[x], group, j, data)
                     if wall:
                         edges.append((x, y))
     edges.sort()
@@ -292,7 +291,6 @@ class LevelSetReport:
     patterns: tuple[ActivationPattern, ...]
     components: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, int, int], ...]
-    faces: tuple[FanCone, ...] | None = None
 
     @property
     def count(self) -> int:
@@ -355,37 +353,12 @@ def perfect_fan(
     n: int,
     m: int,
     target: Sequence[int],
-    include_faces: bool = False,
     cap: Optional[int] = None,
     workers: int = 1,
     progress=None,
 ) -> LevelSetReport:
-    """The loss-0 level set; with ``include_faces`` the closures of pairwise
-    intersections of its cones are attached as well.  A closure contains both
-    loss-0 patterns, so each face keeps every point's term of the target's
-    block: the faces are weakly compatible without a filter."""
-    report = level_set(data, n, m, target, 0, cap=cap, workers=workers, progress=progress)
-    if not include_faces:
-        return report
-    faces: dict[tuple, FanCone] = {}
-    pats = report.patterns
-    for x in range(len(pats)):
-        for y in range(x + 1, len(pats)):
-            cone = cone_of_graph(pats[x].union(pats[y]), data)
-            faces.setdefault(cone.pattern.key(), cone)
-    return replace(report, faces=tuple(faces[kk] for kk in sorted(faces)))
-
-
-def connected_components(
-    patterns: Sequence[ActivationPattern], data: Dataset, n: int, m: int
-) -> list[tuple[int, ...]]:
-    """Partition of the (maximal) patterns into classes reachable through
-    codimension-1 walls, as tuples of indices into the input order.  The
-    patterns come from the caller, not from a fan index, so they carry no
-    witnesses and every wall is decided by its LP."""
-    assigns = [g.assignment() for g in patterns]
-    edges = _adjacency_edges(assigns, data, n + m)
-    return _union_find_components(len(assigns), edges)
+    """The loss-0 level set."""
+    return level_set(data, n, m, target, 0, cap=cap, workers=workers, progress=progress)
 
 
 def count_dichotomies(data: Dataset, n: int, m: int, cap: Optional[int] = None,

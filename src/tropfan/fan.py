@@ -46,7 +46,7 @@ restricted to S is pi.  That is sound:
 
 Two distinct points alone never make a certificate (their lifts would be
 parallel), so S has at least three points.  ``_Nogoods`` stores the
-nogoods and arms them along the depth-first path.
+nogoods and arms them in one slot per depth of the depth-first path.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import ExitStack
-from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, permutations
@@ -360,38 +359,32 @@ class _Nogoods:
     alone in pi, the frozenset of the rest's parts: every part outside it is
     refuted, a new one included.
 
-    ``stamps[e]`` is unique to the node of depth e on the current path, and
-    a rule armed at depth e holds while the stamp it was armed with does, so
-    leaving a subtree needs no cleanup.  A walk that starts below the root,
-    at depth ``top``, stamps every depth up to ``top`` afresh and tests there
-    every nogood stored at those depths; a nogood learned at a depth above
-    ``top`` is armed at ``top``.
+    ``path[e]`` is the slot of the node of depth e on the current path, a
+    dict from a point to the rules armed on that node's subtree.  Entering
+    a node drops the slots of the subtree left behind and opens a fresh one
+    at its depth, so leaving a subtree needs no cleanup.  A walk that starts
+    below the root opens a fresh slot at every depth up to its start and
+    tests there every nogood stored at those depths.  A learned nogood is
+    armed in the slot of its storage depth, which stays on the path while
+    the walk is below that depth's node, and for the whole walk when that
+    depth is not below its start.
     """
 
     def __init__(self):
         self.stored: dict[int, dict[tuple[int, ...], tuple[itemgetter, dict]]] = {}
-        self.armed: dict[int, list[tuple[int, int, object]]] = {}  # point -> (depth, stamp, rule)
-        self.stamps: list[int] = []
-        self.clock = self.top = 0
+        self.path: list[dict[int, list]] = []
         self.canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # each tuple of parts once through ``_canon``
-
-    def _arm(self, k: int, depth: int, rule):
-        self.armed.setdefault(k, []).append((depth, self.stamps[depth], rule))
 
     def enter(self, owner: list[int], parts: range, top: bool) -> set[int]:
         """Arm the nogoods tested at the node ``owner`` (at every depth up
         to its own when ``top``, the start of a walk) and return the parts of
         ``parts`` that the rules armed on the path refute for point k =
         len(owner)."""
-        k, stamps = len(owner), self.stamps
+        k, path = len(owner), self.path
         depths = range(k + 1) if top else (k,)
-        if top:
-            self.top = k
-        stamps += [0] * (k + 1 - len(stamps))
-        for e in depths:
-            self.clock += 1
-            stamps[e] = self.clock
-        canon = self.canon
+        del path[depths[0]:]
+        path += [{} for _ in depths]
+        slot, canon = path[k], self.canon
         for e in depths:
             for get, patterns in self.stored.get(e, {}).values():
                 values = get(owner)
@@ -400,10 +393,9 @@ class _Nogoods:
                     key = canon[values] = _canon(values)
                 for j, mate in patterns.get(key, ()):
                     if j >= k:
-                        self._arm(j, k, owner[mate] if mate is not None else frozenset(values))
-        live = [a for a in self.armed.get(k, ()) if stamps[a[0]] == a[1]]
-        self.armed[k] = live
-        return {t for t in parts if any(_refutes(rule, t) for _, _, rule in live)}
+                        slot.setdefault(j, []).append(owner[mate] if mate is not None else frozenset(values))
+        rules = [rule for armed in path for rule in armed.get(k, ())]
+        return {t for t in parts if any(_refutes(rule, t) for rule in rules)}
 
     def learn(self, child: list[int], y: list[int], parts: range) -> set[int]:
         """Store the nogood of the infeasible child ``child``, whose
@@ -420,7 +412,7 @@ class _Nogoods:
         _, patterns = self.stored.setdefault(depth, {}).setdefault(rest, (itemgetter(*rest), {}))
         patterns.setdefault(_canon(values), []).append((k, mate))
         rule = child[mate] if mate is not None else frozenset(values)
-        self._arm(k, max(depth, self.top), rule)
+        self.path[depth].setdefault(k, []).append(rule)
         return {t for t in parts if _refutes(rule, t)}
 
 
@@ -454,11 +446,12 @@ def _nodes(
     solved at most once, warm from its parent's tableau.  A child that a
     nogood armed on the path refutes takes no LP, and an infeasible child's
     checked certificate becomes a nogood; ``top`` marks the node the walk
-    starts from (see ``_Nogoods``).  When the children are leaves, the one
-    in the part ``_kept_part`` names is yielded with the node's own tableau
-    and no LP; ``_leaf_cone`` checks that witness at every point, and an
-    ``AssertionError`` is raised if an armed nogood refutes that leaf,
-    since then a witness and a certificate disagree."""
+    starts from, where ``_Nogoods`` opens a slot at every depth.  When the
+    children are leaves, the one in the part ``_kept_part`` names is
+    yielded with the node's own tableau and no LP; ``_leaf_cone`` checks
+    that witness at every point, and an ``AssertionError`` is raised if an
+    armed nogood refutes that leaf, since then a witness and a certificate
+    disagree."""
     if len(owner) == depth:
         yield owner, tableau
         return
@@ -537,10 +530,11 @@ def _enumerate_canonical(
     tableau, through ``map`` or a process pool's ``imap`` by the worker
     count, and is read as it finishes.  The walk stops after the first
     chunk that takes the total past ``cap``.  One store of nogoods serves
-    the prefix levels and, at one worker, every chunk in order; under a
-    pool each chunk starts from a copy of the prefix levels' store.  So the
-    cones are the same at every worker count, and the LP counts repeat at
-    each worker count but differ between them."""
+    the prefix levels and, at one worker, every chunk in order; a pool
+    pickles each chunk's task, so each chunk gets its own copy of the
+    prefix levels' store.  So the cones are the same at every worker count,
+    and the LP counts repeat at each worker count but differ between
+    them."""
     workers = min(workers, os.cpu_count() or 1)
     walk, first = _distinct(data)
     R = min(N, walk.M)
@@ -550,8 +544,7 @@ def _enumerate_canonical(
     while depth < walk.M and len(level) < 4 * workers:
         depth += 1
         level = [node for owner, tableau in level for node in _nodes(walk, R, owner, tableau, depth, nogoods)]
-    tasks = [(data, walk, first, R, owner, tableau, cap, nogoods if workers == 1 else deepcopy(nogoods))
-             for owner, tableau in level]
+    tasks = [(data, walk, first, R, owner, tableau, cap, nogoods) for owner, tableau in level]
     cones: list[_CanonicalCone] = []
     with ExitStack() as stack:
         if workers > 1:

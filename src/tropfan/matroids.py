@@ -183,16 +183,12 @@ def _term_mask(terms: Iterable[int]) -> int:
     return mask
 
 
-def pattern_axioms_check(
-    patterns: Iterable[ActivationPattern],
-    maximal_only: bool = False,
-) -> AxiomReport:
+def pattern_axioms_check(patterns: Iterable[ActivationPattern]) -> AxiomReport:
     """Check the six activation-pattern properties on an enumerated set.
 
-    The patterns must share one shape (M, N), else ``ValueError``.  With
-    ``maximal_only`` the checks requiring non-maximal members (complete
-    graph, boundary, elimination) are skipped; composition, symmetry and
-    comparability remain meaningful on the degree-one patterns alone.
+    The patterns must share one shape (M, N), else ``ValueError``.  The
+    report lists complete graph, symmetry, composition, elimination,
+    boundary and comparability, in that order.
 
     Each pattern is the tuple of its points' term masks, and the set is a
     hash set of those tuples.  Each property is decided exactly, once:
@@ -230,9 +226,8 @@ def pattern_axioms_check(
     keys = set(rows)
     results = []
 
-    if not maximal_only:
-        K = None if (_term_mask(range(1, N + 1)),) * M in keys else complete_pattern(M, N)
-        results.append(AxiomResult("complete_graph", K is None, K))
+    K = None if (_term_mask(range(1, N + 1)),) * M in keys else complete_pattern(M, N)
+    results.append(AxiomResult("complete_graph", K is None, K))
 
     bad = None
     masks = set(chain.from_iterable(rows))
@@ -258,26 +253,25 @@ def pattern_axioms_check(
             break
     results.append(AxiomResult("composition", bad is None, bad))
 
-    if not maximal_only:
-        bad = None
-        at_point = [set(col) for col in zip(*rows)]
-        unjoined = [{a: {b for b in U if a | b not in U} for a in U} for U in at_point]
-        for p, r in zip(pats, rows):
-            misses = [unjoined[k][a] for k, a in enumerate(r)]
-            if not any(misses):
-                continue
-            bad = next(
-                ((p, q, k) for q, s in zip(pats, rows) for k in range(M) if s[k] in misses[k]),
-                None,
-            )
-            if bad:
-                break
-        results.append(AxiomResult("elimination", bad is None, bad))
+    bad = None
+    at_point = [set(col) for col in zip(*rows)]
+    unjoined = [{a: {b for b in U if a | b not in U} for a in U} for U in at_point]
+    for p, r in zip(pats, rows):
+        misses = [unjoined[k][a] for k, a in enumerate(r)]
+        if not any(misses):
+            continue
+        bad = next(
+            ((p, q, k) for q, s in zip(pats, rows) for k in range(M) if s[k] in misses[k]),
+            None,
+        )
+        if bad:
+            break
+    results.append(AxiomResult("elimination", bad is None, bad))
 
-        terms = range(1, N + 1)
-        subsets = (S for size in terms for S in combinations(terms, size))
-        bad = next((S for S in subsets if (_term_mask(S),) * M not in keys), None)
-        results.append(AxiomResult("boundary", bad is None, bad))
+    terms = range(1, N + 1)
+    subsets = (S for size in terms for S in combinations(terms, size))
+    bad = next((S for S in subsets if (_term_mask(S),) * M not in keys), None)
+    results.append(AxiomResult("boundary", bad is None, bad))
 
     results.append(AxiomResult("comparability", True))
 

@@ -18,7 +18,6 @@ import pytest
 from oracles import ComparabilityGraph, assignment_loss, grid_boundary_pairs, grid_pairs_only, is_acyclic
 from tropfan.classify import (
     chamber_path,
-    connected_components,
     covectors_linear,
     dichotomy_of_assignment,
     level_set,

@@ -20,7 +20,6 @@ from tropfan.classify import (
     _union_find_components,
     chamber_path,
     compose,
-    connected_components,
     count_dichotomies,
     covectors_linear,
     format_signs,
@@ -140,26 +139,6 @@ def test_perfect_fan_diag4(diag4):
     assert sorted(len(c) for c in rep.components) == [4, 4]
 
 
-def test_perfect_fan_faces_weakly_compatible(diag4):
-    """A face is the closure of two loss-0 patterns, so it contains both and
-    every point keeps a term of its own block; nothing filters the faces."""
-    target = parse_signs("+,-,-,+")
-    rep = perfect_fan(diag4, 2, 2, target, include_faces=True)
-    assert rep.faces
-    for cone in rep.faces:
-        for nb, c in zip(cone.pattern.neighbors, target):
-            if c > 0:
-                assert any(i <= 2 for i in nb)
-            else:
-                assert any(i > 2 for i in nb)
-    # purity: every face is contained in some maximal cone of the fan
-    for cone in rep.faces:
-        assert any(
-            all(m <= f for m, f in zip(g.neighbors, cone.pattern.neighbors))
-            for g in rep.patterns
-        )
-
-
 def test_perfect_count_bound():
     D = dataset([(0, 0), (1, 0), (0, 1), (3, 3)])
     target = parse_signs("+,+,+,-")
@@ -231,14 +210,12 @@ def test_sublevel_connected_when_separable(five_line):
     target = parse_signs("+,+,-,-,-")
     maximal = enumerate_maximal_cones(five_line, 2)
     for k in range(0, 6):
-        sub = [g for g in maximal if loss_of_pattern(g, target, 1, 1) <= k]
-        comps = connected_components(sub, five_line, 1, 1)
-        assert len(comps) == 1
+        sub = [g.assignment() for g in maximal if loss_of_pattern(g, target, 1, 1) <= k]
+        assert len(_wall_components(five_line, 2, sub)) == 1
 
 
 def test_connected_components_singleton(five_line):
-    G = pattern_from_assignment((1, 1, 1, 1, 1), 2)
-    assert connected_components([G], five_line, 1, 1) == [(0,)]
+    assert _wall_components(five_line, 2, [(1, 1, 1, 1, 1)]) == [(0,)]
 
 
 def test_covectors_linear_counts(five_line):
@@ -487,6 +464,13 @@ def _witness_of(index, assigns):
     return lambda x: index._integer_witness(*of[assigns[x]])
 
 
+def _wall_components(data, N, assigns):
+    """The wall components of a list of the fan index's assignments, from
+    the edges and witnesses that ``level_set`` uses."""
+    edges = _adjacency_edges(assigns, data, N, _witness_of(fan_index(data, N), assigns))
+    return _union_find_components(len(assigns), edges)
+
+
 def _seeded_coincident(d):
     """Four distinct seeded integer points in R^d plus a copy of one of them."""
     rng = random.Random(d)
@@ -508,8 +492,8 @@ def _seeded_coincident(d):
 def test_adjacency_edges_match_pairwise_oracle(case, request):
     """The pairwise oracle builds every wall LP over all N term blocks, so the
     seeded cases, whose flips leave terms unused, also check that dropping an
-    unused term keeps every verdict.  The edges are the same with the LP
-    alone and with the witness crossings that ``level_set`` tries first."""
+    unused term keeps every verdict, including those the witness crossings
+    that ``level_set`` tries first certify."""
     name, arg = case.split("-")
     if name == "nine":
         data, N, n = request.getfixturevalue("nine_points"), 4, 2
@@ -525,9 +509,8 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
             data = fixtures[name] if name in fixtures else request.getfixturevalue(name)
         N = int(arg)
         assigns = sorted(fan_index(data, N).iter_assignments())
-    edges = _adjacency_edges(assigns, data, N)
+    edges = _adjacency_edges(assigns, data, N, _witness_of(fan_index(data, N), assigns))
     assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
-    assert _adjacency_edges(assigns, data, N, _witness_of(fan_index(data, N), assigns)) == edges
     if name.startswith("seeded"):
         assert len(set(data.points)) == data.M - 1
         assert any(
@@ -535,27 +518,11 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
         )
 
 
-def _split_copies(rng, data, assigns, N, count):
-    """``count`` degree-one assignments that each move one copy of a
-    coincident point off its group's term, drawn from ``assigns``."""
-    groups = [[k for k, q in enumerate(data.points) if q == p] for p in dict.fromkeys(data.points)]
-    groups = [group for group in groups if len(group) > 1]
-    out = []
-    for _ in range(count):
-        a, group = list(rng.choice(assigns)), rng.choice(groups)
-        k = rng.choice(group)
-        a[k] = rng.choice([t for t in range(1, N + 1) if t != a[k]])
-        out.append(tuple(a))
-    return out
-
-
 def test_adjacency_edges_match_the_flip_oracle(monkeypatch):
-    """Group buckets give the flip lookup's edges and the same wall LPs, with
-    and without witnesses, on seeded sets with d = 1..3 and N = 2..4.  Each
-    set has groups of 2 and 3 coincident points, a repeated assignment and a
-    shuffled order; without witnesses, as ``connected_components`` takes its
-    patterns from the caller, it also has assignments that split a group.
-    One set is a single point vector, so no entry lies outside the group."""
+    """Group buckets give the flip lookup's edges and the same wall LPs on
+    seeded sets with d = 1..3 and N = 2..4.  Each set has groups of 2 and 3
+    coincident points, a repeated assignment and a shuffled order.  One set
+    is a single point vector, so no entry lies outside the group."""
     rng = random.Random(35)
     cases = []
     for d, N in product((1, 2, 3), (2, 3, 4)):
@@ -569,35 +536,21 @@ def test_adjacency_edges_match_the_flip_oracle(monkeypatch):
         cases.append((dataset(points), N))
     cases.append((dataset([(1,), (1,), (1,)]), 3))
     calls = _count_wall_lps(monkeypatch)
-    split_edges = repeated_edges = 0
+    repeated_edges = 0
     for data, N in cases:
         index = fan_index(data, N)
         assigns = list(index.iter_assignments())
         assigns.append(rng.choice(assigns))
         rng.shuffle(assigns)
         witness = _witness_of(index, assigns)
-        lps = []
-        for args in ((assigns, data, N), (assigns, data, N, witness)):
-            calls.clear()
-            edges = _adjacency_edges(*args)
-            lps.append(len(calls))
-            calls.clear()
-            assert edges == adjacency_edges_by_flips(*args)
-            assert lps[-1] == len(calls)
-        assert edges and lps[1] <= lps[0]
+        calls.clear()
+        edges = _adjacency_edges(assigns, data, N, witness)
+        lps = len(calls)
+        calls.clear()
+        assert edges and edges == adjacency_edges_by_flips(assigns, data, N, witness)
+        assert lps == len(calls)
         repeated_edges += sum(assigns.count(assigns[x]) > 1 for x, _ in edges)
-        mixed = assigns + _split_copies(rng, data, assigns, N, 4)
-        rng.shuffle(mixed)
-        calls.clear()
-        edges = _adjacency_edges(mixed, data, N)
-        lp = len(calls)
-        calls.clear()
-        assert edges == adjacency_edges_by_flips(mixed, data, N) and lp == len(calls)
-        patterns = [pattern_from_assignment(a, N) for a in mixed]
-        assert connected_components(patterns, data, 1, N - 1) == _union_find_components(len(mixed), edges)
-        whole = set(assigns)
-        split_edges += sum(mixed[x] not in whole or mixed[y] not in whole for x, y in edges)
-    assert split_edges > 0 and repeated_edges > 0
+    assert repeated_edges > 0
 
 
 def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):
@@ -605,14 +558,12 @@ def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):
     patterns = maximal + [maximal[0], maximal[5]]
     assigns = [g.assignment() for g in patterns]
     K = len(maximal)
-    edges = _adjacency_edges(assigns, diag4, 3)
+    edges = _adjacency_edges(assigns, diag4, 3, _witness_of(fan_index(diag4, 3), assigns))
     assert edges == adjacency_edges_by_pairs(assigns, diag4, 3)
     assert (0, K) not in edges and (5, K + 1) not in edges
     neighbours = Counter(x for x, y in edges if y == K) + Counter(y for x, y in edges if x == K)
     assert neighbours == Counter(x for x, y in edges if y == 0) + Counter(y for x, y in edges if x == 0)
-    assert connected_components(patterns, diag4, 1, 2) == _union_find_components(len(assigns), edges)
-    G = maximal[0]
-    assert connected_components([G, G], diag4, 1, 2) == [(0,), (1,)]
+    assert _wall_components(diag4, 3, [assigns[0]] * 2) == [(0,), (1,)]
 
 
 def _count_wall_lps(monkeypatch):
@@ -642,15 +593,19 @@ def test_wall_lp_memo_is_scoped_to_one_call(nine_points, monkeypatch):
 
 
 def test_coincident_walls_need_fewer_lps_than_edges(monkeypatch):
+    """With every witness crossing refused, each decision takes its LP, and
+    the relabeling memo still makes fewer wall LPs than edges."""
     data = dataset(COINCIDENT)
     maximal = enumerate_maximal_cones(data, 3)
+    monkeypatch.setattr(importlib.import_module("tropfan.classify"), "_crossing_is_wall", lambda *args: False)
     calls = _count_wall_lps(monkeypatch)
     assigns = [g.assignment() for g in maximal]
-    edges = _adjacency_edges(assigns, data, 3)
+    witness = _witness_of(fan_index(data, 3), assigns)
+    edges = _adjacency_edges(assigns, data, 3, witness)
     assert 0 < len(calls) < len(edges)
     lps = len(calls)
     calls.clear()
-    assert _adjacency_edges(assigns, data, 3) == edges and len(calls) == lps
+    assert _adjacency_edges(assigns, data, 3, witness) == edges and len(calls) == lps
 
 
 @pytest.mark.parametrize(
@@ -662,7 +617,7 @@ def test_wall_graph_of_the_whole_fan_is_connected(name, N, request):
     data = dataset(COINCIDENT) if name == "coincident" else request.getfixturevalue(name)
     maximal = enumerate_maximal_cones(data, N)
     assert len(maximal) > 1
-    assert len(connected_components(maximal, data, 1, N - 1)) == 1
+    assert len(_wall_components(data, N, [g.assignment() for g in maximal])) == 1
 
 
 def test_block_swap_maps_level_k_to_level_M_minus_k():

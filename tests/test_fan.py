@@ -775,7 +775,8 @@ def test_rational_data_matches_its_integer_multiple():
 def serial_pool(sizes: list) -> type:
     """A stand-in for ``multiprocessing.Pool`` whose ``imap`` maps lazily in
     this process and which appends the process count each pool asks for to
-    ``sizes``."""
+    ``sizes``.  Each task goes through a pickle round trip, as a real pool
+    sends it, so no chunk sees what another one changed."""
 
     class SerialPool:
         def __init__(self, processes):
@@ -788,7 +789,7 @@ def serial_pool(sizes: list) -> type:
             return False
 
         def imap(self, fn, tasks):
-            return map(fn, tasks)
+            return (fn(pickle.loads(pickle.dumps(task))) for task in tasks)
 
     return SerialPool
 

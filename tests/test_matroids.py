@@ -166,16 +166,17 @@ def _random_pattern_sets(count, seed):
             pats |= {p.relabel(dict(zip(terms, perm))) for p in pats for perm in permutations(terms)}
         if rng.random() < 0.5:
             pats |= {ActivationPattern(M, N, (S,) * M) for S in subsets}
-        yield sorted(pats, key=ActivationPattern.key), rng.random() < 0.2
+        rng.random()  # unused; keeps the sequence of sets that seed 2024 gives
+        yield sorted(pats, key=ActivationPattern.key)
 
 
 def test_pattern_axioms_match_the_scanning_oracle():
     """Same verdicts as the exhaustive scan, and the same witnesses except
     for symmetry, whose witness is now a violated adjacent transposition."""
     failed = set()
-    for pats, maximal_only in _random_pattern_sets(150, seed=2024):
-        got = pattern_axioms_check(pats, maximal_only=maximal_only)
-        want = pattern_axioms_by_scan(pats, maximal_only=maximal_only)
+    for pats in _random_pattern_sets(150, seed=2024):
+        got = pattern_axioms_check(pats)
+        want = pattern_axioms_by_scan(pats)
         assert [r.name for r in got.results] == [r.name for r in want.results]
         for g, w in zip(got.results, want.results):
             assert g.passed == w.passed, (g, w)
@@ -275,16 +276,6 @@ def test_pattern_axioms_negative_control_missing_complete(two_points):
     report = pattern_axioms_check(pats)
     assert not report.result("complete_graph").passed
     assert report.result("complete_graph").witness == K
-
-
-def test_pattern_axioms_maximal_only(two_points):
-    from tropfan.fan import enumerate_maximal_cones
-
-    pats = enumerate_maximal_cones(two_points, 3)
-    report = pattern_axioms_check(pats, maximal_only=True)
-    names = {r.name for r in report.results}
-    assert names == {"symmetry", "composition", "comparability"}
-    assert report.all_passed
 
 
 def test_tom_boundary_types_on_slice():
