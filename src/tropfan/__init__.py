@@ -12,7 +12,6 @@ from .classify import (
     loss_of_pattern,
     loss_of_theta,
     parse_signs,
-    perfect_fan,
     wall_adjacent,
 )
 from .dual import DualEdge, decision_boundary, dual_edges, render_svg, tropical_type

@@ -348,19 +348,6 @@ def level_set(
     )
 
 
-def perfect_fan(
-    data: Dataset,
-    n: int,
-    m: int,
-    target: Sequence[int],
-    cap: Optional[int] = None,
-    workers: int = 1,
-    progress=None,
-) -> LevelSetReport:
-    """The loss-0 level set."""
-    return level_set(data, n, m, target, 0, cap=cap, workers=workers, progress=progress)
-
-
 def count_dichotomies(data: Dataset, n: int, m: int, cap: Optional[int] = None,
                       workers: int = 1) -> int:
     """Number of distinct dichotomies induced by maximal cones of the

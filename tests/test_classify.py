@@ -27,7 +27,6 @@ from tropfan.classify import (
     loss_of_pattern,
     loss_of_theta,
     parse_signs,
-    perfect_fan,
     separation,
     wall_adjacent,
 )
@@ -116,25 +115,25 @@ def test_level_set_refuses_a_zero_target_entry():
     with pytest.raises(ValueError, match="-1 or \\+1"):
         level_set(D, 1, 1, (1, 0, -1), 1)
     with pytest.raises(ValueError, match="-1 or \\+1"):
-        perfect_fan(D, 1, 1, (1, 0, -1))
+        level_set(D, 1, 1, (1, 0, -1), 0)
 
 
 def test_perfect_fan_single_point():
     D = dataset([(0, 0)])
-    rep = perfect_fan(D, 1, 1, (1,))
+    rep = level_set(D, 1, 1, (1,), 0)
     assert rep.count == 1
     assert rep.patterns[0].assignment() == (1,)
 
 
 def test_perfect_fan_nonseparable_empty():
     D = dataset([(1,), (2,), (3,)])
-    rep = perfect_fan(D, 1, 1, parse_signs("+,-,+"))
+    rep = level_set(D, 1, 1, parse_signs("+,-,+"), 0)
     assert rep.count == 0
 
 
 def test_perfect_fan_diag4(diag4):
     target = parse_signs("+,-,-,+")
-    rep = perfect_fan(diag4, 2, 2, target)
+    rep = level_set(diag4, 2, 2, target, 0)
     assert rep.count == 8
     assert sorted(len(c) for c in rep.components) == [4, 4]
 
@@ -142,12 +141,12 @@ def test_perfect_fan_diag4(diag4):
 def test_perfect_count_bound():
     D = dataset([(0, 0), (1, 0), (0, 1), (3, 3)])
     target = parse_signs("+,+,+,-")
-    rep = perfect_fan(D, 2, 2, target)
+    rep = level_set(D, 2, 2, target, 0)
     # D+ affinely independent (3 points), D- a single point, separable
     assert rep.count == 2**3 * 2**1
     # collinear positive part cannot attain the bound
     D2 = dataset([(0, 0), (1, 1), (2, 2), (5, 0)])
-    rep2 = perfect_fan(D2, 2, 2, parse_signs("+,+,+,-"))
+    rep2 = level_set(D2, 2, 2, parse_signs("+,+,+,-"), 0)
     assert rep2.count < 2**3 * 2**1
 
 
@@ -489,11 +488,12 @@ def _seeded_coincident(d):
      "coincident-3", "spatial-3", "seeded1-3", "seeded1-4", "seeded2-3", "seeded2-4",
      "seeded3-3", "seeded3-4"],
 )
-def test_adjacency_edges_match_pairwise_oracle(case, request):
+def test_adjacency_edges_match_pairwise_oracle(case, request, monkeypatch):
     """The pairwise oracle builds every wall LP over all N term blocks, so the
     seeded cases, whose flips leave terms unused, also check that dropping an
-    unused term keeps every verdict, including those the witness crossings
-    that ``level_set`` tries first certify."""
+    unused term keeps every verdict.  The edges are the same with the witness
+    crossings that ``level_set`` tries first and with every crossing refused,
+    so that each wall is decided by its LP alone."""
     name, arg = case.split("-")
     if name == "nine":
         data, N, n = request.getfixturevalue("nine_points"), 4, 2
@@ -509,8 +509,12 @@ def test_adjacency_edges_match_pairwise_oracle(case, request):
             data = fixtures[name] if name in fixtures else request.getfixturevalue(name)
         N = int(arg)
         assigns = sorted(fan_index(data, N).iter_assignments())
-    edges = _adjacency_edges(assigns, data, N, _witness_of(fan_index(data, N), assigns))
+    witness = _witness_of(fan_index(data, N), assigns)
+    edges = _adjacency_edges(assigns, data, N, witness)
     assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
+    monkeypatch.setattr(importlib.import_module("tropfan.classify"), "_crossing_is_wall", lambda *args: False)
+    calls = _count_wall_lps(monkeypatch)
+    assert _adjacency_edges(assigns, data, N, witness) == edges and calls
     if name.startswith("seeded"):
         assert len(set(data.points)) == data.M - 1
         assert any(
