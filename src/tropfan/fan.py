@@ -45,8 +45,9 @@ restricted to S is pi.  That is sound:
   node.
 
 Two distinct points alone never make a certificate (their lifts would be
-parallel), so S has at least three points.  ``_Nogoods`` stores the
-nogoods and arms them in one slot per depth of the depth-first path.
+parallel), so S has at least three points.  ``_Nogoods`` stores each
+nogood under its largest point k, and every node that places point k
+looks it up there.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, permutations
-from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -285,15 +285,16 @@ class _CanonicalCone:
 
     ``witness_blocks`` holds one (a, s) block per part under the canonical
     labeling part t -> term t+1, over the common denominator ``den``;
-    ``pad_a`` is a constant low enough that padding terms (a, 0) never reach
-    the max on any data point.  A leaf of the walk keeps its blocks in
-    integers; they become Fractions only where a witness is read.
+    ``pad`` over ``den`` is a constant low enough that padding terms
+    (pad / den, 0) never reach the max on any data point.  A leaf of the
+    walk keeps its blocks and pad in integers; they become Fractions only
+    where a witness is read.
     """
 
     parts: tuple[tuple[int, ...], ...]
     witness_blocks: tuple[tuple[int, ...], ...]
     den: int
-    pad_a: Fraction
+    pad: int
 
 
 def _child(data: Dataset, R: int, owner: list[int], t: int, tableau: list) -> tuple[Fraction, list]:
@@ -339,81 +340,58 @@ def _canon(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple([seen.setdefault(p, len(seen)) for p in parts])
 
 
-def _refutes(rule, t: int) -> bool:
-    """Whether an armed rule refutes part t: the one part an int names, or
-    every part outside a frozenset."""
-    return t == rule if type(rule) is int else t not in rule
-
-
 class _Nogoods:
-    """The nogoods the walk learned, and the rules they arm on its current
-    path (see the module docstring for why a nogood refutes).
+    """The nogoods the walk learned (see the module docstring for why a
+    nogood refutes).
 
-    A nogood (S, pi) with largest point k and next largest k2 is stored at
-    depth k2 + 1 under its rest, S without k, and the patterns of the
-    nogoods on one rest share one ``itemgetter`` and one dict, keyed by
-    the rest's partition up to relabeling.  A node of that depth, whose
-    partition of the rest no node below it changes, tests them with one
-    lookup; a match arms each nogood's rule for point k on the node's
-    subtree.  The rule is the part of k's block-mate in pi, or, when k is
-    alone in pi, the frozenset of the rest's parts: every part outside it is
-    refuted, a new one included.
-
-    ``path[e]`` is the slot of the node of depth e on the current path, a
-    dict from a point to the rules armed on that node's subtree.  Entering
-    a node drops the slots of the subtree left behind and opens a fresh one
-    at its depth, so leaving a subtree needs no cleanup.  A walk that starts
-    below the root opens a fresh slot at every depth up to its start and
-    tests there every nogood stored at those depths.  A learned nogood is
-    armed in the slot of its storage depth, which stays on the path while
-    the walk is below that depth's node, and for the whole walk when that
-    depth is not below its start.
+    A nogood (S, pi) with largest point k is stored under k and its rest, S
+    without k.  The patterns of the nogoods on one rest share one
+    ``itemgetter`` and one dict, keyed by the rest's partition up to
+    relabeling, that maps it to the block-mate of k in each pi: a point of
+    the rest, or None when k is alone in pi.  A node that places point k
+    reads the rests stored under k only, one lookup each.
     """
 
     def __init__(self):
         self.stored: dict[int, dict[tuple[int, ...], tuple[itemgetter, dict]]] = {}
-        self.path: list[dict[int, list]] = []
         self.canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # each tuple of parts once through ``_canon``
 
-    def enter(self, owner: list[int], parts: range, top: bool) -> set[int]:
-        """Arm the nogoods tested at the node ``owner`` (at every depth up
-        to its own when ``top``, the start of a walk) and return the parts of
-        ``parts`` that the rules armed on the path refute for point k =
-        len(owner)."""
-        k, path = len(owner), self.path
-        depths = range(k + 1) if top else (k,)
-        del path[depths[0]:]
-        path += [{} for _ in depths]
-        slot, canon = path[k], self.canon
-        for e in depths:
-            for get, patterns in self.stored.get(e, {}).values():
-                values = get(owner)
-                key = canon.get(values)
-                if key is None:
-                    key = canon[values] = _canon(values)
-                for j, mate in patterns.get(key, ()):
-                    if j >= k:
-                        slot.setdefault(j, []).append(owner[mate] if mate is not None else frozenset(values))
-        rules = [rule for armed in path for rule in armed.get(k, ())]
-        return {t for t in parts if any(_refutes(rule, t) for rule in rules)}
+    def refuted(self, owner: list[int], parts: range) -> set[int]:
+        """The parts of ``parts`` that a learned nogood refutes for point k
+        = len(owner) below the node ``owner``: the part of k's block-mate,
+        or, when k is alone, every part outside the rest's parts, a new one
+        included."""
+        out, canon = set(), self.canon
+        for get, patterns in self.stored.get(len(owner), {}).values():
+            values = get(owner)
+            key = canon.get(values)
+            if key is None:
+                key = canon[values] = _canon(values)
+            for mate in patterns.get(key, ()):
+                out |= _refuted_by(owner, mate, values, parts)
+        return out
 
     def learn(self, child: list[int], y: list[int], parts: range) -> set[int]:
         """Store the nogood of the infeasible child ``child``, whose
-        certificate y ``max_slack`` checked, arm it on the current path, and
-        return the parts of ``parts`` it refutes for the child's last point.
-        Its support holds that point, since the child's parent is
-        realizable, and at least two others (see the module docstring), so
-        the rest's ``itemgetter`` returns a tuple."""
+        certificate y ``max_slack`` checked, and return the parts of
+        ``parts`` it refutes for the child's last point.  Its support holds
+        that point, since the child's parent is realizable, and at least two
+        others (see the module docstring), so the rest's ``itemgetter``
+        returns a tuple."""
         *rest, k = sorted({j for j, v in zip(_row_points(child), y, strict=True) if v})
         rest = tuple(rest)
-        values = [child[j] for j in rest]
+        values = tuple(child[j] for j in rest)
         mate = next((j for j in rest if child[j] == child[k]), None)
-        depth = rest[-1] + 1
-        _, patterns = self.stored.setdefault(depth, {}).setdefault(rest, (itemgetter(*rest), {}))
-        patterns.setdefault(_canon(values), []).append((k, mate))
-        rule = child[mate] if mate is not None else frozenset(values)
-        self.path[depth].setdefault(k, []).append(rule)
-        return {t for t in parts if _refutes(rule, t)}
+        _, patterns = self.stored.setdefault(k, {}).setdefault(rest, (itemgetter(*rest), {}))
+        patterns.setdefault(_canon(values), set()).add(mate)
+        return _refuted_by(child, mate, values, parts)
+
+
+def _refuted_by(owner: list[int], mate: Optional[int], values: tuple[int, ...], parts: range) -> set[int]:
+    """The parts of ``parts`` a matching nogood refutes below the node
+    ``owner``, whose rest holds the parts ``values``: the part of the
+    block-mate ``mate``, or every part outside ``values`` when it is None."""
+    return {owner[mate]} if mate is not None else {t for t in parts if t not in values}
 
 
 def _witness_blocks(data: Dataset, owner: list[int], tableau: list) -> list[list[int]]:
@@ -438,25 +416,23 @@ def _kept_part(data: Dataset, owner: list[int], tableau: list) -> Optional[int]:
 
 
 def _nodes(
-    data: Dataset, R: int, owner: list[int], tableau: list, depth: int, nogoods: _Nogoods, top: bool = True
+    data: Dataset, R: int, owner: list[int], tableau: list, depth: int, nogoods: _Nogoods
 ) -> Iterator[tuple[list[int], list]]:
     """(owner, tableau) of each realizable partition of the first ``depth``
     points below a node, depth first, children in canonical order (the open
     parts, then a new part while fewer than R are open); each node's LP is
     solved at most once, warm from its parent's tableau.  A child that a
-    nogood armed on the path refutes takes no LP, and an infeasible child's
-    checked certificate becomes a nogood; ``top`` marks the node the walk
-    starts from, where ``_Nogoods`` opens a slot at every depth.  When the
-    children are leaves, the one in the part ``_kept_part`` names is
-    yielded with the node's own tableau and no LP; ``_leaf_cone`` checks
-    that witness at every point, and an ``AssertionError`` is raised if an
-    armed nogood refutes that leaf, since then a witness and a certificate
-    disagree."""
+    learned nogood refutes takes no LP, and an infeasible child's checked
+    certificate becomes a nogood.  When the children are leaves, the one in
+    the part ``_kept_part`` names is yielded with the node's own tableau and
+    no LP; ``_leaf_cone`` checks that witness at every point, and an
+    ``AssertionError`` is raised if a nogood refutes that leaf, since then a
+    witness and a certificate disagree."""
     if len(owner) == depth:
         yield owner, tableau
         return
     parts = range(min(max(owner, default=-1) + 2, R))
-    refuted = nogoods.enter(owner, parts, top)
+    refuted = nogoods.refuted(owner, parts)
     kept = _kept_part(data, owner, tableau) if len(owner) + 1 == data.M else None
     for t in parts:
         if t in refuted:
@@ -468,7 +444,7 @@ def _nodes(
             continue
         opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
-            yield from _nodes(data, R, owner + [t], child, depth, nogoods, False)
+            yield from _nodes(data, R, owner + [t], child, depth, nogoods)
         else:
             refuted |= nogoods.learn(owner + [t], child, parts)
 
@@ -478,23 +454,21 @@ def _leaf_cone(data: Dataset, owner: list[int], tableau: list) -> _CanonicalCone
     each point its part's term must beat every other part's term in the
     tableau's rhs values, or an ``AssertionError`` is raised.  The witness
     blocks are those values, kept in integers with the tableau's
-    denominator.  ``pad_a`` is one less than the least value of a point's
-    own term, over the points, found by integer cross-multiplication; it is
-    the one Fraction built here."""
+    denominator.  A point's own term takes the value v / (lift[0] * den).
+    ``pad`` is the least v // lift[0] over the points, minus ``den``, so
+    pad / den is below each of those values, and one less than the least of
+    them when every lift[0] is 1, as on integer points."""
     sx, blocks = tableau[0], _witness_blocks(data, owner, tableau)
     parts: list[list[int]] = [[] for _ in blocks]
-    # The least values[p] / lift[0] so far, as two ints: point 0 is in part 0, whose block is zero.
-    low, low_lift = 0, 1
+    low = 0  # point 0 is in part 0, whose block is zero
     for k, (lift, p) in enumerate(zip(data.lifts, owner)):
         values = [sum(map(mul, lift, block)) for block in blocks]
         v = values[p]
         if max(values) != v or values.count(v) > 1:
             raise AssertionError("leaf witness violates a strict row")
-        if v * low_lift < low * lift[0]:
-            low, low_lift = v, lift[0]
+        low = min(low, v // lift[0])
         parts[p].append(k)
-    pad_a = Fraction(low, sx.den * low_lift) - 1
-    return _CanonicalCone(tuple(map(tuple, parts)), tuple(map(tuple, blocks)), sx.den, pad_a)
+    return _CanonicalCone(tuple(map(tuple, parts)), tuple(map(tuple, blocks)), sx.den, low - sx.den)
 
 
 def _distinct(data: Dataset) -> tuple[Dataset, tuple[int, ...]]:
@@ -599,20 +573,16 @@ class _FanIndex:
     def _integer_witness(self, rep: _CanonicalCone, perm: Sequence[int]) -> tuple[int, ...]:
         """rep's full-space strict witness under the relabeling part t ->
         term perm[t], in integers: its blocks and the pad blocks
-        (pad_a, 0, ..., 0) times the positive scale lcm(den, denominator of
-        pad_a).  A positive multiple of a strict witness is one."""
-        pad_a, scale = rep.pad_a, lcm(rep.den, rep.pad_a.denominator)
-        up = scale // rep.den
-        blocks = [[v * up for v in block] for block in rep.witness_blocks]
-        pad = (pad_a.numerator * (scale // pad_a.denominator),) + (0,) * self.data.d
-        return self._layout(perm, blocks, pad)
+        (pad, 0, ..., 0), the witness times ``den``.  A positive multiple of
+        a strict witness is one."""
+        return self._layout(perm, rep.witness_blocks, (rep.pad,) + (0,) * self.data.d)
 
     def _witnesses(self, rep: _CanonicalCone, perms: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], Vec]]:
-        """(perm, ``_integer_witness(rep, perm)`` over its scale, as
-        Fractions) for each perm; rep's blocks become Fractions once, for
-        all, and the pad keeps ``pad_a``."""
+        """(perm, ``_integer_witness(rep, perm)`` over ``den``, as
+        Fractions) for each perm; rep's blocks and pad become Fractions
+        once, for all."""
         blocks = [tuple(Fraction(v, rep.den) for v in block) for block in rep.witness_blocks]
-        pad = (rep.pad_a,) + zeros(self.data.d)
+        pad = (Fraction(rep.pad, rep.den),) + zeros(self.data.d)
         for perm in perms:
             yield perm, self._layout(perm, blocks, pad)
 
@@ -637,7 +607,10 @@ def fan_index(
     realizable classes over all chunks, whatever ``workers`` is; passing it
     raises ``CapExceededError`` here alone, on fresh and cached indexes
     alike, before anything is cached.  The cache keeps the
-    ``_FAN_CACHE_SIZE`` most recently used indexes."""
+    ``_FAN_CACHE_SIZE`` most recently used indexes.  N below 1 raises
+    ``ValueError``."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     key = (data, N)
     index = _FAN_CACHE.get(key) if use_cache else None
     if index is None:
@@ -661,8 +634,6 @@ def enumerate_maximal_cones(
 ) -> list[ActivationPattern]:
     """All degree-one patterns with strictly feasible cones, in canonical
     lexicographic order of their assignment sequences."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     index = fan_index(data, N, cap=cap, workers=workers, progress=progress)
     assigns = sorted(index.iter_assignments())
     return [pattern_from_assignment(a, N) for a in assigns]

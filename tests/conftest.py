@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from tropfan.fan import dataset
 from tropfan.tropical import SignomialParams, TropicalRationalParams, signomial

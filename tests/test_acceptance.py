@@ -15,13 +15,11 @@ from itertools import combinations
 
 import pytest
 
-from oracles import ComparabilityGraph, assignment_loss, grid_boundary_pairs, grid_pairs_only, is_acyclic
+from oracles import ComparabilityGraph, assignment_loss, grid_boundary_pairs, is_acyclic
 from tropfan.classify import (
     chamber_path,
     covectors_linear,
-    dichotomy_of_assignment,
     level_set,
-    loss_of_pattern,
     parse_signs,
     separation,
     wall_adjacent,

@@ -1,7 +1,6 @@
 import importlib
 import random
 from collections import Counter
-from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
@@ -19,7 +18,6 @@ from tropfan.classify import (
     _crossing_is_wall,
     _union_find_components,
     chamber_path,
-    compose,
     count_dichotomies,
     covectors_linear,
     format_signs,
@@ -35,7 +33,6 @@ from tropfan.fan import (
     enumerate_maximal_cones,
     lineality_dim,
     pattern_from_assignment,
-    pattern_of,
     fan_index,
     theta_from_vector,
 )

@@ -11,7 +11,7 @@ from tropfan import relu
 from tropfan.cli import build_parser, main
 from tropfan.fan import dataset
 from tropfan.relu import network
-from tropfan.tropical import SignomialParams, TropicalRationalParams, signomial
+from tropfan.tropical import signomial
 
 RUNNING_THETA = {
     "num": {"terms": [{"a": "0", "s": ["-1", "1"]}, {"a": "0", "s": ["0", "0"]}]},

@@ -12,7 +12,6 @@ from oracles import (
 )
 from tropfan import dual, geometry
 from tropfan.dual import (
-    DualEdge,
     _boundary_segments,
     _sig_digits,
     decision_boundary,
@@ -20,10 +19,10 @@ from tropfan.dual import (
     render_svg,
     tropical_type,
 )
-from tropfan.fan import dataset, pattern_of
+from tropfan.fan import pattern_of
 from tropfan.geometry import max_slack
 from tropfan.jsonio import loads, rational_from_json
-from tropfan.rationals import dot, integerize
+from tropfan.rationals import integerize
 from tropfan.relu import net_to_tropical, network, prune_terms
 from tropfan.tropical import (
     SignomialParams,

@@ -36,7 +36,7 @@ from tropfan.fan import (
 )
 from tropfan.classify import level_set
 from tropfan.geometry import describe_cone, exact_rank, lp_feasible
-from tropfan.rationals import dot, integerize
+from tropfan.rationals import integerize
 from tropfan.tropical import SignomialParams, signomial
 
 
@@ -442,6 +442,28 @@ def test_enumeration_matches_bruteforce_fullspace_lp():
         assert enumerated == brute
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_every_fan_entry_point_refuses_fewer_than_one_term(N):
+    """``fan_index`` raises ``ValueError`` for N below 1, before anything is
+    cached, so every entry point that builds a fan refuses it instead of
+    returning an empty fan or report."""
+    from tropfan.classify import count_dichotomies
+    from tropfan.fan import _FAN_CACHE
+
+    data = dataset([(0, 0), (1, 0), (0, 1)])
+    calls = [
+        lambda: fan_index(data, N),
+        lambda: enumerate_maximal_cones(data, N),
+        lambda: enumerate_all_cones(data, N),
+        lambda: level_set(data, N, 0, [1, -1, 1], 0),
+        lambda: count_dichotomies(data, 0, N),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at least 1"):
+            call()
+    assert all(key[1] >= 1 for key in _FAN_CACHE)
+
+
 def test_patterns_require_positive_degree():
     with pytest.raises(ValueError):
         ActivationPattern(2, 3, (frozenset({1}), frozenset()))
@@ -522,9 +544,13 @@ def test_exact_walk_matches_hull_pruning_on_nine_points(nine_points, monkeypatch
 
 def test_integer_leaves_match_the_eager_fraction_oracle(monkeypatch):
     """On the seeded walk datasets, with 1 and 2 workers, every leaf equals
-    the eager Fraction leaf built from the same tableau: its parts, its
-    integer witness blocks over its denominator, its padding constant and
-    every full-space witness."""
+    the eager Fraction leaf built from the same tableau: its parts and its
+    integer witness blocks over its denominator.  Its integer pad over its
+    denominator is the eager padding constant on integer points, and on
+    rational points at most that constant by less than 1 / den; with that
+    pad, every full-space witness is the eager one."""
+    from dataclasses import replace
+
     from tropfan import fan
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers split into chunks
@@ -535,20 +561,23 @@ def test_integer_leaves_match_the_eager_fraction_oracle(monkeypatch):
                 patch.setattr(fan, "_leaf_cone", leaf_cone_with_fractions)
                 want = fan_index(data, N, workers=workers, use_cache=False)
             assert [rep.parts for rep in index.reps] == [rep.parts for rep in want.reps]
-            assert [rep.pad_a for rep in index.reps] == [rep.pad_a for rep in want.reps]
+            integer = all(lift[0] == 1 for lift in data.lifts)
             for rep, eager in zip(index.reps, want.reps):
                 assert {type(v) for block in rep.witness_blocks for v in block} == {int}
-                assert type(rep.den) is int and rep.den > 0
+                assert type(rep.den) is int and rep.den > 0 and type(rep.pad) is int
                 blocks = tuple(tuple(F(v, rep.den) for v in block) for block in rep.witness_blocks)
                 assert blocks == eager.witness_blocks
+                pad = F(rep.pad, rep.den)
+                assert pad == eager.pad if integer else eager.pad - F(1, rep.den) < pad <= eager.pad
+            want.reps = [replace(eager, pad=F(rep.pad, rep.den)) for rep, eager in zip(index.reps, want.reps)]
             assert list(index.iter_patterns_with_witness()) == list(want.iter_patterns_with_witness())
 
 
 def test_fan_builds_witness_fractions_only_where_a_witness_is_read(monkeypatch):
-    """On the seeded walk datasets the walk builds one Fraction per class,
-    its ``pad_a``.  A full ``iter_patterns_with_witness`` pass then builds
-    each class's witness blocks once, for all of its relabelings:
-    len(parts) * (d + 1) Fractions per class."""
+    """On the seeded walk datasets the walk builds no Fraction.  A full
+    ``iter_patterns_with_witness`` pass then builds each class's witness
+    blocks and pad once, for all of its relabelings: len(parts) * (d + 1)
+    + 1 Fractions per class."""
     from tropfan import fan
 
     built = []
@@ -561,10 +590,9 @@ def test_fan_builds_witness_fractions_only_where_a_witness_is_read(monkeypatch):
     classes = relabelings = 0
     for data, N in walk_datasets():
         index = fan_index(data, N, use_cache=False)
-        assert len(built) == len(index.reps)
-        built.clear()
+        assert built == []
         relabelings += len(list(index.iter_patterns_with_witness()))
-        assert len(built) == sum(len(rep.parts) * (data.d + 1) for rep in index.reps)
+        assert len(built) == sum(len(rep.parts) * (data.d + 1) + 1 for rep in index.reps)
         built.clear()
         classes += len(index.reps)
     assert relabelings > classes
@@ -953,7 +981,7 @@ def realizes_by_fractions(data, rep) -> bool:
     for k, p in enumerate(data.points):
         values = [block[0] + sum(s * x for s, x in zip(block[1:], p)) for block in blocks]
         own = values.pop(owner[k])
-        if not all(own > v for v in values + [rep.pad_a]):
+        if not all(own > v for v in values + [F(rep.pad, rep.den)]):
             return False
     return True
 
@@ -1023,7 +1051,7 @@ def test_refuted_children_are_infeasible_and_the_walk_is_unchanged(counted_seria
     from tropfan.geometry import max_slack
 
     def reps(index):
-        return [(r.parts, r.witness_blocks, r.den, r.pad_a) for r in index]
+        return [(r.parts, r.witness_blocks, r.den, r.pad) for r in index]
 
     sizes, counts = counted_serial_walk
     counts.append(0)
@@ -1043,6 +1071,51 @@ def test_refuted_children_are_infeasible_and_the_walk_is_unchanged(counted_seria
                 assert max_slack(dim, (), rows)[0] == 0, child
             total += len(refuted)
     assert total > 0 and 2 in sizes
+
+
+def test_refuted_parts_are_exactly_those_of_the_learned_nogoods(counted_serial_walk, monkeypatch):
+    """On the seeded walk datasets, under 1 worker and under 2 with each
+    chunk's task pickled: at every node, the parts ``_Nogoods.refuted``
+    returns, and those ``learn`` returns for the node's other children, are
+    exactly the parts t for which some nogood (S, pi) of the store has
+    largest point k = len(owner) and the partition owner + [t] restricted to
+    S is pi up to relabeling.  Each nogood is recorded as it is learned: S
+    is the points of the certificate's nonzero multipliers, pi the child's
+    parts on S."""
+    from tropfan import fan
+
+    real_init, real_learn, real_refuted = fan._Nogoods.__init__, fan._Nogoods.learn, fan._Nogoods.refuted
+    found = []
+
+    def matches(owner, t, S, pi):
+        return S[-1] == len(owner) and fan._canon([(owner + [t])[j] for j in S]) == pi
+
+    def init(self):
+        real_init(self)
+        self.learned = []  # (S, pi), pickled with the store it mirrors
+
+    def learn(self, child, y, parts):
+        S = sorted({j for j, v in zip(fan._row_points(child), y, strict=True) if v})
+        self.learned.append((S, fan._canon(child[j] for j in S)))
+        got = real_learn(self, child, y, parts)
+        assert got == {t for t in parts if matches(child[:-1], t, *self.learned[-1])}
+        return got
+
+    def refuted(self, owner, parts):
+        got = real_refuted(self, owner, parts)
+        assert got == {t for t in parts if any(matches(owner, t, S, pi) for S, pi in self.learned)}
+        found.append(len(got))
+        return got
+
+    monkeypatch.setattr(fan._Nogoods, "__init__", init)
+    monkeypatch.setattr(fan._Nogoods, "learn", learn)
+    monkeypatch.setattr(fan._Nogoods, "refuted", refuted)
+    sizes, counts = counted_serial_walk
+    counts.append(0)
+    for data, N in walk_datasets():
+        for workers in (1, 2):
+            fan_index(data, N, workers=workers, use_cache=False)
+    assert sum(found) > 0 and 2 in sizes
 
 
 def test_a_kept_leaf_in_the_wrong_part_fails_the_leaf_check(monkeypatch, nine_points):

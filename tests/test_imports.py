@@ -1,5 +1,5 @@
-"""Every name a tropfan module imports is referenced somewhere in that module,
-every module-level private name and every method of a private class is
+"""Every name a tropfan module, a test module or a script imports is
+referenced somewhere in that module, every module-level private name and every method of a private class is
 referenced somewhere in the package, every module imports only the standard
 library and tropfan itself, and the LP entry points are reached only through
 the bindings the tracer rebinds, and no module but ``geometry`` imports a
@@ -7,7 +7,8 @@ private ``geometry`` name.
 
 A stdlib-only stand-in for an unused-import linter: each module under
 ``src/tropfan`` (the package ``__init__`` re-exports on purpose and is
-skipped) is parsed with ``ast``; ``from __future__`` imports are exempt.
+skipped), ``tests`` and ``scripts`` is parsed with ``ast``; ``from
+__future__`` imports are exempt.
 The runtime must stay exact and deterministic, so ``random`` is refused even
 though it is in the standard library: no verdict may rest on a sample.
 
@@ -32,6 +33,8 @@ import tropfan
 
 ALL_MODULES = sorted(Path(tropfan.__file__).parent.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+TESTS = Path(__file__).resolve().parent
+IMPORTING = MODULES + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,7 +56,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport os\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -11,7 +11,7 @@ from oracles import (
     pattern_axioms_by_scan,
 )
 from tropfan import matroids
-from tropfan.classify import covectors_linear, parse_signs
+from tropfan.classify import covectors_linear
 from tropfan.fan import (
     ActivationPattern,
     complete_pattern,
