@@ -17,12 +17,21 @@ Two assignments are such a flip exactly when they agree outside the group,
 so each group buckets the assignments by their other entries.  Within one
 call the verdicts are memoised up to a relabeling of the terms, which does
 not change whether a wall exists.  A level set's cones carry strict
-witnesses from the fan index, each checked at every point once per call.
-Both witnesses of a flip put every point outside the group strictly on the
-same term, and so does any positive combination of them, so their crossing
-on the tie certifies the wall when, at the group's point alone, it keeps
-the two tied terms strictly above the rest.  That integer check settles
-most walls; the rest, and every "no wall", are decided by one strict LP.
+witnesses from the fan index: each class's witness is checked at every
+point once per call, and a cone reads its class's values relabeled.  Both
+witnesses of a flip put every point outside the group strictly on the same
+term, and so does any positive combination of them, so their crossing X on
+the tie certifies the wall when, at the group's point g alone, it keeps the
+two tied terms strictly above the rest.  When a set L of third terms
+reaches the tie at g, lowering the height of every term of L by one δ > 0
+lowers its value at a point p by δ·c_p, c_p = lift_p[0] > 0.  Comparisons
+within L stay, and every other term only gains, so a point off L stays on
+its term.  The tied pair rises strictly above L at g once δ·c_g exceeds
+the largest excess of L over the tie, and a point h outside the group on a
+term of L stays on it while δ·c_h is below its lead over the terms outside
+L.  When some δ meets all these bounds, the lowered crossing realizes the
+tied graph and certifies the wall.  These integer checks settle most
+walls; the rest, and every "no wall", are decided by one strict LP.
 
 For N = 2 the fan is the arrangement of the hyperplanes of the lifted points
 (1, p), a maximal covector is the assignment + -> term 1, - -> term 2, and a
@@ -32,6 +41,7 @@ flip and wall LP.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 from operator import getitem, itemgetter, mul
@@ -154,7 +164,8 @@ def _adjacency_edges(
     assigns: list[tuple[int, ...]],
     data: Dataset,
     N: int,
-    witness: Callable[[int], Sequence[int]],
+    witness: Callable[[int], tuple[Sequence[Sequence[int]], int]],
+    counts: Optional[Counter] = None,
 ) -> list[tuple[int, int]]:
     """All wall-adjacent index pairs (x < y), sorted, within one list of
     maximal assignments; a repeated assignment gets the edges of each copy.
@@ -176,16 +187,22 @@ def _adjacency_edges(
     realizable does not change under a relabeling.  The order in which the
     buckets are read therefore changes no edge.  Nor does it change an LP
     count: the candidates of one key are relabelings of one another, so are
-    their cones' fan-index witnesses, and the crossing below reads the same
-    from either side, so it gives every candidate of a key the same verdict.
+    their cones' witnesses, and the crossing below reads the same from
+    either side, so it gives every candidate of a key the same verdict.
 
-    ``witness(x)`` is an integer strict witness of the cone of
-    ``assigns[x]`` over all N term blocks.  Each cone's witness is read once,
-    on its first decision, as its values at every group's point, and checked
-    in integers to put every point's own term strictly on top
-    (``AssertionError`` otherwise).  A decision then first checks the
-    crossing of the two cones' witnesses at the group's point
+    ``witness(x)`` is (blocks, pad), an integer strict witness of the class
+    of ``assigns[x]``: one (a, s) block per label, in order of first
+    occurrence, and the height of every term the assignment leaves unused.
+    It is read once per labeled partition and call, for the first cone that
+    has it, as its label values and pad value at every group's point, and
+    checked in integers to put every point's own label strictly above the
+    other labels and, when a term is unused, the pad (``AssertionError``
+    otherwise).  Each cone's values are then that class's values with label
+    t at the term it labels, which is again a strict witness.  A decision
+    first checks the crossing of the two cones' witnesses
     (``_crossing_is_wall``); only a crossing that fails solves ``_wall_lp``.
+    ``counts``, when given, gains one count per decision under its verdict:
+    "crossing", "lowered" or "lp".
     """
     by_point: dict[Vec, list[int]] = {}
     for k, p in enumerate(data.points):
@@ -196,22 +213,30 @@ def _adjacency_edges(
         label: dict[int, int] = {}
         canon.append(tuple(label.setdefault(t, len(label)) for t in a))
         labels.append(label)
-    lifts = [data.lifts[group[0]] for group in groups]
-    width = data.d + 1
-    tables: dict[int, list[list[int]]] = {}
+    firsts = [group[0] for group in groups]
+    lifts = [data.lifts[k] for k in firsts]
+    classes: dict[tuple[int, ...], list[list[int]]] = {}
+    tables: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
 
-    def values(x: int) -> list[list[int]]:
-        # the witness's term values at each group's point, each own term strictly on top
+    def values(x: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        # (term values, own term) at each group's point, from the class's label values
         if x not in tables:
-            w, a = witness(x), assigns[x]
-            rows = [[sum(map(mul, lift, w[s : s + width])) for s in range(0, N * width, width)] for lift in lifts]
-            for row, group in zip(rows, groups):
-                top = max(row)
-                if row.count(top) > 1 or any(row[a[k] - 1] != top for k in group):
-                    raise AssertionError("a witness does not put every point strictly on its own term")
-            tables[x] = rows
+            part, label = canon[x], labels[x]
+            if part not in classes:
+                blocks, pad = witness(x)
+                rows = [[sum(map(mul, lift, block)) for block in blocks] for lift in lifts]
+                for row, lift, group in zip(rows, lifts, groups):
+                    top, low = max(row), lift[0] * pad
+                    mixed = row.count(top) > 1 or any(row[part[k]] != top for k in group)
+                    if mixed or (len(label) < N and low >= top):
+                        raise AssertionError("a witness does not put every point strictly on its own term")
+                    row.append(low)
+                classes[part] = rows
+            get = itemgetter(*(label.get(t, -1) for t in range(1, N + 1)))
+            tables[x] = list(map(get, classes[part])), [assigns[x][k] for k in firsts]
         return tables[x]
 
+    tally = Counter() if counts is None else counts
     memo: dict[tuple, bool] = {}
     edges = []
     for g, group in enumerate(groups):
@@ -231,35 +256,61 @@ def _adjacency_edges(
                     key = min((canon[x], g, labels[x].get(j, -1)), (canon[y], g, labels[y].get(i, -1)))
                     wall = memo.get(key)
                     if wall is None:
-                        crossing = _crossing_is_wall(values(x)[g], values(y)[g], i, j)
-                        wall = memo[key] = crossing or _wall_lp(assigns[x], group, j, data)
+                        u, own = values(x)
+                        verdict = _crossing_is_wall(u, values(y)[0], own, g, j, lifts)
+                        tally[verdict or "lp"] += 1
+                        wall = memo[key] = bool(verdict) or _wall_lp(assigns[x], group, j, data)
                     if wall:
                         edges.append((x, y))
     edges.sort()
     return edges
 
 
-def _crossing_is_wall(u: Sequence[int], v: Sequence[int], i: int, j: int) -> bool:
-    """Whether the crossing of two strict witnesses certifies the wall on
-    which a group of coincident points ties its term i to term ``j``.
+def _crossing_is_wall(
+    u: Sequence[Sequence[int]], v: Sequence[Sequence[int]], own: Sequence[int], g: int, j: int,
+    lifts: Sequence[Sequence[int]],
+) -> str:
+    """How the crossing of two strict witnesses certifies the wall on which
+    the group ``g`` of coincident points ties its term i = ``own[g]`` to
+    term ``j``: "crossing", "lowered", or "" when it does not.
 
-    ``u[t - 1]`` and ``v[t - 1]`` are the values of term t at the group's
-    point under integer witnesses A of an assignment a, which puts the group
-    on i, and B of b, a with the group moved to j.  Their tie values
-    fa = A_i - A_j > 0 and fb = B_i - B_j < 0, or an ``AssertionError`` is
-    raised, and the crossing X = (-fb)·A + fa·B lies on the tie.  X
-    certifies the wall when i and j are strictly above every other term at
-    the group's point: X then realizes the tied graph.  Only that point is
-    checked.  Every point outside the group is on the same term t in a and
-    b, and A and B put it strictly on t there when the caller has checked
-    them, so their positive combination X does too; the group's copies
-    share its lift.  The check is exact and makes no LP call.
+    ``u[h][t - 1]`` and ``v[h][t - 1]`` are the values of term t at the
+    point of group h, whose lift is ``lifts[h]``, under integer witnesses A
+    of an assignment a, which puts group h on term ``own[h]``, and B of b,
+    a with group g moved to j.  Their tie values fa = A_i - A_j > 0 and
+    fb = B_i - B_j < 0 at g, or an ``AssertionError`` is raised, and the
+    crossing X = (-fb)·A + fa·B lies on the tie.  Every point outside the
+    group is on the same term in a and b, and A and B put it strictly on
+    that term when the caller has checked them, so their positive
+    combination X does too; the group's copies share its lift.
+
+    Let L be the terms other than i and j that X puts at or above the tie
+    at g.  When L is empty, X realizes the tied graph: "crossing".  Else
+    lower the height of every term of L by one δ > 0, which lowers its
+    value at a point by δ·c, c = lift[0] > 0.  That keeps every comparison
+    between two terms of L, and a term outside L only gains, so the point
+    of a group h off L stays on its term.  The result realizes the tied
+    graph exactly when max over L of (X_l(g) - tie) / c_g < δ <
+    (X_t(h) - max over m outside L of X_m(h)) / c_h for every group h ≠ g
+    whose term t lies in L: "lowered" when that interval is open, compared
+    by cross-multiplication.  The check is exact and makes no LP call.
     """
-    fa, fb = u[i - 1] - u[j - 1], v[i - 1] - v[j - 1]
+    i, ug, vg = own[g], u[g], v[g]
+    fa, fb = ug[i - 1] - ug[j - 1], vg[i - 1] - vg[j - 1]
     if not fa > 0 > fb:
         raise AssertionError("a witness lies off its side of the flip's tie")
-    tie = fa * v[i - 1] - fb * u[i - 1]
-    return all(tie > fa * y - fb * s for t, (s, y) in enumerate(zip(u, v), 1) if t != i and t != j)
+    tie = fa * vg[i - 1] - fb * ug[i - 1]
+    lowered = {t for t, (s, y) in enumerate(zip(ug, vg), 1) if t != i and t != j and fa * y - fb * s >= tie}
+    if not lowered:
+        return "crossing"
+    excess, cg = max(fa * vg[t - 1] - fb * ug[t - 1] for t in lowered) - tie, lifts[g][0]
+    for h, t in enumerate(own):  # own[g] = i is not lowered
+        if t in lowered:
+            x = [fa * y - fb * s for s, y in zip(u[h], v[h])]
+            margin = x[t - 1] - max(w for m, w in enumerate(x, 1) if m not in lowered)
+            if not excess * lifts[h][0] < margin * cg:
+                return ""
+    return "lowered"
 
 
 def _union_find_components(count: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -309,7 +360,8 @@ def level_set(
 ) -> LevelSetReport:
     """All maximal patterns of loss exactly k, with wall adjacency restricted
     to the level set itself and its strongly connected components.  Every
-    target entry is -1 or +1."""
+    target entry is -1 or +1.  ``progress`` gets one line before the wall
+    pass and one after it, with the count of each kind of wall decision."""
     if len(target) != data.M:
         raise ValueError("target length differs from dataset size")
     if any(c not in (-1, 1) for c in target):
@@ -329,15 +381,21 @@ def level_set(
                     terms = (iter(num), iter(den))
                     yield tuple(next(terms[s]) for s in side)
 
-    # Each assignment with its class and relabeling, from which its witness is built.
+    # Each assignment with its class, whose witness its cone reads relabeled.
     cones = sorted(
-        ((get(perm), rep, perm) for rep, perms, get in index._classes(relabelings) for perm in perms),
+        ((get(perm), rep) for rep, perms, get in index._classes(relabelings) for perm in perms),
         key=itemgetter(0),
     )
-    assigns = [a for a, _, _ in cones]
+    assigns = [a for a, _ in cones]
     if progress:
         progress(f"level {k}: {len(assigns)} maximal cones; computing wall adjacency")
-    edges = _adjacency_edges(assigns, data, N, lambda x: index._integer_witness(*cones[x][1:]))
+    counts: Counter = Counter()
+    edges = _adjacency_edges(assigns, data, N, lambda x: (cones[x][1].witness_blocks, cones[x][1].pad), counts)
+    if progress:
+        progress(
+            f"level {k}: {sum(counts.values())} wall decisions, {counts['crossing']} certified by the"
+            f" witness crossing, {counts['lowered']} by the lowered crossing, {counts['lp']} wall LPs"
+        )
     ambient = N * (data.d + 1)
     components = _union_find_components(len(assigns), edges)
     return LevelSetReport(

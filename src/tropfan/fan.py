@@ -561,30 +561,19 @@ class _FanIndex:
         """All degree-one maximal patterns as 1-based term assignments (see ``_classes``)."""
         return chain.from_iterable(map(get, perms) for _, perms, get in self._classes())
 
-    def _layout(self, perm: Sequence[int], blocks: Sequence[Sequence], pad: Sequence) -> tuple:
-        """The full-space vector of the relabeling part t -> term perm[t]:
-        ``blocks[t]`` at term perm[t] and ``pad`` at every term it leaves
-        unused, so that term never reaches the max."""
-        full = [pad] * self.N
-        for term, block in zip(perm, blocks):
-            full[term - 1] = block
-        return tuple(chain.from_iterable(full))
-
-    def _integer_witness(self, rep: _CanonicalCone, perm: Sequence[int]) -> tuple[int, ...]:
-        """rep's full-space strict witness under the relabeling part t ->
-        term perm[t], in integers: its blocks and the pad blocks
-        (pad, 0, ..., 0), the witness times ``den``.  A positive multiple of
-        a strict witness is one."""
-        return self._layout(perm, rep.witness_blocks, (rep.pad,) + (0,) * self.data.d)
-
     def _witnesses(self, rep: _CanonicalCone, perms: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], Vec]]:
-        """(perm, ``_integer_witness(rep, perm)`` over ``den``, as
-        Fractions) for each perm; rep's blocks and pad become Fractions
-        once, for all."""
+        """(perm, rep's full-space strict witness under the relabeling part
+        t -> term perm[t]) for each perm: block t at term perm[t] and the
+        pad block (pad, 0, ..., 0) at every term it leaves unused, so that
+        term never reaches the max, all over ``den`` as Fractions.  rep's
+        blocks and pad become Fractions once, for all."""
         blocks = [tuple(Fraction(v, rep.den) for v in block) for block in rep.witness_blocks]
         pad = (Fraction(rep.pad, rep.den),) + zeros(self.data.d)
         for perm in perms:
-            yield perm, self._layout(perm, blocks, pad)
+            full = [pad] * self.N
+            for term, block in zip(perm, blocks):
+                full[term - 1] = block
+            yield perm, tuple(chain.from_iterable(full))
 
     def iter_patterns_with_witness(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
         classes = self._classes()

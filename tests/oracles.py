@@ -27,6 +27,9 @@ themselves; a refused crossing or a call without witnesses takes the
 runtime's ``classify._wall_lp``.
 The all-terms wall LP is the former body of ``classify._wall_lp``: it builds
 its rows over every term's block, a term that no point uses included.
+The lowered-crossing witness builds, point by point from two full-space
+integer witnesses, the explicit parameter behind a wall that
+``classify._crossing_is_wall`` certifies by lowering third terms.
 
 The composition chamber-path oracle is the former body of
 ``classify.chamber_path``: covectors are signs of <theta, (1, p)>, and the
@@ -466,6 +469,53 @@ def wall_lp_over_all_terms(a, diffs, pair, data, N):
                     strict.append(_tie_row(lift, t, l, N - 1))
     opt, _ = max_slack((N - 1) * (data.d + 1), (), tuple(strict), tuple(equalities))
     return opt > 0
+
+
+def full_witness(a, blocks, pad, N):
+    """The full-space integer witness of assignment ``a`` from its class's
+    (blocks, pad): the block of label t at the t-th term of ``a`` by first
+    occurrence, and (pad, 0, ..., 0) at every term ``a`` leaves unused."""
+    full = [(pad,) + (0,) * (len(blocks[0]) - 1)] * N
+    for t, block in zip(dict.fromkeys(a), blocks):
+        full[t - 1] = tuple(block)
+    return tuple(x for block in full for x in block)
+
+
+def lowered_crossing_witness(A, B, a, group, j, data, N):
+    """The crossing X = (-fb)·A + fa·B of integer witnesses A of ``a`` and B
+    of ``a`` with ``group`` moved to term j, with the height of every term
+    other than i and j that X puts at or above the tie at the group's point
+    lowered by one δ, in integers; None when no δ works.  δ is the midpoint
+    of the open interval of the lowerings that keep every point k outside
+    the group, read one by one, on its term; one more than its lower end
+    when no such point bounds it.  X and δ are scaled by δ's denominator."""
+    width = data.d + 1
+
+    def at(w, k):
+        return [sum(map(mul, data.lifts[k], w[t : t + width])) for t in range(0, N * width, width)]
+
+    p, i = group[0], a[group[0]]
+    u, v = at(A, p), at(B, p)
+    fa, fb = u[i - 1] - u[j - 1], v[i - 1] - v[j - 1]
+    X = [-fb * s + fa * t for s, t in zip(A, B)]
+    tie, xg = at(X, p)[i - 1], at(X, p)
+    lowered = [t for t in range(1, N + 1) if t not in (i, j) and xg[t - 1] >= tie]
+    if not lowered:
+        return tuple(X)
+    lo = max(F(xg[t - 1] - tie, data.lifts[p][0]) for t in lowered)
+    bounds = []
+    for k in range(data.M):
+        if k not in group and a[k] in lowered:
+            x = at(X, k)
+            rest = max(x[m - 1] for m in range(1, N + 1) if m not in lowered)
+            bounds.append(F(x[a[k] - 1] - rest, data.lifts[k][0]))
+    if bounds and not lo < min(bounds):
+        return None
+    delta = (lo + min(bounds)) / 2 if bounds else lo + 1
+    X = [delta.denominator * x for x in X]
+    for t in lowered:
+        X[(t - 1) * width] -= delta.numerator
+    return tuple(X)
 
 
 def adjacency_edges_by_pairs(assigns, data, N):

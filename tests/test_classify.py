@@ -1,7 +1,9 @@
 import importlib
 import random
 from collections import Counter
+from fractions import Fraction as F
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -11,6 +13,8 @@ from oracles import (
     adjacency_edges_by_pairs,
     assignment_loss,
     chamber_path_by_composition,
+    full_witness,
+    lowered_crossing_witness,
     wall_lp_over_all_terms,
 )
 from tropfan.classify import (
@@ -29,6 +33,7 @@ from tropfan.classify import (
     wall_adjacent,
 )
 from tropfan.fan import (
+    _pattern_system,
     dataset,
     enumerate_maximal_cones,
     lineality_dim,
@@ -453,11 +458,22 @@ SPATIAL = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 NINE_TARGET = "+,+,-,-,+,-,-,+,+"
 
 
+def _classes_of(index):
+    """The fan index's class of each of its assignments."""
+    return {get(perm): rep for rep, perms, get in index._classes() for perm in perms}
+
+
 def _witness_of(index, assigns):
     """The ``witness`` argument ``level_set`` passes, for a list of the index's
-    assignments: the integer witness of each one's class and relabeling."""
-    of = {get(perm): (rep, perm) for rep, perms, get in index._classes() for perm in perms}
-    return lambda x: index._integer_witness(*of[assigns[x]])
+    assignments: the integer blocks and pad of each one's class."""
+    of = _classes_of(index)
+    return lambda x: (of[assigns[x]].witness_blocks, of[assigns[x]].pad)
+
+
+def _full_witness_of(index, assigns, N):
+    """The full-space integer witness of each assignment, for the oracles."""
+    witness = _witness_of(index, assigns)
+    return lambda x: full_witness(assigns[x], *witness(x), N)
 
 
 def _wall_components(data, N, assigns):
@@ -510,8 +526,9 @@ def test_adjacency_edges_match_pairwise_oracle(case, request, monkeypatch):
     edges = _adjacency_edges(assigns, data, N, witness)
     assert edges and edges == adjacency_edges_by_pairs(assigns, data, N)
     monkeypatch.setattr(importlib.import_module("tropfan.classify"), "_crossing_is_wall", lambda *args: False)
-    calls = _count_wall_lps(monkeypatch)
-    assert _adjacency_edges(assigns, data, N, witness) == edges and calls
+    calls, counts = _count_wall_lps(monkeypatch), Counter()
+    assert _adjacency_edges(assigns, data, N, witness, counts) == edges and calls
+    assert counts == {"lp": len(calls)}
     if name.startswith("seeded"):
         assert len(set(data.points)) == data.M - 1
         assert any(
@@ -519,39 +536,58 @@ def test_adjacency_edges_match_pairwise_oracle(case, request, monkeypatch):
         )
 
 
-def test_adjacency_edges_match_the_flip_oracle(monkeypatch):
-    """Group buckets give the flip lookup's edges and the same wall LPs on
-    seeded sets with d = 1..3 and N = 2..4.  Each set has groups of 2 and 3
-    coincident points, a repeated assignment and a shuffled order.  One set
-    is a single point vector, so no entry lies outside the group."""
-    rng = random.Random(35)
+def _seeded_flip_cases(rng, rational=False):
+    """(data, N) for d = 1..3 and N = 2..4: three seeded distinct points,
+    integers in [-2, 2], or with denominators 1 to 3 when ``rational``, plus
+    copies that make groups of 2 and 3 coincident points, in a shuffled
+    order; and a single point vector, so that no entry lies outside the
+    group."""
     cases = []
     for d, N in product((1, 2, 3), (2, 3, 4)):
         points = []
         while len(points) < 3:
-            p = tuple(rng.randint(-2, 2) for _ in range(d))
+            if rational:
+                p = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(d))
+            else:
+                p = tuple(rng.randint(-2, 2) for _ in range(d))
             if p not in points:
                 points.append(p)
         points += [points[0], points[1], points[1]]
         rng.shuffle(points)
         cases.append((dataset(points), N))
     cases.append((dataset([(1,), (1,), (1,)]), 3))
+    return cases
+
+
+def test_adjacency_edges_match_the_flip_oracle(monkeypatch):
+    """Group buckets give the flip lookup's edges on the seeded sets, each
+    with a repeated assignment and a shuffled order.  They take no more wall
+    LPs than the flip lookup, which checks the plain crossing at every
+    point, and exactly as many when lowered crossings are refused."""
+    rng = random.Random(35)
+    module = importlib.import_module("tropfan.classify")
+    certify = module._crossing_is_wall
     calls = _count_wall_lps(monkeypatch)
-    repeated_edges = 0
-    for data, N in cases:
+    repeated_edges = lowered = 0
+    for data, N in _seeded_flip_cases(rng):
         index = fan_index(data, N)
         assigns = list(index.iter_assignments())
         assigns.append(rng.choice(assigns))
         rng.shuffle(assigns)
-        witness = _witness_of(index, assigns)
+        witness, counts = _witness_of(index, assigns), Counter()
         calls.clear()
-        edges = _adjacency_edges(assigns, data, N, witness)
+        edges = _adjacency_edges(assigns, data, N, witness, counts)
         lps = len(calls)
         calls.clear()
-        assert edges and edges == adjacency_edges_by_flips(assigns, data, N, witness)
-        assert lps == len(calls)
+        assert edges and edges == adjacency_edges_by_flips(assigns, data, N, _full_witness_of(index, assigns, N))
+        assert lps == counts["lp"] <= len(calls) == lps + counts["lowered"]
+        monkeypatch.setattr(module, "_crossing_is_wall", lambda *args: "crossing" * (certify(*args) == "crossing"))
+        calls.clear()
+        assert _adjacency_edges(assigns, data, N, witness) == edges and len(calls) == lps + counts["lowered"]
+        monkeypatch.setattr(module, "_crossing_is_wall", certify)
         repeated_edges += sum(assigns.count(assigns[x]) > 1 for x, _ in edges)
-    assert repeated_edges > 0
+        lowered += counts["lowered"]
+    assert repeated_edges > 0 and lowered > 0
 
 
 def test_repeated_pattern_gets_the_edges_of_each_copy(diag4):
@@ -599,11 +635,11 @@ def test_coincident_walls_need_fewer_lps_than_edges(monkeypatch):
     data = dataset(COINCIDENT)
     maximal = enumerate_maximal_cones(data, 3)
     monkeypatch.setattr(importlib.import_module("tropfan.classify"), "_crossing_is_wall", lambda *args: False)
-    calls = _count_wall_lps(monkeypatch)
+    calls, counts = _count_wall_lps(monkeypatch), Counter()
     assigns = [g.assignment() for g in maximal]
     witness = _witness_of(fan_index(data, 3), assigns)
-    edges = _adjacency_edges(assigns, data, 3, witness)
-    assert 0 < len(calls) < len(edges)
+    edges = _adjacency_edges(assigns, data, 3, witness, counts)
+    assert 0 < len(calls) < len(edges) and counts == {"lp": len(calls)}
     lps = len(calls)
     calls.clear()
     assert _adjacency_edges(assigns, data, 3, witness) == edges and len(calls) == lps
@@ -681,25 +717,58 @@ def _heights(*a):
     return tuple(x for h in a for x in (h, 0))
 
 
+def _firsts(data):
+    """The first point of each group of coincident points, in order."""
+    return [k for k, p in enumerate(data.points) if data.points.index(p) == k]
+
+
+def _crossing(data, a, A, B, j):
+    """``_crossing_is_wall`` on full-space witnesses A of ``a`` and B of ``a``
+    with point 0's group moved to term j, read at each group's point."""
+    firsts = _firsts(data)
+    u, v = _values(data, A), _values(data, B)
+    return _crossing_is_wall([u[k] for k in firsts], [v[k] for k in firsts], [a[k] for k in firsts], 0, j,
+                             [data.lifts[k] for k in firsts])
+
+
+def _realizes(w, graph, data, N):
+    """Whether the full-space integer vector w realizes the bipartite graph
+    ``graph``: it meets ``_pattern_system``'s strict and equality rows, with
+    the last used term's block subtracted from every block as the gauge, and
+    puts every term the graph leaves unused strictly below each point."""
+    width = data.d + 1
+    used = sorted({t for _, tied in graph for t in tied})
+    blocks = [w[(t - 1) * width : t * width] for t in used]
+    gauged = [x - y for block in blocks[:-1] for x, y in zip(block, blocks[-1])]
+    _, strict, equalities = _pattern_system(data, graph)
+    if not all(sum(map(mul, row, gauged)) > 0 for row in strict):
+        return False
+    if not all(sum(map(mul, row, gauged)) == 0 for row in equalities):
+        return False
+    return all(row[tied[0] - 1] > row[t - 1] for row, (_, tied) in zip(_values(data, w), graph)
+               for t in range(1, N + 1) if t not in used)
+
+
 @pytest.mark.parametrize("third", [-1, -5])
-def test_crossing_refuses_a_third_term_at_or_above_the_tie(third, monkeypatch):
+def test_crossing_refuses_a_third_term_at_or_above_the_tie(third):
     """A = (0, -10, third) is a strict witness of term 1 and B = (-10, 0, third)
     of term 2; their crossing 10·A + 10·B ties terms 1 and 2 at -100 while term
-    3 is at 20·third: above the tie for -1, equal to it for -5.  Neither is a
-    certificate, and the LP then finds the wall, which one point always has."""
+    3 is at 20·third: above the tie for -1, equal to it for -5.  Neither
+    crossing is a certificate by itself.  No other point is on term 3, so
+    lowering its height certifies the wall; a point that keeps term 3 can
+    refuse that too (``test_crossing_checks_the_third_term_at_every_group_point``)."""
     A, B = _heights(0, -10, third), _heights(-10, 0, third)
-    assert not _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
-    calls = _count_wall_lps(monkeypatch)
-    assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
-    assert len(calls) == 1
+    assert _crossing(ORIGIN, (1,), A, B, 2) == "lowered"
 
 
 def test_crossing_certifies_a_tie_above_the_third_term(monkeypatch):
+    """The one point's class witness is the block (0, 0) with the pad -10,
+    so a = (1,) and b = (2,) read A = (0, -10, -10) and B = (-10, 0, -10)."""
     A, B = _heights(0, -10, -6), _heights(-10, 0, -6)
-    assert _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
-    calls = _count_wall_lps(monkeypatch)
-    assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__) == [(0, 1)]
-    assert calls == []
+    assert _crossing(ORIGIN, (1,), A, B, 2) == "crossing"
+    calls, counts = _count_wall_lps(monkeypatch), Counter()
+    assert _adjacency_edges([(1,), (2,)], ORIGIN, 3, lambda x: (((0, 0),), -10), counts) == [(0, 1)]
+    assert calls == [] and counts == {"crossing": 1}
 
 
 @pytest.mark.parametrize("A, B", [
@@ -708,58 +777,140 @@ def test_crossing_certifies_a_tie_above_the_third_term(monkeypatch):
     (_heights(0, 0, -20), _heights(-10, 0, -20)),  # A ties terms 1 and 2
 ])
 def test_a_witness_off_its_side_of_the_tie_raises(A, B):
+    """``_adjacency_edges`` checks every class witness before any crossing,
+    so it raises earlier (``test_a_witness_off_its_own_term_at_any_point_raises``)."""
     with pytest.raises(AssertionError, match="witness"):
-        _crossing_is_wall(_values(ORIGIN, A)[0], _values(ORIGIN, B)[0], 1, 2)
-    with pytest.raises(AssertionError, match="witness"):
-        _adjacency_edges([(1,), (2,)], ORIGIN, 3, [A, B].__getitem__)
+        _crossing(ORIGIN, (1,), A, B, 2)
+
+
+LINE_CASES = [  # points, a, h, s, r, verdict
+    ([(0,), (1,)], (1, 3), -6, 16, 0, "crossing"),
+    ([(0,), (1,)], (1, 3), -1, 11, 0, "lowered"),
+    ([(0,), (1,)], (1, 3), -1, -2, -4, ""),
+    ([(0,), (0,), (1,)], (1, 1, 3), -6, 16, 0, "crossing"),
+    ([(0,), (0,), (1,)], (1, 1, 3), -1, 11, 0, "lowered"),
+    ([(0,), (0,), (1,)], (1, 1, 3), -1, -2, -4, ""),
+    ([(0,), (1,), (1,)], (1, 3, 3), -1, -2, -4, ""),
+    ([(0,), (F(1, 2),)], (1, 3), -1, 11, 0, "lowered"),
+    ([(0,), (F(1, 2),)], (1, 3), -1, -3, -6, ""),
+]
 
 
 def test_crossing_checks_the_third_term_at_every_group_point(monkeypatch):
-    """Points 0 and 1 on a line; the group is point 0, and point 1 keeps term
-    3 under both witnesses, which differ only in the blocks of terms 1 and 2.
-    Term 3, the block (h, 10 - h), is worth h at point 0, where the crossing
-    10·A + 10·B ties terms 1 and 2 at -100: h = -6 puts it below the tie and
-    h = -1 above.  A copy of point 0 joins the group; it shares the point's
-    lift, so the group's point gives the same verdicts for both copies, and
-    ``_adjacency_edges`` takes an LP exactly when the crossing is refused."""
+    """Point 0 is the group and the last point keeps term 3.  The class
+    witness has the block (0, r) on point 0's label, (h, s) on the other
+    and the pad -10, so a and b, a with the group on term 2, read
+    A = (0, r, -10, 0, h, s) and B = (-10, 0, 0, r, h, s).  At point 0 their
+    crossing 10·A + 10·B ties terms 1 and 2 at -100, and term 3 is at 20h:
+    below the tie for h = -6, and 80 above it for h = -1.  Lowering term 3
+    by δ·lift[0] certifies the wall when it keeps the last point on term 3:
+    at 1 that point leads by 20(h + s) - 10r + 100, which is 300 for
+    (s, r) = (11, 0) and exactly 80 for (-2, -4).  At 1/2, lift (2, 1), the
+    lead 20(2h + s) - 10r + 200 is 380 or 160, against 2·80, so reading
+    point 0's lift there would certify the last case.  A copy of point 0
+    joins the group and shares its lift; a copy of the last point bounds δ
+    alike.  ``_adjacency_edges`` takes an LP exactly when both crossings
+    are refused, and a certified wall's explicit witness realizes it."""
     calls = _count_wall_lps(monkeypatch)
-    for data, a, group in ((dataset([(0,), (1,)]), (1, 3), [0]),
-                           (dataset([(0,), (0,), (1,)]), (1, 1, 3), [0, 1])):
-        b = tuple(2 if k in group else t for k, t in enumerate(a))
-        for h, wall in ((-6, True), (-1, False)):
-            A, B = (0, 0, -10, 0, h, 10 - h), (-10, 0, 0, 0, h, 10 - h)
-            assert _crossing_is_wall(_values(data, A)[0], _values(data, B)[0], 1, 2) is wall
-            calls.clear()
-            assert _adjacency_edges([a, b], data, 3, [A, B].__getitem__) == [(0, 1)]
-            assert len(calls) == (0 if wall else 1)
+    for points, a, h, s, r, verdict in LINE_CASES:
+        data = dataset(points)
+        b = tuple(2 if t == 1 else t for t in a)
+        blocks = ((0, r), (h, s))
+        A, B = full_witness(a, blocks, -10, 3), full_witness(b, blocks, -10, 3)
+        assert _crossing(data, a, A, B, 2) == verdict
+        calls.clear()
+        counts = Counter()
+        assert _adjacency_edges([a, b], data, 3, lambda x: (blocks, -10), counts) == [(0, 1)]
+        assert len(calls) == (verdict == "") and counts == {verdict or "lp": 1}
+        group = [k for k, t in enumerate(a) if t == 1]
+        graph = [(k, (1, 2) if k in group else (t,)) for k, t in enumerate(a)]
+        w = lowered_crossing_witness(A, B, a, group, 2, data, 3)
+        assert (w is not None and _realizes(w, graph, data, 3)) is bool(verdict)
 
 
 def test_a_witness_off_its_own_term_at_any_point_raises(monkeypatch):
-    """The crossing is checked at the group's point only, so every witness is
-    first checked at every point.  A = (0, 100, -10, 0, -6, 5) puts point 1 of
-    a = (1, 3) on term 1, not on its own term 3, while B = (-10, 0, 0, 0, -6,
-    16) is a strict witness of b = (2, 3).  The flip oracle, which checks the
-    crossing at every point instead, is refused there and takes the LP.  With
-    a copy of point 0, (0, 0, -10, 0, -6, 16) puts both copies on term 1, so
-    it is no witness of (1, 2, 3), which splits them, although the group's
-    first point is on its term and the crossing with B would pass."""
+    """The crossing is checked at the group's point only, so every class
+    witness is first checked at every point.  The blocks (0, 100) and
+    (-6, 5) of the class of a = (1, 3) put point 1 on label 0, not on its
+    own label 1.  The flip oracle, which checks the crossing at every point
+    instead, is refused there on the full witnesses A = (0, 100, -10, 0, -6,
+    5) of a and B = (-10, 0, 0, 0, -6, 16) of b = (2, 3), and takes the LP.
+    With a copy of point 0, the blocks (0, 0), (-10, 0) and (-6, 16) put
+    both copies on label 0, so they are no witness of (1, 2, 3), which
+    splits them, although the group's first point is on its term and the
+    crossing of A = (0, 0, -10, 0, -6, 16) with B would pass.  A pad that
+    reaches a point's own label is no witness either."""
     data, assigns = dataset([(0,), (1,)]), [(1, 3), (2, 3)]
-    A, B = (0, 100, -10, 0, -6, 5), (-10, 0, 0, 0, -6, 16)
     with pytest.raises(AssertionError, match="own term"):
-        _adjacency_edges(assigns, data, 3, [A, B].__getitem__)
+        _adjacency_edges(assigns, data, 3, lambda x: (((0, 100), (-6, 5)), -10))
+    A, B = (0, 100, -10, 0, -6, 5), (-10, 0, 0, 0, -6, 16)
     calls = _count_wall_lps(monkeypatch)
     assert adjacency_edges_by_flips(assigns, data, 3, [A, B].__getitem__) == [(0, 1)]
     assert len(calls) == 1
     split = dataset([(0,), (0,), (1,)])
     A = (0, 0, -10, 0, -6, 16)
-    assert _crossing_is_wall(_values(split, A)[0], _values(split, B)[0], 1, 2)
+    assert _crossing(split, (1, 2, 3), A, B, 2) == "crossing"
+    classes = [(((0, 0), (-10, 0), (-6, 16)), -20), (((0, 0), (-6, 16)), -10)]
     with pytest.raises(AssertionError, match="own term"):
-        _adjacency_edges([(1, 2, 3), (2, 2, 3)], split, 3, [A, B].__getitem__)
+        _adjacency_edges([(1, 2, 3), (2, 2, 3)], split, 3, classes.__getitem__)
+    with pytest.raises(AssertionError, match="own term"):
+        _adjacency_edges([(1,), (2,)], ORIGIN, 3, lambda x: (((0, 0),), 0))
+
+
+@pytest.mark.parametrize("case", ["seeded", "seeded-rational", "nine-level1", "nine-level2"])
+def test_lowered_crossings_are_walls_with_explicit_witnesses(case, request, monkeypatch):
+    """Every wall certified by lowering third terms is a wall by the
+    all-terms LP, and the crossing with those terms lowered by the midpoint
+    δ, built point by point from the two cones' full witnesses, realizes the
+    tied graph in integers.  The crossing reads those full witnesses' values,
+    so each cone's relabeled class values are checked as well.  The seeded
+    sets are the flip oracle's, and a set with denominators 1 to 3."""
+    module = importlib.import_module("tropfan.classify")
+    seen = []
+
+    def recorded(*args):
+        verdict = _crossing_is_wall(*args)
+        if verdict == "lowered":
+            seen.append(args)
+        return verdict
+
+    monkeypatch.setattr(module, "_crossing_is_wall", recorded)
+    if case.startswith("nine"):
+        data, target = request.getfixturevalue("nine_points"), parse_signs(NINE_TARGET)
+        runs = [(data, 4, lambda: level_set(data, 2, 2, target, int(case[-1])))]
+    else:
+        runs = []
+        for data, N in _seeded_flip_cases(random.Random(35), rational=case.endswith("rational")):
+            assigns = sorted(fan_index(data, N).iter_assignments())
+            witness = _witness_of(fan_index(data, N), assigns)
+            runs.append((data, N, lambda args=(assigns, data, N, witness): _adjacency_edges(*args)))
+    lowered = 0
+    for data, N, run in runs:
+        seen.clear()
+        run()
+        firsts, of = _firsts(data), _classes_of(fan_index(data, N))
+        at = [firsts.index(data.points.index(p)) for p in data.points]
+        for u, v, own, g, j, lifts in seen:
+            a = tuple(own[h] for h in at)
+            group = [k for k, h in enumerate(at) if h == g]
+            b = tuple(j if k in group else t for k, t in enumerate(a))
+            A, B = (full_witness(x, of[x].witness_blocks, of[x].pad, N) for x in (a, b))
+            assert [list(row) for row in u] == [_values(data, A)[k] for k in firsts]
+            assert [list(row) for row in v] == [_values(data, B)[k] for k in firsts]
+            i = own[g]
+            assert wall_lp_over_all_terms(a, group, (i, j), data, N)
+            graph = [(k, tuple(sorted((i, j))) if k in group else (t,)) for k, t in enumerate(a)]
+            w = lowered_crossing_witness(A, B, a, group, j, data, N)
+            assert w is not None and _realizes(w, graph, data, N)
+        lowered += len(seen)
+    assert lowered > 0
 
 
 def test_nine_point_level_two_takes_both_branches(nine_points, monkeypatch):
-    """Some level-2 decisions are certified at the crossing and some fall
-    back to the LP, one LP for each crossing refused."""
+    """Some level-2 decisions are certified by the crossing, some by the
+    crossing with its third terms lowered, and the rest fall back to the LP,
+    one LP for each crossing that both refuse.  The progress line after the
+    wall pass reports the same counts."""
     module = importlib.import_module("tropfan.classify")
     verdicts = []
 
@@ -769,16 +920,22 @@ def test_nine_point_level_two_takes_both_branches(nine_points, monkeypatch):
 
     monkeypatch.setattr(module, "_crossing_is_wall", recorded)
     fan_index(nine_points, 4)
-    calls = _count_wall_lps(monkeypatch)
-    level_set(nine_points, 2, 2, parse_signs(NINE_TARGET), 2)
-    assert verdicts.count(True) > 0 and verdicts.count(False) == len(calls) > 0
+    calls, lines = _count_wall_lps(monkeypatch), []
+    level_set(nine_points, 2, 2, parse_signs(NINE_TARGET), 2, progress=lines.append)
+    counts = Counter(verdicts)
+    assert counts["crossing"] > 0 and counts["lowered"] > 0 and counts[""] == len(calls) > 0
+    assert lines[-1] == (
+        f"level 2: {len(verdicts)} wall decisions, {counts['crossing']} certified by the witness"
+        f" crossing, {counts['lowered']} by the lowered crossing, {len(calls)} wall LPs"
+    )
 
 
 def test_nine_point_wall_lps_per_level(nine_points, monkeypatch):
     """The wall LPs of the nine-point levels 0, 1 and 2.  Before witness
-    crossings were tried first, one LP per memoised flip made 3, 102 and 989;
-    the crossings certify every other decision.  Level 2 took 126 before the
-    walk kept leaves on their node's witness, which moved one crossing."""
+    crossings were tried first, one LP per memoised flip made 3, 102 and 989.
+    The plain crossings left 0, 9 and 125 (126 before the walk kept leaves
+    on their node's witness, which moved one crossing), and lowering the
+    third terms of a refused crossing certifies all but 0, 3 and 62."""
     target = parse_signs(NINE_TARGET)
     fan_index(nine_points, 4)
     calls = _count_wall_lps(monkeypatch)
@@ -787,4 +944,4 @@ def test_nine_point_wall_lps_per_level(nine_points, monkeypatch):
         calls.clear()
         level_set(nine_points, 2, 2, target, k)
         lps.append(len(calls))
-    assert lps == [0, 9, 125]
+    assert lps == [0, 3, 62]

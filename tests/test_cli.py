@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -73,6 +74,26 @@ def test_levels_command_diag4(files, capsys):
     assert sorted(len(c["patterns"]) for c in doc["levels"]["0"]["components"]) == [4, 4]
     assert all(edge["dim"] == 11 for edge in doc["levels"]["0"]["adjacency"])
     assert "#" in err  # progress lines stay on stderr
+
+
+def test_levels_progress_counts_the_wall_decisions(capsys):
+    """After the wall pass, ``levels`` reports on stderr how each wall
+    decision was made; stdout is the same document as before the report
+    was added (its SHA-256 was taken then)."""
+    data = Path(__file__).resolve().parent.parent / "data" / "nine_points.json"
+    rc, out, err = run_cli(
+        ["levels", "--data", str(data), "--target", "+,+,-,-,+,-,-,+,+", "--n", "2", "--m", "2", "--k", "1"],
+        capsys,
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a57b9970c89bbb7bf82de1a830fe020930bd9473581f428c3c8704c11d187226"
+    )
+    assert err.endswith(
+        "# level 1: 304 maximal cones; computing wall adjacency\n"
+        "# level 1: 102 wall decisions, 93 certified by the witness crossing,"
+        " 6 by the lowered crossing, 3 wall LPs\n"
+    )
 
 
 def test_enum_fan_progress_names_the_distinct_points(files, capsys):
