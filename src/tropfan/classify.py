@@ -51,6 +51,7 @@ from .fan import (
     ActivationPattern,
     Dataset,
     FanCone,
+    _canon,
     _pattern_system,
     cone_of_graph,
     enumerate_all_cones,
@@ -118,10 +119,6 @@ def loss_of_theta(theta: TropicalRationalParams, target: Sequence[int], data: Da
     return sum(
         1 for p, c in zip(data.points, target) if classify_point(theta, p) == -c
     )
-
-
-def dichotomy_of_assignment(assign: Sequence[int], n: int) -> Dichotomy:
-    return tuple(1 if t <= n else -1 for t in assign)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +205,8 @@ def _adjacency_edges(
     for k, p in enumerate(data.points):
         by_point.setdefault(p, []).append(k)
     groups = list(by_point.values())
-    labels, canon = [], []
-    for a in assigns:
-        label: dict[int, int] = {}
-        canon.append(tuple(label.setdefault(t, len(label)) for t in a))
-        labels.append(label)
+    canon = [_canon(a) for a in assigns]
+    labels = [dict(zip(a, c)) for a, c in zip(assigns, canon)]
     firsts = [group[0] for group in groups]
     lifts = [data.lifts[k] for k in firsts]
     classes: dict[tuple[int, ...], list[list[int]]] = {}
@@ -409,12 +403,16 @@ def level_set(
 def count_dichotomies(data: Dataset, n: int, m: int, cap: Optional[int] = None,
                       workers: int = 1) -> int:
     """Number of distinct dichotomies induced by maximal cones of the
-    classification fan (the growth-function count for this dataset)."""
+    classification fan (the growth-function count for this dataset).  A
+    class's dichotomies are the splits of its parts into + (numerator) and
+    - (denominator) with at most n and m parts: an injective relabeling puts
+    the parts of each side on distinct terms of that side."""
+
+    def splits(rep):
+        return (s for s in product((1, -1), repeat=len(rep.parts)) if s.count(1) <= n and s.count(-1) <= m)
+
     index = fan_index(data, n + m, cap=cap, workers=workers)
-    seen = set()
-    for assign in index.iter_assignments():
-        seen.add(dichotomy_of_assignment(assign, n))
-    return len(seen)
+    return len({get(side) for _, sides, get in index._classes(splits) for side in sides})
 
 
 # ---------------------------------------------------------------------------

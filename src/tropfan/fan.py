@@ -415,22 +415,18 @@ def _kept_part(data: Dataset, owner: list[int], tableau: list) -> Optional[int]:
     return values.index(top) if values.count(top) == 1 else None
 
 
-def _nodes(
-    data: Dataset, R: int, owner: list[int], tableau: list, depth: int, nogoods: _Nogoods
+def _children(
+    data: Dataset, R: int, owner: list[int], tableau: list, nogoods: _Nogoods
 ) -> Iterator[tuple[list[int], list]]:
-    """(owner, tableau) of each realizable partition of the first ``depth``
-    points below a node, depth first, children in canonical order (the open
-    parts, then a new part while fewer than R are open); each node's LP is
-    solved at most once, warm from its parent's tableau.  A child that a
-    learned nogood refutes takes no LP, and an infeasible child's checked
-    certificate becomes a nogood.  When the children are leaves, the one in
-    the part ``_kept_part`` names is yielded with the node's own tableau and
-    no LP; ``_leaf_cone`` checks that witness at every point, and an
-    ``AssertionError`` is raised if a nogood refutes that leaf, since then a
-    witness and a certificate disagree."""
-    if len(owner) == depth:
-        yield owner, tableau
-        return
+    """(owner, tableau) of each realizable child of a node, in canonical
+    order (the open parts, then a new part while fewer than R are open),
+    each child's LP solved when it is reached, warm from the node's tableau.
+    A child that a learned nogood refutes takes no LP, and an infeasible
+    child's checked certificate becomes a nogood.  When the children are
+    leaves, the one in the part ``_kept_part`` names is yielded with the
+    node's own tableau and no LP; ``_leaf_cone`` checks that witness at
+    every point, and an ``AssertionError`` is raised if a nogood refutes
+    that leaf, since then a witness and a certificate disagree."""
     parts = range(min(max(owner, default=-1) + 2, R))
     refuted = nogoods.refuted(owner, parts)
     kept = _kept_part(data, owner, tableau) if len(owner) + 1 == data.M else None
@@ -444,9 +440,31 @@ def _nodes(
             continue
         opt, child = _child(data, R, owner, t, tableau)
         if opt > 0:
-            yield from _nodes(data, R, owner + [t], child, depth, nogoods)
+            yield owner + [t], child
         else:
             refuted |= nogoods.learn(owner + [t], child, parts)
+
+
+def _nodes(
+    data: Dataset, R: int, owner: list[int], tableau: list, depth: int, nogoods: _Nogoods
+) -> Iterator[tuple[list[int], list]]:
+    """(owner, tableau) of each realizable partition of the first ``depth``
+    points below a node, depth first (see ``_children``).  The children
+    iterators of the nodes on the current path sit on one stack, so no walk
+    recurses, and each is read only when the walk reaches it, so every LP is
+    solved exactly when a recursive walk would solve it."""
+    stack = [iter([(owner, tableau)])]
+    while stack:
+        for owner, tableau in stack[-1]:
+            if len(owner) == depth:
+                yield owner, tableau
+            elif len(owner) + 1 == depth:
+                yield from _children(data, R, owner, tableau, nogoods)
+            else:
+                stack.append(_children(data, R, owner, tableau, nogoods))
+                break
+        else:
+            stack.pop()
 
 
 def _leaf_cone(data: Dataset, owner: list[int], tableau: list) -> _CanonicalCone:
@@ -544,10 +562,10 @@ class _FanIndex:
 
     def _classes(self, relabelings=None) -> Iterator[tuple[_CanonicalCone, Iterable[tuple[int, ...]], Callable]]:
         """(rep, perms, get) for each canonical partition: the injective
-        relabelings part t -> term perm[t], or those ``relabelings(rep)``
-        yields, and the map from a perm to its assignment, one itemgetter
-        over the part of each point (a 1-tuple slice for one point, where
-        an itemgetter of one item returns a scalar)."""
+        relabelings part t -> term perm[t], or the per-part tuples
+        ``relabelings(rep)`` yields, and the map from such a tuple to its
+        per-point tuple, one itemgetter over the part of each point (a
+        1-tuple slice for one point, where an itemgetter of one returns a scalar)."""
         M = self.data.M
         for rep in self.reps:
             owner = [0] * M

@@ -102,17 +102,16 @@ optimum of 0 the final objective row holds a Farkas certificate: integer
 dual multipliers y >= 0, one per inequality row, with sum_i y_i f_i = 0
 and y > 0 on some strict row.  Every ``max_slack`` call without equality
 rows, cold or warm, checks it exactly at every optimum of 0, over every row
-of its tableau, as a cold call substitutes every positive witness.  The
-partition walk learns from the warm ones (see ``fan``).  ``relint_point``
-reads the implied equalities of a cone off such certificates, several rows
-per LP (Freund, Roundy and Todd 1985);
-rows in the linear span of the rows found implied are implied too.  Before
-its first LP it implies each nonzero row whose exact negative is also a
-row, by the certificate y = (1, 1), checked the same way: tie rows come in
-such pairs wherever a point is tied to two terms.
-Cone dimension is the ambient dimension minus the rank of the
-implied-equality normals, the size of an integer echelon basis of them,
-built as that span is.
+of its tableau, as a cold call substitutes every positive witness; a
+positive optimum reads no multipliers.  The partition walk learns from the
+warm ones (see ``fan``).  ``relint_point`` reads the implied equalities of
+a cone off such certificates, several rows per LP (Freund, Roundy and Todd
+1985); rows in the linear span of the rows found implied are implied too.
+Before its first LP it implies each nonzero row whose exact negative is
+also a row, by the certificate y = (1, 1), checked the same way: tie rows
+come in such pairs wherever a point is tied to two terms.  Cone dimension
+is the ambient dimension minus the rank of the implied-equality normals,
+the size of an integer echelon basis of them, built as that span is.
 """
 
 from __future__ import annotations
@@ -430,17 +429,17 @@ def max_slack(
     a nonstrict row below 0, a strict row not above 0 or an equality not at
     0 raises ``AssertionError``.
 
-    Without equality rows it reads one integer dual multiplier y_i >= 0 per
-    row of the tableau (``_Simplex.multipliers``): per nonstrict row, then
-    per strict row, after those of the earlier warm calls.  Each is the
-    optimal dual times the final denominator, which is positive, so the
-    signs and the support are the dual's.  At an optimum of 0 they must
-    read sum_i y_i f_i = 0 over the rows the tableau recorded, with y_i > 0
-    on some strict row, a Farkas certificate that no x is positive on every
+    At an optimum of 0 without equality rows it reads one integer dual
+    multiplier y_i >= 0 per row of the tableau (``_Simplex.multipliers``):
+    per nonstrict row, then per strict row, after those of the earlier warm
+    calls.  Each is the optimal dual times the final denominator, which is
+    positive, so the signs and the support are the dual's.  They must read
+    sum_i y_i f_i = 0 over the rows the tableau recorded, with y_i > 0 on
+    some strict row, a Farkas certificate that no x is positive on every
     strict row; this is checked in integers, and a failure raises
     ``AssertionError``.  A list ``duals`` (only without equality rows) is
-    filled with them at any optimum of a cold call, and at an optimum of 0
-    of a warm one.
+    filled with them, cold or warm; a positive optimum reads no multiplier
+    and leaves it as it is.
 
     If a list ``tableau`` is passed, the call is warm: the rows are added to
     the system whose optimal tableau the list holds (the empty system when it
@@ -461,12 +460,11 @@ def max_slack(
     sx.forms += rows
     sx.add_rows(rows, h)
     opt = sx.solve(range(dim + 2, dim + 2 + len(equalities)))  # the equality slacks
-    if not equalities and (opt == 0 or duals is not None and tableau is None):
+    if not equalities and opt == 0:
         y = sx.multipliers(sx.m - 1)
-        if opt == 0:
-            _check_certificate(dim, y, sx.forms)
-            if not any(v and a[dim] for v, a in zip(y, sx.forms)):  # a[dim] is 1 on a strict row
-                raise AssertionError("Farkas certificate has no positive multiplier on a strict row")
+        _check_certificate(dim, y, sx.forms)
+        if not any(v and a[dim] for v, a in zip(y, sx.forms)):  # a[dim] is 1 on a strict row
+            raise AssertionError("Farkas certificate has no positive multiplier on a strict row")
         if duals is not None:
             duals.extend(y)
     if tableau is not None:

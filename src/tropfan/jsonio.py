@@ -1,4 +1,5 @@
-"""JSON encodings for datasets, parameters, patterns, networks and reports.
+"""JSON readers for datasets, parameters and networks, and writers for
+parameters, patterns and reports.
 
 Rationals travel as strings, either "p/q" or decimal literals; incoming JSON
 numbers are parsed exactly (floats are routed through their literal text, so
@@ -31,10 +32,6 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def dataset_to_json(data: Dataset) -> dict:
-    return {"points": [format_vec(p) for p in data.points]}
-
-
 def dataset_from_json(doc: dict) -> Dataset:
     return dataset(doc["points"])
 
@@ -59,19 +56,6 @@ def rational_from_json(doc: dict) -> TropicalRationalParams:
 
 def pattern_to_json(G: ActivationPattern) -> dict:
     return {"neighbors": [sorted(nb) for nb in G.neighbors]}
-
-
-def pattern_from_json(doc: dict, N: int) -> ActivationPattern:
-    nbrs = tuple(frozenset(nb) for nb in doc["neighbors"])
-    return ActivationPattern(len(nbrs), N, nbrs)
-
-
-def network_to_json(net: ReluNetwork) -> dict:
-    return {
-        "layers": [
-            {"W": [format_vec(row) for row in W], "c": format_vec(c)} for W, c in net.layers
-        ]
-    }
 
 
 def network_from_json(doc: dict) -> ReluNetwork:

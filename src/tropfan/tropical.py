@@ -58,11 +58,6 @@ class TropicalRationalParams:
     def m(self) -> int:
         return self.den.n
 
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension (n+m)(d+1) of the parameter space this point lives in."""
-        return (self.n + self.m) * (self.d + 1)
-
     def merged(self) -> SignomialParams:
         """The n+m term signomial g (+) h; numerator terms keep indices 1..n."""
         return SignomialParams(self.num.terms + self.den.terms, self.d)

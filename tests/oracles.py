@@ -94,6 +94,11 @@ The nested-loop labeling oracle is the former body of
 ``fan._FanIndex._labelings``: each assignment is filled in point by point,
 part by part, for every relabeling of every class.
 
+The labeling dichotomy count is the former body of
+``classify.count_dichotomies``: every class is expanded into all its
+injective labelings, and each assignment is read as a sign vector, + on a
+numerator term.
+
 The Fraction tie-row oracle is the former body of ``fan._tie_row``: the row
 of (a_hi - a_lo) + <s_hi - s_lo, p> in Fractions, built from the point p
 rather than from its integer lift.
@@ -960,6 +965,16 @@ def labelings_by_parts(index, relabelings=None):
                 for k in part:
                     assign[k] = perm[t]
             yield tuple(assign)
+
+
+def dichotomies_by_assignments(data, n, m):
+    """Number of distinct sign vectors, + on a term up to n, over every
+    assignment of the fan of (data, n + m)."""
+    index = fan_index(data, n + m)
+    seen = set()
+    for assign in index.iter_assignments():
+        seen.add(tuple(1 if t <= n else -1 for t in assign))
+    return len(seen)
 
 
 def relint_point_by_rows(dim, rows):

@@ -13,6 +13,7 @@ from oracles import (
     adjacency_edges_by_pairs,
     assignment_loss,
     chamber_path_by_composition,
+    dichotomies_by_assignments,
     full_witness,
     lowered_crossing_witness,
     wall_lp_over_all_terms,
@@ -431,12 +432,27 @@ def test_count_dichotomies_contains_target(diag4):
     # the diagonal instance realizes its alternating target with n = m = 2
     index = fan_index(diag4, 4)
     target = parse_signs("+,-,-,+")
-    dichos = set()
-    from tropfan.classify import dichotomy_of_assignment
-
-    for assign in index.iter_assignments():
-        dichos.add(dichotomy_of_assignment(assign, 2))
+    dichos = {tuple(1 if t <= 2 else -1 for t in assign) for assign in index.iter_assignments()}
     assert tuple(target) in dichos
+
+
+def test_count_dichotomies_match_the_labeling_oracle():
+    """Counting the splits of each class's parts gives the distinct sign
+    vectors of all its labelings: on seeded sets in d = 1..3, with
+    coincident points and with collinear ones, for every (n, m) up to
+    (2, 2) and (1, 3)."""
+    rng = random.Random(40)
+    sets = []
+    for d in (1, 2, 3):
+        for _ in range(2):
+            points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(7)]
+            sets.append(points + [points[0]])
+        v = tuple(rng.randint(1, 2) for _ in range(d))
+        sets.append([tuple(c * x for x in v) for c in (0, 1, 3, 1, -2, 5, -1)])
+    for points in sets:
+        data = dataset(points)
+        for n, m in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3)):
+            assert count_dichotomies(data, n, m) == dichotomies_by_assignments(data, n, m), (points, n, m)
 
 
 def test_level_symmetry_diag4(diag4):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from tropfan.dual import (
     render_svg,
     tropical_type,
 )
-from tropfan.fan import pattern_of
+from tropfan.fan import dataset, pattern_of
 from tropfan.geometry import max_slack
 from tropfan.jsonio import loads, rational_from_json
 from tropfan.rationals import integerize
@@ -27,6 +28,7 @@ from tropfan.relu import net_to_tropical, network, prune_terms
 from tropfan.tropical import (
     SignomialParams,
     TropicalRationalParams,
+    classify,
     eval_rational,
     eval_signomial,
     integer_terms,
@@ -244,6 +246,21 @@ def test_render_svg_deterministic(running_theta_split, two_points):
     assert one == two
     assert one.count("<line") == 3  # matches the three sign-mixed edges
     assert one.count("<circle") == 2
+
+
+def test_render_svg_colors_each_point_by_its_sign(running_theta_split, two_points):
+    """Every point's circle is green where g(p) - h(p) > 0, red where it is
+    below 0 and grey on the boundary, as ``tropical.classify`` signs it: on
+    the two-point example and on 30 seeded points in thirds, two of them
+    on the boundary."""
+    colors = {1: "#1a7f37", -1: "#c0392b", 0: "#666666"}
+    rng = random.Random(40)
+    seeded = [(F(rng.randint(-9, 9), 3), F(rng.randint(-9, 9), 3)) for _ in range(30)]
+    for data in (two_points, dataset(seeded)):
+        svg = render_svg(running_theta_split, data, (F(-3), F(3), F(-3), F(3)))
+        fills = re.findall(r'<circle cx="[^"]*" cy="[^"]*" r="5" fill="([^"]*)"/>', svg)
+        assert fills == [colors[classify(running_theta_split, p)] for p in data.points]
+    assert set(fills) == set(colors.values())
 
 
 def test_render_svg_rejects_other_dimensions():

@@ -113,4 +113,3 @@ def test_merged_indexing(running_theta_split):
     merged = running_theta_split.merged()
     assert merged.n == 4
     assert merged.terms[:2] == running_theta_split.num.terms
-    assert running_theta_split.ambient_dim == 12
